@@ -1,22 +1,18 @@
 //! The end-to-end two-phase whole-program audit.
 //!
 //! **Phase 1** fans out the parse per unit. Parsing also captures each
-//! unit's discovery facts and its symbol digest (functions defined,
-//! names called), so the knowledge-base merge happens right at the
-//! parse barrier — before any export exists.
+//! unit's discovery facts, so the knowledge-base merge happens right at
+//! the parse barrier — before any export exists.
 //!
 //! **Phase 2** exports each unit's function-effect digest
-//! ([`refminer_checkers::UnitExports`]) and checks each unit against
-//! the [`ProgramDb`] — the function-summary database every checker
+//! ([`refminer_checkers::UnitExports`]), merges the digests into the
+//! [`ProgramDb`] — the function-summary database every checker
 //! resolves helper calls through, under linkage rules (`static`
 //! helpers stay unit-local; external definitions resolve tree-wide) —
-//! so an `of_node_put` wrapper defined in `a.c` pairs an acquisition
-//! in `b.c`. With multiple workers the two stages *overlap*: the
-//! streaming scheduler (see [`crate::stream`]) starts checking a unit
-//! as soon as the exports of its resolution closure are in, instead of
-//! holding every check behind the last export. With one worker — or
-//! when [`AuditConfig::streaming`] is off — the stages run as a
-//! classic barrier pipeline. Either way the report is byte-identical.
+//! and checks each unit against it, so an `of_node_put` wrapper
+//! defined in `a.c` pairs an acquisition in `b.c`. The three stages
+//! run as a barrier pipeline: export, merge, check, each waiting out
+//! the one before.
 //!
 //! Every translation unit runs inside a *fault boundary*: resource caps
 //! (file bytes, token count, recursion depth, graph nodes) bound what a
@@ -46,7 +42,7 @@ use refminer_checkers::{
     ProgramDb, TemplateEngine, UnitExports,
 };
 use refminer_clex::{scan_defines, MacroDef};
-use refminer_cparse::{parse_str_limited, Block, ExprKind, ParseLimits, TranslationUnit};
+use refminer_cparse::{parse_str_limited, ParseLimits, TranslationUnit};
 use refminer_cpg::FunctionGraph;
 use refminer_delta::DeltaEngine;
 use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, UnitDiscovery};
@@ -58,9 +54,8 @@ use crate::cache::{
     CacheStats, CachedError, CheckedUnit, ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
-use crate::parallel::{effective_jobs, run_indexed_traced};
+use crate::parallel::run_indexed;
 use crate::project::{Project, ScanErrorKind, SourceUnit};
-use crate::stream;
 
 /// Resource caps applied to each translation unit.
 #[derive(Debug, Clone, Copy)]
@@ -128,12 +123,6 @@ pub struct AuditConfig {
     /// units still parse and export — exports are whole-tree — but skip
     /// the check stage.
     pub subsystem: Option<String>,
-    /// Overlap the export and check stages through the dependency-aware
-    /// streaming scheduler when more than one worker is available (the
-    /// default). `false` forces the classic barrier pipeline. Purely a
-    /// scheduling choice: the report is byte-identical either way, and
-    /// the flag is deliberately part of no cache fingerprint.
-    pub streaming: bool,
     /// Keep each unit's AST in the in-memory parse cache (the default),
     /// letting later stages skip re-parsing. `false` drops ASTs right
     /// after the parse stage — kernel-scale trees trade re-parse time
@@ -155,7 +144,6 @@ impl Default for AuditConfig {
             only_patterns: None,
             engines: EngineSet::default(),
             subsystem: None,
-            streaming: true,
             retain_asts: true,
         }
     }
@@ -310,11 +298,12 @@ pub struct AuditReport {
     /// Cache hit/miss counters for this run (all zeros for the plain
     /// [`audit`] entry point, which starts from an empty cache).
     pub cache: CacheStats,
-    /// Wall-clock seconds of phase 1 (parse + export fan-out, plus the
-    /// barrier merge into KB and program database). Timing only — it
-    /// never influences findings, keys or any serialized result.
+    /// Wall-clock seconds of phase 1: the parse fan-out plus the
+    /// knowledge-base merge. Timing only — it never influences
+    /// findings, keys or any serialized result.
     pub phase1_secs: f64,
-    /// Wall-clock seconds of phase 2 (the graph + check fan-out).
+    /// Wall-clock seconds of phase 2: the export fan-out, the
+    /// [`ProgramDb`] merge and the check fan-out.
     pub phase2_secs: f64,
 }
 
@@ -422,50 +411,10 @@ impl UnitState {
     }
 }
 
-/// A unit's symbol digest: `(name, is_static)` per function defined,
-/// plus every name called — both sides interned so the streaming
-/// closure map and the program database share the allocations.
-type SymbolDigest = (Vec<(Arc<str>, bool)>, Vec<Arc<str>>);
-
-/// Reads a unit's symbol digest off its AST: the `(name, is_static)`
-/// of every defined function, and the sorted, deduplicated set of
-/// names called anywhere in the unit. The digest is the raw material
-/// for the streaming scheduler's dependency closures, so the call scan
-/// must cover at least every call the program database can resolve:
-/// [`Expr::walk`](refminer_cparse::Expr::walk) deliberately does not
-/// descend into GNU statement-expressions, so those blocks are
-/// recursed into explicitly here.
-fn unit_symbols(tu: &TranslationUnit) -> SymbolDigest {
-    let mut syms: Vec<(Arc<str>, bool)> = Vec::new();
-    let mut called: std::collections::BTreeSet<Arc<str>> = std::collections::BTreeSet::new();
-    for f in tu.functions() {
-        syms.push((Arc::from(f.name.as_str()), f.is_static));
-        let mut blocks: Vec<&Block> = vec![&f.body];
-        while let Some(block) = blocks.pop() {
-            let mut nested: Vec<&Block> = Vec::new();
-            for s in &block.stmts {
-                s.walk_exprs(&mut |e| {
-                    if let Some((name, _)) = e.as_direct_call() {
-                        if !called.contains(name) {
-                            called.insert(Arc::from(name));
-                        }
-                    }
-                    if let ExprKind::StmtExpr(b) = &e.kind {
-                        nested.push(b);
-                    }
-                });
-            }
-            blocks.append(&mut nested);
-        }
-    }
-    (syms, called.into_iter().collect())
-}
-
 /// The parse stage for one unit: byte-cap check, `#define` scan, the
-/// limited parse, then the unit's discovery facts and symbol digest —
-/// all inside the unit's fault boundary. Discovery and symbols ride
-/// the parse layer so the knowledge base and the streaming scheduler's
-/// dependency graph are both ready before any export runs.
+/// limited parse, then the unit's discovery facts — all inside the
+/// unit's fault boundary. Discovery rides the parse layer so the
+/// knowledge base is ready before any export runs.
 fn parse_unit(
     unit: &SourceUnit,
     limits: &AuditLimits,
@@ -488,8 +437,6 @@ fn parse_unit(
             // Skipped outright: contributes no lines to the totals.
             lines: 0,
             discovery: UnitDiscovery::default(),
-            syms: Vec::new(),
-            called: Vec::new(),
         };
     }
     let lines = unit.text.lines().count();
@@ -497,11 +444,10 @@ fn parse_unit(
         let defs = scan_defines(&unit.text);
         let out = parse_str_limited(&unit.path, &unit.text, parse_limits);
         let discovery = discover_unit(&out.unit, &ApiKb::builtin());
-        let (syms, called) = unit_symbols(&out.unit);
-        (defs, out, discovery, syms, called)
+        (defs, out, discovery)
     });
     match parsed {
-        Ok((defines, out, discovery, syms, called)) => {
+        Ok((defines, out, discovery)) => {
             let mut errors = Vec::new();
             if let Some(first) = out.lex_errors.first() {
                 errors.push(CachedError {
@@ -528,8 +474,6 @@ fn parse_unit(
                 errors,
                 lines,
                 discovery,
-                syms,
-                called,
             }
         }
         Err(msg) => ParsedUnit {
@@ -542,8 +486,6 @@ fn parse_unit(
             }],
             lines,
             discovery: UnitDiscovery::default(),
-            syms: Vec::new(),
-            called: Vec::new(),
         },
     }
 }
@@ -553,7 +495,7 @@ fn parse_unit(
 /// that did not parse — and units whose extraction faults — contribute
 /// an empty digest under their own path, so unit indexing in the
 /// merged database never shifts.
-pub(crate) fn export_one(
+fn export_one(
     unit: &SourceUnit,
     parsed: &ParsedUnit,
     limits: &AuditLimits,
@@ -602,7 +544,7 @@ pub(crate) fn export_one(
 /// AST), the unit is re-parsed here first — parsing is deterministic,
 /// so the rehydrated AST is the one the entry describes.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn check_one(
+fn check_one(
     unit: &SourceUnit,
     parsed: &ParsedUnit,
     kb: &ApiKb,
@@ -813,7 +755,7 @@ pub fn audit_cancellable(
     // twins). Hashing is pure per-unit work, so it fans out too.
     let parse_cfg = parse_config_fingerprint(config);
     let hash_span = trace.span("hash");
-    let unit_keys: Vec<u64> = run_indexed_traced(units, config.jobs, trace, "hash", |_, u| {
+    let unit_keys: Vec<u64> = run_indexed(units, config.jobs, trace, "hash", |_, u| {
         if cancel.is_cancelled() {
             return 0;
         }
@@ -838,10 +780,10 @@ pub fn audit_cancellable(
     // ------------------------------------------------------------------
     let phase1_start = std::time::Instant::now();
 
-    // Parse: lex + parse + discovery + symbol digest, work-stealing
-    // across workers, each unit inside its own fault boundary.
-    // Disk-loaded entries (no retained AST) are full hits — later
-    // stages rehydrate their own unit on demand.
+    // Parse: lex + parse + discovery, work-stealing across workers,
+    // each unit inside its own fault boundary. Disk-loaded entries (no
+    // retained AST) are full hits — later stages rehydrate their own
+    // unit on demand.
     let parse_span = trace.span("parse");
     let mut parsed: Vec<Option<Arc<ParsedUnit>>> = (0..n).map(|_| None).collect();
     let mut parse_todo: Vec<usize> = Vec::new();
@@ -852,7 +794,7 @@ pub fn audit_cancellable(
         }
     }
     let retain_asts = config.retain_asts;
-    let parsed_new = run_indexed_traced(&parse_todo, config.jobs, trace, "parse", |_, &i| {
+    let parsed_new = run_indexed(&parse_todo, config.jobs, trace, "parse", |_, &i| {
         if cancel.is_cancelled() {
             return cancelled_parse_placeholder();
         }
@@ -869,10 +811,10 @@ pub fn audit_cancellable(
 
     // Barrier: merge per-unit discovery facts into the knowledge base.
     // Discovery rides the parse layer, so the merged KB exists before
-    // any export runs — the streaming scheduler depends on that
-    // ordering. The merge folds cached digests — no AST is touched —
-    // and runs in its own fault boundary: if a degraded unit trips it,
-    // fall back to the builtin KB rather than losing the audit.
+    // any export runs. The merge folds cached digests — no AST is
+    // touched — and runs in its own fault boundary: if a degraded unit
+    // trips it, fall back to the builtin KB rather than losing the
+    // audit.
     cancel.check()?;
     let merge_kb_span = trace.span("merge.kb");
     let kb: Arc<ApiKb> = if !config.discover_apis {
@@ -905,8 +847,8 @@ pub fn audit_cancellable(
     let phase1_secs = phase1_start.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------------
-    // Phase 2: export + check — overlapped by the streaming scheduler,
-    // or as the classic barrier pipeline.
+    // Phase 2: export fan-out, program-database merge, check fan-out —
+    // each stage waiting out the previous one.
     // ------------------------------------------------------------------
     // Check keys fold the KB fingerprint — a changed KB (say, a newly
     // discovered API) re-checks everything, as any unit might call it —
@@ -916,10 +858,13 @@ pub fn audit_cancellable(
     // the units whose calls resolve into it.
     let kb_fp = mix(kb_fingerprint(&kb), check_config_fingerprint(config));
     let subsystem = config.subsystem.as_deref().map(|s| s.trim_end_matches('/'));
+    let only_patterns = config.only_patterns.as_deref();
     let phase2_start = Instant::now();
 
-    // Probe the export layer, keyed by `(unit key, export config)` so
-    // editing one file re-exports exactly that file.
+    // Export, probing the export layer first: it is keyed by `(unit
+    // key, export config)`, so editing one file re-exports exactly that
+    // file.
+    let export_span = trace.span("export");
     let export_cfg = export_config_fingerprint(config);
     let mut exported: Vec<Option<Arc<UnitExports>>> = (0..n).map(|_| None).collect();
     let mut export_todo: Vec<usize> = Vec::new();
@@ -929,9 +874,45 @@ pub fn audit_cancellable(
             None => export_todo.push(i),
         }
     }
+    let exported_new = run_indexed(&export_todo, config.jobs, trace, "export", |_, &i| {
+        if cancel.is_cancelled() {
+            return UnitExports {
+                path: units[i].path.clone(),
+                fns: Vec::new(),
+            };
+        }
+        let _unit_span = trace.unit_span("export.unit", &units[i].path);
+        export_one(
+            &units[i],
+            parsed[i].as_ref().unwrap(),
+            limits,
+            &parse_limits,
+            trace,
+        )
+    });
+    cancel.check()?;
+    for (&i, e) in export_todo.iter().zip(exported_new) {
+        exported[i] = Some(cache.export_put(mix(unit_keys[i], export_cfg), e));
+    }
+    drop(export_span);
 
-    // Units eligible for checking: parsed, inside the subsystem filter.
-    let mut check_units: Vec<usize> = Vec::new();
+    // Barrier: merge per-unit exports into the program database, in
+    // unit index order. Checkers resolve helper effects through it
+    // under linkage rules.
+    let merge_db_span = trace.span("merge.progdb");
+    let export_refs: Vec<&UnitExports> = exported
+        .iter()
+        .map(|e| e.as_ref().unwrap().as_ref())
+        .collect();
+    let program = ProgramDb::build(&export_refs, &kb, config.whole_program);
+    drop(merge_db_span);
+
+    // Check every unit that parsed and lies inside the subsystem
+    // filter, probing the check layer first.
+    let check_span = trace.span("check");
+    let mut checked: Vec<Option<Arc<CheckedUnit>>> = (0..n).map(|_| None).collect();
+    let mut check_keys: HashSet<(u64, u64)> = HashSet::new();
+    let mut check_todo: Vec<(usize, u64)> = Vec::new();
     for i in 0..n {
         if !parsed[i].as_ref().unwrap().parsed_ok {
             continue;
@@ -942,162 +923,35 @@ pub fn audit_cancellable(
                 continue;
             }
         }
-        check_units.push(i);
+        let deps_fp = mix(kb_fp, program.deps_fingerprint(&units[i].path));
+        check_keys.insert((unit_keys[i], deps_fp));
+        match cache.check_get(unit_keys[i], deps_fp) {
+            Some(c) => checked[i] = Some(c),
+            None => check_todo.push((i, deps_fp)),
+        }
     }
-
-    let only_patterns = config.only_patterns.as_deref();
-    let jobs = effective_jobs(config.jobs);
-    // An *explicit* `jobs >= 2` request is honored literally by the
-    // streaming scheduler (mirroring the scheduler-test idiom in
-    // `parallel::run_indexed_exact`), so single-core hosts can still
-    // exercise — and test — the overlapped path. `jobs: 0` (auto)
-    // defers to the available parallelism as everywhere else.
-    let stream_jobs = if config.jobs == 0 { jobs } else { config.jobs };
-    let mut checked: Vec<Option<Arc<CheckedUnit>>> = (0..n).map(|_| None).collect();
-    let mut check_keys: HashSet<(u64, u64)> = HashSet::new();
-
-    if config.streaming && stream_jobs > 1 && !export_todo.is_empty() {
-        // Streaming: exports and checks share one worker pool; a
-        // unit's check dispatches the moment its resolution closure's
-        // exports are in. Workers only *read* the cache (through a
-        // snapshot); every insert happens below, after the pool joins
-        // and after the cancellation check — the same cancel-safety
-        // contract as the barrier path.
-        let result = stream::run(stream::StreamInput {
-            units,
-            unit_keys: &unit_keys,
-            parsed: &parsed,
-            exported,
-            export_todo: &export_todo,
-            check_todo: &check_units,
-            kb: &kb,
-            kb_fp,
-            snapshot: cache.check_snapshot(),
-            whole_program: config.whole_program,
+    let checked_new = run_indexed(&check_todo, config.jobs, trace, "check", |_, &(i, _)| {
+        if cancel.is_cancelled() {
+            return CheckedUnit::default();
+        }
+        let _unit_span = trace.unit_span("check.unit", &units[i].path);
+        check_one(
+            &units[i],
+            parsed[i].as_ref().unwrap(),
+            &kb,
+            &program,
             limits,
-            parse_limits: &parse_limits,
+            &parse_limits,
             only_patterns,
-            engines: config.engines,
-            jobs: stream_jobs,
+            config.engines,
             trace,
-            cancel,
-        });
-        if trace.is_enabled() {
-            // The sequential stage view of the overlapped window:
-            // "export" runs until the last export lands, "check" is
-            // the drain after it. Observational only, like all
-            // tracing.
-            let total = phase2_start.elapsed();
-            let exports_done = result.exports_done.min(total);
-            trace.record_span("export", None, phase2_start, exports_done);
-            trace.record_span(
-                "merge.progdb",
-                None,
-                phase2_start + exports_done,
-                std::time::Duration::ZERO,
-            );
-            trace.record_span(
-                "check",
-                None,
-                phase2_start + exports_done,
-                total - exports_done,
-            );
-        }
-        cancel.check()?;
-        exported = result.exported;
-        for &i in &result.new_exports {
-            cache.export_put_arc(
-                mix(unit_keys[i], export_cfg),
-                exported[i].clone().expect("stream filled every export"),
-            );
-        }
-        for (i, deps_fp, outcome) in result.checks {
-            check_keys.insert((unit_keys[i], deps_fp));
-            match outcome {
-                stream::CheckOutcome::Hit(c) => {
-                    cache.stats.check_hits += 1;
-                    cache.check_memoize(unit_keys[i], deps_fp, c.clone());
-                    checked[i] = Some(c);
-                }
-                stream::CheckOutcome::Miss(c) => {
-                    checked[i] = Some(cache.check_put(unit_keys[i], deps_fp, c));
-                }
-            }
-        }
-    } else {
-        // Barrier: export fan-out, program-database merge, check
-        // fan-out — each stage waiting out the previous one. This is
-        // also the warm path: with every export cached there is
-        // nothing to overlap.
-        let export_span = trace.span("export");
-        let exported_new =
-            run_indexed_traced(&export_todo, config.jobs, trace, "export", |_, &i| {
-                if cancel.is_cancelled() {
-                    return UnitExports {
-                        path: units[i].path.clone(),
-                        fns: Vec::new(),
-                    };
-                }
-                let _unit_span = trace.unit_span("export.unit", &units[i].path);
-                export_one(
-                    &units[i],
-                    parsed[i].as_ref().unwrap(),
-                    limits,
-                    &parse_limits,
-                    trace,
-                )
-            });
-        cancel.check()?;
-        for (&i, e) in export_todo.iter().zip(exported_new) {
-            exported[i] = Some(cache.export_put(mix(unit_keys[i], export_cfg), e));
-        }
-        drop(export_span);
-
-        // Barrier: merge per-unit exports into the program database,
-        // in unit index order. Checkers resolve helper effects through
-        // it under linkage rules.
-        let merge_db_span = trace.span("merge.progdb");
-        let export_refs: Vec<&UnitExports> = exported
-            .iter()
-            .map(|e| e.as_ref().unwrap().as_ref())
-            .collect();
-        let program = ProgramDb::build(&export_refs, &kb, config.whole_program);
-        drop(merge_db_span);
-
-        let check_span = trace.span("check");
-        let mut check_todo: Vec<usize> = Vec::new();
-        for &i in &check_units {
-            let deps_fp = mix(kb_fp, program.deps_fingerprint(&units[i].path));
-            check_keys.insert((unit_keys[i], deps_fp));
-            match cache.check_get(unit_keys[i], deps_fp) {
-                Some(c) => checked[i] = Some(c),
-                None => check_todo.push(i),
-            }
-        }
-        let checked_new = run_indexed_traced(&check_todo, config.jobs, trace, "check", |_, &i| {
-            if cancel.is_cancelled() {
-                return CheckedUnit::default();
-            }
-            let _unit_span = trace.unit_span("check.unit", &units[i].path);
-            check_one(
-                &units[i],
-                parsed[i].as_ref().unwrap(),
-                &kb,
-                &program,
-                limits,
-                &parse_limits,
-                only_patterns,
-                config.engines,
-                trace,
-            )
-        });
-        cancel.check()?;
-        for (&i, c) in check_todo.iter().zip(checked_new) {
-            let deps_fp = mix(kb_fp, program.deps_fingerprint(&units[i].path));
-            checked[i] = Some(cache.check_put(unit_keys[i], deps_fp, c));
-        }
-        drop(check_span);
+        )
+    });
+    cancel.check()?;
+    for (&(i, deps_fp), c) in check_todo.iter().zip(checked_new) {
+        checked[i] = Some(cache.check_put(unit_keys[i], deps_fp, c));
     }
+    drop(check_span);
     let phase2_secs = phase2_start.elapsed().as_secs_f64();
 
     // Merge, in unit index order, exactly as the sequential pipeline
@@ -1218,8 +1072,6 @@ fn cancelled_parse_placeholder() -> ParsedUnit {
         errors: Vec::new(),
         lines: 0,
         discovery: UnitDiscovery::default(),
-        syms: Vec::new(),
-        called: Vec::new(),
     }
 }
 
@@ -1292,151 +1144,6 @@ mod tests {
         assert_eq!(after.cache.parse_hits, 0, "cache was not cold");
     }
 
-    /// A config running the streaming scheduler: multiple workers (the
-    /// 1-job case falls back to the barrier path by design, so tests
-    /// must force a pool) with streaming on.
-    fn streaming_cfg() -> AuditConfig {
-        AuditConfig {
-            jobs: 4,
-            streaming: true,
-            ..Default::default()
-        }
-    }
-
-    fn barrier_cfg() -> AuditConfig {
-        AuditConfig {
-            jobs: 4,
-            streaming: false,
-            ..Default::default()
-        }
-    }
-
-    fn diag_rows(d: &AuditDiagnostics) -> Vec<(String, &'static str, Vec<UnitErrorKind>)> {
-        d.units
-            .iter()
-            .map(|u| (u.path.clone(), u.outcome.name(), u.errors.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn streaming_report_is_byte_identical_to_barrier() {
-        let tree = generate_tree(&TreeConfig {
-            scale: 0.05,
-            ..Default::default()
-        });
-        let project = Project::from_tree(&tree);
-        let a = audit(&project, &barrier_cfg());
-        let b = audit(&project, &streaming_cfg());
-        assert_eq!(a.findings, b.findings, "streaming changed the findings");
-        assert_eq!(a.functions, b.functions);
-        assert_eq!(a.lines, b.lines);
-        assert_eq!(a.files, b.files);
-        assert_eq!(diag_rows(&a.diagnostics), diag_rows(&b.diagnostics));
-        assert_eq!(
-            (
-                a.diagnostics.ok,
-                a.diagnostics.degraded,
-                a.diagnostics.skipped
-            ),
-            (
-                b.diagnostics.ok,
-                b.diagnostics.degraded,
-                b.diagnostics.skipped
-            )
-        );
-        // Cold-run cache traffic is identical too: same misses, same
-        // snapshot hits (none), regardless of the scheduler.
-        assert_eq!(a.cache, b.cache, "cache stats diverged");
-        assert!(!a.findings.is_empty());
-    }
-
-    #[test]
-    fn streaming_matches_barrier_under_subsystem_and_single_unit_resolution() {
-        let tree = generate_tree(&TreeConfig {
-            scale: 0.05,
-            include_tricky: false,
-            ..Default::default()
-        });
-        let project = Project::from_tree(&tree);
-        for (subsystem, whole_program) in [
-            (Some("drivers".to_string()), true),
-            (None, false),
-            (Some("arch/".to_string()), false),
-        ] {
-            let barrier = AuditConfig {
-                subsystem: subsystem.clone(),
-                whole_program,
-                ..barrier_cfg()
-            };
-            let streaming = AuditConfig {
-                subsystem: subsystem.clone(),
-                whole_program,
-                ..streaming_cfg()
-            };
-            let a = audit(&project, &barrier);
-            let b = audit(&project, &streaming);
-            assert_eq!(
-                a.findings, b.findings,
-                "diverged for subsystem={subsystem:?} whole_program={whole_program}"
-            );
-            assert_eq!(a.cache, b.cache);
-        }
-    }
-
-    #[test]
-    fn streaming_and_barrier_address_the_same_cache_entries() {
-        // The strongest cross-scheduler invariant: entries written by a
-        // cold *streaming* run must be exact hits for a warm *barrier*
-        // run (and vice versa) — closure-local program databases
-        // produce the very same deps fingerprints as the global one.
-        let tree = generate_tree(&TreeConfig {
-            scale: 0.05,
-            ..Default::default()
-        });
-        let project = Project::from_tree(&tree);
-
-        let mut cache = AuditCache::new();
-        let cold = audit_with_cache(&project, &streaming_cfg(), &mut cache);
-        assert!(cold.cache.check_misses > 0, "cold run did no checking");
-        let warm = audit_with_cache(&project, &barrier_cfg(), &mut cache);
-        assert_eq!(warm.cache.parse_misses, 0, "parse keys diverged");
-        assert_eq!(warm.cache.export_misses, 0, "export keys diverged");
-        assert_eq!(warm.cache.check_misses, 0, "check keys diverged");
-        assert_eq!(warm.findings, cold.findings);
-
-        let mut cache = AuditCache::new();
-        let cold = audit_with_cache(&project, &barrier_cfg(), &mut cache);
-        // A warm streaming config routes through the barrier path (no
-        // exports to overlap), so force the scheduler by invalidating
-        // one unit's export: edit one file.
-        let mut sources: Vec<(String, String)> = project
-            .units()
-            .iter()
-            .map(|u| (u.path.clone(), u.text.clone()))
-            .collect();
-        sources[0]
-            .1
-            .push_str("\nint nudged_tail(void) { return 1; }\n");
-        let edited = Project::from_sources(sources);
-        let streamed = audit_with_cache(&edited, &streaming_cfg(), &mut cache);
-        let fresh = audit(&edited, &barrier_cfg());
-        assert_eq!(streamed.findings, fresh.findings);
-        assert_eq!(
-            streamed.cache.parse_misses, 1,
-            "only the edited unit re-parses"
-        );
-        assert_eq!(
-            streamed.cache.export_misses, 1,
-            "only the edited unit re-exports"
-        );
-        assert!(
-            streamed.cache.check_hits > 0,
-            "unaffected units must hit the snapshot: {:?}",
-            streamed.cache
-        );
-        let _ = cold;
-    }
-
     #[test]
     fn dropping_asts_changes_nothing_but_memory() {
         let tree = generate_tree(&TreeConfig {
@@ -1444,10 +1151,14 @@ mod tests {
             ..Default::default()
         });
         let project = Project::from_tree(&tree);
-        let keep = audit(&project, &streaming_cfg());
+        let cfg = AuditConfig {
+            jobs: 4,
+            ..Default::default()
+        };
+        let keep = audit(&project, &cfg);
         let drop_cfg = AuditConfig {
             retain_asts: false,
-            ..streaming_cfg()
+            ..cfg.clone()
         };
         let dropped = audit(&project, &drop_cfg);
         assert_eq!(keep.findings, dropped.findings);

@@ -22,7 +22,7 @@
 //!     -h, --help     print this help
 //! ```
 //!
-//! The report (schema 7) records, against one tree:
+//! The report (schema 9) records, against one tree:
 //!
 //! 1. `scaling` — a cold/warm wall-time curve over the worker-count
 //!    ladder {1, 2, 4, `--jobs`} clamped to the available parallelism.
@@ -30,24 +30,16 @@
 //!    points; a single-core host measures only the `jobs=1` rung.
 //! 2. `incremental` — `--edits` files mutated, warm cache: only the
 //!    edited units re-run.
-//! 3. `cold_barrier_secs` / `streaming_speedup` — the same cold
-//!    parallel run with the streaming phase-1→phase-2 handoff disabled,
-//!    so the overlap's win over the classic full-barrier pipeline is a
-//!    recorded number, not a claim.
-//! 4. `warm_load_*` — the warm cache serialized once, then loaded back
-//!    both ways: the binary container (validate + index, payloads
-//!    lazy) versus the JSON-era document (full parse). This is the
-//!    cache-format comparison: identical content, both formats.
-//! 5. `diff` — a simulated fix history replayed through the
+//! 3. `diff` — a simulated fix history replayed through the
 //!    incremental differ: per-commit diff-audit wall time, the
 //!    left-behind sweep's share of it, and the delta counts, all
 //!    against one shared per-unit cache (so every commit after the
 //!    first is a warm incremental diff, exactly the CI shape).
-//! 6. `fixcheck` — the same fix history replayed through the
+//! 4. `fixcheck` — the same fix history replayed through the
 //!    incomplete-fix checker: each commit rendered to a unified diff,
 //!    reverse-applied, and both sides audited through one shared
 //!    cache; per-commit wall time plus the fixed/incomplete verdicts.
-//! 7. `history` — a seeded release ladder audited release-over-release
+//! 5. `history` — a seeded release ladder audited release-over-release
 //!    through one shared cache: per-release wall time and re-parse
 //!    counts, pinning the delta-only property `refminer history`
 //!    depends on.
@@ -56,10 +48,9 @@
 //! same job count, and the incremental run must re-parse exactly the
 //! edited units. Host-dependent gates say SKIP explicitly rather than
 //! silently passing, and the report records each one as `"enforced"`
-//! or `"skipped"`: the ≥2× parallel gate and the streaming-beats-
-//! barrier gate need at least four hardware threads; the binary-load
-//! ≥3× gate needs a tree big enough (≥1000 files) for load time to
-//! dominate constant costs. On a single-core host the parallel
+//! or `"skipped"`: the ≥2× parallel gate needs at least four hardware
+//! threads, and the diff and fixcheck latency gates need a history of
+//! at least 300 files. On a single-core host the parallel
 //! configurations are not measured at all (worker counts clamp to the
 //! available parallelism, so they would be the sequential run again).
 
@@ -339,47 +330,6 @@ fn main() -> ExitCode {
     let cold_par = (jobs >= 2).then(|| &rungs[jobs_idx].cold);
     let warm = &rungs[jobs_idx].warm;
 
-    // Streaming vs. barrier: the identical cold parallel audit with the
-    // overlapped phase-1→phase-2 handoff switched off. Pointless with a
-    // single worker, where both paths are the sequential pipeline.
-    let cold_barrier = (jobs >= 2).then(|| {
-        let barrier_cfg = AuditConfig {
-            streaming: false,
-            ..cfg_at(jobs)
-        };
-        measure(opts.reps, &project, &barrier_cfg, AuditCache::new).0
-    });
-
-    // Binary vs. JSON cache load on identical content: serialize the
-    // warm cache both ways, then time loading each back into an empty
-    // cache. The binary load validates the checksum and indexes entry
-    // frames (payloads decode lazily, on first use); the JSON load is
-    // the JSON-era full document parse.
-    let warm_cache = &rung_caches[jobs_idx];
-    let t = Instant::now();
-    let bin_bytes = warm_cache.to_bytes();
-    let save_binary_secs = t.elapsed().as_secs_f64();
-    let json_text = warm_cache.to_json_doc().to_string_pretty();
-    let mut warm_load_binary_secs = f64::INFINITY;
-    for _ in 0..opts.reps {
-        let bytes = bin_bytes.clone();
-        let mut fresh = AuditCache::new();
-        let t = Instant::now();
-        let ok = fresh.load_bytes(bytes);
-        warm_load_binary_secs = warm_load_binary_secs.min(t.elapsed().as_secs_f64());
-        assert!(ok, "benchpipe: binary cache round-trip failed to load");
-    }
-    let mut warm_load_json_secs = f64::INFINITY;
-    for _ in 0..opts.reps {
-        let mut fresh = AuditCache::new();
-        let t = Instant::now();
-        let doc = Value::parse(&json_text).expect("benchpipe: JSON cache dump is valid");
-        let ok = fresh.load_json_doc(&doc);
-        warm_load_json_secs = warm_load_json_secs.min(t.elapsed().as_secs_f64());
-        assert!(ok, "benchpipe: JSON cache round-trip failed to load");
-    }
-    let warm_load_speedup = warm_load_json_secs / warm_load_binary_secs.max(1e-9);
-
     // Incremental: edit `--edits` files, reuse the warm cache.
     let (rev, edited) = next_revision(&tree, 0xBE7C4, opts.edits);
     let rev_project = Project::from_tree(&rev);
@@ -387,15 +337,12 @@ fn main() -> ExitCode {
     let incremental = traced_run(&rev_project, &cfg_at(jobs), &mut incr_cache);
 
     // Sanity: the numbers are only worth reporting if the outputs agree
-    // across every rung, both schedulers, and cold vs. warm.
+    // across every rung and cold vs. warm.
     let cold_ref = cold_par.unwrap_or(cold_seq);
-    let mut diverged = rungs.iter().any(|r| {
+    let diverged = rungs.iter().any(|r| {
         r.cold.report.findings != cold_seq.report.findings
             || r.warm.report.findings != cold_seq.report.findings
     });
-    if let Some(b) = &cold_barrier {
-        diverged |= b.report.findings != cold_seq.report.findings;
-    }
     if diverged {
         eprintln!("benchpipe: FAIL: findings diverged between configurations");
         return ExitCode::FAILURE;
@@ -405,22 +352,12 @@ fn main() -> ExitCode {
     let speedup_warm = cold_ref.secs / warm.secs.max(1e-9);
     let warm_hit_rate = warm.report.cache.hit_rate();
     let summary_hit_rate = warm.report.cache.export_hit_rate();
-    let streaming_speedup = cold_barrier
-        .as_ref()
-        .map(|b| b.secs / cold_ref.secs.max(1e-9));
 
     // Gates are enforced only where they have room to mean something;
     // everywhere else the report (and the `--check` output) says SKIP
     // explicitly instead of letting the gate pass vacuously.
     let gate_enforced = cores >= 4 && jobs >= 4;
     let parallel_gate = if gate_enforced { "enforced" } else { "skipped" };
-    let streaming_gate = parallel_gate;
-    let load_gate_enforced = files >= 1000;
-    let warm_load_gate = if load_gate_enforced {
-        "enforced"
-    } else {
-        "skipped"
-    };
 
     // Diff-audit replay: a small fix history (base tree + one
     // partial-fix commit per clone group + a neutral refactor) driven
@@ -638,9 +575,6 @@ fn main() -> ExitCode {
     if let Some(m) = cold_par {
         runs.push(run_json(&format!("cold_jobs{jobs}"), m, files));
     }
-    if let Some(m) = &cold_barrier {
-        runs.push(run_json("cold_barrier", m, files));
-    }
     runs.push(run_json("warm", warm, files));
     runs.push(run_json("incremental", &incremental, files));
 
@@ -658,16 +592,13 @@ fn main() -> ExitCode {
     );
 
     let mut report_fields = vec![
-        // Schema 8: the `fixcheck` section — the fix history replayed
-        // through the incomplete-fix checker, with per-commit latency
-        // and verdicts — and the `history` section — a release ladder
-        // audited through one shared cache with per-release re-parse
-        // counts. Every schema-7 key — the `diff` replay, per-engine
-        // phase-2 wall times, the `scaling` worker-count curve, the
-        // streaming-vs-barrier cold comparison, the binary-vs-JSON
-        // warm-load comparison, `--big` kernel-scale trees — is
-        // unchanged.
-        ("schema", 8.to_json()),
+        // Schema 9 drops the streaming-vs-barrier cold comparison
+        // (`cold_barrier_secs`, `streaming_speedup`, `streaming_gate`)
+        // with the streaming scheduler, and the binary-vs-JSON cache
+        // comparison (`warm_load_*`, `save_binary_secs`,
+        // `cache_binary_bytes`, `cache_json_bytes`) with the JSON cache
+        // codec. Every other schema-8 key is unchanged.
+        ("schema", 9.to_json()),
         ("big", opts.big.to_json()),
         ("files", files.to_json()),
         ("lines", cold_seq.report.lines.to_json()),
@@ -703,14 +634,6 @@ fn main() -> ExitCode {
             (cold_ref.summary.stage_total_us("check") as f64 / 1e6).to_json(),
         ),
         ("scaling", scaling),
-        ("streaming_gate", streaming_gate.to_json()),
-        ("cache_binary_bytes", bin_bytes.len().to_json()),
-        ("cache_json_bytes", json_text.len().to_json()),
-        ("save_binary_secs", save_binary_secs.to_json()),
-        ("warm_load_binary_secs", warm_load_binary_secs.to_json()),
-        ("warm_load_json_secs", warm_load_json_secs.to_json()),
-        ("warm_load_speedup", warm_load_speedup.to_json()),
-        ("warm_load_gate", warm_load_gate.to_json()),
         (
             "diff",
             obj([
@@ -744,10 +667,6 @@ fn main() -> ExitCode {
     if opts.big {
         report_fields.push(("replicas", opts.replicas.to_json()));
     }
-    if let (Some(b), Some(s)) = (&cold_barrier, streaming_speedup) {
-        report_fields.push(("cold_barrier_secs", b.secs.to_json()));
-        report_fields.push(("streaming_speedup", s.to_json()));
-    }
     let report = Value::Obj(
         report_fields
             .into_iter()
@@ -774,20 +693,6 @@ fn main() -> ExitCode {
         cold_ref.report.phase1_secs,
         cold_ref.report.phase2_secs,
         summary_hit_rate * 100.0,
-    );
-    if let (Some(b), Some(s)) = (&cold_barrier, streaming_speedup) {
-        eprintln!(
-            "benchpipe: streaming {:.3}s vs barrier {:.3}s cold ({s:.2}x)",
-            cold_ref.secs, b.secs,
-        );
-    }
-    eprintln!(
-        "benchpipe: warm cache load binary {:.4}s ({} KB) vs JSON {:.4}s ({} KB): \
-         {warm_load_speedup:.1}x",
-        warm_load_binary_secs,
-        bin_bytes.len() / 1024,
-        warm_load_json_secs,
-        json_text.len() / 1024,
     );
     eprintln!(
         "benchpipe: diff replay {} commit(s) on {} files: cold audit {:.3}s, \
@@ -838,34 +743,10 @@ fn main() -> ExitCode {
                 );
                 failed = true;
             }
-            match streaming_speedup {
-                Some(s) if s < 1.0 => {
-                    eprintln!(
-                        "benchpipe: FAIL: streaming cold path {s:.2}x vs barrier — \
-                         the overlap must not lose"
-                    );
-                    failed = true;
-                }
-                _ => {}
-            }
         } else {
             eprintln!(
-                "benchpipe: SKIP: parallel >=2x and streaming-beats-barrier gates need \
-                 cores >= 4 and jobs >= 4 (cores={cores}, jobs={jobs})"
-            );
-        }
-        if load_gate_enforced {
-            if warm_load_speedup < 3.0 {
-                eprintln!(
-                    "benchpipe: FAIL: binary cache load {warm_load_speedup:.2}x vs JSON, \
-                     expected >= 3x on {files} files"
-                );
-                failed = true;
-            }
-        } else {
-            eprintln!(
-                "benchpipe: SKIP: binary >=3x load gate needs >= 1000 files \
-                 (files={files}; use --big)"
+                "benchpipe: SKIP: parallel >=2x gate needs cores >= 4 and jobs >= 4 \
+                 (cores={cores}, jobs={jobs})"
             );
         }
         if !diff_parse_exact {

@@ -15,8 +15,8 @@
 //!   a failing payload decode is a checksum-collision-grade event; it
 //!   degrades to a cache miss, never to wrong results.)
 //! - **Deterministic**: equal values encode to equal bytes. Knowledge
-//!   bases serialize their APIs and smartloops in sorted-name order,
-//!   exactly like the JSON codec, so fingerprints are order-free.
+//!   bases serialize their APIs and smartloops in sorted-name order, so
+//!   `kb_fingerprint`, which hashes this encoding, is order-free.
 //!
 //! Primitive wire forms, all little-endian: `u64` (8 bytes), `u32`
 //! (4 bytes), `u8` tags, `bool` as `0/1`, strings and vectors prefixed
@@ -442,11 +442,6 @@ pub(crate) fn encode_parsed(out: &mut Vec<u8>, p: &ParsedUnit) {
     put_vec(out, &p.errors, put_error);
     put_vec(out, &p.defines, put_macro);
     put_discovery(out, &p.discovery);
-    put_vec(out, &p.syms, |o, (name, is_static)| {
-        put_str(o, name);
-        put_bool(o, *is_static);
-    });
-    put_vec(out, &p.called, |o, n| put_str(o, n));
 }
 
 pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
@@ -458,10 +453,6 @@ pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
         errors: get_vec(&mut d, get_error)?,
         defines: get_vec(&mut d, get_macro)?,
         discovery: get_discovery(&mut d)?,
-        syms: get_vec(&mut d, |d| {
-            Some((std::sync::Arc::from(d.str()?), d.bool()?))
-        })?,
-        called: get_vec(&mut d, |d| d.str().map(std::sync::Arc::from))?,
     };
     d.is_done().then_some(p)
 }
@@ -510,7 +501,7 @@ pub(crate) fn decode_checked(bytes: &[u8]) -> Option<CheckedUnit> {
 
 /// Encodes a knowledge base with APIs and smartloops in sorted-name
 /// order — equal KBs encode identically regardless of map iteration
-/// order, mirroring the JSON codec used by `kb_fingerprint`.
+/// order, which `kb_fingerprint` relies on.
 pub(crate) fn encode_kb(out: &mut Vec<u8>, kb: &ApiKb) {
     let mut apis: Vec<&RcApi> = kb.apis().collect();
     apis.sort_by(|a, b| a.name.cmp(&b.name));
@@ -526,8 +517,8 @@ pub(crate) fn encode_kb(out: &mut Vec<u8>, kb: &ApiKb) {
     }
 }
 
-/// Rebuilds a knowledge base; all-or-nothing like the JSON codec — a
-/// partially-loaded KB would silently change findings.
+/// Rebuilds a knowledge base, all or nothing — a partially-loaded KB
+/// would silently change findings.
 pub(crate) fn decode_kb(bytes: &[u8]) -> Option<ApiKb> {
     let mut d = Dec::new(bytes);
     let mut kb = ApiKb::new();
@@ -561,19 +552,28 @@ mod tests {
             }],
             lines: 412,
             discovery: UnitDiscovery {
-                structs: vec![StructFact {
-                    tag: "widget".into(),
-                    direct: true,
-                    embeds: vec!["inner".into()],
-                }],
-                apis: vec![RcApi::dec(
-                    "widget_put",
-                    RcClass::Specific,
-                    ObjectFlow::Arg(0),
-                )],
+                structs: vec![
+                    StructFact {
+                        tag: "widget".into(),
+                        direct: true,
+                        embeds: vec!["inner".into()],
+                    },
+                    StructFact {
+                        tag: "holder".into(),
+                        direct: false,
+                        embeds: vec!["widget".into(), "kref".into()],
+                    },
+                ],
+                apis: vec![
+                    RcApi::dec("widget_put", RcClass::Specific, ObjectFlow::Arg(0)),
+                    RcApi::inc(
+                        "widget_get",
+                        RcClass::Specific,
+                        ObjectFlow::ArgAndReturned(1),
+                        &["widget_put"],
+                    ),
+                ],
             },
-            syms: vec![("probe".into(), true), ("widget_put".into(), false)],
-            called: vec!["kref_put".into(), "of_node_get".into()],
         };
         let mut bytes = Vec::new();
         encode_parsed(&mut bytes, &p);
@@ -584,8 +584,6 @@ mod tests {
         assert_eq!(back.errors, p.errors);
         assert_eq!(back.defines, p.defines);
         assert_eq!(back.discovery, p.discovery);
-        assert_eq!(back.syms, p.syms);
-        assert_eq!(back.called, p.called);
     }
 
     #[test]

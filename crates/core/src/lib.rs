@@ -31,7 +31,6 @@ mod history;
 pub mod parallel;
 mod project;
 pub mod serve;
-mod stream;
 
 pub use audit::{
     audit, audit_cancellable, audit_traced, audit_with_cache, AuditConfig, AuditDiagnostics,
@@ -57,7 +56,7 @@ pub use fixcheck::{
 pub use history::{
     history_audit, render_history_lines, subsystem_of, HistoryRelease, HistoryReport, HistoryRow,
 };
-pub use parallel::{effective_jobs, run_indexed, run_indexed_timed, run_indexed_traced};
+pub use parallel::{effective_jobs, run_indexed};
 pub use project::{Project, ScanDiagnostic, ScanErrorKind, ScanOptions, SourceUnit};
 
 pub use refminer_checkers as checkers;

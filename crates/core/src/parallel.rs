@@ -64,32 +64,24 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// an exact replica of the historical sequential pipeline.
 ///
 /// The work closure receives `(index, &item)` so it can key caches or
-/// diagnostics off the original position.
+/// diagnostics off the original position. Scheduler behavior goes to
+/// `trace`: the number of cross-worker steals lands in a
+/// `{stage}.steals` counter and the worker count in `{stage}.workers`
+/// (an empty `stage` records nothing). Tracing is observation-only — a
+/// disabled handle, or any handle at all, never changes which items run
+/// where or the output order.
 ///
 /// # Examples
 ///
 /// ```
 /// use refminer::parallel::run_indexed;
+/// use refminer::TraceHandle;
 ///
 /// let items = vec![3u32, 1, 4, 1, 5];
-/// let doubled = run_indexed(&items, 4, |_, x| x * 2);
+/// let doubled = run_indexed(&items, 4, &TraceHandle::disabled(), "", |_, x| x * 2);
 /// assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
 /// ```
-pub fn run_indexed<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_indexed_traced(items, jobs, &TraceHandle::disabled(), "", work)
-}
-
-/// Like [`run_indexed`], reporting scheduler behavior to a trace
-/// recorder: the number of cross-worker steals lands in a
-/// `{stage}.steals` counter and the worker count in `{stage}.workers`.
-/// Scheduling is observation-only — a disabled handle, or any handle at
-/// all, never changes which items run where or the output order.
-pub fn run_indexed_traced<T, R, F>(
+pub fn run_indexed<T, R, F>(
     items: &[T],
     jobs: usize,
     trace: &TraceHandle,
@@ -169,21 +161,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Like [`run_indexed`], additionally returning the stage's wall-clock
-/// duration in seconds. The two-phase audit uses this to report how
-/// long each fan-out took without the timing influencing any cached or
-/// serialized result — findings stay byte-identical at any job count.
-pub fn run_indexed_timed<T, R, F>(items: &[T], jobs: usize, work: F) -> (Vec<R>, f64)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let start = std::time::Instant::now();
-    let out = run_indexed(items, jobs, work);
-    (out, start.elapsed().as_secs_f64())
-}
-
 /// Splits `0..n` into `jobs` contiguous chunks, front-loading the
 /// remainder so sizes differ by at most one.
 fn split_chunks(n: usize, jobs: usize) -> Vec<VecDeque<usize>> {
@@ -251,14 +228,15 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let none: Vec<u32> = Vec::new();
-        assert!(run_indexed(&none, 8, |_, x| *x).is_empty());
-        assert_eq!(run_indexed(&[9u32], 8, |_, x| *x + 1), vec![10]);
+        let off = TraceHandle::disabled();
+        assert!(run_indexed(&none, 8, &off, "", |_, x| *x).is_empty());
+        assert_eq!(run_indexed(&[9u32], 8, &off, "", |_, x| *x + 1), vec![10]);
     }
 
     #[test]
     fn order_matches_sequential_at_any_job_count() {
         let items: Vec<usize> = (0..101).collect();
-        let sequential = run_indexed(&items, 1, |i, x| i * 1000 + x);
+        let sequential = run_indexed(&items, 1, &TraceHandle::disabled(), "", |i, x| i * 1000 + x);
         for jobs in [2, 3, 8, 64] {
             // Exercise the scheduler with literal worker counts so the
             // determinism claim is tested with real threads regardless
@@ -300,14 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_variant_preserves_results_and_reports_elapsed() {
-        let items: Vec<usize> = (0..40).collect();
-        let (out, secs) = run_indexed_timed(&items, 4, |i, x| i + x);
-        assert_eq!(out, run_indexed(&items, 1, |i, x| i + x));
-        assert!(secs >= 0.0 && secs.is_finite());
-    }
-
-    #[test]
     fn traced_variant_counts_steals_without_changing_results() {
         // Item 0 is heavy enough that worker 0 is still busy on it while
         // the other workers drain their own chunks and come stealing.
@@ -323,7 +293,8 @@ mod tests {
             }
             acc
         });
-        assert_eq!(out, run_indexed(&items, 1, |_, &ms| ms * 1000));
+        let sequential = run_indexed(&items, 1, &TraceHandle::disabled(), "", |_, &ms| ms * 1000);
+        assert_eq!(out, sequential);
         let log = trace.finish().unwrap();
         assert_eq!(log.counters.get("stage.workers"), Some(&4));
         // The heavy item serializes worker 0; the others must steal.

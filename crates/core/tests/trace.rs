@@ -29,10 +29,16 @@ fn write_corpus_tree(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs an audit with `--trace`, returning (stdout, parsed log lines).
-fn traced_run(dir: &Path, trace_path: &Path, cache_dir: Option<&Path>) -> (Vec<u8>, Vec<Value>) {
+/// Runs an audit with `--trace` and any `extra` arguments, returning
+/// (stdout, parsed log lines).
+fn traced_run(
+    dir: &Path,
+    trace_path: &Path,
+    cache_dir: Option<&Path>,
+    extra: &[&str],
+) -> (Vec<u8>, Vec<Value>) {
     let mut cmd = refminer();
-    cmd.arg("--json").arg("--trace").arg(trace_path);
+    cmd.arg("--json").arg("--trace").arg(trace_path).args(extra);
     if let Some(cache) = cache_dir {
         cmd.arg("--cache-dir").arg(cache);
     }
@@ -54,7 +60,7 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
     let dir = write_corpus_tree("stages");
     let trace_path = dir.join("trace.jsonl");
     let cache_dir = dir.join(".refminer-cache");
-    let (_, lines) = traced_run(&dir, &trace_path, Some(&cache_dir));
+    let (_, lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
 
     // Line 0 is the meta record and its counts match the body.
     let meta = &lines[0];
@@ -134,7 +140,9 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
 fn top_level_stage_times_fit_within_the_total() {
     let dir = write_corpus_tree("times");
     let trace_path = dir.join("trace.jsonl");
-    let (_, lines) = traced_run(&dir, &trace_path, None);
+    // More workers than most hosts have cores: the request must be
+    // clamped, never taken literally.
+    let (_, lines) = traced_run(&dir, &trace_path, None, &["--jobs", "8"]);
     let spans: Vec<(&str, u64, u64)> = lines[1..]
         .iter()
         .filter(|v| field(v, "type").as_str() == Some("span"))
@@ -178,6 +186,43 @@ fn top_level_stage_times_fit_within_the_total() {
             "stage {must_run} recorded no time"
         );
     }
+
+    // Every per-unit span lies inside its stage's span, so the stage
+    // totals `--stats` prints book each unit's work where it ran. Both
+    // ends are truncated to whole microseconds, so a unit span may end
+    // at most 1µs past its stage.
+    for stage in ["parse", "export", "check"] {
+        let &(_, s_start, s_dur) = spans
+            .iter()
+            .find(|(s, _, _)| *s == stage)
+            .unwrap_or_else(|| panic!("no {stage} span"));
+        let unit_stage = format!("{stage}.unit");
+        let units: Vec<(u64, u64)> = spans
+            .iter()
+            .filter(|(s, _, _)| *s == unit_stage)
+            .map(|&(_, start, dur)| (start, dur))
+            .collect();
+        assert!(!units.is_empty(), "no {unit_stage} spans");
+        let outside = units
+            .iter()
+            .filter(|&&(start, dur)| start < s_start || start + dur > s_start + s_dur + 1)
+            .count();
+        assert_eq!(
+            outside,
+            0,
+            "{outside} of {} {unit_stage} spans fall outside the {stage} span",
+            units.len()
+        );
+    }
+
+    // The worker count is clamped to the host: no more units are ever
+    // in flight at once than there are hardware threads.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let peak = field(&lines[0], "peak_in_flight").as_u64().unwrap();
+    assert!(
+        peak <= cores,
+        "{peak} units in flight at once on {cores} hardware threads"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -187,14 +232,14 @@ fn tracing_never_changes_findings() {
     let trace_path = dir.join("trace.jsonl");
 
     let plain = refminer().arg("--json").arg(&dir).output().expect("run");
-    let (traced, _) = traced_run(&dir, &trace_path, None);
+    let (traced, _) = traced_run(&dir, &trace_path, None, &[]);
     assert_eq!(plain.stdout, traced, "--trace changed the findings bytes");
 
     // Same under parallelism and a warm cache: the trace observes the
     // run, it never steers it.
     let cache_dir = dir.join(".refminer-cache");
-    let (cold, _) = traced_run(&dir, &trace_path, Some(&cache_dir));
-    let (warm, warm_lines) = traced_run(&dir, &trace_path, Some(&cache_dir));
+    let (cold, _) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
+    let (warm, warm_lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
     assert_eq!(plain.stdout, cold, "cold cached trace changed the bytes");
     assert_eq!(plain.stdout, warm, "warm cached trace changed the bytes");
 

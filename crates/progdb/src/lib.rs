@@ -278,8 +278,7 @@ impl ProgramDb {
         // the least fixed point without an arbitrary round cap. Running
         // to the true fixpoint also makes the result independent of
         // which *other* units are in the database — any subset of units
-        // closed under call resolution converges to the same summaries,
-        // which the streaming scheduler's per-closure databases rely on.
+        // closed under call resolution converges to the same summaries.
         let mut summaries = vec![FnSummary::default(); fns.len()];
         loop {
             let mut changed = false;

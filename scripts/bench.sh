@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Pipeline benchmark smoke run: audit a synthetic tree cold/warm over
-# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 6),
-# and enforce the speedup gates (warm >= 5x always; parallel >= 2x and
-# streaming-beats-barrier only on machines with at least four hardware
-# threads; binary cache load >= 3x vs JSON only on >= 1000-file trees —
-# everywhere else benchpipe prints an explicit SKIP and records the
-# gate as "skipped" in the report).
+# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 9),
+# and enforce the speedup gates (warm >= 5x always; parallel >= 2x only
+# on machines with at least four hardware threads — everywhere else
+# benchpipe prints an explicit SKIP and records the gate as "skipped"
+# in the report).
 #
 # A second run in `--eval` mode scores the two-engine audit against an
 # FP-trap tree and regresses the corpus F1 against the committed
@@ -15,9 +14,8 @@
 # the combined F1 stays at or above the baseline.
 #
 # With BENCH_BIG=1, a third run audits the kernel-scale replicated
-# corpus (~10k files / ~1 MLoC with the default replica count). At that
-# size the binary >= 3x load gate is always enforced, and on >= 4-core
-# hosts so is the streaming-beats-barrier cold-path gate.
+# corpus (~10k files / ~1 MLoC with the default replica count) under
+# the same gates.
 #
 # Env:
 #   BENCHPIPE_BIN    prebuilt binary; default `cargo run --release`
@@ -61,15 +59,13 @@ if ! benchpipe "${args[@]}"; then
     exit 1
 fi
 
-# Surface the phase split, cache hit rate, and the schema-6 format
-# comparison from the report; the keys appear exactly once at the top
-# level.
+# Surface the phase split and cache hit rate from the report; the keys
+# appear exactly once at the top level.
 top_key() {
     sed -n "s/^ *\"$1\": *\([0-9.eE+-]*\),*$/\1/p" "$out" | head -n 1
 }
 echo "bench.sh: cold phases $(top_key cold_phase1_secs)s parse + $(top_key cold_phase2_secs)s export+check"
 echo "bench.sh: warm summary-cache hit rate $(top_key summary_hit_rate)"
-echo "bench.sh: binary-vs-JSON warm cache load $(top_key warm_load_speedup)x"
 
 # Precision/recall regression gate against the committed F1 baseline.
 eval_args=(--eval --check --baseline "$eval_f1_baseline" \
@@ -87,11 +83,9 @@ eval_top_key() {
 echo "bench.sh: eval F1 $(eval_top_key f1_off) -> $(eval_top_key f1_on) with feasibility, $(eval_top_key patterns_improved) pattern(s) improved"
 echo "bench.sh: combined two-engine F1 $(eval_top_key f1_combined) vs template-only $(eval_top_key f1_template_only)"
 
-# Kernel-scale corpus gates: the ~10k-file replicated tree, where the
-# binary >= 3x load gate always applies (and the streaming cold-path
-# gate applies on >= 4-core hosts). One rep — a cold MLoC audit per
-# ladder rung is the expensive part, and the gates compare medians of
-# seconds, not microseconds.
+# Kernel-scale corpus gates: the ~10k-file replicated tree. One rep — a
+# cold MLoC audit per ladder rung is the expensive part, and the gates
+# compare seconds, not microseconds.
 if [ "${BENCH_BIG:-0}" = "1" ]; then
     big_out="${BENCH_BIG_OUT:-$out}"
     big_args=(--big --replicas "${BENCH_REPLICAS:-100}" --reps 1 \
@@ -106,7 +100,7 @@ if [ "${BENCH_BIG:-0}" = "1" ]; then
     big_key() {
         sed -n "s/^ *\"$1\": *\([0-9.eE+-]*\),*$/\1/p" "$big_out" | head -n 1
     }
-    echo "bench.sh: big corpus $(big_key files) files, binary-vs-JSON load $(big_key warm_load_speedup)x"
+    echo "bench.sh: big corpus $(big_key files) files, warm speedup $(big_key speedup_warm)x"
 fi
 
 echo "bench.sh: PASS ($out, $eval_out)"

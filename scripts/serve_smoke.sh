@@ -21,12 +21,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
+if [ -n "${REFMINER_BIN:-}" ]; then
+    refminer_cmd=("$REFMINER_BIN")
+else
+    refminer_cmd=(cargo run --quiet --manifest-path "$here/Cargo.toml" -p refminer --bin refminer --)
+fi
 refminer() {
-    if [ -n "${REFMINER_BIN:-}" ]; then
-        "$REFMINER_BIN" "$@"
-    else
-        cargo run --quiet --manifest-path "$here/Cargo.toml" -p refminer --bin refminer -- "$@"
-    fi
+    "${refminer_cmd[@]}" "$@"
 }
 
 fail() {
@@ -62,7 +63,9 @@ refminer --json "$tree" > "$expected"
 start_daemon() {
     log="$1"
     faults="$2"
-    REFMINER_FAULTS="$faults" refminer serve --listen 127.0.0.1:0 \
+    # The daemon is the background job itself, not a shell function
+    # wrapping it, so `$!` is its pid and `kill -9` reaches it.
+    REFMINER_FAULTS="$faults" "${refminer_cmd[@]}" serve --listen 127.0.0.1:0 \
         --cache-dir "$cache" "$tree" > "$log" 2>"$log.err" &
     daemon_pid=$!
     addr=""
@@ -98,7 +101,7 @@ refminer rpc "$addr" audit > /dev/null || fail "audit rpc"
 
 # Kill -9 mid-flight: enqueue an audit (its save will be in the
 # daemon's near future) and kill without waiting for it.
-refminer rpc "$addr" audit > /dev/null &
+refminer rpc "$addr" audit > /dev/null 2>&1 &
 rpc_bg=$!
 kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null

@@ -164,27 +164,16 @@ fn json_is_byte_identical_across_jobs_cache_and_scheduling() {
     let expected = json_lines(&baseline);
 
     for jobs in [2, 8] {
-        for streaming in [false, true] {
-            let cfg = AuditConfig {
-                jobs,
-                streaming,
-                ..config(EngineSet::default())
-            };
-            let mut cache = AuditCache::new();
-            let cold = audit_with_cache(&project, &cfg, &mut cache);
-            let warm = audit_with_cache(&project, &cfg, &mut cache);
-            assert_eq!(
-                json_lines(&cold),
-                expected,
-                "cold diverged (jobs={jobs}, streaming={streaming})"
-            );
-            assert_eq!(
-                json_lines(&warm),
-                expected,
-                "warm diverged (jobs={jobs}, streaming={streaming})"
-            );
-            assert_eq!(warm.cache.check_misses, 0, "warm run re-checked");
-        }
+        let cfg = AuditConfig {
+            jobs,
+            ..config(EngineSet::default())
+        };
+        let mut cache = AuditCache::new();
+        let cold = audit_with_cache(&project, &cfg, &mut cache);
+        let warm = audit_with_cache(&project, &cfg, &mut cache);
+        assert_eq!(json_lines(&cold), expected, "cold diverged (jobs={jobs})");
+        assert_eq!(json_lines(&warm), expected, "warm diverged (jobs={jobs})");
+        assert_eq!(warm.cache.check_misses, 0, "warm run re-checked");
     }
 }
 
