@@ -22,7 +22,7 @@
 //!     -h, --help     print this help
 //! ```
 //!
-//! The report (schema 9) records, against one tree:
+//! The report (schema 10) records, against one tree:
 //!
 //! 1. `scaling` — a cold/warm wall-time curve over the worker-count
 //!    ladder {1, 2, 4, `--jobs`} clamped to the available parallelism.
@@ -30,43 +30,27 @@
 //!    points; a single-core host measures only the `jobs=1` rung.
 //! 2. `incremental` — `--edits` files mutated, warm cache: only the
 //!    edited units re-run.
-//! 3. `diff` — a simulated fix history replayed through the
-//!    incremental differ: per-commit diff-audit wall time, the
-//!    left-behind sweep's share of it, and the delta counts, all
-//!    against one shared per-unit cache (so every commit after the
-//!    first is a warm incremental diff, exactly the CI shape).
-//! 4. `fixcheck` — the same fix history replayed through the
-//!    incomplete-fix checker: each commit rendered to a unified diff,
-//!    reverse-applied, and both sides audited through one shared
-//!    cache; per-commit wall time plus the fixed/incomplete verdicts.
-//! 5. `history` — a seeded release ladder audited release-over-release
-//!    through one shared cache: per-release wall time and re-parse
-//!    counts, pinning the delta-only property `refminer history`
-//!    depends on.
 //!
 //! With `--check`, the warm run must be ≥5× faster than cold at the
 //! same job count, and the incremental run must re-parse exactly the
-//! edited units. Host-dependent gates say SKIP explicitly rather than
-//! silently passing, and the report records each one as `"enforced"`
-//! or `"skipped"`: the ≥2× parallel gate needs at least four hardware
-//! threads, and the diff and fixcheck latency gates need a history of
-//! at least 300 files. On a single-core host the parallel
-//! configurations are not measured at all (worker counts clamp to the
-//! available parallelism, so they would be the sequential run again).
+//! edited units. The host-dependent ≥2× parallel gate needs at least
+//! four hardware threads; elsewhere it says SKIP explicitly rather
+//! than silently passing, and the report records it as `"enforced"`
+//! or `"skipped"`. On a single-core host the parallel configurations
+//! are not measured at all (worker counts clamp to the available
+//! parallelism, so they would be the sequential run again).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use refminer::corpus::{
-    generate_big_tree, generate_fix_history, generate_release_history, generate_tree,
-    next_revision, BigTreeConfig, ReleaseHistoryConfig, TreeConfig,
+    generate_big_tree, generate_tree, next_revision, BigTreeConfig, TreeConfig,
 };
 use refminer::parallel::effective_jobs;
 use refminer::{
-    audit_traced, audit_with_cache, diff_delta, diff_projects, evaluate, evaluate_engines,
-    fixcheck_project, render_file_diff, AuditCache, AuditConfig, AuditReport, DiffOptions,
-    EngineSet, Project, TraceHandle, TraceSummary,
+    audit_traced, audit_with_cache, evaluate, evaluate_engines, AuditCache, AuditConfig,
+    AuditReport, EngineSet, Project, TraceHandle, TraceSummary,
 };
 use refminer_json::{obj, ToJson, Value};
 
@@ -359,218 +343,6 @@ fn main() -> ExitCode {
     let gate_enforced = cores >= 4 && jobs >= 4;
     let parallel_gate = if gate_enforced { "enforced" } else { "skipped" };
 
-    // Diff-audit replay: a small fix history (base tree + one
-    // partial-fix commit per clone group + a neutral refactor) driven
-    // through the incremental differ against one shared cache. The
-    // base audit is the only cold one; each commit then re-parses
-    // exactly its changed units, which is the number the exactness
-    // gate pins. The sweep's cost is measured as a second delta
-    // computation with the sweep enabled — the set difference it
-    // repeats is trivial next to the clone matching itself.
-    let hist = generate_fix_history(&TreeConfig {
-        seed: 0xD1FF,
-        scale: opts.scale,
-        clone_groups: 2,
-        ..Default::default()
-    });
-    let hist_projects: Vec<Project> = hist.iter().map(|r| Project::from_tree(&r.tree)).collect();
-    let hist_files = hist_projects[0].units().len();
-    let mut diff_cache = AuditCache::new();
-    let t = Instant::now();
-    let hist_base = audit_with_cache(&hist_projects[0], &cfg_at(jobs), &mut diff_cache);
-    let diff_cold_secs = t.elapsed().as_secs_f64();
-    let mut diff_commits: Vec<Value> = Vec::new();
-    let mut diff_parse_exact = true;
-    let mut diff_max_secs: f64 = 0.0;
-    for i in 1..hist_projects.len() {
-        let (a, b) = (&hist_projects[i - 1], &hist_projects[i]);
-        let changed = {
-            let prev: std::collections::HashMap<&str, &str> = a
-                .units()
-                .iter()
-                .map(|u| (u.path.as_str(), u.text.as_str()))
-                .collect();
-            b.units()
-                .iter()
-                .filter(|u| prev.get(u.path.as_str()) != Some(&u.text.as_str()))
-                .count()
-        };
-        let t = Instant::now();
-        let dr = diff_projects(
-            a,
-            b,
-            &cfg_at(jobs),
-            &mut diff_cache,
-            &DiffOptions { sweep: false },
-        );
-        let diff_secs = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let delta = diff_delta(
-            &dr.report_a.findings,
-            &dr.report_b.findings,
-            Some(a),
-            b,
-            &dr.report_b.kb,
-            true,
-        );
-        let sweep_secs = t.elapsed().as_secs_f64();
-        if dr.report_b.cache.parse_misses != changed {
-            eprintln!(
-                "benchpipe: diff commit {} re-parsed {} units, expected {changed}",
-                hist[i].id, dr.report_b.cache.parse_misses,
-            );
-            diff_parse_exact = false;
-        }
-        diff_max_secs = diff_max_secs.max(diff_secs);
-        diff_commits.push(obj([
-            ("id", hist[i].id.as_str().into()),
-            ("changed_units", changed.to_json()),
-            ("diff_secs", diff_secs.to_json()),
-            ("sweep_secs", sweep_secs.to_json()),
-            ("introduced", delta.introduced.len().to_json()),
-            ("fixed", delta.fixed.len().to_json()),
-            ("moved", delta.moved.len().to_json()),
-            ("left_behind", delta.left_behind_total().to_json()),
-        ]));
-    }
-    // The warm-diff-beats-cold-audit gate only means something once the
-    // tree is big enough that per-unit work dominates constant costs;
-    // on a toy history the fixed overhead of two audits can exceed one
-    // cold audit and the gate would flap. Skip it honestly below 300
-    // files rather than letting it pass (or fail) vacuously.
-    let diff_gate_enforced = hist_files >= 300;
-    let diff_latency_gate = if diff_gate_enforced {
-        "enforced"
-    } else {
-        "skipped"
-    };
-
-    // Incomplete-fix replay: the same history, but each commit is
-    // rendered to a unified diff and driven through the fixcheck
-    // pipeline (reverse-apply, audit both sides, sweep for left-unfixed
-    // siblings) against one shared cache. The verdicts are the gate —
-    // every partial-fix commit must report what it left behind, the
-    // neutral commit must come back clean — and the wall times record
-    // what that costs on top of a plain diff audit.
-    let mut fixcheck_cache = AuditCache::new();
-    let t = Instant::now();
-    let _ = audit_with_cache(&hist_projects[0], &cfg_at(jobs), &mut fixcheck_cache);
-    let fixcheck_base_secs = t.elapsed().as_secs_f64();
-    let mut fixcheck_commits: Vec<Value> = Vec::new();
-    let mut fixcheck_correct = true;
-    let mut fixcheck_max_secs: f64 = 0.0;
-    for i in 1..hist_projects.len() {
-        let (a, b) = (&hist_projects[i - 1], &hist_projects[i]);
-        let prev: std::collections::HashMap<&str, &str> = a
-            .units()
-            .iter()
-            .map(|u| (u.path.as_str(), u.text.as_str()))
-            .collect();
-        let mut diff_text = String::new();
-        for u in b.units() {
-            let old = prev.get(u.path.as_str()).copied().unwrap_or("");
-            if let Some(d) = render_file_diff(&u.path, old, &u.text) {
-                diff_text.push_str(&d);
-            }
-        }
-        let t = Instant::now();
-        let fr = match fixcheck_project(b, &diff_text, &cfg_at(jobs), &mut fixcheck_cache) {
-            Ok(fr) => fr,
-            Err(e) => {
-                eprintln!("benchpipe: fixcheck replay of {} failed: {e}", hist[i].id);
-                return ExitCode::FAILURE;
-            }
-        };
-        let fixcheck_secs = t.elapsed().as_secs_f64();
-        let partial = !hist[i].fixed.is_empty();
-        if partial && (fr.fixed.is_empty() || fr.incomplete_total() == 0) {
-            eprintln!(
-                "benchpipe: fixcheck missed the incomplete fix in {} \
-                 ({} fixed, {} left unfixed)",
-                hist[i].id,
-                fr.fixed.len(),
-                fr.incomplete_total(),
-            );
-            fixcheck_correct = false;
-        }
-        if !partial && !fr.is_clean() {
-            eprintln!(
-                "benchpipe: fixcheck flagged the neutral commit {}",
-                hist[i].id
-            );
-            fixcheck_correct = false;
-        }
-        fixcheck_max_secs = fixcheck_max_secs.max(fixcheck_secs);
-        fixcheck_commits.push(obj([
-            ("id", hist[i].id.as_str().into()),
-            ("fixcheck_secs", fixcheck_secs.to_json()),
-            ("files_changed", fr.files_changed.to_json()),
-            ("fixed", fr.fixed.len().to_json()),
-            ("incomplete", fr.incomplete_total().to_json()),
-            ("clean", fr.is_clean().to_json()),
-        ]));
-    }
-    // Same honesty rule as the diff gate: a fixcheck audits *two* trees
-    // per commit, so the latency bound is 2x the cold audit, and only
-    // once per-unit work dominates the constant costs.
-    let fixcheck_gate_enforced = hist_files >= 300;
-    let fixcheck_latency_gate = if fixcheck_gate_enforced {
-        "enforced"
-    } else {
-        "skipped"
-    };
-
-    // Release-history replay: a seeded release ladder audited
-    // release-over-release through one shared cache, the workload under
-    // `refminer history`. Each release adds a replica of the tree and
-    // repairs one clone member, so after the base release the cache
-    // must re-parse exactly the new and changed units — the delta-only
-    // property that makes a multi-release study affordable.
-    let releases = generate_release_history(&ReleaseHistoryConfig {
-        seed: 0x4E7EA5E,
-        scale: (opts.scale * 0.5).max(0.02),
-        releases: 3,
-        clone_groups: 2,
-    });
-    let mut release_cache = AuditCache::new();
-    let mut release_rows: Vec<Value> = Vec::new();
-    let mut history_delta_exact = true;
-    let mut prev_release: Option<Project> = None;
-    for rel in &releases {
-        let project = Project::from_tree(&rel.tree);
-        let t = Instant::now();
-        let report = audit_with_cache(&project, &cfg_at(jobs), &mut release_cache);
-        let secs = t.elapsed().as_secs_f64();
-        if let Some(prev) = &prev_release {
-            let old: std::collections::HashMap<&str, &str> = prev
-                .units()
-                .iter()
-                .map(|u| (u.path.as_str(), u.text.as_str()))
-                .collect();
-            let changed = project
-                .units()
-                .iter()
-                .filter(|u| old.get(u.path.as_str()) != Some(&u.text.as_str()))
-                .count();
-            if report.cache.parse_misses != changed {
-                eprintln!(
-                    "benchpipe: release {} re-parsed {} units, expected {changed}",
-                    rel.version, report.cache.parse_misses,
-                );
-                history_delta_exact = false;
-            }
-        }
-        release_rows.push(obj([
-            ("version", rel.version.as_str().into()),
-            ("files", report.files.to_json()),
-            ("lines", report.lines.to_json()),
-            ("findings", report.findings.len().to_json()),
-            ("parse_misses", report.cache.parse_misses.to_json()),
-            ("secs", secs.to_json()),
-        ]));
-        prev_release = Some(project);
-    }
-
     let mut runs = vec![run_json("cold_jobs1", cold_seq, files)];
     if let Some(m) = cold_par {
         runs.push(run_json(&format!("cold_jobs{jobs}"), m, files));
@@ -592,13 +364,11 @@ fn main() -> ExitCode {
     );
 
     let mut report_fields = vec![
-        // Schema 9 drops the streaming-vs-barrier cold comparison
-        // (`cold_barrier_secs`, `streaming_speedup`, `streaming_gate`)
-        // with the streaming scheduler, and the binary-vs-JSON cache
-        // comparison (`warm_load_*`, `save_binary_secs`,
-        // `cache_binary_bytes`, `cache_json_bytes`) with the JSON cache
-        // codec. Every other schema-8 key is unchanged.
-        ("schema", 9.to_json()),
+        // Schema 10 drops the `diff`, `fixcheck` and `history` replay
+        // sections: refbench's `revision-replay` workload times the
+        // same calls, and `tests/diff_sweep.rs` pins their re-parse
+        // exactness. Every other schema-9 key is unchanged.
+        ("schema", 10.to_json()),
         ("big", opts.big.to_json()),
         ("files", files.to_json()),
         ("lines", cold_seq.report.lines.to_json()),
@@ -634,35 +404,6 @@ fn main() -> ExitCode {
             (cold_ref.summary.stage_total_us("check") as f64 / 1e6).to_json(),
         ),
         ("scaling", scaling),
-        (
-            "diff",
-            obj([
-                ("files", hist_files.to_json()),
-                ("revisions", hist.len().to_json()),
-                ("cold_audit_secs", diff_cold_secs.to_json()),
-                ("cold_findings", hist_base.findings.len().to_json()),
-                ("commits", Value::Arr(diff_commits)),
-                ("parse_misses_exact", diff_parse_exact.to_json()),
-                ("latency_gate", diff_latency_gate.to_json()),
-            ]),
-        ),
-        (
-            "fixcheck",
-            obj([
-                ("files", hist_files.to_json()),
-                ("cold_audit_secs", fixcheck_base_secs.to_json()),
-                ("commits", Value::Arr(fixcheck_commits)),
-                ("verdicts_correct", fixcheck_correct.to_json()),
-                ("latency_gate", fixcheck_latency_gate.to_json()),
-            ]),
-        ),
-        (
-            "history",
-            obj([
-                ("releases", Value::Arr(release_rows)),
-                ("delta_exact", history_delta_exact.to_json()),
-            ]),
-        ),
     ];
     if opts.big {
         report_fields.push(("replicas", opts.replicas.to_json()));
@@ -693,28 +434,6 @@ fn main() -> ExitCode {
         cold_ref.report.phase1_secs,
         cold_ref.report.phase2_secs,
         summary_hit_rate * 100.0,
-    );
-    eprintln!(
-        "benchpipe: diff replay {} commit(s) on {} files: cold audit {:.3}s, \
-         slowest warm diff {:.4}s",
-        hist.len() - 1,
-        hist_files,
-        diff_cold_secs,
-        diff_max_secs,
-    );
-    eprintln!(
-        "benchpipe: fixcheck replay: slowest commit {:.4}s, verdicts {}",
-        fixcheck_max_secs,
-        if fixcheck_correct { "correct" } else { "WRONG" },
-    );
-    eprintln!(
-        "benchpipe: history replay {} release(s): delta-only re-parse {}",
-        releases.len(),
-        if history_delta_exact {
-            "exact"
-        } else {
-            "WRONG"
-        },
     );
     println!("{}", out.display());
 
@@ -748,46 +467,6 @@ fn main() -> ExitCode {
                 "benchpipe: SKIP: parallel >=2x gate needs cores >= 4 and jobs >= 4 \
                  (cores={cores}, jobs={jobs})"
             );
-        }
-        if !diff_parse_exact {
-            eprintln!("benchpipe: FAIL: diff replay re-parsed more than the changed units");
-            failed = true;
-        }
-        if diff_gate_enforced {
-            if diff_max_secs >= diff_cold_secs {
-                eprintln!(
-                    "benchpipe: FAIL: slowest warm diff {diff_max_secs:.3}s not under the \
-                     cold audit {diff_cold_secs:.3}s"
-                );
-                failed = true;
-            }
-        } else {
-            eprintln!(
-                "benchpipe: SKIP: warm-diff-beats-cold gate needs >= 300 history files \
-                 (files={hist_files}; raise --scale)"
-            );
-        }
-        if !fixcheck_correct {
-            eprintln!("benchpipe: FAIL: fixcheck replay verdicts were wrong");
-            failed = true;
-        }
-        if fixcheck_gate_enforced {
-            if fixcheck_max_secs >= 2.0 * fixcheck_base_secs {
-                eprintln!(
-                    "benchpipe: FAIL: slowest fixcheck {fixcheck_max_secs:.3}s not under \
-                     2x the cold audit {fixcheck_base_secs:.3}s"
-                );
-                failed = true;
-            }
-        } else {
-            eprintln!(
-                "benchpipe: SKIP: fixcheck-latency gate needs >= 300 history files \
-                 (files={hist_files}; raise --scale)"
-            );
-        }
-        if !history_delta_exact {
-            eprintln!("benchpipe: FAIL: release replay re-parsed more than each release's delta");
-            failed = true;
         }
         if failed {
             return ExitCode::FAILURE;

@@ -54,8 +54,9 @@ use refminer::serve::{
 };
 use refminer::sweep::abstract_template;
 use refminer::{
-    audit_traced, audit_with_cache, diff_audit, evaluate_engines, render_diff_lines, AuditCache,
-    AuditConfig, AuditLimits, DiffOptions, EngineSet, Project, ScanOptions, TraceHandle,
+    audit_traced, audit_with_cache, diff_projects, evaluate_engines, fixcheck_project,
+    render_diff_lines, AuditCache, AuditConfig, AuditLimits, DiffOptions, EngineSet, Project,
+    ScanOptions, TraceHandle,
 };
 use refminer_json::{obj, ToJson, Value};
 
@@ -662,6 +663,79 @@ fn rpc_main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The flags `diff`, `fixcheck`, `history` and `sweep` share.
+#[derive(Default)]
+struct RevisionFlags {
+    json: bool,
+    jobs: usize,
+    cache_dir: Option<PathBuf>,
+}
+
+impl RevisionFlags {
+    /// Parses a revision subcommand's arguments: `-h`, the shared
+    /// flags, the subcommand's own flags (`own` returns whether it
+    /// consumed `arg`), then positionals. A positional beyond
+    /// `max_positionals` is a usage error as soon as it appears.
+    fn parse(
+        usage: fn() -> !,
+        max_positionals: usize,
+        mut own: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> bool,
+    ) -> (RevisionFlags, Vec<PathBuf>) {
+        let mut flags = RevisionFlags::default();
+        let mut positionals = Vec::new();
+        let mut args = std::env::args().skip(2);
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "-h" | "--help" => usage(),
+                "--json" => flags.json = true,
+                "--jobs" => match args.next().map(|v| v.parse::<usize>()) {
+                    Some(Ok(n)) => flags.jobs = n,
+                    _ => usage(),
+                },
+                "--cache-dir" => {
+                    flags.cache_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
+                }
+                other if own(other, &mut args) => {}
+                other if other.starts_with('-') => {
+                    eprintln!("unknown option `{other}`");
+                    usage();
+                }
+                other => {
+                    if positionals.len() == max_positionals {
+                        usage();
+                    }
+                    positionals.push(PathBuf::from(other));
+                }
+            }
+        }
+        (flags, positionals)
+    }
+
+    fn config(&self) -> AuditConfig {
+        AuditConfig {
+            jobs: self.jobs,
+            ..Default::default()
+        }
+    }
+
+    fn open_cache(&self) -> AuditCache {
+        match &self.cache_dir {
+            Some(dir) => AuditCache::with_dir(dir),
+            None => AuditCache::new(),
+        }
+    }
+
+    /// Persists `cache` when `--cache-dir` was given; a failed write
+    /// only warns.
+    fn save_cache(&self, command: &str, cache: &mut AuditCache) {
+        if self.cache_dir.is_some() {
+            if let Err(e) = cache.save() {
+                eprintln!("refminer {command}: warning: could not write cache: {e}");
+            }
+        }
+    }
+}
+
 fn diff_usage() -> ! {
     eprintln!(
         "usage: refminer diff [--json] [--jobs N] [--cache-dir DIR] [--no-sweep] <REV-A> <REV-B>"
@@ -674,60 +748,31 @@ fn diff_usage() -> ! {
 /// commit is clean (nothing introduced, nothing left behind), 1 when
 /// it is not, 2 on usage/scan errors.
 fn diff_main() -> ExitCode {
-    let mut json = false;
-    let mut jobs: usize = 0;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut run_sweep = true;
-    let mut roots: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(2);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => diff_usage(),
-            "--json" => json = true,
-            "--no-sweep" => run_sweep = false,
-            "--jobs" => {
-                let value = args.next().unwrap_or_else(|| diff_usage());
-                match value.parse::<usize>() {
-                    Ok(n) => jobs = n,
-                    Err(_) => diff_usage(),
-                }
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| diff_usage())))
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`");
-                diff_usage();
-            }
-            other => roots.push(PathBuf::from(other)),
+    let (flags, roots) = RevisionFlags::parse(diff_usage, usize::MAX, |arg, _| {
+        let no_sweep = arg == "--no-sweep";
+        if no_sweep {
+            run_sweep = false;
         }
-    }
+        no_sweep
+    });
     if roots.len() != 2 {
         diff_usage();
     }
-    let mut cache = match &cache_dir {
-        Some(dir) => AuditCache::with_dir(dir),
-        None => AuditCache::new(),
-    };
-    let config = AuditConfig {
-        jobs,
-        ..Default::default()
-    };
+    let mut cache = flags.open_cache();
+    let (project_a, project_b) =
+        match Project::scan(&roots[0]).and_then(|a| Ok((a, Project::scan(&roots[1])?))) {
+            Ok(projects) => projects,
+            Err(e) => {
+                eprintln!("refminer diff: {e}");
+                return ExitCode::from(2);
+            }
+        };
     let opts = DiffOptions { sweep: run_sweep };
-    let report = match diff_audit(&roots[0], &roots[1], &config, &mut cache, &opts) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("refminer diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if cache_dir.is_some() {
-        if let Err(e) = cache.save() {
-            eprintln!("refminer diff: warning: could not write cache: {e}");
-        }
-    }
+    let report = diff_projects(&project_a, &project_b, &flags.config(), &mut cache, &opts);
+    flags.save_cache("diff", &mut cache);
     let delta = &report.delta;
-    if json {
+    if flags.json {
         for line in render_diff_lines(delta) {
             println!("{line}");
         }
@@ -779,76 +824,38 @@ fn sweep_usage() -> ! {
 /// 2 on usage/scan errors or when no finding exists at that site.
 fn sweep_main() -> ExitCode {
     let mut at: Option<(String, u32)> = None;
-    let mut json = false;
-    let mut jobs: usize = 0;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(2);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => sweep_usage(),
-            "--json" => json = true,
-            "--jobs" => {
-                let value = args.next().unwrap_or_else(|| sweep_usage());
-                match value.parse::<usize>() {
-                    Ok(n) => jobs = n,
-                    Err(_) => sweep_usage(),
-                }
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| sweep_usage())))
-            }
-            "--at" => {
-                let value = args.next().unwrap_or_else(|| sweep_usage());
-                let Some((file, line)) = value.rsplit_once(':') else {
-                    eprintln!("--at needs FILE:LINE, got `{value}`");
-                    sweep_usage();
-                };
-                match line.parse::<u32>() {
-                    Ok(n) => at = Some((file.to_string(), n)),
-                    Err(_) => {
-                        eprintln!("--at needs FILE:LINE, got `{value}`");
-                        sweep_usage();
-                    }
-                }
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`");
+    let (flags, roots) = RevisionFlags::parse(sweep_usage, 1, |arg, args| {
+        if arg != "--at" {
+            return false;
+        }
+        let value = args.next().unwrap_or_else(|| sweep_usage());
+        let Some((file, line)) = value.rsplit_once(':') else {
+            eprintln!("--at needs FILE:LINE, got `{value}`");
+            sweep_usage();
+        };
+        match line.parse::<u32>() {
+            Ok(n) => at = Some((file.to_string(), n)),
+            Err(_) => {
+                eprintln!("--at needs FILE:LINE, got `{value}`");
                 sweep_usage();
             }
-            other => {
-                if root.is_some() {
-                    sweep_usage();
-                }
-                root = Some(PathBuf::from(other));
-            }
         }
-    }
-    let root = root.unwrap_or_else(|| sweep_usage());
+        true
+    });
+    let root = roots.first().unwrap_or_else(|| sweep_usage());
     let Some((seed_file, seed_line)) = at else {
         sweep_usage()
     };
-    let project = match Project::scan(&root) {
+    let project = match Project::scan(root) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("refminer sweep: cannot scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    let mut cache = match &cache_dir {
-        Some(dir) => AuditCache::with_dir(dir),
-        None => AuditCache::new(),
-    };
-    let config = AuditConfig {
-        jobs,
-        ..Default::default()
-    };
-    let report = audit_with_cache(&project, &config, &mut cache);
-    if cache_dir.is_some() {
-        if let Err(e) = cache.save() {
-            eprintln!("refminer sweep: warning: could not write cache: {e}");
-        }
-    }
+    let mut cache = flags.open_cache();
+    let report = audit_with_cache(&project, &flags.config(), &mut cache);
+    flags.save_cache("sweep", &mut cache);
     let Some(seed) = report
         .findings
         .iter()
@@ -876,7 +883,7 @@ fn sweep_main() -> ExitCode {
         return ExitCode::from(2);
     };
     let matches = refminer::sweep::sweep(&template, &report.findings, &report.kb, source_of);
-    if json {
+    if flags.json {
         println!("{}", obj([("template", template.to_json())]));
         for m in &matches {
             println!("{}", m.to_json());
@@ -916,34 +923,7 @@ fn fixcheck_usage() -> ! {
 /// left behind, nothing introduced), 1 when it is not, 2 on
 /// usage/scan/diff errors.
 fn fixcheck_main() -> ExitCode {
-    let mut json = false;
-    let mut jobs: usize = 0;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut positional: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(2);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => fixcheck_usage(),
-            "--json" => json = true,
-            "--jobs" => {
-                let value = args.next().unwrap_or_else(|| fixcheck_usage());
-                match value.parse::<usize>() {
-                    Ok(n) => jobs = n,
-                    Err(_) => fixcheck_usage(),
-                }
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| fixcheck_usage()),
-                ))
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`");
-                fixcheck_usage();
-            }
-            other => positional.push(PathBuf::from(other)),
-        }
-    }
+    let (flags, positional) = RevisionFlags::parse(fixcheck_usage, usize::MAX, |_, _| false);
     if positional.len() != 2 {
         fixcheck_usage();
     }
@@ -958,27 +938,19 @@ fn fixcheck_main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut cache = match &cache_dir {
-        Some(dir) => AuditCache::with_dir(dir),
-        None => AuditCache::new(),
-    };
-    let config = AuditConfig {
-        jobs,
-        ..Default::default()
-    };
-    let r = match refminer::fixcheck_audit(root, &diff_text, &config, &mut cache) {
+    let mut cache = flags.open_cache();
+    let r = match Project::scan(root)
+        .map_err(|e| format!("cannot scan {}: {e}", root.display()))
+        .and_then(|post| fixcheck_project(&post, &diff_text, &flags.config(), &mut cache))
+    {
         Ok(r) => r,
         Err(e) => {
             eprintln!("refminer fixcheck: {e}");
             return ExitCode::from(2);
         }
     };
-    if cache_dir.is_some() {
-        if let Err(e) = cache.save() {
-            eprintln!("refminer fixcheck: warning: could not write cache: {e}");
-        }
-    }
-    if json {
+    flags.save_cache("fixcheck", &mut cache);
+    if flags.json {
         for line in refminer::render_fixcheck_lines(&r) {
             println!("{line}");
         }
@@ -1040,61 +1012,18 @@ fn history_usage() -> ! {
 /// fault-density methodology. Exit 0 on success, 2 on usage/scan
 /// errors or when ROOT holds no revisions.
 fn history_main() -> ExitCode {
-    let mut json = false;
-    let mut jobs: usize = 0;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(2);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => history_usage(),
-            "--json" => json = true,
-            "--jobs" => {
-                let value = args.next().unwrap_or_else(|| history_usage());
-                match value.parse::<usize>() {
-                    Ok(n) => jobs = n,
-                    Err(_) => history_usage(),
-                }
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| history_usage()),
-                ))
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`");
-                history_usage();
-            }
-            other => {
-                if root.is_some() {
-                    history_usage();
-                }
-                root = Some(PathBuf::from(other));
-            }
-        }
-    }
-    let root = root.unwrap_or_else(|| history_usage());
-    let mut cache = match &cache_dir {
-        Some(dir) => AuditCache::with_dir(dir),
-        None => AuditCache::new(),
-    };
-    let config = AuditConfig {
-        jobs,
-        ..Default::default()
-    };
-    let report = match refminer::history_audit(&root, &config, &mut cache) {
+    let (flags, roots) = RevisionFlags::parse(history_usage, 1, |_, _| false);
+    let root = roots.first().unwrap_or_else(|| history_usage());
+    let mut cache = flags.open_cache();
+    let report = match refminer::history_audit(root, &flags.config(), &mut cache) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("refminer history: {e}");
             return ExitCode::from(2);
         }
     };
-    if cache_dir.is_some() {
-        if let Err(e) = cache.save() {
-            eprintln!("refminer history: warning: could not write cache: {e}");
-        }
-    }
-    if json {
+    flags.save_cache("history", &mut cache);
+    if flags.json {
         for line in refminer::render_history_lines(&report) {
             println!("{line}");
         }

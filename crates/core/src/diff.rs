@@ -1,18 +1,23 @@
-//! Diff-aware auditing: the CI-bot workload.
+//! The revision delta: the one computation under `refminer diff`,
+//! `refminer fixcheck` and the daemon's `auditdiff` and `fixcheck`
+//! RPCs.
 //!
-//! [`diff_audit`] audits two revisions of a tree through one shared
-//! [`AuditCache`] — so revision B re-parses and re-checks only the
-//! units the commit touched — and reports the *findings delta*:
-//! findings introduced by the commit, findings it fixed, and findings
-//! that merely moved (identical up to their line number, e.g. pushed
-//! down by an inserted comment).
+//! Each caller audits two revisions through one shared [`AuditCache`]
+//! — so revision B re-parses and re-checks only the units the commit
+//! touched — and hands both finding lists to [`diff_delta`], which
+//! reports findings introduced by the commit, findings it fixed, and
+//! findings that merely moved (identical up to their line number,
+//! e.g. pushed down by an inserted comment). [`diff_projects`] is the
+//! two-tree form `refminer diff` uses; fixcheck rebuilds revision A
+//! from a fix diff; the daemon's revision A is its previous snapshot.
 //!
 //! The delta is computed as a set difference over the exact JSONL
 //! lines [`render_finding_line`] produces, the same renderer the
 //! one-shot `--json` CLI and the daemon share. Because a cached audit
 //! is byte-identical to a cold one at any `--jobs`, the delta is
 //! byte-identical to diffing two full `--json` runs — the property
-//! `scripts/diff_smoke.sh` replays the simulated fix history to check.
+//! `scripts/revision_smoke.sh` replays the simulated fix history to
+//! check.
 //!
 //! When a commit fixes a finding, the sweep engine abstracts the fixed
 //! bug into a template and searches revision B's surviving findings
@@ -21,8 +26,6 @@
 //! to the delta.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io;
-use std::path::Path;
 
 use refminer_checkers::Finding;
 use refminer_json::{obj, ToJson, Value};
@@ -176,7 +179,7 @@ pub fn sweep_left_behind(
     out
 }
 
-/// Options for [`diff_audit`].
+/// Options for [`diff_projects`].
 #[derive(Debug, Clone, Copy)]
 pub struct DiffOptions {
     /// Run the left-behind sweep on fixed findings (the default).
@@ -238,20 +241,6 @@ pub fn diff_projects(
         report_a,
         report_b,
     }
-}
-
-/// Audits two on-disk revision roots — the `refminer diff` CLI entry
-/// point. Only an unreadable root is an error.
-pub fn diff_audit(
-    root_a: &Path,
-    root_b: &Path,
-    config: &AuditConfig,
-    cache: &mut AuditCache,
-    opts: &DiffOptions,
-) -> io::Result<DiffReport> {
-    let project_a = Project::scan(root_a)?;
-    let project_b = Project::scan(root_b)?;
-    Ok(diff_projects(&project_a, &project_b, config, cache, opts))
 }
 
 /// Renders the delta as JSONL lines (no trailing newlines), grouped

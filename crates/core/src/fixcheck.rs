@@ -1,21 +1,21 @@
 //! `refminer fixcheck`: audit both sides of a fix and report what the
 //! fix left behind.
 //!
-//! The diff-side mechanics (parsing, reverse-apply, intent inference,
-//! the left-behind sweep) live in `refminer-fixcheck`; this module
-//! owns the tree-side orchestration:
+//! A fix check is the revision delta `refminer diff` computes, with
+//! revision A rebuilt from the fix diff instead of read from disk:
 //!
 //! 1. reverse-apply the fix diff onto the *post-fix* tree to
-//!    reconstruct the pre-fix sources in memory;
+//!    reconstruct the pre-fix sources in memory (the diff-side
+//!    mechanics live in `refminer-fixcheck`);
 //! 2. audit both trees through one shared [`AuditCache`] (only the
 //!    touched units differ, so the second audit re-parses just the
 //!    delta);
-//! 3. `diff_findings(pre, post)` — the `fixed` bucket is exactly the
-//!    set of findings the fix resolved, the `introduced` bucket is
-//!    what the fix itself broke;
-//! 4. attribute each fixed finding to a diff intent (the acquire or
-//!    release API named on a changed line) and sweep the post-fix
-//!    findings for sibling sites the fix did not touch.
+//! 3. [`diff_delta`] over the two audits: `fixed` is exactly the set
+//!    of findings the fix resolved, `introduced` is what the fix itself
+//!    broke, and `left_behind` — this report's `incomplete` — holds
+//!    the sibling sites of each fixed finding the fix did not touch;
+//! 4. when rendering, attribute each fixed finding to a diff intent
+//!    (the acquire or release API named on a changed line).
 //!
 //! A neutral diff (refactor, comment churn) reverse-applies to a tree
 //! with identical findings, so `fixed` is empty and the report is
@@ -25,14 +25,19 @@
 use std::path::Path;
 
 use refminer_checkers::Finding;
+use refminer_corpus::Manifest;
 use refminer_fixcheck::{
-    check_incomplete, infer_intents, parse_diff, paths_match, FixIntent, IncompleteFix,
+    infer_intents, intent_covers, parse_diff, paths_match, render_file_diff, FixDiff, FixIntent,
 };
 use refminer_json::{obj, ToJson, Value};
+use refminer_trace::TraceHandle;
 
-use crate::audit::{audit_with_cache, AuditConfig, AuditReport};
+use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
-use crate::diff::diff_findings;
+use crate::cancel::{CancelToken, Cancelled};
+use crate::diff::{diff_delta, LeftBehind};
+use crate::eval::SweepCounts;
+use crate::history::discover_revisions;
 use crate::project::Project;
 use crate::serve::render_finding_line;
 
@@ -46,7 +51,7 @@ pub struct FixcheckReport {
     /// Findings the fix itself introduced.
     pub introduced: Vec<Finding>,
     /// Per fixed finding: the clone sites still buggy after the fix.
-    pub incomplete: Vec<IncompleteFix>,
+    pub incomplete: Vec<LeftBehind>,
     /// Source files the diff touched in the tree.
     pub files_changed: usize,
     /// The post-fix audit (findings, KB, cache stats).
@@ -66,6 +71,13 @@ impl FixcheckReport {
     }
 }
 
+/// The pre-fix side of a fix diff, rebuilt from the post-fix tree.
+pub(crate) struct PreFix {
+    diff: FixDiff,
+    tree: Project,
+    files_changed: usize,
+}
+
 /// Finds the unit in `project` a diff path names, tolerating the
 /// `a/`-style and directory prefixes `paths_match` accepts.
 fn unit_index(project: &Project, diff_path: &str) -> Option<usize> {
@@ -81,18 +93,10 @@ fn is_source_path(path: &str) -> bool {
     path.ends_with(".c") || path.ends_with(".h")
 }
 
-/// Runs the full fixcheck pipeline against an in-memory post-fix tree.
-///
-/// Errors (all of which the CLI maps to exit 2) when the diff is not
-/// unified-diff text, names a source file the tree does not contain,
-/// does not apply to the tree's contents, or touches no source file
-/// at all.
-pub fn fixcheck_project(
-    post: &Project,
-    diff_text: &str,
-    config: &AuditConfig,
-    cache: &mut AuditCache,
-) -> Result<FixcheckReport, String> {
+/// Parses `diff_text` and reverse-applies it onto `post`, failing as
+/// [`fixcheck_project`] documents; the daemon maps those errors to
+/// `bad_request`.
+pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<PreFix, String> {
     let diff = parse_diff(diff_text)?;
     let mut pre_sources: Vec<(String, String)> = post
         .units()
@@ -139,47 +143,67 @@ pub fn fixcheck_project(
     if files_changed == 0 {
         return Err("diff does not touch any C source file in the tree".to_string());
     }
-    let pre_project = Project::from_sources(pre_sources);
-    let report_pre = audit_with_cache(&pre_project, config, cache);
-    let report_post = audit_with_cache(post, config, cache);
-    let (introduced, fixed, _moved) = diff_findings(&report_pre.findings, &report_post.findings);
-    let intents = infer_intents(&diff, &report_post.kb);
-    fn source_in(project: &Project) -> impl FnMut(&str) -> Option<String> + '_ {
-        move |path: &str| {
-            project
-                .units()
-                .iter()
-                .find(|u| u.path == path)
-                .map(|u| u.text.clone())
-        }
-    }
-    let incomplete = check_incomplete(
-        &fixed,
-        &intents,
+    Ok(PreFix {
+        diff,
+        tree: Project::from_sources(pre_sources),
+        files_changed,
+    })
+}
+
+/// Audits both sides of a fix under a [`CancelToken`] — the daemon
+/// entry point, where every request carries a deadline — and computes
+/// their delta with the left-behind sweep.
+pub(crate) fn fixcheck_cancellable(
+    post: &Project,
+    pre: PreFix,
+    config: &AuditConfig,
+    cache: &mut AuditCache,
+    trace: &TraceHandle,
+    cancel: &CancelToken,
+) -> Result<FixcheckReport, Cancelled> {
+    let report_pre = audit_cancellable(&pre.tree, config, cache, trace, cancel)?;
+    let report_post = audit_cancellable(post, config, cache, trace, cancel)?;
+    let delta = diff_delta(
+        &report_pre.findings,
         &report_post.findings,
+        Some(&pre.tree),
+        post,
         &report_post.kb,
-        source_in(&pre_project),
-        source_in(post),
+        true,
     );
     Ok(FixcheckReport {
-        intents,
-        fixed,
-        introduced,
-        incomplete,
-        files_changed,
+        intents: infer_intents(&pre.diff, &report_post.kb),
+        fixed: delta.fixed,
+        introduced: delta.introduced,
+        incomplete: delta.left_behind,
+        files_changed: pre.files_changed,
         report: report_post,
     })
 }
 
-/// Scans `root` (the post-fix tree) and runs [`fixcheck_project`].
-pub fn fixcheck_audit(
-    root: &Path,
+/// Runs the full fixcheck pipeline against an in-memory post-fix tree,
+/// never cancelled.
+///
+/// Errors (all of which the CLI maps to exit 2) when the diff is not
+/// unified-diff text, names a source file the tree does not contain,
+/// does not apply to the tree's contents, or touches no source file
+/// at all.
+pub fn fixcheck_project(
+    post: &Project,
     diff_text: &str,
     config: &AuditConfig,
     cache: &mut AuditCache,
 ) -> Result<FixcheckReport, String> {
-    let post = Project::scan(root).map_err(|e| format!("cannot scan {}: {e}", root.display()))?;
-    fixcheck_project(&post, diff_text, config, cache)
+    let pre = reconstruct_pre_fix(post, diff_text)?;
+    Ok(fixcheck_cancellable(
+        post,
+        pre,
+        config,
+        cache,
+        &TraceHandle::disabled(),
+        &CancelToken::never(),
+    )
+    .expect("a never-cancelled fixcheck cannot be cancelled"))
 }
 
 /// Renders a fixcheck report as the JSONL lines `refminer fixcheck
@@ -233,8 +257,12 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
                     ),
                     (
                         "intent",
-                        match &inc.intent {
-                            Some(api) => Value::Str(api.clone()),
+                        match r
+                            .intents
+                            .iter()
+                            .find(|i| intent_covers(i, &inc.origin, &r.report.kb))
+                        {
+                            Some(i) => Value::Str(i.api.clone()),
                             None => Value::Null,
                         },
                     ),
@@ -283,7 +311,7 @@ pub struct FixcheckEvalRow {
     /// Unfixed sibling sites the manifest says should be reported.
     pub expected: usize,
     /// Found / missed / spurious against that ground truth.
-    pub counts: crate::eval::SweepCounts,
+    pub counts: SweepCounts,
 }
 
 /// `eval --fixcheck` over a `histgen` fix-history root.
@@ -292,7 +320,7 @@ pub struct FixcheckEvalReport {
     /// One row per non-base revision.
     pub rows: Vec<FixcheckEvalRow>,
     /// Column sums.
-    pub totals: crate::eval::SweepCounts,
+    pub totals: SweepCounts,
 }
 
 impl ToJson for FixcheckEvalReport {
@@ -339,19 +367,16 @@ impl ToJson for FixcheckEvalReport {
 /// fixcheck pipeline and scores the incomplete-fix reports against
 /// the manifest's clone-group ground truth.
 ///
-/// For a commit that fixes group `g` member 0, the expected reports
-/// are exactly the group's still-unfixed members; `found`/`missed`
-/// score those, and any reported site that is not an injected bug at
-/// all counts as `spurious`. The trailing neutral-churn commit must
-/// come back clean — everything it reports is spurious.
+/// Revisions are found the way `refminer history` finds them. The
+/// group a commit repaired is the one whose `fixed` flags its
+/// manifest adds over the previous revision's. For a commit that
+/// fixes group `g` member 0, the expected reports are exactly the
+/// group's still-unfixed members; `found`/`missed` score those, and
+/// any reported site that is not an injected bug at all counts as
+/// `spurious`. The trailing neutral-churn commit must come back clean
+/// — everything it reports is spurious.
 pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEvalReport, String> {
-    let text = std::fs::read_to_string(root.join("history.json"))
-        .map_err(|e| format!("cannot read {}/history.json: {e}", root.display()))?;
-    let v = Value::parse(&text).map_err(|e| format!("malformed history.json: {e:?}"))?;
-    let revisions = v
-        .get("revisions")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| "history.json has no `revisions` array".to_string())?;
+    let revisions = discover_revisions(root)?;
     if revisions.len() < 2 {
         return Err(format!(
             "fix history under {} has {} revision(s); need a base plus at least one commit",
@@ -361,22 +386,20 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
     }
     let mut cache = AuditCache::new();
     let mut rows = Vec::new();
-    let mut totals = crate::eval::SweepCounts::default();
-    let mut prev: Option<Project> = None;
+    let mut totals = SweepCounts::default();
+    let mut prev: Option<(Project, Manifest)> = None;
     for rev in revisions {
-        let id = rev
-            .get("id")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "revision without `id` in history.json".to_string())?
-            .to_string();
-        let dir = rev
-            .get("dir")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "revision without `dir` in history.json".to_string())?;
-        let post = Project::scan(&root.join(dir))
-            .map_err(|e| format!("cannot scan revision {id}: {e}"))?;
-        let Some(pre) = prev.take() else {
-            prev = Some(post);
+        let id = rev.version;
+        let dir = root.join(&rev.dir);
+        let post = Project::scan(&dir).map_err(|e| format!("cannot scan revision {id}: {e}"))?;
+        let manifest_text = std::fs::read_to_string(dir.join("manifest.json"))
+            .map_err(|e| format!("cannot read manifest for {id}: {e}"))?;
+        let manifest_json = Value::parse(&manifest_text)
+            .map_err(|e| format!("malformed manifest for {id}: {e:?}"))?;
+        let manifest = Manifest::from_json(&manifest_json)
+            .ok_or_else(|| format!("manifest for {id} does not parse"))?;
+        let Some((pre, pre_manifest)) = prev.take() else {
+            prev = Some((post, manifest));
             continue; // the base import has no diff to check
         };
         let mut diff_text = String::new();
@@ -387,48 +410,38 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
                 .find(|u| u.path == unit.path)
                 .map(|u| u.text.as_str())
                 .unwrap_or("");
-            if let Some(d) = refminer_fixcheck::render_file_diff(&unit.path, old, &unit.text) {
+            if let Some(d) = render_file_diff(&unit.path, old, &unit.text) {
                 diff_text.push_str(&d);
             }
         }
         let r = fixcheck_project(&post, &diff_text, config, &mut cache)
             .map_err(|e| format!("fixcheck failed on {id}: {e}"))?;
-        let manifest_text = std::fs::read_to_string(root.join(dir).join("manifest.json"))
-            .map_err(|e| format!("cannot read manifest for {id}: {e}"))?;
-        let manifest_json = Value::parse(&manifest_text)
-            .map_err(|e| format!("malformed manifest for {id}: {e:?}"))?;
-        let manifest = refminer_corpus::Manifest::from_json(&manifest_json)
-            .ok_or_else(|| format!("manifest for {id} does not parse"))?;
-        let group = rev
-            .get("fixed")
-            .and_then(|f| f.as_array())
-            .and_then(|f| f.first())
-            .and_then(|f| f.get("group"))
-            .and_then(|g| g.as_str())
-            .map(|g| g.to_string());
-        let expected: Vec<(String, String)> = match &group {
-            Some(g) => manifest
-                .clone_groups
+        let was_fixed: Vec<_> = pre_manifest
+            .clone_groups
+            .iter()
+            .flat_map(|cg| &cg.members)
+            .filter(|m| m.fixed)
+            .collect();
+        let repaired = manifest.clone_groups.iter().find(|cg| {
+            cg.members
                 .iter()
-                .filter(|cg| cg.group == *g)
-                .flat_map(|cg| &cg.members)
-                .filter(|m| !m.fixed)
-                .map(|m| (m.path.clone(), m.function.clone()))
-                .collect(),
-            None => Vec::new(),
-        };
+                .any(|m| m.fixed && !was_fixed.contains(&m))
+        });
+        let expected: Vec<(&str, &str)> = repaired
+            .iter()
+            .flat_map(|cg| &cg.members)
+            .filter(|m| !m.fixed)
+            .map(|m| (m.path.as_str(), m.function.as_str()))
+            .collect();
         let reported: Vec<(&str, &str)> = r
             .incomplete
             .iter()
             .flat_map(|i| &i.matches)
             .map(|m| (m.finding.file.as_str(), m.finding.function.as_str()))
             .collect();
-        let mut counts = crate::eval::SweepCounts::default();
-        for (path, function) in &expected {
-            if reported
-                .iter()
-                .any(|(f, func)| f == path && func == function)
-            {
+        let mut counts = SweepCounts::default();
+        for site in &expected {
+            if reported.contains(site) {
                 counts.found += 1;
             } else {
                 counts.missed += 1;
@@ -448,11 +461,11 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
         totals.spurious += counts.spurious;
         rows.push(FixcheckEvalRow {
             revision: id,
-            group,
+            group: repaired.map(|cg| cg.group.clone()),
             expected: expected.len(),
             counts,
         });
-        prev = Some(post);
+        prev = Some((post, manifest));
     }
     Ok(FixcheckEvalReport { rows, totals })
 }
@@ -460,7 +473,6 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refminer_fixcheck::render_file_diff;
 
     // A P4 two-site shape: both functions forget `of_node_put` on the
     // error path; the "fix" patches only `alpha_probe`.

@@ -98,9 +98,11 @@ pub fn subsystem_of(path: &str) -> String {
 
 /// One labeled revision directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct RevisionRef {
-    version: String,
-    dir: String,
+pub(crate) struct RevisionRef {
+    /// Version label (or revision id, or the directory name).
+    pub(crate) version: String,
+    /// Directory under the history root.
+    pub(crate) dir: String,
 }
 
 fn labeled_revisions(
@@ -121,7 +123,10 @@ fn labeled_revisions(
     Some(out)
 }
 
-fn discover_revisions(root: &Path) -> Result<Vec<RevisionRef>, String> {
+/// The revisions under `root`, in history order (see the module docs
+/// for the discovery rules). `refminer history` and `eval --fixcheck`
+/// both walk a history through this.
+pub(crate) fn discover_revisions(root: &Path) -> Result<Vec<RevisionRef>, String> {
     if let Some(revs) = labeled_revisions(root, "releases.json", "releases", "version") {
         return Ok(revs);
     }

@@ -42,15 +42,15 @@ pub use cache::{
 };
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use diff::{
-    diff_audit, diff_delta, diff_findings, diff_projects, render_diff_lines, sweep_left_behind,
-    DiffDelta, DiffOptions, DiffReport, LeftBehind,
+    diff_delta, diff_findings, diff_projects, render_diff_lines, sweep_left_behind, DiffDelta,
+    DiffOptions, DiffReport, LeftBehind,
 };
 pub use eval::{
     evaluate, evaluate_engines, evaluate_sweep, finding_attributed, Counts, EngineEvalReport,
     EvalReport, EvalRow, SweepCounts, SweepEvalReport, SweepGroupRow,
 };
 pub use fixcheck::{
-    evaluate_fixcheck, fixcheck_audit, fixcheck_project, render_fixcheck_lines, FixcheckEvalReport,
+    evaluate_fixcheck, fixcheck_project, render_fixcheck_lines, FixcheckEvalReport,
     FixcheckEvalRow, FixcheckReport,
 };
 pub use history::{
@@ -69,9 +69,7 @@ pub use refminer_dataset as dataset;
 pub use refminer_delta as delta;
 pub use refminer_delta::DeltaEngine;
 pub use refminer_fixcheck as fixdiff;
-pub use refminer_fixcheck::{
-    infer_intents, parse_diff, render_file_diff, FixDiff, FixIntent, IncompleteFix,
-};
+pub use refminer_fixcheck::{infer_intents, parse_diff, render_file_diff, FixDiff, FixIntent};
 pub use refminer_progdb as progdb;
 pub use refminer_progdb::ProgramDb;
 pub use refminer_rcapi as rcapi;

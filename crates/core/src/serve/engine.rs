@@ -41,7 +41,7 @@ use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::{AuditCache, CacheLoadOutcome};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::diff::{diff_delta, render_diff_lines};
-use crate::fixcheck::{fixcheck_project, render_fixcheck_lines};
+use crate::fixcheck::{fixcheck_cancellable, reconstruct_pre_fix, render_fixcheck_lines};
 use crate::project::{Project, ScanOptions};
 use crate::{UnitDiagnostic, UnitErrorKind, UnitOutcome};
 
@@ -152,25 +152,12 @@ enum JobOutcome {
         /// not retried (deletion is a fact, not a transient fault).
         removed: Vec<UnitDiagnostic>,
     },
-    /// An `auditdiff` job: the delta against the previous snapshot,
-    /// prerendered as the same JSONL lines `refminer diff --json`
-    /// prints.
-    DiffDone {
+    /// An `auditdiff` or `fixcheck` job: its summary counts plus the
+    /// prerendered JSONL lines the matching one-shot `--json` mode
+    /// (`refminer diff` or `refminer fixcheck`) prints.
+    DeltaDone {
         revision: u64,
-        introduced: usize,
-        fixed: usize,
-        moved: usize,
-        left_behind: usize,
-        lines: Vec<String>,
-    },
-    /// A `fixcheck` job: the incomplete-fix report, prerendered as the
-    /// same JSONL lines `refminer fixcheck --json` prints.
-    FixcheckDone {
-        revision: u64,
-        fixed: usize,
-        introduced: usize,
-        incomplete: usize,
-        clean: bool,
+        counts: Vec<(&'static str, Value)>,
         lines: Vec<String>,
     },
     Cancelled(CancelReason),
@@ -470,48 +457,19 @@ impl EngineHandle {
                 }
                 Response::ok(id, Value::Obj(members))
             }
-            JobOutcome::DiffDone {
+            JobOutcome::DeltaDone {
                 revision,
-                introduced,
-                fixed,
-                moved,
-                left_behind,
+                counts,
                 lines,
-            } => Response::ok(
-                id,
-                obj([
-                    ("revision", revision.to_json()),
-                    ("introduced", introduced.to_json()),
-                    ("fixed", fixed.to_json()),
-                    ("moved", moved.to_json()),
-                    ("left_behind", left_behind.to_json()),
-                    (
-                        "lines",
-                        Value::Arr(lines.iter().map(|l| l.as_str().into()).collect()),
-                    ),
-                ]),
-            ),
-            JobOutcome::FixcheckDone {
-                revision,
-                fixed,
-                introduced,
-                incomplete,
-                clean,
-                lines,
-            } => Response::ok(
-                id,
-                obj([
-                    ("revision", revision.to_json()),
-                    ("fixed", fixed.to_json()),
-                    ("introduced", introduced.to_json()),
-                    ("incomplete", incomplete.to_json()),
-                    ("clean", clean.into()),
-                    (
-                        "lines",
-                        Value::Arr(lines.iter().map(|l| l.as_str().into()).collect()),
-                    ),
-                ]),
-            ),
+            } => {
+                let mut members = vec![("revision".to_string(), revision.to_json())];
+                members.extend(counts.into_iter().map(|(k, v)| (k.to_string(), v)));
+                members.push((
+                    "lines".to_string(),
+                    Value::Arr(lines.into_iter().map(Value::Str).collect()),
+                ));
+                Response::ok(id, Value::Obj(members))
+            }
             JobOutcome::Cancelled(reason) => {
                 let kind = match reason {
                     CancelReason::DeadlineExceeded => {
@@ -761,87 +719,97 @@ fn run_job(
             }
         }
     };
-    // A fixcheck job audits both sides of the fix itself (through the
-    // same shared cache, so only the diffed units re-parse); its diff
-    // errors are the client's fault and map to `bad_request`.
-    if let JobKind::Fixcheck(diff_text) = &job.kind {
-        return match fixcheck_project(&project, diff_text, &cfg.audit, cache) {
-            Ok(fr) => {
-                *revision += 1;
-                let snap = Arc::new(Snapshot::from_report(*revision, &fr.report));
-                *shared.snapshot.lock().unwrap() = Arc::clone(&snap);
-                if cfg.cache_dir.is_some() && cache.save().is_err() {
-                    counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
-                }
-                counters.audits_ok.fetch_add(1, Ordering::SeqCst);
-                *last_project = Some(project);
-                JobOutcome::FixcheckDone {
-                    revision: snap.revision,
-                    fixed: fr.fixed.len(),
-                    introduced: fr.introduced.len(),
-                    incomplete: fr.incomplete_total(),
-                    clean: fr.is_clean(),
-                    lines: render_fixcheck_lines(&fr),
-                }
-            }
-            Err(msg) => JobOutcome::Rejected(msg),
-        };
-    }
-    match audit_cancellable(&project, &cfg.audit, cache, &cfg.trace, &job.cancel) {
-        Ok(report) => {
-            *revision += 1;
-            let snap = Arc::new(Snapshot::from_report(*revision, &report));
-            // The swap is the only mutation readers can observe, and
-            // it is atomic: a query sees the old complete snapshot or
-            // the new complete snapshot, never a mix. For a diff job
-            // the displaced snapshot *is* revision A.
-            let prev = {
-                let mut guard = shared.snapshot.lock().unwrap();
-                std::mem::replace(&mut *guard, Arc::clone(&snap))
+    // A fixcheck job audits both sides of the fix (through the same
+    // shared cache, so only the diffed units re-parse); every other
+    // job audits the tree once. Either way the audits run under the
+    // job's token and trace. A diff that does not parse or apply is
+    // the client's fault and maps to `bad_request` before any audit.
+    let (audited, fixcheck) = match &job.kind {
+        JobKind::Fixcheck(diff_text) => {
+            let pre = match reconstruct_pre_fix(&project, diff_text) {
+                Ok(pre) => pre,
+                Err(msg) => return JobOutcome::Rejected(msg),
             };
-            if cfg.cache_dir.is_some() {
-                // A failed save (disk full, injected fault) degrades
-                // persistence, not serving: the snapshot already
-                // swapped, and the atomic tmp+rename protocol means a
-                // torn save can't corrupt the existing cache file.
-                if cache.save().is_err() {
-                    counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
+            match fixcheck_cancellable(&project, pre, &cfg.audit, cache, &cfg.trace, &job.cancel) {
+                Ok(fr) => {
+                    let counts = vec![
+                        ("fixed", fr.fixed.len().to_json()),
+                        ("introduced", fr.introduced.len().to_json()),
+                        ("incomplete", fr.incomplete_total().to_json()),
+                        ("clean", fr.is_clean().into()),
+                    ];
+                    let lines = render_fixcheck_lines(&fr);
+                    (Ok(fr.report), Some((counts, lines)))
                 }
+                Err(c) => (Err(c), None),
             }
-            counters.audits_ok.fetch_add(1, Ordering::SeqCst);
-            let outcome = match &job.kind {
-                JobKind::Diff => {
-                    let delta = diff_delta(
-                        &prev.findings,
-                        &report.findings,
-                        last_project.as_ref(),
-                        &project,
-                        &report.kb,
-                        true,
-                    );
-                    JobOutcome::DiffDone {
-                        revision: snap.revision,
-                        introduced: delta.introduced.len(),
-                        fixed: delta.fixed.len(),
-                        moved: delta.moved.len(),
-                        left_behind: delta.left_behind_total(),
-                        lines: render_diff_lines(&delta),
-                    }
-                }
-                _ => JobOutcome::Done {
-                    revision: snap.revision,
-                    findings: snap.findings.len(),
-                    files: snap.files,
-                    functions: snap.functions,
-                    removed,
-                },
-            };
-            *last_project = Some(project);
-            outcome
         }
+        _ => (
+            audit_cancellable(&project, &cfg.audit, cache, &cfg.trace, &job.cancel),
+            None,
+        ),
+    };
+    let report = match audited {
+        Ok(report) => report,
         Err(c) => {
             counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
-            JobOutcome::Cancelled(c.reason)
+            return JobOutcome::Cancelled(c.reason);
+        }
+    };
+    *revision += 1;
+    let snap = Arc::new(Snapshot::from_report(*revision, &report));
+    // The swap is the only mutation readers can observe, and it is
+    // atomic: a query sees the old complete snapshot or the new
+    // complete snapshot, never a mix. For a diff job the displaced
+    // snapshot *is* revision A.
+    let prev = {
+        let mut guard = shared.snapshot.lock().unwrap();
+        std::mem::replace(&mut *guard, Arc::clone(&snap))
+    };
+    if cfg.cache_dir.is_some() {
+        // A failed save (disk full, injected fault) degrades
+        // persistence, not serving: the snapshot already swapped, and
+        // the atomic tmp+rename protocol means a torn save can't
+        // corrupt the existing cache file.
+        if cache.save().is_err() {
+            counters.cache_save_failures.fetch_add(1, Ordering::SeqCst);
         }
     }
+    counters.audits_ok.fetch_add(1, Ordering::SeqCst);
+    let outcome = match (&job.kind, fixcheck) {
+        (_, Some((counts, lines))) => JobOutcome::DeltaDone {
+            revision: snap.revision,
+            counts,
+            lines,
+        },
+        (JobKind::Diff, None) => {
+            let delta = diff_delta(
+                &prev.findings,
+                &report.findings,
+                last_project.as_ref(),
+                &project,
+                &report.kb,
+                true,
+            );
+            JobOutcome::DeltaDone {
+                revision: snap.revision,
+                counts: vec![
+                    ("introduced", delta.introduced.len().to_json()),
+                    ("fixed", delta.fixed.len().to_json()),
+                    ("moved", delta.moved.len().to_json()),
+                    ("left_behind", delta.left_behind_total().to_json()),
+                ],
+                lines: render_diff_lines(&delta),
+            }
+        }
+        _ => JobOutcome::Done {
+            revision: snap.revision,
+            findings: snap.findings.len(),
+            files: snap.files,
+            functions: snap.functions,
+            removed,
+        },
+    };
+    *last_project = Some(project);
+    outcome
 }

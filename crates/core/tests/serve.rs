@@ -697,6 +697,78 @@ fn watch_mode_reaudits_on_change() {
 }
 
 #[test]
+fn auditdiff_lines_are_byte_identical_to_the_diff_cli() {
+    // Two clones of one leak; the "commit" below fixes only demo.c.
+    let dir = write_demo_tree("auditdiff");
+    let leak = std::fs::read_to_string(dir.join("drivers/demo/demo.c")).expect("read demo");
+    std::fs::write(
+        dir.join("drivers/demo/demo2.c"),
+        leak.replace("demo_", "demo2_"),
+    )
+    .expect("write demo2");
+    let d = Daemon::start(&dir, &[], &[]);
+    d.wait_for_revision(1, Duration::from_secs(30));
+
+    // Revision A, copied aside before the commit lands on disk.
+    let before = dir.with_extension("before");
+    let _ = std::fs::remove_dir_all(&before);
+    std::fs::create_dir_all(before.join("drivers/demo")).expect("mkdir");
+    for file in ["demo.c", "demo2.c"] {
+        std::fs::copy(
+            dir.join("drivers/demo").join(file),
+            before.join("drivers/demo").join(file),
+        )
+        .expect("copy revision A");
+    }
+    std::fs::write(
+        dir.join("drivers/demo/demo.c"),
+        leak.replace(
+            "\n        return 0;",
+            "\n        of_node_put(np);\n        return 0;",
+        ),
+    )
+    .expect("fix demo.c");
+
+    let auditdiff = |id| {
+        let v = d.rpc(&Request {
+            id,
+            method: Method::AuditDiff,
+            deadline_ms: Some(30_000),
+        });
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
+        v.get("result").cloned().expect("auditdiff result")
+    };
+    let result = auditdiff(1);
+    let out = Command::new(env!("CARGO_BIN_EXE_refminer"))
+        .args(["diff", "--json"])
+        .arg(&before)
+        .arg(&dir)
+        .output()
+        .expect("run refminer diff");
+    let expected = String::from_utf8(out.stdout).expect("utf8 delta");
+    assert!(
+        expected.contains("\"delta\":\"fixed\"") && expected.contains("\"delta\":\"left_behind\""),
+        "the commit must fix one clone and leave the other: {expected}"
+    );
+    assert_eq!(
+        joined_lines(&result),
+        expected,
+        "auditdiff diverged from the CLI"
+    );
+
+    // Nothing changed since: an empty delta with zero counts.
+    let result = auditdiff(2);
+    assert_eq!(joined_lines(&result), "", "{result}");
+    for key in ["introduced", "fixed", "moved", "left_behind"] {
+        assert_eq!(result.get(key).and_then(Value::as_u64), Some(0), "{result}");
+    }
+
+    d.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&before).ok();
+}
+
+#[test]
 fn fixcheck_rpc_reports_incomplete_fix_and_rejects_garbage() {
     // The tree on disk is the *post-fix* state: demo.c got its
     // `of_node_put` while sibling demo2.c kept the identical leak.

@@ -1,8 +1,9 @@
 //! Runs the `scripts/verify.sh` release gate against prebuilt binaries,
 //! so the one-shot fmt → clippy → build → test → chaos → trace → serve
-//! → diff → bench chain stays wired into the test suite. The cargo-based
-//! steps (fmt, clippy, build, test) are skipped because this test
-//! already runs under cargo — re-entering it here would recurse.
+//! → revisions → bench chain stays wired into the test suite. The
+//! cargo-based steps (fmt, clippy, build, test) are skipped because
+//! this test already runs under cargo — re-entering it here would
+//! recurse.
 
 use std::path::Path;
 use std::process::Command;
@@ -68,7 +69,10 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
         stdout.contains("verify.sh: [serve] ok"),
         "stdout:\n{stdout}"
     );
-    assert!(stdout.contains("verify.sh: [diff] ok"), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("verify.sh: [revisions] ok"),
+        "stdout:\n{stdout}"
+    );
     assert!(
         stdout.contains("verify.sh: [bench] ok"),
         "stdout:\n{stdout}"
@@ -87,7 +91,7 @@ fn verify_script_fails_fast_with_the_step_name() {
         .arg(script())
         .env(
             "VERIFY_SKIP",
-            "fmt clippy build test chaos trace serve diff",
+            "fmt clippy build test chaos trace serve revisions",
         )
         .env("BENCHPIPE_BIN", "/bin/false")
         .output()

@@ -1,8 +1,8 @@
-//! Incomplete-fix detection (the paper's §6 observation that refcount
-//! fixes routinely patch one error path or one call site and leave the
-//! sibling sites buggy).
+//! The diff side of incomplete-fix detection (the paper's §6
+//! observation that refcount fixes routinely patch one error path or
+//! one call site and leave the sibling sites buggy).
 //!
-//! The crate owns the *diff-side* half of `refminer fixcheck`:
+//! The crate reads fix diffs; it never audits or sweeps:
 //!
 //! * a minimal unified-diff model ([`FixDiff`], [`FileDiff`],
 //!   [`Hunk`]) with a parser that accepts standard `diff -u` /
@@ -12,23 +12,19 @@
 //!   text of a file from its post-fix text so both sides of the fix
 //!   can be audited without needing the old tree on disk;
 //! * [`render_file_diff`], a matching renderer (used by the evaluator
-//!   and the smoke script to derive a fix diff from two trees) that
-//!   round-trips through the parser and `reverse_apply`;
-//! * [`infer_intents`], which reads the changed lines through the
-//!   refcount-API knowledge base to name the acquire/release pair the
-//!   fix is about; and
-//! * [`check_incomplete`], which abstracts each fixed finding into a
-//!   [`BugTemplate`] and sweeps the post-fix findings for clone sites
-//!   the fix left behind.
+//!   to derive a fix diff from two trees) that round-trips through the
+//!   parser and `reverse_apply`;
+//! * [`infer_intents`] and [`intent_covers`], which read the changed
+//!   lines through the refcount-API knowledge base to name the
+//!   acquire/release pair the fix is about.
 //!
-//! Tree scanning, auditing and rendering stay in `refminer` (core);
-//! this crate deliberately depends only on the checker/sweep layers so
-//! core can orchestrate it without a dependency cycle.
+//! Auditing both sides, the findings delta and the left-behind sweep
+//! live in `refminer` (core), which runs a fix through the same
+//! revision-delta path as `refminer diff`.
 
 use refminer_checkers::Finding;
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::{ApiKb, RcDir};
-use refminer_sweep::{abstract_template, sweep, BugTemplate, CloneMatch};
 
 /// One `@@` hunk: a contiguous run of context/removed/added lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -486,78 +482,6 @@ pub fn intent_covers(intent: &FixIntent, finding: &Finding, kb: &ApiKb) -> bool 
         && (finding.api == intent.api
             || intent.acquires.contains(&finding.api)
             || kb.accepted_decs(&finding.api).contains(&intent.api))
-}
-
-/// One fixed finding whose anti-pattern survives elsewhere in the
-/// post-fix tree.
-#[derive(Debug, Clone)]
-pub struct IncompleteFix {
-    /// The finding the fix resolved (from the pre-fix audit).
-    pub origin: Finding,
-    /// The template abstracted from the pre-fix source.
-    pub template: BugTemplate,
-    /// The diff API the fix targeted, when an intent attributed it.
-    pub intent: Option<String>,
-    /// Clone sites still present after the fix, ranked by score.
-    pub matches: Vec<CloneMatch>,
-}
-
-impl ToJson for IncompleteFix {
-    fn to_json(&self) -> Value {
-        obj([
-            ("origin", self.origin.to_json()),
-            ("template", self.template.to_json()),
-            (
-                "intent",
-                match &self.intent {
-                    Some(api) => Value::Str(api.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("matches", self.matches.to_json()),
-        ])
-    }
-}
-
-/// For every finding a fix resolved, abstracts it into a template
-/// (from its *pre-fix* source, where the buggy shape still exists)
-/// and sweeps the post-fix findings for sibling sites the fix left
-/// behind. Findings whose template cannot be abstracted, or whose
-/// sweep comes back empty, still appear — with empty `matches` — so
-/// callers can report a complete fix positively.
-pub fn check_incomplete<F, G>(
-    fixed: &[Finding],
-    intents: &[FixIntent],
-    post_findings: &[Finding],
-    kb: &ApiKb,
-    mut pre_source_of: F,
-    mut post_source_of: G,
-) -> Vec<IncompleteFix>
-where
-    F: FnMut(&str) -> Option<String>,
-    G: FnMut(&str) -> Option<String>,
-{
-    let mut out = Vec::new();
-    for origin in fixed {
-        let intent = intents
-            .iter()
-            .find(|i| intent_covers(i, origin, kb))
-            .map(|i| i.api.clone());
-        let Some(source) = pre_source_of(&origin.file) else {
-            continue;
-        };
-        let Some(template) = abstract_template(origin, &source, kb) else {
-            continue;
-        };
-        let matches = sweep(&template, post_findings, kb, &mut post_source_of);
-        out.push(IncompleteFix {
-            origin: origin.clone(),
-            template,
-            intent,
-            matches,
-        });
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pipeline benchmark smoke run: audit a synthetic tree cold/warm over
-# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 9),
+# the {1, 2, 4, N} worker ladder, write BENCH_pipeline.json (schema 10),
 # and enforce the speedup gates (warm >= 5x always; parallel >= 2x only
 # on machines with at least four hardware threads — everywhere else
 # benchpipe prints an explicit SKIP and records the gate as "skipped"

@@ -5,15 +5,18 @@
 //! difference of two full audits — byte-identical at any job count and
 //! cache temperature; (2) pure line shifts classify as `moved`, not
 //! introduced+fixed; (3) a partial-fix commit surfaces its unfixed
-//! clone siblings as `left_behind`; (4) on the FP-trap corpus the
-//! sweep finds ≥90% of injected clone siblings with zero spurious
-//! matches.
+//! clone siblings as `left_behind`; (4) diff, fixcheck and history
+//! re-parse only each revision's delta through one shared cache;
+//! (5) on the FP-trap corpus the sweep finds ≥90% of injected clone
+//! siblings with zero spurious matches.
 
-use refminer::corpus::{generate_fix_history, generate_tree, TreeConfig};
+use refminer::corpus::{
+    generate_fix_history, generate_release_history, generate_tree, ReleaseHistoryConfig, TreeConfig,
+};
 use refminer::serve::render_finding_line;
 use refminer::{
-    audit_with_cache, diff_projects, evaluate_sweep, render_diff_lines, AuditCache, AuditConfig,
-    DiffOptions, Project,
+    audit_with_cache, diff_projects, evaluate_sweep, fixcheck_project, history_audit,
+    render_diff_lines, render_file_diff, AuditCache, AuditConfig, DiffOptions, Project,
 };
 use std::collections::HashSet;
 
@@ -221,6 +224,89 @@ fn partial_fix_commit_surfaces_left_behind_clones() {
     );
     assert!(quiet.delta.left_behind.is_empty());
     assert!(quiet.delta.is_clean());
+}
+
+// ----------------------------------------------------------------------
+// Re-parse exactness across revisions.
+// ----------------------------------------------------------------------
+
+/// Replays a fix history through `diff_projects` and `fixcheck_project`
+/// on one cache, then audits a release ladder with `history_audit`:
+/// every revision after the first re-parses exactly its delta, each
+/// partial fix is caught with siblings left behind, and the neutral
+/// commit comes back clean.
+#[test]
+fn revision_replays_reparse_only_each_revisions_delta() {
+    let revs = generate_fix_history(&history_cfg());
+    let projects: Vec<Project> = revs.iter().map(|r| Project::from_tree(&r.tree)).collect();
+    let cfg = config(1);
+    let mut cache = AuditCache::new();
+    for i in 1..projects.len() {
+        let (a, b) = (&projects[i - 1], &projects[i]);
+        let old_text = |path: &str| {
+            a.units()
+                .iter()
+                .find(|u| u.path == path)
+                .map_or("", |u| u.text.as_str())
+        };
+        let changed = b
+            .units()
+            .iter()
+            .filter(|u| old_text(&u.path) != u.text)
+            .count();
+        let dr = diff_projects(a, b, &cfg, &mut cache, &DiffOptions::default());
+        assert_eq!(
+            dr.report_b.cache.parse_misses, changed,
+            "commit {i}: the diff must re-parse exactly the changed units"
+        );
+        let diff: String = b
+            .units()
+            .iter()
+            .filter_map(|u| render_file_diff(&u.path, old_text(&u.path), &u.text))
+            .collect();
+        let fr = fixcheck_project(b, &diff, &cfg, &mut cache).expect("the commit's diff applies");
+        if revs[i].fixed.is_empty() {
+            assert!(
+                fr.is_clean(),
+                "commit {i}: the neutral commit must be clean"
+            );
+        } else {
+            assert!(
+                !fr.fixed.is_empty() && fr.incomplete_total() > 0,
+                "commit {i}: a partial fix must report its fix and the siblings it left"
+            );
+        }
+    }
+
+    let releases = generate_release_history(&ReleaseHistoryConfig {
+        seed: 0x4E7EA5E,
+        scale: 0.05,
+        releases: 3,
+        clone_groups: 2,
+    });
+    let root = std::env::temp_dir().join(format!("refminer_release_ladder_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (i, r) in releases.iter().enumerate() {
+        r.tree
+            .write_to(&root.join(format!("rel{i:02}")))
+            .expect("write release");
+    }
+    let history = history_audit(&root, &cfg, &mut AuditCache::new());
+    std::fs::remove_dir_all(&root).ok();
+    let history = history.expect("history audit runs");
+    assert_eq!(history.releases.len(), releases.len());
+    for (i, (got, rel)) in history.releases.iter().zip(&releases).enumerate() {
+        let want = if i == 0 {
+            got.files
+        } else {
+            rel.added_files + rel.fixed.len()
+        };
+        assert_eq!(
+            got.parse_misses, want,
+            "release {}: re-parsed more than its delta",
+            rel.version
+        );
+    }
 }
 
 // ----------------------------------------------------------------------
