@@ -123,13 +123,6 @@ pub struct AuditConfig {
     /// units still parse and export — exports are whole-tree — but skip
     /// the check stage.
     pub subsystem: Option<String>,
-    /// Keep each unit's AST in the in-memory parse cache (the default),
-    /// letting later stages skip re-parsing. `false` drops ASTs right
-    /// after the parse stage — kernel-scale trees trade re-parse time
-    /// for bounded memory, exactly like a disk-warm run (re-parsing is
-    /// deterministic, so results are byte-identical). Part of no cache
-    /// fingerprint.
-    pub retain_asts: bool,
 }
 
 impl Default for AuditConfig {
@@ -144,7 +137,6 @@ impl Default for AuditConfig {
             only_patterns: None,
             engines: EngineSet::default(),
             subsystem: None,
-            retain_asts: true,
         }
     }
 }
@@ -415,12 +407,7 @@ impl UnitState {
 /// limited parse, then the unit's discovery facts — all inside the
 /// unit's fault boundary. Discovery rides the parse layer so the
 /// knowledge base is ready before any export runs.
-fn parse_unit(
-    unit: &SourceUnit,
-    limits: &AuditLimits,
-    parse_limits: &ParseLimits,
-    retain_ast: bool,
-) -> ParsedUnit {
+fn parse_unit(unit: &SourceUnit, limits: &AuditLimits, parse_limits: &ParseLimits) -> ParsedUnit {
     if unit.text.len() > limits.max_file_bytes {
         return ParsedUnit {
             tu: None,
@@ -468,7 +455,7 @@ fn parse_unit(
                 });
             }
             ParsedUnit {
-                tu: if retain_ast { Some(out.unit) } else { None },
+                tu: Some(out.unit),
                 parsed_ok: true,
                 defines,
                 errors,
@@ -793,13 +780,12 @@ pub fn audit_cancellable(
             None => parse_todo.push(i),
         }
     }
-    let retain_asts = config.retain_asts;
     let parsed_new = run_indexed(&parse_todo, config.jobs, trace, "parse", |_, &i| {
         if cancel.is_cancelled() {
             return cancelled_parse_placeholder();
         }
         let _unit_span = trace.unit_span("parse.unit", &units[i].path);
-        parse_unit(&units[i], limits, &parse_limits, retain_asts)
+        parse_unit(&units[i], limits, &parse_limits)
     });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
@@ -1146,24 +1132,46 @@ mod tests {
 
     #[test]
     fn dropping_asts_changes_nothing_but_memory() {
+        // The cache file persists no ASTs, so a reopened cache serves
+        // parse hits without one. One graph node less misses every
+        // export and check entry while keeping the parse layer warm:
+        // export and check must re-parse each unit from its text and
+        // reproduce what a fresh in-memory audit finds. The cross-unit
+        // tree makes findings depend on the re-parsed exports too.
         let tree = generate_tree(&TreeConfig {
             scale: 0.04,
+            cross_unit: true,
             ..Default::default()
         });
         let project = Project::from_tree(&tree);
+        let dir = std::env::temp_dir().join(format!("refminer_rehydrate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let cfg = AuditConfig {
             jobs: 4,
             ..Default::default()
         };
-        let keep = audit(&project, &cfg);
-        let drop_cfg = AuditConfig {
-            retain_asts: false,
-            ..cfg.clone()
+        let mut cache = AuditCache::with_dir(&dir);
+        audit_with_cache(&project, &cfg, &mut cache);
+        cache.save().expect("save the cache");
+
+        let recheck_cfg = AuditConfig {
+            limits: AuditLimits {
+                max_graph_nodes: cfg.limits.max_graph_nodes - 1,
+                ..cfg.limits
+            },
+            ..cfg
         };
-        let dropped = audit(&project, &drop_cfg);
-        assert_eq!(keep.findings, dropped.findings);
-        assert_eq!(keep.functions, dropped.functions);
-        assert_eq!(keep.cache, dropped.cache);
+        let mut reopened = AuditCache::with_dir(&dir);
+        let rehydrated = audit_with_cache(&project, &recheck_cfg, &mut reopened);
+        let fresh = audit(&project, &recheck_cfg);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let files = tree.files.len();
+        assert_eq!(rehydrated.cache.parse_misses, 0, "parse layer went cold");
+        assert_eq!(rehydrated.cache.export_misses, files);
+        assert_eq!(rehydrated.cache.check_misses, files);
+        assert_eq!(rehydrated.findings, fresh.findings);
+        assert_eq!(rehydrated.functions, fresh.functions);
     }
 
     #[test]

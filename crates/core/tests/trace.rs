@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 use refminer_json::Value;
 
@@ -30,13 +30,13 @@ fn write_corpus_tree(tag: &str) -> PathBuf {
 }
 
 /// Runs an audit with `--trace` and any `extra` arguments, returning
-/// (stdout, parsed log lines).
+/// (the process output, parsed log lines).
 fn traced_run(
     dir: &Path,
     trace_path: &Path,
     cache_dir: Option<&Path>,
     extra: &[&str],
-) -> (Vec<u8>, Vec<Value>) {
+) -> (Output, Vec<Value>) {
     let mut cmd = refminer();
     cmd.arg("--json").arg("--trace").arg(trace_path).args(extra);
     if let Some(cache) = cache_dir {
@@ -48,7 +48,7 @@ fn traced_run(
         .lines()
         .map(|l| Value::parse(l).unwrap_or_else(|e| panic!("bad trace line {l:?}: {e:?}")))
         .collect();
-    (out.stdout, lines)
+    (out, lines)
 }
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
@@ -60,7 +60,13 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
     let dir = write_corpus_tree("stages");
     let trace_path = dir.join("trace.jsonl");
     let cache_dir = dir.join(".refminer-cache");
-    let (_, lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
+    let (out, lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a traced audit of a tree with findings exits 1\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Line 0 is the meta record and its counts match the body.
     let meta = &lines[0];
@@ -233,15 +239,24 @@ fn tracing_never_changes_findings() {
 
     let plain = refminer().arg("--json").arg(&dir).output().expect("run");
     let (traced, _) = traced_run(&dir, &trace_path, None, &[]);
-    assert_eq!(plain.stdout, traced, "--trace changed the findings bytes");
+    assert_eq!(
+        plain.stdout, traced.stdout,
+        "--trace changed the findings bytes"
+    );
 
     // Same under parallelism and a warm cache: the trace observes the
     // run, it never steers it.
     let cache_dir = dir.join(".refminer-cache");
     let (cold, _) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
     let (warm, warm_lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
-    assert_eq!(plain.stdout, cold, "cold cached trace changed the bytes");
-    assert_eq!(plain.stdout, warm, "warm cached trace changed the bytes");
+    assert_eq!(
+        plain.stdout, cold.stdout,
+        "cold cached trace changed the bytes"
+    );
+    assert_eq!(
+        plain.stdout, warm.stdout,
+        "warm cached trace changed the bytes"
+    );
 
     // The warm run's counters flip from misses to hits — proof the
     // trace reflects the work actually performed.

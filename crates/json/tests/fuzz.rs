@@ -1,7 +1,7 @@
 //! Seeded fuzz regression tests for the JSON parser and writer.
 //!
 //! The parser runs on input-derived text everywhere in the pipeline —
-//! persisted caches, ground-truth manifests, benchmark reports — so a
+//! ground-truth manifests, daemon requests and responses — so a
 //! reachable panic here is a crash a corrupt file can trigger at will.
 //! These tests drive the parser with deterministic (ChaCha8-seeded)
 //! garbage, mutated valid documents, and generated values, asserting it

@@ -397,7 +397,7 @@ pub struct SlowUnit {
     pub dur_us: u64,
 }
 
-/// A digest of one run's trace, for `--stats` and benchmark reports.
+/// A digest of one run's trace, for `--stats`.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Wall-clock extent of the whole log in microseconds (last span
@@ -414,14 +414,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Total microseconds recorded for one stage, 0 when absent.
-    pub fn stage_total_us(&self, stage: &str) -> u64 {
-        self.stages
-            .iter()
-            .find(|s| s.stage == stage)
-            .map_or(0, |s| s.total_us)
-    }
-
     /// Renders the human-readable `--stats` block.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -657,8 +649,8 @@ mod tests {
         assert_eq!(parse.buckets[9], 1);
         assert_eq!(sum.slowest.len(), 1);
         assert_eq!(sum.slowest[0].unit, "b.c");
-        assert_eq!(sum.stage_total_us("audit"), 1000);
-        assert_eq!(sum.stage_total_us("missing"), 0);
+        let audit = sum.stages.iter().find(|s| s.stage == "audit").unwrap();
+        assert_eq!(audit.total_us, 1000);
         let text = sum.render_text();
         assert!(text.contains("parse.unit"));
         assert!(text.contains("slowest units"));

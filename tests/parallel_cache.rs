@@ -3,12 +3,18 @@
 //!
 //! The contract under test: (1) the `--json` report is byte-identical
 //! at any job count, (2) a warm cached run reproduces the cold run's
-//! findings exactly — in memory and across a disk round trip — and
-//! (3) editing one file invalidates exactly that unit's cache entries.
+//! findings exactly — in memory and across a disk round trip — and an
+//! in-memory one is at least 5× faster, and (3) editing one file
+//! invalidates exactly that unit's cache entries.
+
+use std::time::{Duration, Instant};
 
 use refminer::corpus::{generate_tree, next_revision, SyntheticTree, TreeConfig};
 use refminer::{audit, audit_with_cache, AuditCache, AuditConfig, AuditReport, Project};
 use refminer_json::ToJson;
+
+/// How much faster a warm in-memory audit must be than a cold one.
+const MIN_WARM_SPEEDUP: f64 = 5.0;
 
 fn small_tree() -> SyntheticTree {
     generate_tree(&TreeConfig {
@@ -23,6 +29,21 @@ fn config(jobs: usize, discover: bool) -> AuditConfig {
         discover_apis: discover,
         ..Default::default()
     }
+}
+
+/// Best wall time of three runs of `run`, each result dropped after
+/// its clock stops.
+fn best_of_three<T>(mut run: impl FnMut() -> T) -> Duration {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let out = run();
+            let elapsed = start.elapsed();
+            drop(out);
+            elapsed
+        })
+        .min()
+        .expect("three runs")
 }
 
 /// The exact bytes `refminer --json` prints for a report.
@@ -93,6 +114,17 @@ fn warm_in_memory_run_reproduces_cold_findings() {
     assert_eq!(warm.cache.check_misses, 0, "warm run must not re-check");
     assert_eq!(warm.cache.parse_hits, tree.files.len());
     assert_eq!(warm.cache.discovery_hits, 1);
+
+    let cold_time = best_of_three(|| {
+        let mut fresh = AuditCache::new();
+        (audit_with_cache(&project, &cfg, &mut fresh), fresh)
+    });
+    let warm_time = best_of_three(|| audit_with_cache(&project, &cfg, &mut cache));
+    let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
+    assert!(
+        speedup >= MIN_WARM_SPEEDUP,
+        "warm audit only {speedup:.1}x faster than cold ({cold_time:?} vs {warm_time:?})"
+    );
 }
 
 #[test]

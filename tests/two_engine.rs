@@ -6,9 +6,11 @@
 //! found by at least one engine, (2) the delta engine *alone* has
 //! nonzero recall on the leak-family anti-patterns, (3) `Corroborated`
 //! findings — flagged independently by both engines — have zero false
-//! positives even on the trap corpus built to bait the checkers,
-//! (4) the `--json` report stays byte-identical across job counts,
-//! cache temperature, and scheduling mode with both engines on, and
+//! positives even on the trap corpus built to bait the checkers, and
+//! the combined F1 there is no worse than the template engine's alone
+//! and stays at or above a committed floor, (4) the `--json` report
+//! stays byte-identical across job counts, cache temperature, and
+//! scheduling mode with both engines on, and
 //! (5) the feasibility flag applies uniformly to both engines and
 //! never keys the cache.
 
@@ -16,9 +18,14 @@ use refminer::checkers::Feasibility;
 use refminer::corpus::{generate_tree, SyntheticTree, TreeConfig};
 use refminer::dataset::triage;
 use refminer::{
-    audit, audit_with_cache, AuditCache, AuditConfig, AuditReport, Confidence, EngineSet, Project,
+    audit, audit_with_cache, evaluate, AuditCache, AuditConfig, AuditReport, Confidence, EngineSet,
+    Project,
 };
 use refminer_json::ToJson;
+
+/// Committed floor for the combined two-engine F1 on the trap corpus.
+/// Update deliberately, never to paper over a regression.
+const EVAL_F1_FLOOR: f64 = 0.99;
 
 fn small_tree() -> SyntheticTree {
     generate_tree(&TreeConfig {
@@ -143,6 +150,22 @@ fn corroborated_findings_have_zero_false_positives_on_the_trap_corpus() {
         }
     }
     assert!(corroborated > 0, "cross-validation never corroborated");
+
+    // The delta engine must pay for its recall without costing
+    // precision.
+    let template_only = audit(&project, &config(EngineSet::template_only()));
+    let combined_f1 = evaluate(&report.findings, &tree.manifest).totals.f1();
+    let template_f1 = evaluate(&template_only.findings, &tree.manifest)
+        .totals
+        .f1();
+    assert!(
+        combined_f1 >= template_f1,
+        "combined two-engine F1 {combined_f1:.4} below template-only {template_f1:.4}"
+    );
+    assert!(
+        combined_f1 >= EVAL_F1_FLOOR,
+        "combined F1 {combined_f1:.4} below the committed floor {EVAL_F1_FLOOR}"
+    );
 }
 
 // ----------------------------------------------------------------------
