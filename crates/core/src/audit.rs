@@ -1,18 +1,20 @@
 //! The end-to-end two-phase whole-program audit.
 //!
-//! **Phase 1** fans out the parse per unit. Parsing also captures each
-//! unit's discovery facts, so the knowledge-base merge happens right at
-//! the parse barrier — before any export exists.
+//! **Phase 1** is one per-unit pass: each unit is lexed and parsed, its
+//! discovery facts are captured, and its function graphs are built to
+//! read off its function-effect digest
+//! ([`refminer_checkers::UnitExports`]). None of that depends on any
+//! other unit, so it all fans out before the barrier.
 //!
-//! **Phase 2** exports each unit's function-effect digest
-//! ([`refminer_checkers::UnitExports`]), merges the digests into the
-//! [`ProgramDb`] — the function-summary database every checker
-//! resolves helper calls through, under linkage rules (`static`
-//! helpers stay unit-local; external definitions resolve tree-wide) —
-//! and checks each unit against it, so an `of_node_put` wrapper
-//! defined in `a.c` pairs an acquisition in `b.c`. The three stages
-//! run as a barrier pipeline: export, merge, check, each waiting out
-//! the one before.
+//! **The barrier** merges the discovery facts into the knowledge base
+//! and the digests into the [`ProgramDb`] — the function-summary
+//! database every checker resolves helper calls through, under linkage
+//! rules (`static` helpers stay unit-local; external definitions
+//! resolve tree-wide).
+//!
+//! **Phase 2** checks each unit against the merged database, so an
+//! `of_node_put` wrapper defined in `a.c` pairs an acquisition in
+//! `b.c`.
 //!
 //! Every translation unit runs inside a *fault boundary*: resource caps
 //! (file bytes, token count, recursion depth, graph nodes) bound what a
@@ -22,7 +24,7 @@
 //! degrade its own results; it cannot take down the run or perturb the
 //! findings of its healthy siblings.
 //!
-//! Both phases memoize through the four-layer content-hash cache (see
+//! Both phases memoize through the three-layer content-hash cache (see
 //! [`crate::cache`]) and fan out across worker threads (see
 //! [`crate::parallel`]). Both are exact optimizations: the report —
 //! findings, counters, diagnostics — is byte-identical at any `jobs`
@@ -49,9 +51,8 @@ use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, Un
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    check_config_fingerprint, content_hash, discovery_config_fingerprint,
-    export_config_fingerprint, fnv1a, kb_fingerprint, mix, parse_config_fingerprint, AuditCache,
-    CacheStats, CachedError, CheckedUnit, ParsedUnit,
+    check_config_fingerprint, content_hash, discovery_config_fingerprint, fnv1a, kb_fingerprint,
+    mix, parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::parallel::run_indexed;
@@ -121,7 +122,8 @@ pub struct AuditConfig {
     /// Restrict checking to units under this path prefix
     /// (`--subsystem drivers/net`). `None` checks everything. Filtered
     /// units still parse and export — exports are whole-tree — but skip
-    /// the check stage.
+    /// the check stage. It does not key the check layer: a checked
+    /// unit's findings are the same with or without it.
     pub subsystem: Option<String>,
 }
 
@@ -290,12 +292,12 @@ pub struct AuditReport {
     /// Cache hit/miss counters for this run (all zeros for the plain
     /// [`audit`] entry point, which starts from an empty cache).
     pub cache: CacheStats,
-    /// Wall-clock seconds of phase 1: the parse fan-out plus the
+    /// Wall-clock seconds of phase 1: the parse+export fan-out plus the
     /// knowledge-base merge. Timing only — it never influences
     /// findings, keys or any serialized result.
     pub phase1_secs: f64,
-    /// Wall-clock seconds of phase 2: the export fan-out, the
-    /// [`ProgramDb`] merge and the check fan-out.
+    /// Wall-clock seconds of phase 2: the [`ProgramDb`] merge plus the
+    /// check fan-out.
     pub phase2_secs: f64,
 }
 
@@ -403,11 +405,23 @@ impl UnitState {
     }
 }
 
-/// The parse stage for one unit: byte-cap check, `#define` scan, the
-/// limited parse, then the unit's discovery facts — all inside the
-/// unit's fault boundary. Discovery rides the parse layer so the
-/// knowledge base is ready before any export runs.
-fn parse_unit(unit: &SourceUnit, limits: &AuditLimits, parse_limits: &ParseLimits) -> ParsedUnit {
+/// The phase-1 pass for one unit. The byte-cap check, `#define` scan,
+/// limited parse and discovery facts run inside the unit's fault
+/// boundary; the graphs and the function-effect digest they yield run
+/// in a second boundary once the first has closed. Units that did not
+/// parse — and units whose extraction faults — get an empty digest
+/// under their own path (and no extra diagnostic), so unit indexing in
+/// the merged database never shifts.
+fn parse_unit(
+    unit: &SourceUnit,
+    limits: &AuditLimits,
+    parse_limits: &ParseLimits,
+    trace: &TraceHandle,
+) -> ParsedUnit {
+    let no_exports = || UnitExports {
+        path: unit.path.clone(),
+        fns: Vec::new(),
+    };
     if unit.text.len() > limits.max_file_bytes {
         return ParsedUnit {
             tu: None,
@@ -424,6 +438,7 @@ fn parse_unit(unit: &SourceUnit, limits: &AuditLimits, parse_limits: &ParseLimit
             // Skipped outright: contributes no lines to the totals.
             lines: 0,
             discovery: UnitDiscovery::default(),
+            exports: no_exports(),
         };
     }
     let lines = unit.text.lines().count();
@@ -454,13 +469,29 @@ fn parse_unit(unit: &SourceUnit, limits: &AuditLimits, parse_limits: &ParseLimit
                     detail: format!("nesting exceeded depth {}", parse_limits.max_depth),
                 });
             }
+            let tu = out.unit;
+            let start = Instant::now();
+            let exported = fault_boundary(|| {
+                let (graphs, _capped, feas) =
+                    FunctionGraph::build_all_limited_timed(&tu, limits.max_graph_nodes);
+                let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+                (UnitExports::extract(&unit.path, &graphs, &globals), feas)
+            });
+            let exports = match exported {
+                Ok((exports, feas)) => {
+                    trace.record_span("feasibility", Some(&unit.path), start, feas);
+                    exports
+                }
+                Err(_) => no_exports(),
+            };
             ParsedUnit {
-                tu: Some(out.unit),
+                tu: Some(tu),
                 parsed_ok: true,
                 defines,
                 errors,
                 lines,
                 discovery,
+                exports,
             }
         }
         Err(msg) => ParsedUnit {
@@ -473,55 +504,8 @@ fn parse_unit(unit: &SourceUnit, limits: &AuditLimits, parse_limits: &ParseLimit
             }],
             lines,
             discovery: UnitDiscovery::default(),
+            exports: no_exports(),
         },
-    }
-}
-
-/// The export stage for one unit: build graphs and read off the
-/// function-effect digest, all inside the unit's fault boundary. Units
-/// that did not parse — and units whose extraction faults — contribute
-/// an empty digest under their own path, so unit indexing in the
-/// merged database never shifts.
-fn export_one(
-    unit: &SourceUnit,
-    parsed: &ParsedUnit,
-    limits: &AuditLimits,
-    parse_limits: &ParseLimits,
-    trace: &TraceHandle,
-) -> UnitExports {
-    let empty = || UnitExports {
-        path: unit.path.clone(),
-        fns: Vec::new(),
-    };
-    if !parsed.parsed_ok {
-        return empty();
-    }
-    let rehydrated;
-    let tu: &TranslationUnit = match parsed.tu.as_ref() {
-        Some(tu) => tu,
-        None => {
-            match fault_boundary(|| parse_str_limited(&unit.path, &unit.text, parse_limits).unit) {
-                Ok(tu) => {
-                    rehydrated = tu;
-                    &rehydrated
-                }
-                Err(_) => return empty(),
-            }
-        }
-    };
-    let start = Instant::now();
-    let exported = fault_boundary(|| {
-        let (graphs, _capped, feas) =
-            FunctionGraph::build_all_limited_timed(tu, limits.max_graph_nodes);
-        let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
-        (UnitExports::extract(&unit.path, &graphs, &globals), feas)
-    });
-    match exported {
-        Ok((out, feas)) => {
-            trace.record_span("feasibility", Some(&unit.path), start, feas);
-            out
-        }
-        Err(_) => empty(),
     }
 }
 
@@ -661,7 +645,7 @@ pub fn audit_with_cache(
 /// Tracing is strictly observational: the report (findings, counters,
 /// diagnostics) is byte-identical whether the handle records or is
 /// disabled, at any `jobs` count and any cache temperature. Every
-/// pipeline stage opens a span (`hash`, `parse`, `export`, `merge.kb`,
+/// pipeline stage opens a span (`hash`, `parse`, `merge.kb`,
 /// `merge.progdb`, `check`, `report`), per-unit work opens
 /// `{stage}.unit` spans, the feasibility fixpoint's share of graph
 /// construction lands in `feasibility` spans, and cache traffic,
@@ -734,7 +718,7 @@ pub fn audit_cancellable(
         .collect();
 
     // Per-unit cache keys: path and content hash mixed with the
-    // parse-stage configuration. The path is part of the key because it
+    // phase-1 configuration. The path is part of the key because it
     // is part of every cached *value* — diagnostics, export linkage
     // scoping, and finding locations all embed it — so two files with
     // identical bytes at different paths must not share an entry (at
@@ -763,13 +747,14 @@ pub fn audit_cancellable(
     }
 
     // ------------------------------------------------------------------
-    // Phase 1: per-unit parse fan-out, then the knowledge-base merge.
+    // Phase 1: the per-unit pass (parse, discovery facts, graphs,
+    // exports), then the knowledge-base merge.
     // ------------------------------------------------------------------
     let phase1_start = std::time::Instant::now();
 
-    // Parse: lex + parse + discovery, work-stealing across workers,
-    // each unit inside its own fault boundary. Disk-loaded entries (no
-    // retained AST) are full hits — later stages rehydrate their own
+    // Work-stealing across workers, each unit inside its own fault
+    // boundaries. Disk-loaded entries (no retained AST) are full hits —
+    // they carry their exports, and the check stage rehydrates its own
     // unit on demand.
     let parse_span = trace.span("parse");
     let mut parsed: Vec<Option<Arc<ParsedUnit>>> = (0..n).map(|_| None).collect();
@@ -785,7 +770,7 @@ pub fn audit_cancellable(
             return cancelled_parse_placeholder();
         }
         let _unit_span = trace.unit_span("parse.unit", &units[i].path);
-        parse_unit(&units[i], limits, &parse_limits)
+        parse_unit(&units[i], limits, &parse_limits, trace)
     });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
@@ -796,11 +781,9 @@ pub fn audit_cancellable(
     drop(parse_span);
 
     // Barrier: merge per-unit discovery facts into the knowledge base.
-    // Discovery rides the parse layer, so the merged KB exists before
-    // any export runs. The merge folds cached digests — no AST is
-    // touched — and runs in its own fault boundary: if a degraded unit
-    // trips it, fall back to the builtin KB rather than losing the
-    // audit.
+    // The merge folds cached digests — no AST is touched — and runs in
+    // its own fault boundary: if a degraded unit trips it, fall back to
+    // the builtin KB rather than losing the audit.
     cancel.check()?;
     let merge_kb_span = trace.span("merge.kb");
     let kb: Arc<ApiKb> = if !config.discover_apis {
@@ -833,8 +816,7 @@ pub fn audit_cancellable(
     let phase1_secs = phase1_start.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------------
-    // Phase 2: export fan-out, program-database merge, check fan-out —
-    // each stage waiting out the previous one.
+    // Phase 2: program-database merge, then the check fan-out.
     // ------------------------------------------------------------------
     // Check keys fold the KB fingerprint — a changed KB (say, a newly
     // discovered API) re-checks everything, as any unit might call it —
@@ -847,50 +829,15 @@ pub fn audit_cancellable(
     let only_patterns = config.only_patterns.as_deref();
     let phase2_start = Instant::now();
 
-    // Export, probing the export layer first: it is keyed by `(unit
-    // key, export config)`, so editing one file re-exports exactly that
-    // file.
-    let export_span = trace.span("export");
-    let export_cfg = export_config_fingerprint(config);
-    let mut exported: Vec<Option<Arc<UnitExports>>> = (0..n).map(|_| None).collect();
-    let mut export_todo: Vec<usize> = Vec::new();
-    for i in 0..n {
-        match cache.export_get(mix(unit_keys[i], export_cfg)) {
-            Some(e) => exported[i] = Some(e),
-            None => export_todo.push(i),
-        }
-    }
-    let exported_new = run_indexed(&export_todo, config.jobs, trace, "export", |_, &i| {
-        if cancel.is_cancelled() {
-            return UnitExports {
-                path: units[i].path.clone(),
-                fns: Vec::new(),
-            };
-        }
-        let _unit_span = trace.unit_span("export.unit", &units[i].path);
-        export_one(
-            &units[i],
-            parsed[i].as_ref().unwrap(),
-            limits,
-            &parse_limits,
-            trace,
-        )
-    });
-    cancel.check()?;
-    for (&i, e) in export_todo.iter().zip(exported_new) {
-        exported[i] = Some(cache.export_put(mix(unit_keys[i], export_cfg), e));
-    }
-    drop(export_span);
-
     // Barrier: merge per-unit exports into the program database, in
     // unit index order. Checkers resolve helper effects through it
     // under linkage rules.
     let merge_db_span = trace.span("merge.progdb");
-    let export_refs: Vec<&UnitExports> = exported
+    let exports: Vec<&UnitExports> = parsed
         .iter()
-        .map(|e| e.as_ref().unwrap().as_ref())
+        .map(|p| &p.as_ref().unwrap().exports)
         .collect();
-    let program = ProgramDb::build(&export_refs, &kb, config.whole_program);
+    let program = ProgramDb::build(&exports, &kb, config.whole_program);
     drop(merge_db_span);
 
     // Check every unit that parsed and lies inside the subsystem
@@ -1010,8 +957,6 @@ pub fn audit_cancellable(
         for (name, value) in [
             ("cache.parse.hit", s.parse_hits),
             ("cache.parse.miss", s.parse_misses),
-            ("cache.export.hit", s.export_hits),
-            ("cache.export.miss", s.export_misses),
             ("cache.check.hit", s.check_hits),
             ("cache.check.miss", s.check_misses),
             ("cache.discovery.hit", s.discovery_hits),
@@ -1022,10 +967,8 @@ pub fn audit_cancellable(
         // Stale entries: leftovers from earlier trees/configs that no
         // key produced this run could ever address.
         let parse_keys: HashSet<u64> = unit_keys.iter().copied().collect();
-        let export_keys: HashSet<u64> = unit_keys.iter().map(|&k| mix(k, export_cfg)).collect();
-        let stale = cache.stale_counts(&parse_keys, &export_keys, &check_keys, tree_fp);
+        let stale = cache.stale_counts(&parse_keys, &check_keys, tree_fp);
         trace.add("cache.parse.stale", stale.parse as u64);
-        trace.add("cache.export.stale", stale.export as u64);
         trace.add("cache.check.stale", stale.check as u64);
         trace.add("cache.discovery.stale", stale.discovery as u64);
         // Limit trips, keyed by the diagnostic taxonomy.
@@ -1058,6 +1001,7 @@ fn cancelled_parse_placeholder() -> ParsedUnit {
         errors: Vec::new(),
         lines: 0,
         discovery: UnitDiscovery::default(),
+        exports: UnitExports::default(),
     }
 }
 
@@ -1133,11 +1077,12 @@ mod tests {
     #[test]
     fn dropping_asts_changes_nothing_but_memory() {
         // The cache file persists no ASTs, so a reopened cache serves
-        // parse hits without one. One graph node less misses every
-        // export and check entry while keeping the parse layer warm:
-        // export and check must re-parse each unit from its text and
-        // reproduce what a fresh in-memory audit finds. The cross-unit
-        // tree makes findings depend on the re-parsed exports too.
+        // parse hits without one. A check-layer-only change (the engine
+        // set) misses every check entry while keeping the parse layer
+        // warm: the check stage must re-parse each unit from its text
+        // and reproduce what a fresh in-memory audit finds. The
+        // cross-unit tree makes findings depend on the disk-loaded
+        // exports too.
         let tree = generate_tree(&TreeConfig {
             scale: 0.04,
             cross_unit: true,
@@ -1155,10 +1100,7 @@ mod tests {
         cache.save().expect("save the cache");
 
         let recheck_cfg = AuditConfig {
-            limits: AuditLimits {
-                max_graph_nodes: cfg.limits.max_graph_nodes - 1,
-                ..cfg.limits
-            },
+            engines: EngineSet::template_only(),
             ..cfg
         };
         let mut reopened = AuditCache::with_dir(&dir);
@@ -1168,7 +1110,6 @@ mod tests {
 
         let files = tree.files.len();
         assert_eq!(rehydrated.cache.parse_misses, 0, "parse layer went cold");
-        assert_eq!(rehydrated.cache.export_misses, files);
         assert_eq!(rehydrated.cache.check_misses, files);
         assert_eq!(rehydrated.findings, fresh.findings);
         assert_eq!(rehydrated.functions, fresh.functions);

@@ -394,13 +394,7 @@ fn main() -> ExitCode {
             c.hit_rate() * 100.0
         );
         eprintln!(
-            "summary cache: {} hit(s), {} miss(es), hit rate {:.0}%",
-            c.export_hits,
-            c.export_misses,
-            c.export_hit_rate() * 100.0
-        );
-        eprintln!(
-            "phases: {:.3}s parse, {:.3}s export+check",
+            "phases: {:.3}s parse+export+kb merge, {:.3}s progdb merge+check",
             report.phase1_secs, report.phase2_secs
         );
         if !d.is_clean() {

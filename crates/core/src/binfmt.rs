@@ -2,8 +2,8 @@
 //!
 //! `audit-cache.bin` is a length-prefixed container (framed in
 //! [`crate::cache`]); this module encodes and decodes the *per-entry
-//! payloads* — one [`ParsedUnit`], [`UnitExports`], [`CheckedUnit`] or
-//! [`ApiKb`] each. The design goals, in order:
+//! payloads* — one [`ParsedUnit`] (with its [`UnitExports`]),
+//! [`CheckedUnit`] or [`ApiKb`] each. The design goals, in order:
 //!
 //! - **Lazy**: every payload is self-contained, so the loader can index
 //!   `(key, offset, length)` without touching a single payload byte and
@@ -343,6 +343,30 @@ fn get_call_site(d: &mut Dec<'_>) -> Option<CallSite> {
     })
 }
 
+fn put_exports(out: &mut Vec<u8>, u: &UnitExports) {
+    put_str(out, &u.path);
+    put_vec(out, &u.fns, |o, f| {
+        put_str(o, &f.name);
+        put_bool(o, f.is_static);
+        put_vec(o, &f.calls, put_call_site);
+        put_vec(o, &f.stores, |o, s| put_u32(o, *s as u32));
+    });
+}
+
+fn get_exports(d: &mut Dec<'_>) -> Option<UnitExports> {
+    Some(UnitExports {
+        path: d.str()?,
+        fns: get_vec(d, |d| {
+            Some(FnExport {
+                name: d.str()?,
+                is_static: d.bool()?,
+                calls: get_vec(d, get_call_site)?,
+                stores: get_vec(d, |d| Some(d.u32()? as usize))?,
+            })
+        })?,
+    })
+}
+
 fn put_finding(out: &mut Vec<u8>, f: &Finding) {
     let pattern = AntiPattern::all()
         .iter()
@@ -442,6 +466,7 @@ pub(crate) fn encode_parsed(out: &mut Vec<u8>, p: &ParsedUnit) {
     put_vec(out, &p.errors, put_error);
     put_vec(out, &p.defines, put_macro);
     put_discovery(out, &p.discovery);
+    put_exports(out, &p.exports);
 }
 
 pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
@@ -453,34 +478,9 @@ pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
         errors: get_vec(&mut d, get_error)?,
         defines: get_vec(&mut d, get_macro)?,
         discovery: get_discovery(&mut d)?,
+        exports: get_exports(&mut d)?,
     };
     d.is_done().then_some(p)
-}
-
-pub(crate) fn encode_exports(out: &mut Vec<u8>, u: &UnitExports) {
-    put_str(out, &u.path);
-    put_vec(out, &u.fns, |o, f| {
-        put_str(o, &f.name);
-        put_bool(o, f.is_static);
-        put_vec(o, &f.calls, put_call_site);
-        put_vec(o, &f.stores, |o, s| put_u32(o, *s as u32));
-    });
-}
-
-pub(crate) fn decode_exports(bytes: &[u8]) -> Option<UnitExports> {
-    let mut d = Dec::new(bytes);
-    let u = UnitExports {
-        path: d.str()?,
-        fns: get_vec(&mut d, |d| {
-            Some(FnExport {
-                name: d.str()?,
-                is_static: d.bool()?,
-                calls: get_vec(d, get_call_site)?,
-                stores: get_vec(d, |d| Some(d.u32()? as usize))?,
-            })
-        })?,
-    };
-    d.is_done().then_some(u)
 }
 
 pub(crate) fn encode_checked(out: &mut Vec<u8>, c: &CheckedUnit) {
@@ -574,6 +574,18 @@ mod tests {
                     ),
                 ],
             },
+            exports: UnitExports {
+                path: "drivers/w/w.c".into(),
+                fns: vec![FnExport {
+                    name: "widget_release".into(),
+                    is_static: true,
+                    calls: vec![CallSite {
+                        callee: "widget_put".into(),
+                        args: vec![Some(0)],
+                    }],
+                    stores: Vec::new(),
+                }],
+            },
         };
         let mut bytes = Vec::new();
         encode_parsed(&mut bytes, &p);
@@ -584,6 +596,7 @@ mod tests {
         assert_eq!(back.errors, p.errors);
         assert_eq!(back.defines, p.defines);
         assert_eq!(back.discovery, p.discovery);
+        assert_eq!(back.exports, p.exports);
     }
 
     #[test]
@@ -601,8 +614,10 @@ mod tests {
             }],
         };
         let mut bytes = Vec::new();
-        encode_exports(&mut bytes, &u);
-        assert_eq!(decode_exports(&bytes), Some(u));
+        put_exports(&mut bytes, &u);
+        let mut d = Dec::new(&bytes);
+        assert_eq!(get_exports(&mut d), Some(u));
+        assert!(d.is_done());
     }
 
     #[test]

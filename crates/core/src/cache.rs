@@ -7,19 +7,17 @@
 //! the same findings — so results are memoizable by content hash alone;
 //! no timestamps, no filesystem metadata.
 //!
-//! Four layers, because the stages have different invalidation scopes:
+//! Three layers, because the stages have different invalidation scopes:
 //!
-//! - **Parse layer** — keyed by `(content hash, parse limits, seed-KB
-//!   fingerprint)`. Holds the unit's macro defines, line count,
+//! - **Parse layer** — keyed by `(content hash, parse limits, graph
+//!   cap, seed-KB fingerprint)`. Holds everything the phase-1 pass
+//!   derives from the unit's text alone: macro defines, line count,
 //!   parse-stage diagnostics, per-unit discovery facts
-//!   ([`UnitDiscovery`]), and (in memory) the parsed
-//!   [`TranslationUnit`] itself. Discovery lives here — not in the
-//!   export layer — so the cross-unit KB merge can run the moment
-//!   parsing ends, before any graphs are built.
-//! - **Export layer** — keyed by `(unit key, export config)`. Holds the
-//!   unit's function-effect exports ([`UnitExports`]), which are
-//!   whole-tree-independent, so editing one file re-exports exactly
-//!   that file.
+//!   ([`UnitDiscovery`]), the unit's function-effect exports
+//!   ([`UnitExports`]), and (in memory) the parsed [`TranslationUnit`]
+//!   itself. Editing one file re-parses and re-exports exactly that
+//!   file, and the cross-unit KB and `ProgramDb` merges can run the
+//!   moment the pass ends.
 //! - **Discovery layer** — keyed by a *tree fingerprint* folding every
 //!   unit's key, so touching any file re-runs the cross-unit discovery
 //!   *merge* (cheap — it folds cached per-unit facts, no ASTs). Holds
@@ -41,22 +39,22 @@
 //!
 //! ```text
 //! magic "RFMCACHE" · version u64 · checksum u64   (24-byte header)
-//! body: 4 sections (parse, export, check, discovery), each
+//! body: 3 sections (parse, check, discovery), each
 //!       count u64, then per entry: key u64 [+ kb u64 for check],
 //!       payload-length u64, payload bytes (see crate::binfmt)
 //! ```
 //!
-//! The checksum is FNV-1a over the body. Loading validates the header
-//! and walks the section *framing* only — payload bytes are indexed,
-//! not decoded — so a warm start costs one file map (the container is
-//! memory-mapped read-only where the platform allows, falling back to
-//! an owned read) plus O(entries) pointer arithmetic, and each entry
-//! deserializes lazily on first use
-//! ([`Slot`]). Saving copies still-undecoded payloads byte-for-byte
-//! from the loaded buffer, so a warm save doesn't re-encode what it
-//! never touched. Saves publish atomically (temp file + rename) and a
-//! corrupt file is quarantined, both through the `refminer-faultio`
-//! seams.
+//! The checksum is FNV-1a over the body. Loading reads the file into
+//! one owned buffer, validates the header and walks the section
+//! *framing* only — payload bytes are indexed, not decoded — so a warm
+//! start costs one read (which the checksum needs in full anyway) plus
+//! O(entries) pointer arithmetic, and each entry deserializes lazily on
+//! first use ([`Slot`]). The buffer is the process's own copy, so
+//! nothing written to the file after the load can reach a lookup.
+//! Saving copies still-undecoded payloads byte-for-byte from the loaded
+//! buffer, so a warm save doesn't re-encode what it never touched.
+//! Saves publish atomically (temp file + rename) and a corrupt file is
+//! quarantined, both through the `refminer-faultio` seams.
 //!
 //! Keys fold in every configuration input that can change the stage's
 //! output — resource limits, the nesting threshold, the checker-set
@@ -72,8 +70,6 @@ use std::sync::Arc;
 use refminer_checkers::{checker_set_fingerprint, Finding};
 use refminer_clex::MacroDef;
 use refminer_cparse::TranslationUnit;
-use refminer_faultio::FileBytes;
-use refminer_json::{obj, ToJson, Value};
 use refminer_progdb::UnitExports;
 use refminer_rcapi::{ApiKb, UnitDiscovery};
 
@@ -121,11 +117,13 @@ pub fn mix(h: u64, word: u64) -> u64 {
 /// layer so the KB merge needs no graphs).
 /// v3: parse entries no longer carry a symbol digest (defined
 /// functions, called names).
-const PARSE_VERSION: u64 = 3;
+/// v4: parse entries carry the unit's function-effect exports (the
+/// export layer folded into the phase-1 pass).
+const PARSE_VERSION: u64 = 4;
 
-/// Fingerprint of the parse-stage configuration. Folds the builtin
-/// seed KB because per-unit discovery (now computed at parse time)
-/// classifies against it.
+/// Fingerprint of the phase-1 configuration. Folds the builtin seed KB
+/// because per-unit discovery classifies against it, and the graph cap
+/// because the unit's exports are read off its built graphs.
 pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
     let l = &config.limits;
     let mut h = FNV_OFFSET;
@@ -133,21 +131,24 @@ pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
     h = mix(h, l.max_file_bytes as u64);
     h = mix(h, l.max_tokens as u64);
     h = mix(h, l.max_parse_depth as u64);
+    h = mix(h, l.max_graph_nodes as u64);
     h = mix(h, kb_fingerprint(&ApiKb::builtin()));
     h
 }
 
 /// Fingerprint of the check-stage configuration.
 ///
-/// `--only-pattern`, `--engines`, and `--subsystem` scope what the
-/// check stage produces, so all three key the layer — a filtered or
-/// template-only run never poisons (or reuses) full-run entries. The
-/// delta engine's own logic version is folded only when the engine is
-/// enabled, so template-only entries survive delta-engine changes.
-/// The `feasibility` suppression flag is deliberately absent: verdicts
-/// are always computed and cached with the findings, and suppression
-/// happens post-cache in the report layer, so both modes share the
-/// same entries.
+/// `--only-pattern` and `--engines` change a unit's findings, so both
+/// key the layer — a filtered or template-only run never poisons (or
+/// reuses) full-run entries. The delta engine's own logic version is
+/// folded only when the engine is enabled, so template-only entries
+/// survive delta-engine changes. Two flags are deliberately absent:
+/// `--subsystem` only decides *which* units are checked, never what a
+/// checked unit yields, so a narrowed run reuses full-run entries; and
+/// the `feasibility` suppression flag, because verdicts are always
+/// computed and cached with the findings and suppression happens
+/// post-cache in the report layer, so both modes share the same
+/// entries.
 pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
     let mut h = FNV_OFFSET;
     h = mix(h, config.limits.max_graph_nodes as u64);
@@ -167,29 +168,6 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
             }
         }
     }
-    match &config.subsystem {
-        None => h = mix(h, 0),
-        Some(s) => {
-            h = mix(h, 1);
-            h = mix(h, fnv1a(s.as_bytes()));
-        }
-    }
-    h
-}
-
-/// On-format version of the export layer; bump when the extraction
-/// logic changes what a [`UnitExports`] contains.
-/// v2: discovery facts moved to the parse layer; export entries are
-/// function-effect exports only.
-const EXPORT_VERSION: u64 = 2;
-
-/// Fingerprint of the export-stage (phase 1) configuration. Folds the
-/// graph cap because exports are read off built graphs.
-pub fn export_config_fingerprint(config: &AuditConfig) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = mix(h, EXPORT_VERSION);
-    h = mix(h, config.limits.max_graph_nodes as u64);
-    h = mix(h, kb_fingerprint(&ApiKb::builtin()));
     h
 }
 
@@ -225,7 +203,7 @@ pub struct CachedError {
     pub detail: String,
 }
 
-/// The parse stage's result for one unit.
+/// The phase-1 pass's result for one unit.
 #[derive(Debug, Clone)]
 pub struct ParsedUnit {
     /// The parsed AST. `None` when parsing failed (panic/oversize) —
@@ -245,6 +223,10 @@ pub struct ParsedUnit {
     pub lines: usize,
     /// Per-unit discovery facts for the cross-unit KB merge.
     pub discovery: UnitDiscovery,
+    /// The unit's function-effect digest for the `ProgramDb` merge.
+    /// Empty (under the unit's own path) when the unit did not parse
+    /// or extraction faulted.
+    pub exports: UnitExports,
 }
 
 /// The check stage's result for one unit.
@@ -273,9 +255,12 @@ pub struct CacheStats {
     pub discovery_hits: usize,
     /// Cross-unit discovery passes executed this run (0 or 1).
     pub discovery_misses: usize,
-    /// Units whose phase-1 summary exports were served from cache.
+    /// Units whose summary exports were served from cache. Exports
+    /// ride the parse entry, so this always equals
+    /// [`CacheStats::parse_hits`].
     pub export_hits: usize,
-    /// Units whose summary exports were extracted this run.
+    /// Units whose summary exports were extracted this run; always
+    /// equals [`CacheStats::parse_misses`].
     pub export_misses: usize,
 }
 
@@ -290,35 +275,6 @@ impl CacheStats {
             hits as f64 / total as f64
         }
     }
-
-    /// Fraction of summary-export lookups served from cache, in
-    /// `[0, 1]`. Kept separate from [`CacheStats::hit_rate`] so the
-    /// historical parse+check rate is comparable across versions.
-    pub fn export_hit_rate(&self) -> f64 {
-        let total = self.export_hits + self.export_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.export_hits as f64 / total as f64
-        }
-    }
-}
-
-impl ToJson for CacheStats {
-    fn to_json(&self) -> Value {
-        obj([
-            ("parse_hits", self.parse_hits.to_json()),
-            ("parse_misses", self.parse_misses.to_json()),
-            ("check_hits", self.check_hits.to_json()),
-            ("check_misses", self.check_misses.to_json()),
-            ("discovery_hits", self.discovery_hits.to_json()),
-            ("discovery_misses", self.discovery_misses.to_json()),
-            ("export_hits", self.export_hits.to_json()),
-            ("export_misses", self.export_misses.to_json()),
-            ("hit_rate", self.hit_rate().to_json()),
-            ("export_hit_rate", self.export_hit_rate().to_json()),
-        ])
-    }
 }
 
 /// Per-layer counts of cache entries the current run cannot address
@@ -327,8 +283,6 @@ impl ToJson for CacheStats {
 pub struct CacheStaleCounts {
     /// Parse-layer entries keyed by content no current unit has.
     pub parse: usize,
-    /// Export-layer entries keyed by content no current unit has.
-    pub export: usize,
     /// Check-layer entries whose `(unit, deps)` key no current unit
     /// resolves to — superseded by edits to the unit or its helpers.
     pub check: usize,
@@ -355,7 +309,7 @@ enum Slot<T> {
 /// answer.
 fn slot_get<K: Eq + std::hash::Hash + Copy, T>(
     map: &mut HashMap<K, Slot<T>>,
-    raw: &Option<Arc<FileBytes>>,
+    raw: &Option<Vec<u8>>,
     key: K,
     decode: impl Fn(&[u8]) -> Option<T>,
 ) -> Option<Arc<T>> {
@@ -399,18 +353,15 @@ pub enum CacheLoadOutcome {
     ReadFailed(String),
 }
 
-/// The four-layer audit cache. See the module docs for the layering
+/// The three-layer audit cache. See the module docs for the layering
 /// and invalidation rules.
 #[derive(Debug, Default)]
 pub struct AuditCache {
     parse: HashMap<u64, Slot<ParsedUnit>>,
-    export: HashMap<u64, Slot<UnitExports>>,
     check: HashMap<(u64, u64), Slot<CheckedUnit>>,
     discovery: HashMap<u64, Slot<ApiKb>>,
-    /// The loaded cache file, backing every `Slot::Disk` byte range —
-    /// a read-only memory mapping when the platform supports it, an
-    /// owned buffer otherwise (and always for [`AuditCache::load_bytes`]).
-    raw: Option<Arc<FileBytes>>,
+    /// The loaded cache file, backing every `Slot::Disk` byte range.
+    raw: Option<Vec<u8>>,
     /// Counters for the current (or most recent) audit run; reset by
     /// each `audit_with_cache` call.
     pub stats: CacheStats,
@@ -434,7 +385,8 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// empty engine lists and mislabel confidence.
 /// v6: parse entries drop the symbol digest, and the KB fingerprint
 /// in every check key hashes the binary KB encoding.
-const CACHE_VERSION: u64 = 6;
+/// v7: the export section is gone; parse entries carry the exports.
+const CACHE_VERSION: u64 = 7;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -460,9 +412,9 @@ impl AuditCache {
         let dir = dir.into();
         let mut cache = AuditCache::new();
         let file = dir.join(CACHE_FILE);
-        match refminer_faultio::read_mapped(&file) {
+        match refminer_faultio::read(&file) {
             Ok(bytes) => {
-                if cache.load_filebytes(bytes) {
+                if cache.load_bytes(bytes) {
                     cache.load_outcome = CacheLoadOutcome::Loaded;
                 } else {
                     // Corrupt: quarantine it so the broken generation is
@@ -496,7 +448,6 @@ impl AuditCache {
     /// malformed prefix half-loaded).
     fn clear_layers(&mut self) {
         self.parse.clear();
-        self.export.clear();
         self.check.clear();
         self.discovery.clear();
         self.raw = None;
@@ -507,37 +458,23 @@ impl AuditCache {
         self.stats = CacheStats::default();
     }
 
-    /// Parse-layer lookup; counts a hit.
+    /// Parse-layer lookup; counts a hit (for the exports too).
     pub(crate) fn parse_get(&mut self, key: u64) -> Option<Arc<ParsedUnit>> {
         let hit = slot_get(&mut self.parse, &self.raw, key, binfmt::decode_parsed);
         if hit.is_some() {
             self.stats.parse_hits += 1;
-        }
-        hit
-    }
-
-    /// Parse-layer insert; counts the miss that required it.
-    pub(crate) fn parse_put(&mut self, key: u64, unit: ParsedUnit) -> Arc<ParsedUnit> {
-        self.stats.parse_misses += 1;
-        let arc = Arc::new(unit);
-        self.parse.insert(key, Slot::Mem(arc.clone()));
-        arc
-    }
-
-    /// Export-layer lookup; counts a hit.
-    pub(crate) fn export_get(&mut self, key: u64) -> Option<Arc<UnitExports>> {
-        let hit = slot_get(&mut self.export, &self.raw, key, binfmt::decode_exports);
-        if hit.is_some() {
             self.stats.export_hits += 1;
         }
         hit
     }
 
-    /// Export-layer insert; counts the miss that required it.
-    pub(crate) fn export_put(&mut self, key: u64, unit: UnitExports) -> Arc<UnitExports> {
+    /// Parse-layer insert; counts the miss that required it (for the
+    /// exports too).
+    pub(crate) fn parse_put(&mut self, key: u64, unit: ParsedUnit) -> Arc<ParsedUnit> {
+        self.stats.parse_misses += 1;
         self.stats.export_misses += 1;
         let arc = Arc::new(unit);
-        self.export.insert(key, Slot::Mem(arc.clone()));
+        self.parse.insert(key, Slot::Mem(arc.clone()));
         arc
     }
 
@@ -585,22 +522,14 @@ impl AuditCache {
         arc
     }
 
-    /// Entries per layer: `(parse, export, check, discovery)`.
-    pub fn len(&self) -> (usize, usize, usize, usize) {
-        (
-            self.parse.len(),
-            self.export.len(),
-            self.check.len(),
-            self.discovery.len(),
-        )
+    /// Entries per layer: `(parse, check, discovery)`.
+    pub fn len(&self) -> (usize, usize, usize) {
+        (self.parse.len(), self.check.len(), self.discovery.len())
     }
 
     /// Whether all layers are empty.
     pub fn is_empty(&self) -> bool {
-        self.parse.is_empty()
-            && self.export.is_empty()
-            && self.check.is_empty()
-            && self.discovery.is_empty()
+        self.parse.is_empty() && self.check.is_empty() && self.discovery.is_empty()
     }
 
     /// Counts entries that this run could never address — leftovers
@@ -611,7 +540,6 @@ impl AuditCache {
     pub fn stale_counts(
         &self,
         parse_keys: &HashSet<u64>,
-        export_keys: &HashSet<u64>,
         check_keys: &HashSet<(u64, u64)>,
         tree_fp: u64,
     ) -> CacheStaleCounts {
@@ -620,11 +548,6 @@ impl AuditCache {
                 .parse
                 .keys()
                 .filter(|k| !parse_keys.contains(k))
-                .count(),
-            export: self
-                .export
-                .keys()
-                .filter(|k| !export_keys.contains(k))
                 .count(),
             check: self
                 .check
@@ -652,15 +575,6 @@ impl AuditCache {
         for (k, slot) in parse {
             binfmt::put_u64(&mut body, k);
             self.put_payload(&mut body, slot, binfmt::encode_parsed);
-        }
-
-        let mut export: Vec<(u64, &Slot<UnitExports>)> =
-            self.export.iter().map(|(k, v)| (*k, v)).collect();
-        export.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, export.len() as u64);
-        for (k, slot) in export {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_exports);
         }
 
         let mut check: Vec<(&(u64, u64), &Slot<CheckedUnit>)> = self.check.iter().collect();
@@ -713,22 +627,13 @@ impl AuditCache {
         }
     }
 
-    /// Validates a cache file held in an owned buffer and indexes its
-    /// entries as lazy disk slots. The test-facing entry point for
-    /// corruption scenarios (bit flips, truncation); the production
-    /// load path is [`AuditCache::with_dir`], which memory-maps the
-    /// file and feeds it through [`AuditCache::load_filebytes`].
-    pub fn load_bytes(&mut self, bytes: Vec<u8>) -> bool {
-        self.load_filebytes(FileBytes::Owned(bytes))
-    }
-
     /// Validates a cache file and indexes its entries as lazy disk
     /// slots — payloads are *not* decoded here. Returns `false` (caller
     /// quarantines) on a bad magic, a version mismatch, a checksum
-    /// mismatch, or malformed framing. The backing bytes may be a
-    /// memory mapping; validation (including the full-body checksum)
-    /// runs against exactly the bytes later lookups will decode from.
-    fn load_filebytes(&mut self, bytes: FileBytes) -> bool {
+    /// mismatch, or malformed framing. [`AuditCache::with_dir`] loads
+    /// through here; tests feed corrupt buffers (bit flips, truncation)
+    /// straight in.
+    pub fn load_bytes(&mut self, bytes: Vec<u8>) -> bool {
         if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
             return false;
         }
@@ -744,7 +649,6 @@ impl AuditCache {
         // Walk the framing, recording byte ranges. Any structural
         // violation rejects the whole file.
         let mut parse = Vec::new();
-        let mut export = Vec::new();
         let mut check = Vec::new();
         let mut disc = Vec::new();
         let ok = (|| {
@@ -756,13 +660,6 @@ impl AuditCache {
                 let off = d.pos();
                 d.skip(len)?;
                 parse.push((key, off, len));
-            }
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                export.push((key, off, len));
             }
             for _ in 0..d.u64()? {
                 let uk = d.u64()?;
@@ -789,16 +686,13 @@ impl AuditCache {
         for (k, off, len) in parse {
             self.parse.insert(k, Slot::Disk { off, len });
         }
-        for (k, off, len) in export {
-            self.export.insert(k, Slot::Disk { off, len });
-        }
         for (k, off, len) in check {
             self.check.insert(k, Slot::Disk { off, len });
         }
         for (k, off, len) in disc {
             self.discovery.insert(k, Slot::Disk { off, len });
         }
-        self.raw = Some(Arc::new(bytes));
+        self.raw = Some(bytes);
         true
     }
 
@@ -857,6 +751,7 @@ mod tests {
             errors: Vec::new(),
             lines,
             discovery: UnitDiscovery::default(),
+            exports: UnitExports::default(),
         }
     }
 
@@ -974,22 +869,19 @@ mod tests {
             body: "for (w = w_first(); w; w = w_next(w))".into(),
             line: 3,
         });
-        cache.parse_put(5, p);
-        cache.export_put(
-            13,
-            UnitExports {
-                path: "drivers/a/a.c".into(),
-                fns: vec![FnExport {
-                    name: "helper_put".into(),
-                    is_static: false,
-                    calls: vec![CallSite {
-                        callee: "of_node_put".into(),
-                        args: vec![Some(0), None],
-                    }],
-                    stores: vec![1],
+        p.exports = UnitExports {
+            path: "drivers/a/a.c".into(),
+            fns: vec![FnExport {
+                name: "helper_put".into(),
+                is_static: false,
+                calls: vec![CallSite {
+                    callee: "of_node_put".into(),
+                    args: vec![Some(0), None],
                 }],
-            },
-        );
+                stores: vec![1],
+            }],
+        };
+        cache.parse_put(5, p);
         cache.save().expect("save");
 
         let mut reloaded = AuditCache::with_dir(&dir);
@@ -1006,27 +898,37 @@ mod tests {
         assert_eq!(p.discovery.apis[0].name, "widget_put");
         assert_eq!(p.defines[0].name, "for_each_w");
         assert_eq!(p.defines[0].params, Some(vec!["w".to_string()]));
-        let e = reloaded.export_get(13).expect("export entry");
-        assert_eq!(e.fns[0].calls[0].callee, "of_node_put");
+        assert_eq!(p.exports.path, "drivers/a/a.c");
+        assert_eq!(p.exports.fns[0].calls[0].callee, "of_node_put");
         assert_eq!(reloaded.stats.check_hits, 1);
         assert_eq!(reloaded.stats.parse_hits, 1);
-        assert_eq!(reloaded.stats.export_hits, 1);
-        assert!(reloaded.export_get(14).is_none());
-        assert_eq!(reloaded.stats.export_misses, 0, "a miss is counted on put");
+        assert_eq!(reloaded.stats.export_hits, 1, "exports ride the parse hit");
+        assert!(reloaded.parse_get(6).is_none());
+        assert_eq!(reloaded.stats.parse_misses, 0, "a miss is counted on put");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn export_config_fingerprint_differs_from_check() {
+    fn graph_cap_keys_the_parse_layer() {
+        // Exports ride the parse entry and are read off graphs built
+        // under the cap, so the cap must key the parse layer.
         let config = AuditConfig::default();
+        let smaller_cap = AuditConfig {
+            limits: crate::AuditLimits {
+                max_graph_nodes: config.limits.max_graph_nodes - 1,
+                ..config.limits
+            },
+            ..AuditConfig::default()
+        };
         assert_ne!(
-            export_config_fingerprint(&config),
-            check_config_fingerprint(&config)
+            parse_config_fingerprint(&config),
+            parse_config_fingerprint(&smaller_cap),
+            "max_graph_nodes must key the parse layer"
         );
         assert_ne!(
-            export_config_fingerprint(&config),
-            parse_config_fingerprint(&config)
+            parse_config_fingerprint(&config),
+            check_config_fingerprint(&config)
         );
         let single_unit = AuditConfig {
             whole_program: false,
@@ -1053,7 +955,7 @@ mod tests {
 
         let mut lazy = AuditCache::new();
         assert!(lazy.load_bytes(bytes.clone()));
-        assert_eq!(lazy.len(), (2, 0, 1, 1));
+        assert_eq!(lazy.len(), (2, 1, 1));
         assert_eq!(lazy.to_bytes(), bytes, "undecoded resave is a byte copy");
 
         lazy.parse_get(1);
@@ -1145,12 +1047,9 @@ mod tests {
                         detail: format!("detail {}", next()),
                     });
                 }
-                cache.parse_put(next(), p);
-            }
-            for _ in 0..(next() % 4) {
-                let mut fns = Vec::new();
+                p.exports.path = format!("p{}.c", next() % 9);
                 for f in 0..(next() % 3) {
-                    fns.push(FnExport {
+                    p.exports.fns.push(FnExport {
                         name: format!("exp_{f}"),
                         is_static: next() % 2 == 0,
                         calls: vec![CallSite {
@@ -1160,13 +1059,7 @@ mod tests {
                         stores: vec![(next() % 3) as usize],
                     });
                 }
-                cache.export_put(
-                    next(),
-                    UnitExports {
-                        path: format!("p{}.c", next() % 9),
-                        fns,
-                    },
-                );
+                cache.parse_put(next(), p);
             }
             for _ in 0..(next() % 4) {
                 let mut findings = Vec::new();
@@ -1274,6 +1167,31 @@ mod tests {
     }
 
     #[test]
+    fn loaded_entries_ignore_later_writes_to_the_file() {
+        // The loader owns its copy of the file. Overwriting the file in
+        // place (same inode, same length) after the load must not
+        // change what a still-undecoded slot decodes to.
+        let dir = test_dir("in_place_overwrite");
+        let mut cache = AuditCache::with_dir(&dir);
+        cache.parse_put(1, parsed(10));
+        cache.save().unwrap();
+
+        let mut reopened = AuditCache::with_dir(&dir);
+        assert_eq!(reopened.load_outcome(), &CacheLoadOutcome::Loaded);
+
+        let mut other = AuditCache::new();
+        other.parse_put(1, parsed(20));
+        let live = dir.join(CACHE_FILE);
+        let other_bytes = other.to_bytes();
+        assert_eq!(other_bytes.len(), std::fs::read(&live).unwrap().len());
+        std::fs::write(&live, &other_bytes).unwrap();
+
+        let p = reopened.parse_get(1).expect("loaded entry");
+        assert_eq!(p.lines, 10, "a lookup decoded bytes written after the load");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_cache_file_is_ignored() {
         let dir = test_dir("malformed_cache_file");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1361,5 +1279,43 @@ int widget_probe(struct widget *w)
         let rebuilt = audit_with_cache(&p, &cfg, &mut cache);
         assert_eq!(rebuilt.findings, baseline.findings);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn subsystem_filter_reuses_full_run_check_entries() {
+        // `--subsystem` only picks which units are checked; a checked
+        // unit's findings do not depend on it. A narrowed run through a
+        // full run's cache must therefore check nothing new and report
+        // exactly the full run's findings under the prefix.
+        use crate::{audit_with_cache, AuditConfig, Project};
+        use refminer_corpus::{generate_tree, TreeConfig};
+
+        let tree = generate_tree(&TreeConfig {
+            scale: 0.03,
+            ..Default::default()
+        });
+        let project = Project::from_tree(&tree);
+        let mut cache = AuditCache::new();
+        let full = audit_with_cache(&project, &AuditConfig::default(), &mut cache);
+        let drivers = AuditConfig {
+            subsystem: Some("drivers".to_string()),
+            ..AuditConfig::default()
+        };
+        let narrowed = audit_with_cache(&project, &drivers, &mut cache);
+        assert_eq!(
+            narrowed.cache.check_misses, 0,
+            "the narrowed run re-checked"
+        );
+        let under_drivers: Vec<&Finding> = full
+            .findings
+            .iter()
+            .filter(|f| f.file.starts_with("drivers/"))
+            .collect();
+        assert!(!under_drivers.is_empty(), "the tree has driver findings");
+        assert_eq!(narrowed.findings.iter().collect::<Vec<_>>(), under_drivers);
+        assert!(
+            full.findings.len() > under_drivers.len(),
+            "the tree has findings outside drivers/"
+        );
     }
 }

@@ -102,8 +102,6 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
         "hash",
         "parse",
         "parse.unit",
-        "export",
-        "export.unit",
         "merge.kb",
         "merge.progdb",
         "check",
@@ -166,7 +164,6 @@ fn top_level_stage_times_fit_within_the_total() {
         "scan",
         "hash",
         "parse",
-        "export",
         "merge.kb",
         "merge.progdb",
         "check",
@@ -197,7 +194,7 @@ fn top_level_stage_times_fit_within_the_total() {
     // totals `--stats` prints book each unit's work where it ran. Both
     // ends are truncated to whole microseconds, so a unit span may end
     // at most 1µs past its stage.
-    for stage in ["parse", "export", "check"] {
+    for stage in ["parse", "check"] {
         let &(_, s_start, s_dur) = spans
             .iter()
             .find(|(s, _, _)| *s == stage)

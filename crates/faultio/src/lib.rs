@@ -325,135 +325,6 @@ pub fn read_to_string(path: impl AsRef<Path>) -> io::Result<String> {
     std::fs::read_to_string(path)
 }
 
-/// The bytes of a file read through [`read_mapped`]: either a private
-/// read-only memory mapping (unmapped on drop) or an owned buffer (the
-/// fallback for empty files, mapping failures, and non-Unix targets).
-/// Derefs to `[u8]`, so callers index it exactly like a `Vec<u8>`.
-///
-/// The mapping is `MAP_PRIVATE` + `PROT_READ`: writes to the underlying
-/// file after the map is taken may or may not be visible, which is fine
-/// for the audit cache's read-validate-index lifecycle — the checksum is
-/// verified against the mapped bytes themselves, and a concurrent save
-/// publishes via rename (a *new* inode), never by mutating the mapped
-/// one in place.
-#[derive(Debug)]
-pub enum FileBytes {
-    /// Bytes held in process memory.
-    Owned(Vec<u8>),
-    /// A live mapping; `munmap`ped on drop.
-    #[cfg(unix)]
-    Mapped {
-        /// Page-aligned base address returned by `mmap`.
-        ptr: *mut u8,
-        /// Length of the mapping (the file length at map time).
-        len: usize,
-    },
-}
-
-// A `MAP_PRIVATE|PROT_READ` mapping is immutable shared memory owned
-// exclusively by this value; moving or sharing references across
-// threads is as safe as for a `Vec<u8>`.
-unsafe impl Send for FileBytes {}
-unsafe impl Sync for FileBytes {}
-
-impl std::ops::Deref for FileBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match self {
-            FileBytes::Owned(v) => v,
-            #[cfg(unix)]
-            FileBytes::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
-    }
-}
-
-impl AsRef<[u8]> for FileBytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl Drop for FileBytes {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let FileBytes::Mapped { ptr, len } = self {
-            unsafe {
-                mmap_sys::munmap(*ptr as *mut std::ffi::c_void, *len);
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-mod mmap_sys {
-    use std::ffi::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-}
-
-/// Reads a whole file through the fault seam like [`read`], but returns
-/// the bytes as a memory mapping when the platform supports it instead
-/// of copying them into a `Vec`. Consults the same [`FaultOp::Read`]
-/// schedule — an injected fault fails the call identically whichever
-/// representation would have been used. Empty files and mapping
-/// failures degrade silently to an owned read; the caller sees one
-/// `FileBytes` either way.
-pub fn read_mapped(path: impl AsRef<Path>) -> io::Result<FileBytes> {
-    let path = path.as_ref();
-    if should_fail(FaultOp::Read).is_some() {
-        return Err(injected(FaultOp::Read, path));
-    }
-    map_file(path)
-}
-
-#[cfg(unix)]
-fn map_file(path: &Path) -> io::Result<FileBytes> {
-    use std::os::unix::io::AsRawFd;
-    let file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    if len == 0 || len > usize::MAX as u64 {
-        // Zero-length maps are an error per POSIX; absurd lengths
-        // cannot be addressed. Both fall back to the owned read.
-        return std::fs::read(path).map(FileBytes::Owned);
-    }
-    let len = len as usize;
-    let ptr = unsafe {
-        mmap_sys::mmap(
-            std::ptr::null_mut(),
-            len,
-            mmap_sys::PROT_READ,
-            mmap_sys::MAP_PRIVATE,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr.is_null() || ptr as isize == -1 {
-        return std::fs::read(path).map(FileBytes::Owned);
-    }
-    Ok(FileBytes::Mapped {
-        ptr: ptr as *mut u8,
-        len,
-    })
-}
-
-#[cfg(not(unix))]
-fn map_file(path: &Path) -> io::Result<FileBytes> {
-    std::fs::read(path).map(FileBytes::Owned)
-}
-
 /// `std::fs::write` through the fault seam. A scheduled failure with a
 /// nonzero torn-write fraction writes that prefix of `contents` first —
 /// the on-disk state a mid-write kill leaves behind.
@@ -632,49 +503,6 @@ mod tests {
         assert!(FaultPlan::parse("rate=abc").is_none());
         // An empty spec is a valid, inert plan.
         assert_eq!(FaultPlan::parse("").unwrap().rate, 0);
-    }
-
-    #[test]
-    fn read_mapped_round_trips_and_respects_faults() {
-        let _gate = lock_plan();
-        clear();
-        let dir = tmp("mapped");
-        let p = dir.join("blob.bin");
-        let content: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        std::fs::write(&p, &content).unwrap();
-
-        let mapped = read_mapped(&p).unwrap();
-        assert_eq!(&mapped[..], &content[..], "mapped bytes equal the file");
-        #[cfg(unix)]
-        assert!(
-            matches!(mapped, FileBytes::Mapped { .. }),
-            "non-empty file on unix must actually map"
-        );
-        drop(mapped); // munmap must not crash
-
-        // Empty files degrade to an owned empty buffer.
-        let empty = dir.join("empty.bin");
-        std::fs::write(&empty, b"").unwrap();
-        let fb = read_mapped(&empty).unwrap();
-        assert!(fb.is_empty());
-        assert!(matches!(fb, FileBytes::Owned(_)));
-
-        // A missing file is a real error, not a panic.
-        assert!(read_mapped(dir.join("nope.bin")).is_err());
-
-        // The Read fault schedule applies identically to mapped reads.
-        install(FaultPlan {
-            seed: 3,
-            rate: 1,
-            ops: vec![FaultOp::Read],
-            max_failures: None,
-            torn_write_permille: 0,
-            stall_ms: 0,
-        });
-        let err = read_mapped(&p).unwrap_err();
-        clear();
-        assert!(err.to_string().contains("injected fault: read"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! - **Spans** — named wall-time intervals, optionally tagged with the
 //!   unit (file) they cover. Top-level pipeline stages (`scan`,
-//!   `parse`, `export`, `merge.kb`, `merge.progdb`, `check`,
+//!   `hash`, `parse`, `merge.kb`, `merge.progdb`, `check`,
 //!   `cache.load`, `cache.save`, `report`) run sequentially inside the
 //!   `audit` span, so their durations sum to ~the total wall time;
 //!   per-unit spans (`parse.unit`, `check.unit`, `feasibility`, …)
