@@ -6,7 +6,7 @@
 //! This module provides that capability: it parses a `#define` logical
 //! line into name, parameter list and body text.
 
-use crate::token::{PpKind, TokenKind};
+use crate::token::{PpKind, Token, TokenKind};
 use crate::Lexer;
 
 /// A parsed `#define` directive.
@@ -74,6 +74,18 @@ impl MacroDef {
         }
     }
 
+    /// The define a lexed `#define` directive token carries, if it is
+    /// one and is well formed.
+    pub(crate) fn of_token(tok: &Token) -> Option<MacroDef> {
+        match &tok.kind {
+            TokenKind::PpDirective {
+                kind: PpKind::Define,
+                raw,
+            } => MacroDef::parse(raw, tok.span.line),
+            _ => None,
+        }
+    }
+
     /// Whether the macro looks like an iteration macro ("smartloop"):
     /// a function-like macro whose name contains a `for_each` stem and
     /// whose body begins with a `for` loop.
@@ -104,7 +116,10 @@ impl MacroDef {
     }
 }
 
-/// Scans a whole source text for `#define` directives.
+/// Scans a whole source text for `#define` directives, with a lex of its
+/// own and no token cap. A caller that lexes the text anyway gets the
+/// same list from [`Lexer::tokenize_limited_with_defines`] unless that
+/// lex was truncated; the audit scans only such truncated units.
 ///
 /// # Examples
 ///
@@ -117,20 +132,11 @@ impl MacroDef {
 /// assert_eq!(defs[1].name, "F");
 /// ```
 pub fn scan_defines(src: &str) -> Vec<MacroDef> {
-    let toks = Lexer::new(src).tokenize();
-    let mut out = Vec::new();
-    for t in toks {
-        if let TokenKind::PpDirective {
-            kind: PpKind::Define,
-            raw,
-        } = &t.kind
-        {
-            if let Some(def) = MacroDef::parse(raw, t.span.line) {
-                out.push(def);
-            }
-        }
-    }
-    out
+    Lexer::new(src)
+        .tokenize()
+        .iter()
+        .filter_map(MacroDef::of_token)
+        .collect()
 }
 
 /// Finds the index of the `)` matching the `(` that precedes `text`.

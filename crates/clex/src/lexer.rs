@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 
+use crate::defines::MacroDef;
 use crate::error::LexError;
 use crate::keywords::Keyword;
 use crate::token::{PpKind, Punct, Span, Symbol, Token, TokenKind};
@@ -54,6 +55,8 @@ pub struct Lexer<'a> {
     /// Per-file identifier interner: one allocation per distinct
     /// spelling; every further occurrence is a refcount bump.
     interner: HashSet<Symbol>,
+    /// The `#define`s lexed so far, when the caller asked for them.
+    defines: Option<Vec<MacroDef>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -73,6 +76,7 @@ impl<'a> Lexer<'a> {
             opts,
             errors: Vec::new(),
             interner: HashSet::new(),
+            defines: None,
         }
     }
 
@@ -111,19 +115,46 @@ impl<'a> Lexer<'a> {
     /// garbage that lexes to endless one-byte tokens). The final `bool`
     /// reports whether the input was truncated at the cap.
     pub fn tokenize_limited(mut self, max_tokens: usize) -> (Vec<Token>, Vec<LexError>, bool) {
+        let (out, truncated) = self.lex_capped(max_tokens);
+        (out, self.errors, truncated)
+    }
+
+    /// Like [`Lexer::tokenize_limited`], additionally returning every
+    /// `#define` the lexer walked over, in source order — the parse's
+    /// one lex doubles as the smartloop scan of §6.1. Directives are
+    /// collected whether or not they are also kept as tokens; when they
+    /// are dropped, as in the parser's lex, they never count toward
+    /// `max_tokens`. Directives past a truncation point are never
+    /// reached; a caller that needs them all after a truncated lex
+    /// runs [`crate::scan_defines`].
+    pub fn tokenize_limited_with_defines(
+        mut self,
+        max_tokens: usize,
+    ) -> (Vec<Token>, Vec<LexError>, bool, Vec<MacroDef>) {
+        self.defines = Some(Vec::new());
+        let (out, truncated) = self.lex_capped(max_tokens);
+        (
+            out,
+            self.errors,
+            truncated,
+            self.defines.unwrap_or_default(),
+        )
+    }
+
+    /// Lexes at most `max_tokens` tokens; the `bool` reports whether
+    /// input was left over at the cap.
+    fn lex_capped(&mut self, max_tokens: usize) -> (Vec<Token>, bool) {
         let mut out = Vec::new();
         while let Some(tok) = self.next_token() {
             out.push(tok);
             if out.len() >= max_tokens {
-                let truncated = {
-                    // Anything left beyond whitespace means we cut off.
-                    self.skip_whitespace();
-                    self.peek().is_some()
-                };
-                return (out, self.errors, truncated);
+                // Anything left beyond whitespace means we cut off.
+                self.skip_whitespace();
+                let truncated = self.peek().is_some();
+                return (out, truncated);
             }
         }
-        (out, self.errors, false)
+        (out, false)
     }
 
     /// Errors recovered so far.
@@ -242,6 +273,9 @@ impl<'a> Lexer<'a> {
             // whitespace skipping well enough for kernel style).
             if b == b'#' {
                 let tok = self.lex_pp_line(start, line, col);
+                if let Some(defines) = &mut self.defines {
+                    defines.extend(MacroDef::of_token(&tok));
+                }
                 if self.opts.keep_preprocessor {
                     return Some(tok);
                 }

@@ -13,8 +13,12 @@
 //!
 //! - [`Lexer`] — the token stream itself;
 //! - [`Token`]/[`TokenKind`]/[`Punct`]/[`Keyword`] — the token model;
-//! - [`scan_defines`]/[`MacroDef`] — structured `#define` scanning used
-//!   to discover smartloop macros (`for_each_*`) per the paper's §6.1.
+//! - [`MacroDef`] — structured `#define` lines, from which smartloop
+//!   macros (`for_each_*`) are discovered per the paper's §6.1. The
+//!   audit reads a unit's defines off its one parse lex
+//!   ([`Lexer::tokenize_limited_with_defines`]); [`scan_defines`], a
+//!   second, uncapped lex, is the fallback for a unit truncated at the
+//!   token cap, whose lex never reached the directives past the cap.
 //!
 //! # Examples
 //!

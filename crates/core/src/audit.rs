@@ -1,10 +1,13 @@
 //! The end-to-end two-phase whole-program audit.
 //!
-//! **Phase 1** is one per-unit pass: each unit is lexed and parsed, its
-//! discovery facts are captured, and its function graphs are built to
-//! read off its function-effect digest
+//! **Phase 1** is one per-unit pass that computes only what the barrier
+//! reads: each unit is lexed once and parsed, its `#define`s are read off
+//! that lex, its discovery facts are captured, and each function's CFG
+//! and node facts yield its function-effect digest
 //! ([`refminer_checkers::UnitExports`]). None of that depends on any
-//! other unit, so it all fans out before the barrier.
+//! other unit, so it all fans out before the barrier. The CFGs and
+//! facts die with their digests: no graph, CFG or facts is held across
+//! the barrier.
 //!
 //! **The barrier** merges the discovery facts into the knowledge base
 //! and the digests into the [`ProgramDb`] — the function-summary
@@ -12,8 +15,9 @@
 //! rules (`static` helpers stay unit-local; external definitions
 //! resolve tree-wide).
 //!
-//! **Phase 2** checks each unit against the merged database, so an
-//! `of_node_put` wrapper defined in `a.c` pairs an acquisition in
+//! **Phase 2** builds each checked unit's full function graphs — their
+//! one build per unit — and checks them against the merged database, so
+//! an `of_node_put` wrapper defined in `a.c` pairs an acquisition in
 //! `b.c`.
 //!
 //! Every translation unit runs inside a *fault boundary*: resource caps
@@ -292,7 +296,8 @@ pub struct AuditReport {
     /// Cache hit/miss counters for this run (all zeros for the plain
     /// [`audit`] entry point, which starts from an empty cache).
     pub cache: CacheStats,
-    /// Wall-clock seconds of phase 1: the parse+export fan-out plus the
+    /// Wall-clock seconds of phase 1: the per-unit fan-out (lex, parse,
+    /// discovery facts, exports from CFGs and node facts) plus the
     /// knowledge-base merge. Timing only — it never influences
     /// findings, keys or any serialized result.
     pub phase1_secs: f64,
@@ -405,13 +410,18 @@ impl UnitState {
     }
 }
 
-/// The phase-1 pass for one unit. The byte-cap check, `#define` scan,
-/// limited parse and discovery facts run inside the unit's fault
-/// boundary; the graphs and the function-effect digest they yield run
-/// in a second boundary once the first has closed. Units that did not
-/// parse — and units whose extraction faults — get an empty digest
-/// under their own path (and no extra diagnostic), so unit indexing in
-/// the merged database never shifts.
+/// The phase-1 pass for one unit, computing only what the barrier
+/// reads. The byte-cap check, the limited parse and the discovery facts
+/// run inside the unit's fault boundary; the parse's one lex also
+/// yields the unit's `#define`s, and only a unit truncated at the token
+/// cap is lexed a second time ([`scan_defines`]) for the directives
+/// past the cap. The function-effect digest runs in a second boundary
+/// once the first has closed, from each function's CFG and node facts
+/// alone — no full graph, whose one build per unit is `check_one`'s —
+/// and is timed as an `export.unit` span. Units that did not parse —
+/// and units whose extraction faults — get an empty digest under their
+/// own path (and no extra diagnostic), so unit indexing in the merged
+/// database never shifts.
 fn parse_unit(
     unit: &SourceUnit,
     limits: &AuditLimits,
@@ -443,8 +453,12 @@ fn parse_unit(
     }
     let lines = unit.text.lines().count();
     let parsed = fault_boundary(|| {
-        let defs = scan_defines(&unit.text);
-        let out = parse_str_limited(&unit.path, &unit.text, parse_limits);
+        let mut out = parse_str_limited(&unit.path, &unit.text, parse_limits);
+        let defs = if out.truncated {
+            scan_defines(&unit.text)
+        } else {
+            std::mem::take(&mut out.defines)
+        };
         let discovery = discover_unit(&out.unit, &ApiKb::builtin());
         (defs, out, discovery)
     });
@@ -471,19 +485,10 @@ fn parse_unit(
             }
             let tu = out.unit;
             let start = Instant::now();
-            let exported = fault_boundary(|| {
-                let (graphs, _capped, feas) =
-                    FunctionGraph::build_all_limited_timed(&tu, limits.max_graph_nodes);
-                let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
-                (UnitExports::extract(&unit.path, &graphs, &globals), feas)
-            });
-            let exports = match exported {
-                Ok((exports, feas)) => {
-                    trace.record_span("feasibility", Some(&unit.path), start, feas);
-                    exports
-                }
-                Err(_) => no_exports(),
-            };
+            let exported =
+                fault_boundary(|| UnitExports::of_unit(&unit.path, &tu, limits.max_graph_nodes));
+            trace.record_span("export.unit", Some(&unit.path), start, start.elapsed());
+            let exports = exported.unwrap_or_else(|_| no_exports());
             ParsedUnit {
                 tu: Some(tu),
                 parsed_ok: true,
@@ -509,11 +514,13 @@ fn parse_unit(
     }
 }
 
-/// The phase-2 check stage for one unit: graphs + the nine checkers
-/// against the merged program database, inside the unit's fault
-/// boundary. When the parse-layer entry came from disk (no retained
-/// AST), the unit is re-parsed here first — parsing is deterministic,
-/// so the rehydrated AST is the one the entry describes.
+/// The phase-2 check stage for one unit: the unit's one full graph
+/// build (CFG, facts, origins, error blocks, feasibility — timed as a
+/// `feasibility` span) and the engines against the merged program
+/// database, inside the unit's fault boundary. When the parse-layer
+/// entry came from disk (no retained AST), the unit is re-parsed here
+/// first — parsing is deterministic, so the rehydrated AST is the one
+/// the entry describes.
 #[allow(clippy::too_many_arguments)]
 fn check_one(
     unit: &SourceUnit,
@@ -647,9 +654,11 @@ pub fn audit_with_cache(
 /// disabled, at any `jobs` count and any cache temperature. Every
 /// pipeline stage opens a span (`hash`, `parse`, `merge.kb`,
 /// `merge.progdb`, `check`, `report`), per-unit work opens
-/// `{stage}.unit` spans, the feasibility fixpoint's share of graph
-/// construction lands in `feasibility` spans, and cache traffic,
-/// scheduler steals, per-checker time and limit trips land in counters.
+/// `{stage}.unit` spans, each unit's export step lands in an
+/// `export.unit` span inside its `parse.unit`, the feasibility
+/// fixpoint's share of graph construction lands in `feasibility` spans,
+/// and cache traffic, scheduler steals, per-checker time and limit trips
+/// land in counters.
 pub fn audit_traced(
     project: &Project,
     config: &AuditConfig,
@@ -747,7 +756,7 @@ pub fn audit_cancellable(
     }
 
     // ------------------------------------------------------------------
-    // Phase 1: the per-unit pass (parse, discovery facts, graphs,
+    // Phase 1: the per-unit pass (lex+parse, defines, discovery facts,
     // exports), then the knowledge-base merge.
     // ------------------------------------------------------------------
     let phase1_start = std::time::Instant::now();
@@ -1164,6 +1173,39 @@ void widget_put(struct widget *w) { kref_put(&w->refs, widget_free); }
         assert_eq!(d.path, "big.c");
         assert_eq!(d.outcome, UnitOutcome::Skipped);
         assert_eq!(d.errors, vec![UnitErrorKind::Oversize]);
+    }
+
+    #[test]
+    fn smartloop_defined_past_the_token_cap_still_reaches_the_kb() {
+        // The parse's lexer stops at the token cap, so it never sees
+        // this define; the truncated unit is scanned once more for it.
+        let mut text = String::from("int busy(void)\n{\n");
+        for i in 0..40 {
+            text.push_str(&format!("        step({i});\n"));
+        }
+        text.push_str(
+            "        return 0;\n}\n\
+             #define for_each_gizmo(parent, g) \\\n\
+             \tfor (g = of_get_next_child(parent, NULL); g; \\\n\
+             \t     g = of_get_next_child(parent, g))\n",
+        );
+        let p = Project::from_sources(vec![("drivers/g/g.c".to_string(), text)]);
+        let config = AuditConfig {
+            limits: AuditLimits {
+                max_tokens: 64,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let report = audit(&p, &config);
+        assert_eq!(
+            report.diagnostics.units[0].errors,
+            vec![UnitErrorKind::TokenCap]
+        );
+        assert!(
+            report.kb.smartloop("for_each_gizmo").is_some(),
+            "the smartloop past the cap was lost"
+        );
     }
 
     #[test]

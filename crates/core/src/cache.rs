@@ -214,7 +214,9 @@ pub struct ParsedUnit {
     /// `true` but [`ParsedUnit::tu`] is `None`, re-parsing the same
     /// text reproduces it.
     pub parsed_ok: bool,
-    /// `#define`s scanned from the unit, for smartloop discovery.
+    /// The unit's `#define`s, for smartloop discovery: read off the
+    /// parse's lex, or scanned from the whole text when the lex was
+    /// truncated at the token cap.
     pub defines: Vec<MacroDef>,
     /// Parse-stage diagnostics in the order they were recorded.
     pub errors: Vec<CachedError>,

@@ -55,6 +55,54 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     v.get(key).unwrap_or_else(|| panic!("missing {key}: {v}"))
 }
 
+/// One span line: stage, unit path (empty for stage spans), start and
+/// duration in microseconds.
+type SpanLine<'a> = (&'a str, &'a str, u64, u64);
+
+fn spans_of(lines: &[Value]) -> Vec<SpanLine<'_>> {
+    lines[1..]
+        .iter()
+        .filter(|v| field(v, "type").as_str() == Some("span"))
+        .map(|v| {
+            (
+                field(v, "stage").as_str().unwrap(),
+                v.get("unit").and_then(Value::as_str).unwrap_or(""),
+                field(v, "start_us").as_u64().unwrap(),
+                field(v, "dur_us").as_u64().unwrap(),
+            )
+        })
+        .collect()
+}
+
+fn counter(lines: &[Value], name: &str) -> u64 {
+    lines[1..]
+        .iter()
+        .filter(|v| field(v, "type").as_str() == Some("counter"))
+        .find(|v| field(v, "name").as_str() == Some(name))
+        .and_then(|v| field(v, "value").as_u64())
+        .unwrap_or(0)
+}
+
+/// Each unit's one `stage` span, by unit path.
+fn unit_spans<'a>(spans: &[SpanLine<'a>], stage: &str) -> BTreeMap<&'a str, (u64, u64)> {
+    let mut by_unit = BTreeMap::new();
+    for &(s, unit, start, dur) in spans {
+        if s == stage {
+            assert!(
+                by_unit.insert(unit, (start, dur)).is_none(),
+                "two {stage} spans for {unit}"
+            );
+        }
+    }
+    by_unit
+}
+
+/// Whether `inner` lies inside `outer`. Both ends are truncated to
+/// whole microseconds, so `inner` may end at most 1µs past `outer`.
+fn within(inner: (u64, u64), outer: (u64, u64)) -> bool {
+    inner.0 >= outer.0 && inner.0 + inner.1 <= outer.0 + outer.1 + 1
+}
+
 #[test]
 fn trace_log_parses_and_covers_all_pipeline_stages() {
     let dir = write_corpus_tree("stages");
@@ -102,6 +150,7 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
         "hash",
         "parse",
         "parse.unit",
+        "export.unit",
         "merge.kb",
         "merge.progdb",
         "check",
@@ -131,11 +180,13 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
     );
 
     // Per-unit spans exist for every unit.
-    let parse_units = span_lines
-        .iter()
-        .filter(|v| field(v, "stage").as_str() == Some("parse.unit"))
-        .count() as u64;
-    assert_eq!(parse_units, units, "one parse.unit span per unit");
+    for stage in ["parse.unit", "export.unit"] {
+        let count = span_lines
+            .iter()
+            .filter(|v| field(v, "stage").as_str() == Some(stage))
+            .count() as u64;
+        assert_eq!(count, units, "one {stage} span per unit");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -218,6 +269,20 @@ fn top_level_stage_times_fit_within_the_total() {
         );
     }
 
+    // Each unit's export step lies inside its own parse.unit span, so
+    // `--stats` shows how much of phase 1 the exports take.
+    let all = spans_of(&lines);
+    let parse_units = unit_spans(&all, "parse.unit");
+    let exports = unit_spans(&all, "export.unit");
+    assert_eq!(exports.len(), parse_units.len(), "one export.unit per unit");
+    for (unit, span) in &exports {
+        let parse = parse_units[unit];
+        assert!(
+            within(*span, parse),
+            "export.unit {span:?} of {unit} lies outside its parse.unit {parse:?}"
+        );
+    }
+
     // The worker count is clamped to the host: no more units are ever
     // in flight at once than there are hardware threads.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
@@ -265,5 +330,56 @@ fn tracing_never_changes_findings() {
         .unwrap_or(0);
     assert!(hits > 0, "warm run records cache hits");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_full_graph_build_per_checked_unit() {
+    // Phase 1 exports from CFGs and node facts alone; the one full
+    // graph build — the one with a feasibility fixpoint — is the check
+    // stage's. So a cold audit records exactly one `feasibility` span
+    // per checked unit, inside its check.unit span and never inside its
+    // parse.unit span, and a warm one records none.
+    let dir = write_corpus_tree("builds");
+    let trace_path = dir.join("trace.jsonl");
+    let cache_dir = dir.join(".refminer-cache");
+    let (cold, lines) = traced_run(&dir, &trace_path, Some(&cache_dir), &["--stats"]);
+    let spans = spans_of(&lines);
+    let checked = counter(&lines, "cache.check.miss");
+    assert!(checked > 0, "the cold audit checked no unit");
+    let builds = unit_spans(&spans, "feasibility");
+    assert_eq!(
+        builds.len() as u64,
+        checked,
+        "feasibility spans per checked unit"
+    );
+    let parse_units = unit_spans(&spans, "parse.unit");
+    let check_units = unit_spans(&spans, "check.unit");
+    for (unit, span) in &builds {
+        assert!(
+            !within(*span, parse_units[unit]),
+            "a graph of {unit} was built in phase 1"
+        );
+        assert!(
+            within(*span, check_units[unit]),
+            "the graphs of {unit} were built outside its check"
+        );
+    }
+    // `--stats` splits phase 1: the export step gets its own row.
+    let stderr = String::from_utf8_lossy(&cold.stderr);
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.trim_start().starts_with("export.unit ")),
+        "--stats does not list export.unit:\n{stderr}"
+    );
+
+    let (_, warm) = traced_run(&dir, &trace_path, Some(&cache_dir), &[]);
+    assert_eq!(counter(&warm, "cache.check.miss"), 0);
+    let rebuilt = spans_of(&warm)
+        .iter()
+        .filter(|(stage, ..)| ["feasibility", "export.unit"].contains(stage))
+        .count();
+    assert_eq!(rebuilt, 0, "the warm re-audit rebuilt graphs or exports");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //! [`crate::stmt`]; this module owns the cursor plumbing and everything
 //! at file scope (functions, structs, typedefs, globals).
 
-use refminer_clex::{Keyword, LexOptions, Lexer, Punct, Span, Token, TokenKind};
+use refminer_clex::{Keyword, LexOptions, Lexer, MacroDef, Punct, Span, Token, TokenKind};
 
 use crate::ast::{
     Declaration, EnumDef, Field, FunctionDef, Initializer, Item, Param, Prototype, StructDef,
@@ -167,6 +167,14 @@ pub struct ParseOutcome {
     pub truncated: bool,
     /// Some subtree hit [`ParseLimits::max_depth`] and was degraded.
     pub depth_capped: bool,
+    /// Every `#define` the parse's lexer walked over, in source order:
+    /// the smartloop candidates of §6.1, read off the same single lex
+    /// as the tokens. Directives do not count toward
+    /// [`ParseLimits::max_tokens`]. Complete — equal to
+    /// [`refminer_clex::scan_defines`] of the source — unless
+    /// `truncated`, in which case the directives past the cap are
+    /// missing.
+    pub defines: Vec<MacroDef>,
 }
 
 /// Parses a source string into a [`TranslationUnit`], discarding errors.
@@ -188,8 +196,8 @@ pub fn parse_str_limited(path: &str, src: &str, limits: &ParseLimits) -> ParseOu
         keep_comments: false,
         keep_preprocessor: false,
     };
-    let (toks, lex_errors, truncated) =
-        Lexer::with_options(src, opts).tokenize_limited(limits.max_tokens);
+    let (toks, lex_errors, truncated, defines) =
+        Lexer::with_options(src, opts).tokenize_limited_with_defines(limits.max_tokens);
     let mut p = Parser {
         toks,
         pos: 0,
@@ -206,6 +214,7 @@ pub fn parse_str_limited(path: &str, src: &str, limits: &ParseLimits) -> ParseOu
         lex_errors,
         truncated,
         depth_capped: p.depth_capped,
+        defines,
     }
 }
 

@@ -3,6 +3,8 @@
 use refminer_clex::Span;
 use refminer_cparse::{Block, Declaration, Expr, FunctionDef, Stmt, StmtKind};
 
+use crate::graph::GraphCapExceeded;
+
 /// Index of a node in a [`Cfg`].
 pub type NodeId = usize;
 
@@ -123,6 +125,20 @@ impl Cfg {
         }
         b.resolve_gotos();
         b.cfg
+    }
+
+    /// Builds the CFG only if it stays within `max_nodes` — the node
+    /// cap every per-function analysis of the audit runs under.
+    pub fn build_limited(func: &FunctionDef, max_nodes: usize) -> Result<Cfg, GraphCapExceeded> {
+        let cfg = Cfg::build(func);
+        if cfg.nodes.len() > max_nodes {
+            return Err(GraphCapExceeded {
+                function: func.name.clone(),
+                nodes: cfg.nodes.len(),
+                max_nodes,
+            });
+        }
+        Ok(cfg)
     }
 
     /// Successors of a node.

@@ -104,14 +104,7 @@ impl FunctionGraph {
         max_nodes: usize,
         feas_time: &mut Duration,
     ) -> Result<FunctionGraph, GraphCapExceeded> {
-        let cfg = Cfg::build(func);
-        if cfg.nodes.len() > max_nodes {
-            return Err(GraphCapExceeded {
-                function: func.name.clone(),
-                nodes: cfg.nodes.len(),
-                max_nodes,
-            });
-        }
+        let cfg = Cfg::build_limited(func, max_nodes)?;
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
         let params: Vec<String> = func.params.iter().filter_map(|p| p.name.clone()).collect();
         let origins = Origins::compute(&cfg, &facts, &params);

@@ -8,6 +8,7 @@
 //! one level of copy propagation (`alias = np;`).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
 use crate::facts::{NodeFacts, StoreTarget};
@@ -28,10 +29,20 @@ pub enum Origin {
     Other,
 }
 
+/// One variable's origins, shared between the environments that agree
+/// on them.
+type Set = Arc<BTreeSet<Origin>>;
+
+/// One program point's environment: each bound variable's origins.
+type Env = BTreeMap<Arc<str>, Set>;
+
 /// Per-node origin environments (the state *after* the node executes).
+/// A node that passes its one predecessor's state through unchanged
+/// shares that predecessor's environment instead of copying it, and a
+/// copy (`alias = np;`) or a join shares the origin sets it passes on.
 #[derive(Debug, Clone)]
 pub struct Origins {
-    out: Vec<BTreeMap<String, BTreeSet<Origin>>>,
+    out: Vec<Arc<Env>>,
 }
 
 impl Origins {
@@ -39,64 +50,51 @@ impl Origins {
     ///
     /// `facts` must be parallel to `cfg.nodes`. `params` seeds the entry
     /// environment.
+    ///
+    /// The worklist is a stack seeded with every node and visited in a
+    /// fixed order. That order is part of the result: the strong update
+    /// of a copy (`alias = np;`) is not monotone, and the loop stops
+    /// after `max(64·n, 1024)` visits, so another order may settle
+    /// elsewhere.
     pub fn compute(cfg: &Cfg, facts: &[NodeFacts], params: &[String]) -> Origins {
         let n = cfg.nodes.len();
-        let mut out: Vec<BTreeMap<String, BTreeSet<Origin>>> = vec![BTreeMap::new(); n];
+        // Every node starts from one shared empty environment.
+        let empty = Arc::new(Env::new());
+        let mut out: Vec<Arc<Env>> = vec![empty; n];
         // Seed entry with parameters.
+        let mut seed = Env::new();
         for p in params {
-            out[cfg.entry]
-                .entry(p.clone())
-                .or_default()
-                .insert(Origin::Param);
+            seed.insert(
+                Arc::from(p.as_str()),
+                Arc::new(BTreeSet::from([Origin::Param])),
+            );
         }
+        out[cfg.entry] = Arc::new(seed);
+        let pass_from: Vec<Option<NodeId>> = cfg
+            .node_ids()
+            .map(|node| pass_through_pred(cfg, facts, node))
+            .collect();
         let mut work: Vec<NodeId> = cfg.node_ids().collect();
+        // `queued[s]` is exactly `work.contains(&s)`.
+        let mut queued = vec![true; n];
         let mut iterations = 0usize;
         let cap = n.saturating_mul(64).max(1024);
         while let Some(node) = work.pop() {
+            queued[node] = false;
             iterations += 1;
             if iterations > cap {
                 break;
             }
-            // In-state: union of predecessors' out-states (entry keeps
-            // its seeded state).
-            let mut env: BTreeMap<String, BTreeSet<Origin>> = if node == cfg.entry {
-                out[cfg.entry].clone()
-            } else {
-                let mut e: BTreeMap<String, BTreeSet<Origin>> = BTreeMap::new();
-                for &(p, _) in cfg.preds(node) {
-                    for (var, origins) in &out[p] {
-                        e.entry(var.clone())
-                            .or_default()
-                            .extend(origins.iter().cloned());
-                    }
-                }
-                e
+            let env = match pass_from[node] {
+                Some(p) => Arc::clone(&out[p]),
+                None => Arc::new(transfer(cfg, facts, node, &out)),
             };
-            // Transfer: apply this node's assignments.
-            apply_transfer(&facts[node], node, &mut env);
-            // Macro loop heads bind their iterator argument to the loop
-            // macro itself (the hidden find-like call).
-            // Which argument is the iterator differs per macro
-            // (`for_each_matching_node(dn, ids)` vs
-            // `for_each_child_of_node(parent, child)`), so bind every
-            // bare-identifier argument; the checkers narrow with their
-            // smartloop knowledge base.
-            if let NodeKind::MacroLoopHead { name, args } = &cfg.nodes[node].kind {
-                for arg in args {
-                    if let Some(var) = arg.as_ident() {
-                        let mut set = BTreeSet::new();
-                        set.insert(Origin::Call {
-                            name: name.clone(),
-                            node,
-                        });
-                        env.insert(var.to_string(), set);
-                    }
-                }
-            }
+            // A shared environment compares equal by pointer first.
             if env != out[node] {
                 out[node] = env;
                 for &(s, _) in cfg.succs(node) {
-                    if !work.contains(&s) {
+                    if !queued[s] {
+                        queued[s] = true;
                         work.push(s);
                     }
                 }
@@ -110,7 +108,7 @@ impl Origins {
     /// about a predecessor — or use [`Origins::at`], which unions the
     /// predecessors.
     pub fn after(&self, n: NodeId, var: &str) -> impl Iterator<Item = &Origin> {
-        self.out[n].get(var).into_iter().flatten()
+        self.out[n].get(var).into_iter().flat_map(|set| set.iter())
     }
 
     /// The origins of `var` as seen *by* node `n` (union over preds).
@@ -149,29 +147,112 @@ impl Origins {
     }
 }
 
-fn apply_transfer(facts: &NodeFacts, node: NodeId, env: &mut BTreeMap<String, BTreeSet<Origin>>) {
+/// The predecessor whose out-state node `node` passes through
+/// unchanged, if it has exactly one (however many edges lead from it)
+/// and nothing at `node` rebinds a variable. Its out-state is then that
+/// predecessor's, which it can share rather than copy.
+fn pass_through_pred(cfg: &Cfg, facts: &[NodeFacts], node: NodeId) -> Option<NodeId> {
+    if node == cfg.entry {
+        return None;
+    }
+    let (&(p, _), rest) = cfg.preds(node).split_first()?;
+    if rest.iter().any(|&(q, _)| q != p) {
+        return None;
+    }
+    if facts[node]
+        .assigns
+        .iter()
+        .any(|a| matches!(a.target, StoreTarget::Var(_)))
+    {
+        return None;
+    }
+    match &cfg.nodes[node].kind {
+        NodeKind::MacroLoopHead { args, .. } if args.iter().any(|a| a.as_ident().is_some()) => None,
+        _ => Some(p),
+    }
+}
+
+/// The state after `node`: its in-state — the union of its
+/// predecessors' out-states, or its own seeded state at the entry —
+/// through its assignments and, at a smartloop head, the iterator
+/// binding.
+fn transfer(cfg: &Cfg, facts: &[NodeFacts], node: NodeId, out: &[Arc<Env>]) -> Env {
+    let mut env: Env = if node == cfg.entry {
+        (*out[cfg.entry]).clone()
+    } else {
+        let mut preds = cfg.preds(node).iter().map(|&(p, _)| &out[p]);
+        let mut e = preds
+            .next()
+            .map(|first| (**first).clone())
+            .unwrap_or_default();
+        for pred in preds {
+            for (var, origins) in pred.iter() {
+                match e.get_mut(var) {
+                    None => {
+                        e.insert(var.clone(), Arc::clone(origins));
+                    }
+                    Some(set) => {
+                        if !Arc::ptr_eq(set, origins) && !origins.is_subset(set) {
+                            Arc::make_mut(set).extend(origins.iter().cloned());
+                        }
+                    }
+                }
+            }
+        }
+        e
+    };
+    // Transfer: apply this node's assignments.
+    apply_transfer(&facts[node], node, &mut env);
+    // Macro loop heads bind their iterator argument to the loop
+    // macro itself (the hidden find-like call).
+    // Which argument is the iterator differs per macro
+    // (`for_each_matching_node(dn, ids)` vs
+    // `for_each_child_of_node(parent, child)`), so bind every
+    // bare-identifier argument; the checkers narrow with their
+    // smartloop knowledge base.
+    if let NodeKind::MacroLoopHead { name, args } = &cfg.nodes[node].kind {
+        for arg in args {
+            if let Some(var) = arg.as_ident() {
+                let call = Origin::Call {
+                    name: name.clone(),
+                    node,
+                };
+                bind(&mut env, var, Arc::new(BTreeSet::from([call])));
+            }
+        }
+    }
+    env
+}
+
+/// Binds `var` to `set`, replacing what it held (a strong update).
+fn bind(env: &mut Env, var: &str, set: Set) {
+    match env.get_mut(var) {
+        Some(old) => *old = set,
+        None => {
+            env.insert(Arc::from(var), set);
+        }
+    }
+}
+
+fn apply_transfer(facts: &NodeFacts, node: NodeId, env: &mut Env) {
     for a in &facts.assigns {
         let StoreTarget::Var(dest) = &a.target else {
             continue;
         };
-        let mut set = BTreeSet::new();
-        if let Some(call) = &a.rhs_call {
-            set.insert(Origin::Call {
+        let set = if let Some(call) = &a.rhs_call {
+            let call = Origin::Call {
                 name: call.clone(),
                 node,
-            });
-        } else if let Some(src) = &a.rhs_root {
+            };
+            Arc::new(BTreeSet::from([call]))
+        } else if let Some(origins) = a.rhs_root.as_ref().and_then(|src| env.get(src.as_str())) {
             // Copy propagation: inherit the source's origins.
-            if let Some(origins) = env.get(src) {
-                set.extend(origins.iter().cloned());
-            } else {
-                set.insert(Origin::Other);
-            }
+            Arc::clone(origins)
         } else {
-            set.insert(Origin::Other);
-        }
+            Arc::new(BTreeSet::from([Origin::Other]))
+        };
         // Strong update: assignment replaces previous origins.
-        env.insert(dest.clone(), set);
+        bind(env, dest, set);
     }
 }
 

@@ -25,7 +25,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use refminer_cpg::{FunctionGraph, StoreTarget};
+use refminer_cparse::{FunctionDef, TranslationUnit};
+use refminer_cpg::{Cfg, FunctionGraph, NodeFacts, StoreTarget};
 use refminer_rcapi::{ApiKb, RcDir};
 
 /// The refcounting effects one function applies to its parameters.
@@ -85,60 +86,88 @@ fn push_unique(v: &mut Vec<usize>, idx: usize) {
     }
 }
 
-impl UnitExports {
-    /// Extracts the exports of one unit from its function graphs.
+impl FnExport {
+    /// Extracts one function's export from its header, its CFG and the
+    /// CFG's node facts — all the digest reads. The origin, error-block
+    /// and feasibility analyses of a full [`FunctionGraph`] never enter
+    /// it.
     ///
     /// `globals` are the unit's global variable names; a store into one
     /// of them counts as an escape (mirroring the checkers' notion of
     /// "escapes to a long-lived location").
-    pub fn extract(path: &str, graphs: &[FunctionGraph], globals: &[String]) -> UnitExports {
-        let fns = graphs
-            .iter()
-            .map(|g| {
-                let params: Vec<Option<&str>> =
-                    g.func.params.iter().map(|p| p.name.as_deref()).collect();
-                let param_index = |root: Option<&str>| -> Option<usize> {
-                    let root = root?;
-                    params.iter().position(|p| *p == Some(root))
+    pub fn extract(func: &FunctionDef, cfg: &Cfg, facts: &[NodeFacts], globals: &[String]) -> Self {
+        let params: Vec<Option<&str>> = func.params.iter().map(|p| p.name.as_deref()).collect();
+        let param_index = |root: Option<&str>| -> Option<usize> {
+            let root = root?;
+            params.iter().position(|p| *p == Some(root))
+        };
+        let mut calls = Vec::new();
+        let mut stores = Vec::new();
+        for n in cfg.node_ids() {
+            for call in &facts[n].calls {
+                calls.push(CallSite {
+                    callee: call.name.clone(),
+                    args: call
+                        .args
+                        .iter()
+                        .map(|a| param_index(a.root.as_deref()))
+                        .collect(),
+                });
+            }
+            for assign in &facts[n].assigns {
+                let Some(idx) = param_index(assign.rhs_root.as_deref()) else {
+                    continue;
                 };
-                let mut calls = Vec::new();
-                let mut stores = Vec::new();
-                for n in g.cfg.node_ids() {
-                    for call in &g.facts[n].calls {
-                        calls.push(CallSite {
-                            callee: call.name.clone(),
-                            args: call
-                                .args
-                                .iter()
-                                .map(|a| param_index(a.root.as_deref()))
-                                .collect(),
-                        });
-                    }
-                    for assign in &g.facts[n].assigns {
-                        let Some(idx) = param_index(assign.rhs_root.as_deref()) else {
-                            continue;
-                        };
-                        let escapes = match &assign.target {
-                            StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
-                            StoreTarget::Var(v) => globals.iter().any(|name| name == v),
-                            StoreTarget::Other => false,
-                        };
-                        if escapes {
-                            push_unique(&mut stores, idx);
-                        }
-                    }
+                let escapes = match &assign.target {
+                    StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
+                    StoreTarget::Var(v) => globals.iter().any(|name| name == v),
+                    StoreTarget::Other => false,
+                };
+                if escapes {
+                    push_unique(&mut stores, idx);
                 }
-                FnExport {
-                    name: g.name().to_string(),
-                    is_static: g.func.is_static,
-                    calls,
-                    stores,
-                }
-            })
-            .collect();
+            }
+        }
+        FnExport {
+            name: func.name.clone(),
+            is_static: func.is_static,
+            calls,
+            stores,
+        }
+    }
+}
+
+impl UnitExports {
+    /// Extracts the exports of one unit from its function graphs.
+    ///
+    /// `globals` are the unit's global variable names (see
+    /// [`FnExport::extract`]).
+    pub fn extract(path: &str, graphs: &[FunctionGraph], globals: &[String]) -> UnitExports {
         UnitExports {
             path: path.to_string(),
-            fns,
+            fns: graphs
+                .iter()
+                .map(|g| FnExport::extract(&g.func, &g.cfg, &g.facts, globals))
+                .collect(),
+        }
+    }
+
+    /// Extracts the exports of one unit straight from its AST: every
+    /// function whose CFG stays within `max_nodes` gets its CFG and
+    /// node facts, never a full graph. Equal to [`UnitExports::extract`]
+    /// over the unit's graphs built under the same cap.
+    pub fn of_unit(path: &str, tu: &TranslationUnit, max_nodes: usize) -> UnitExports {
+        let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+        UnitExports {
+            path: path.to_string(),
+            fns: tu
+                .functions()
+                .filter_map(|f| {
+                    let cfg = Cfg::build_limited(f, max_nodes).ok()?;
+                    let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
+                    Some(FnExport::extract(f, &cfg, &facts, &globals))
+                })
+                .collect(),
         }
     }
 }
