@@ -1,11 +1,12 @@
 //! The checker trait, shared helpers, and the all-checkers runner.
 
 use refminer_cparse::TranslationUnit;
-use refminer_cpg::{FunctionGraph, NodeId, StoreTarget};
+use refminer_cpg::{CallFact, FunctionGraph, NodeId, StoreTarget};
 use refminer_progdb::ProgramDb;
 use refminer_rcapi::{ApiKb, RcApi};
 
 use crate::ctx::CheckCtx;
+use crate::engine::{run_engines_traced, AnalysisEngine, TemplateEngine};
 use crate::finding::Finding;
 
 /// A static checker for one anti-pattern.
@@ -14,7 +15,9 @@ pub trait Checker {
     fn pattern(&self) -> crate::finding::AntiPattern;
     /// Stable checker name, recorded in each finding's `checkers` list
     /// (and combined when the report layer merges same-site findings).
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.pattern().checker_name()
+    }
     /// Runs the checker on one function.
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding>;
 }
@@ -44,7 +47,10 @@ pub fn checkers_for_patterns(patterns: &[crate::finding::AntiPattern]) -> Vec<Bo
         .collect()
 }
 
-/// Runs every checker over every function of a translation unit.
+/// Runs every template checker over every function of a translation
+/// unit, resolving helper effects against a unit-local [`ProgramDb`]:
+/// the single-unit view of the whole-program audit's
+/// [`run_engines_traced`].
 ///
 /// # Examples
 ///
@@ -67,111 +73,17 @@ pub fn checkers_for_patterns(patterns: &[crate::finding::AntiPattern]) -> Vec<Bo
 /// ```
 pub fn check_unit(unit: &TranslationUnit, kb: &ApiKb) -> Vec<Finding> {
     let graphs = FunctionGraph::build_all(unit);
-    check_unit_with_graphs(unit, kb, &graphs)
-}
-
-/// Like [`check_unit`], reusing pre-built graphs.
-pub fn check_unit_with_graphs(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-) -> Vec<Finding> {
-    check_unit_with_checkers(unit, kb, graphs, &default_checkers())
-}
-
-/// Runs an explicit checker subset (ablation studies, custom configs).
-///
-/// Helper effects resolve against a unit-local [`ProgramDb`], so the
-/// result is the single-unit view of the whole-program pipeline.
-pub fn check_unit_with_checkers(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
-) -> Vec<Finding> {
     let globals: Vec<String> = unit.globals().map(|g| g.name.clone()).collect();
-    let program = ProgramDb::local(&unit.path, graphs, &globals, kb);
-    check_unit_with_program(unit, kb, graphs, checkers, &program)
-}
-
-/// Runs checkers over one unit against an externally built
-/// [`ProgramDb`] — the phase-2 entry point of the whole-program audit,
-/// where the database merges summaries from every unit in the tree.
-pub fn check_unit_with_program(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
-    program: &ProgramDb,
-) -> Vec<Finding> {
-    check_unit_with_program_traced(
+    let program = ProgramDb::local(&unit.path, &graphs, &globals, kb);
+    let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::default_set())];
+    run_engines_traced(
         unit,
         kb,
-        graphs,
-        checkers,
-        program,
+        &graphs,
+        &engines,
+        &program,
         &refminer_trace::TraceHandle::disabled(),
     )
-}
-
-/// Like [`check_unit_with_program`], attributing the wall time each
-/// checker spends on this unit to a `checker.{name}.us` trace counter.
-/// With a disabled handle the timing collapses to a no-op, and the
-/// findings are identical either way — tracing only observes.
-pub fn check_unit_with_program_traced(
-    unit: &TranslationUnit,
-    kb: &ApiKb,
-    graphs: &[FunctionGraph],
-    checkers: &[Box<dyn Checker>],
-    program: &ProgramDb,
-    trace: &refminer_trace::TraceHandle,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for graph in graphs {
-        let ctx = CheckCtx {
-            file: &unit.path,
-            graph,
-            kb,
-            unit,
-            all_graphs: graphs,
-            program,
-            trace: trace.clone(),
-        };
-        out.extend(run_checkers_on_graph(&ctx, checkers));
-    }
-    dedup_findings(&mut out);
-    out
-}
-
-/// Runs the template checkers over one function graph, attributing
-/// per-checker wall time to `checker.{name}.us` trace counters and
-/// stamping each finding with its checker name and the template engine
-/// id. The shared inner loop of both [`check_unit_with_program_traced`]
-/// and the engine-layer `TemplateEngine`.
-pub(crate) fn run_checkers_on_graph(
-    ctx: &CheckCtx<'_>,
-    checkers: &[Box<dyn Checker>],
-) -> Vec<Finding> {
-    let timing = ctx.trace.is_enabled();
-    let mut out = Vec::new();
-    for checker in checkers {
-        let start = timing.then(std::time::Instant::now);
-        let mut found = checker.check(ctx);
-        if let Some(start) = start {
-            // Clamp to at least 1µs so even trivially fast checkers
-            // show up in the per-checker table.
-            let us = start.elapsed().as_micros().clamp(1, u64::MAX as u128) as u64;
-            ctx.trace.add(&format!("checker.{}.us", checker.name()), us);
-        }
-        for f in &mut found {
-            if f.checkers.is_empty() {
-                f.checkers.push(checker.name().to_string());
-            }
-            f.add_engine(crate::finding::EngineId::Template);
-        }
-        out.extend(found);
-    }
-    out
 }
 
 /// Collapses duplicate findings (same pattern, file, line, api) into
@@ -256,6 +168,8 @@ pub struct IncSite<'a> {
     pub node: NodeId,
     /// The increment API called.
     pub api: &'a RcApi,
+    /// The increment call itself.
+    pub call: &'a CallFact,
     /// The object variable holding the new reference. `None` when the
     /// returned reference was discarded.
     pub object: Option<String>,
@@ -291,6 +205,7 @@ pub fn inc_sites<'a>(ctx: &'a CheckCtx<'_>) -> Vec<IncSite<'a>> {
             out.push(IncSite {
                 node: n,
                 api,
+                call,
                 object,
             });
         }

@@ -3,7 +3,7 @@
 use refminer_cparse::TranslationUnit;
 use refminer_cpg::{FunctionGraph, NodeId, StoreTarget};
 use refminer_progdb::ProgramDb;
-use refminer_rcapi::{ApiKb, RcApi};
+use refminer_rcapi::{is_kfree_family, ApiKb, RcApi};
 use refminer_trace::TraceHandle;
 
 /// Everything a checker sees for one function.
@@ -108,6 +108,15 @@ impl<'a> CheckCtx<'a> {
         self.graph.facts[n].assigns.iter().any(|a| {
             a.target == StoreTarget::Var(obj.to_string()) && a.rhs_root.as_deref() != Some(obj)
         })
+    }
+
+    /// Whether node `n` frees `obj` with a kfree-family call (P7's
+    /// direct free).
+    pub fn frees_object(&self, n: NodeId, obj: &str) -> bool {
+        self.graph.facts[n]
+            .calls
+            .iter()
+            .any(|c| is_kfree_family(&c.name) && c.arg_root(0) == Some(obj))
     }
 
     /// Whether node `n` passes `obj` to any call that is *not* a

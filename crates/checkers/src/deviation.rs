@@ -1,6 +1,7 @@
 //! Checkers P1 and P2: implementation-deviation bugs (§5.1).
 
-use refminer_cpg::{CheckFact, NodeKind, PathQuery, Step};
+use refminer_cpg::{null_guard_nodes, CheckFact, NodeKind, PathQuery, Step};
+use refminer_rcapi::RcApi;
 
 use crate::checker::{inc_sites, Checker};
 use crate::ctx::CheckCtx;
@@ -19,10 +20,6 @@ impl Checker for ReturnErrorChecker {
         AntiPattern::P1
     }
 
-    fn name(&self) -> &'static str {
-        "ReturnErrorChecker"
-    }
-
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
         for site in inc_sites(ctx) {
@@ -32,21 +29,8 @@ impl Checker for ReturnErrorChecker {
             let Some(obj) = site.object.clone() else {
                 continue;
             };
-            // Path: call → error block → exit, never decrementing obj.
-            // NULL-guard bailouts of the object are not error paths for
-            // pairing purposes (no reference was taken when NULL).
             let graph = ctx.graph;
-            let exit = graph.cfg.exit;
-            let api = site.api;
-            let null_guard = refminer_cpg::null_guard_nodes(&graph.cfg, &graph.facts, &obj);
-            let obj_ref = obj.clone();
-            let obj_ref2 = obj.clone();
-            let q = PathQuery::new(vec![
-                Step::new(move |n| graph.is_error_node(n) && !null_guard.contains(&n))
-                    .avoiding(move |n| ctx.is_paired_dec(n, api, &obj_ref)),
-                Step::new(move |n| n == exit)
-                    .avoiding(move |n| ctx.is_paired_dec(n, api, &obj_ref2)),
-            ]);
+            let q = return_error_query(ctx, site.api, &obj);
             if q.search(&graph.cfg, site.node).is_some() {
                 out.push(Finding {
                     pattern: AntiPattern::P1,
@@ -71,6 +55,23 @@ impl Checker for ReturnErrorChecker {
     }
 }
 
+/// P1's witness query, searched from the `G_E` call: a path through an
+/// error block to the exit that never decrements `obj`. NULL-guard
+/// bailouts of the object are not error paths for pairing purposes (no
+/// reference was taken when NULL). The delta engine runs the same query
+/// so both engines report the same line.
+pub fn return_error_query<'a>(ctx: &'a CheckCtx<'a>, api: &'a RcApi, obj: &str) -> PathQuery<'a> {
+    let graph = ctx.graph;
+    let exit = graph.cfg.exit;
+    let null_guard = null_guard_nodes(&graph.cfg, &graph.facts, obj);
+    let (o1, o2) = (obj.to_string(), obj.to_string());
+    PathQuery::new(vec![
+        Step::new(move |n| graph.is_error_node(n) && !null_guard.contains(&n))
+            .avoiding(move |n| ctx.is_paired_dec(n, api, &o1)),
+        Step::new(move |n| n == exit).avoiding(move |n| ctx.is_paired_dec(n, api, &o2)),
+    ])
+}
+
 /// **P2 — Return-NULL** (`F_start → S_{G_N} → S_{D_N} → F_end`).
 ///
 /// Increment APIs that hand the object back through the return value
@@ -81,10 +82,6 @@ pub struct ReturnNullChecker;
 impl Checker for ReturnNullChecker {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::P2
-    }
-
-    fn name(&self) -> &'static str {
-        "ReturnNullChecker"
     }
 
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {

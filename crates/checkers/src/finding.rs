@@ -41,6 +41,25 @@ impl AntiPattern {
         [P1, P2, P3, P4, P5, P6, P7, P8, P9]
     }
 
+    /// The pattern's number, 1 through 9 — the form the corpus
+    /// manifest records.
+    pub fn number(&self) -> u8 {
+        *self as u8 + 1
+    }
+
+    /// The pattern with manifest number `n` (1 through 9).
+    pub fn from_number(n: u8) -> Option<AntiPattern> {
+        let index = usize::from(n.checked_sub(1)?);
+        AntiPattern::all().get(index).copied()
+    }
+
+    /// Parses a pattern id (`"P4"`), ignoring ASCII case.
+    pub fn from_id(id: &str) -> Option<AntiPattern> {
+        AntiPattern::all()
+            .into_iter()
+            .find(|p| p.id().eq_ignore_ascii_case(id))
+    }
+
     /// Short identifier (`"P1"`).
     pub fn id(&self) -> &'static str {
         match self {
@@ -68,6 +87,22 @@ impl AntiPattern {
             AntiPattern::P7 => "F_start -> S_G -> S_{free} -> F_end",
             AntiPattern::P8 => "F_start -> S_P(p0) -> S_D(p0) -> F_end",
             AntiPattern::P9 => "F_start -> S_{A_GO} -> F_end",
+        }
+    }
+
+    /// The name of the template checker that detects the pattern,
+    /// recorded in each of its findings' `checkers` list.
+    pub fn checker_name(&self) -> &'static str {
+        match self {
+            AntiPattern::P1 => "ReturnErrorChecker",
+            AntiPattern::P2 => "ReturnNullChecker",
+            AntiPattern::P3 => "SmartLoopBreakChecker",
+            AntiPattern::P4 => "HiddenApiChecker",
+            AntiPattern::P5 => "ErrorPathChecker",
+            AntiPattern::P6 => "InterUnpairedChecker",
+            AntiPattern::P7 => "DirectFreeChecker",
+            AntiPattern::P8 => "UadChecker",
+            AntiPattern::P9 => "EscapeChecker",
         }
     }
 
@@ -358,6 +393,14 @@ mod tests {
         assert_eq!(AntiPattern::all().len(), 9);
         assert_eq!(AntiPattern::P3.root_cause(), "hidden refcounting");
         assert_eq!(AntiPattern::P8.root_cause(), "future risk");
+        for p in AntiPattern::all() {
+            assert_eq!(AntiPattern::from_number(p.number()), Some(p));
+            assert_eq!(AntiPattern::from_id(&p.id().to_lowercase()), Some(p));
+        }
+        assert_eq!(AntiPattern::P1.number(), 1);
+        assert_eq!(AntiPattern::from_number(0), None);
+        assert_eq!(AntiPattern::from_number(10), None);
+        assert_eq!(AntiPattern::from_id("P10"), None);
     }
 
     #[test]

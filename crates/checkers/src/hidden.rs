@@ -1,7 +1,7 @@
 //! Checkers P3 and P4: hidden-refcounting bugs (§5.2).
 
-use refminer_cpg::{NodeKind, PathQuery, Payload, Step};
-use refminer_rcapi::{ObjectFlow, RcClass};
+use refminer_cpg::{null_guard_nodes, NodeKind, PathQuery, Payload, Step};
+use refminer_rcapi::{ObjectFlow, RcApi, RcClass};
 
 use crate::checker::{has_any_paired_dec, inc_sites, Checker};
 use crate::ctx::CheckCtx;
@@ -18,10 +18,6 @@ pub struct SmartLoopBreakChecker;
 impl Checker for SmartLoopBreakChecker {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::P3
-    }
-
-    fn name(&self) -> &'static str {
-        "SmartLoopBreakChecker"
     }
 
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
@@ -125,10 +121,6 @@ impl Checker for HiddenApiChecker {
         AntiPattern::P4
     }
 
-    fn name(&self) -> &'static str {
-        "HiddenApiChecker"
-    }
-
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
         let graph = ctx.graph;
@@ -187,28 +179,7 @@ impl Checker for HiddenApiChecker {
                         // additionally require the witness path to pass
                         // through no error block.
                         let paired_somewhere = has_any_paired_dec(ctx, site.api, obj);
-                        let fexit = graph.cfg.exit;
-                        let api = site.api;
-                        let o = obj.clone();
-                        // Paths through a NULL-guard bailout of the
-                        // object hold no reference; they cannot witness
-                        // the leak.
-                        let null_guard =
-                            refminer_cpg::null_guard_nodes(&graph.cfg, &graph.facts, &o);
-                        let q = PathQuery::new(vec![Step::new(move |n| n == fexit)
-                            .avoiding(move |n| {
-                                null_guard.contains(&n)
-                                    || (paired_somewhere && graph.is_error_node(n))
-                                    || ctx.is_paired_dec(n, api, &o)
-                                    || ctx.returns_object(n, &o)
-                                    || ctx.escapes_object(n, &o)
-                                    || ctx.passes_to_consumer(n, &o)
-                                    // A direct kfree is wrong too, but
-                                    // it is P7's finding, not P4's.
-                                    || frees_object(ctx, n, &o)
-                            })
-                            .avoiding_edges(ctx.null_branch_of(obj))])
-                        .without_back_edges();
+                        let q = never_paired_query(ctx, site.api, obj, paired_somewhere);
                         if q.search(&graph.cfg, site.node).is_some() {
                             out.push(Finding {
                                 pattern: AntiPattern::P4,
@@ -277,14 +248,38 @@ impl Checker for HiddenApiChecker {
     }
 }
 
-/// Whether node `n` frees `obj` with a kfree-family call.
-fn frees_object(ctx: &CheckCtx<'_>, n: refminer_cpg::NodeId, obj: &str) -> bool {
-    ctx.graph.facts[n].calls.iter().any(|c| {
-        matches!(
-            c.name.as_str(),
-            "kfree" | "kvfree" | "kfree_sensitive" | "vfree"
-        ) && c.arg_root(0) == Some(obj)
-    })
+/// P4's witness query for a hidden increment, searched from the call:
+/// a path to the exit on which `obj` is never paired, returned, stored,
+/// handed to a consumer or freed. Paths through a NULL-guard bailout of
+/// the object, or down its NULL branch, hold no reference and cannot
+/// witness the leak. With `paired_somewhere` the path must also pass
+/// no error block, since a leak there is P5's finding. The delta engine
+/// runs the same query, with `paired_somewhere` false, so both engines
+/// report the same line.
+pub fn never_paired_query<'a>(
+    ctx: &'a CheckCtx<'a>,
+    api: &'a RcApi,
+    obj: &str,
+    paired_somewhere: bool,
+) -> PathQuery<'a> {
+    let graph = ctx.graph;
+    let exit = graph.cfg.exit;
+    let null_guard = null_guard_nodes(&graph.cfg, &graph.facts, obj);
+    let o = obj.to_string();
+    PathQuery::new(vec![Step::new(move |n| n == exit)
+        .avoiding(move |n| {
+            null_guard.contains(&n)
+                || (paired_somewhere && graph.is_error_node(n))
+                || ctx.is_paired_dec(n, api, &o)
+                || ctx.returns_object(n, &o)
+                || ctx.escapes_object(n, &o)
+                || ctx.passes_to_consumer(n, &o)
+                // A direct kfree is wrong too, but it is P7's finding,
+                // not P4's.
+                || ctx.frees_object(n, &o)
+        })
+        .avoiding_edges(ctx.null_branch_of(obj))])
+    .without_back_edges()
 }
 
 /// Whether the call result flows directly into an enclosing call

@@ -17,13 +17,21 @@
 //! | [`UadChecker`]           | P8 | future risk | UAF |
 //! | [`EscapeChecker`]        | P9 | future risk | UAF |
 //!
-//! Use [`check_unit`] to run the full set over one parsed file.
-//!
-//! The checkers are one [`AnalysisEngine`] (the [`TemplateEngine`])
-//! behind the engine substrate in [`engine`]; the ownership-delta
-//! dataflow engine in `refminer-delta` is the other. Findings carry an
+//! The checkers are one [`AnalysisEngine`], the [`TemplateEngine`];
+//! the ownership-delta dataflow engine in `refminer-delta` is the
+//! other. [`run_engines_traced`] is the one entry point: it runs a
+//! list of engines over every function of a unit. [`check_unit`] is its
+//! single-unit view with the full checker set. Findings carry an
 //! `engines` attribution and derive a [`Confidence`]
 //! (corroborated / template-only / delta-only) from it.
+//!
+//! Each pattern's id, number, semantic template and checker name live
+//! on [`AntiPattern`]. Each path-based witness query the delta engine
+//! shares has one constructor, next to its checker:
+//! [`return_error_query`] (P1), [`never_paired_query`] (P4),
+//! [`error_path_query`] (P5) and [`use_after_decrease_query`] (P8).
+//! Both engines run the same query, so they report a site on the same
+//! line with the same verdict.
 
 mod checker;
 mod ctx;
@@ -35,22 +43,21 @@ mod location;
 mod risk;
 
 pub use checker::{
-    check_unit, check_unit_with_checkers, check_unit_with_graphs, check_unit_with_program,
-    check_unit_with_program_traced, checker_set_fingerprint, checkers_for_patterns, dedup_findings,
-    default_checkers, has_any_paired_dec, inc_sites, Checker, IncSite,
+    check_unit, checker_set_fingerprint, checkers_for_patterns, dedup_findings, default_checkers,
+    has_any_paired_dec, inc_sites, Checker, IncSite,
 };
 pub use ctx::CheckCtx;
-pub use deviation::{ReturnErrorChecker, ReturnNullChecker};
+pub use deviation::{return_error_query, ReturnErrorChecker, ReturnNullChecker};
 pub use engine::{run_engines_traced, AnalysisEngine, EngineSet, TemplateEngine};
 pub use finding::{
     merge_duplicate_findings, merge_unit_findings, sort_findings_canonical, AntiPattern,
     Confidence, EngineId, Finding, Impact,
 };
 // The feasibility verdict each finding carries (see `refminer-cpg`).
-pub use hidden::{HiddenApiChecker, SmartLoopBreakChecker};
-pub use location::{DirectFreeChecker, ErrorPathChecker, InterUnpairedChecker};
+pub use hidden::{never_paired_query, HiddenApiChecker, SmartLoopBreakChecker};
+pub use location::{error_path_query, DirectFreeChecker, ErrorPathChecker, InterUnpairedChecker};
 pub use refminer_cpg::Feasibility;
 // Helper-effect summaries live in `refminer-progdb` now; re-exported so
 // downstream code keeps one import path for checker-facing types.
 pub use refminer_progdb::{CallSite, FnExport, FnSummary, ProgramDb, UnitExports};
-pub use risk::{EscapeChecker, UadChecker};
+pub use risk::{use_after_decrease_query, EscapeChecker, UadChecker};

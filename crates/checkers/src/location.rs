@@ -1,8 +1,8 @@
 //! Checkers P5, P6 and P7: overlooked-location bugs (§5.3).
 
 use refminer_cparse::{Initializer, TranslationUnit};
-use refminer_cpg::{FunctionGraph, PathQuery, Step};
-use refminer_rcapi::RcDir;
+use refminer_cpg::{null_guard_nodes, FunctionGraph, PathQuery, Step};
+use refminer_rcapi::{is_kfree_family, RcApi, RcDir};
 
 use crate::checker::{has_any_paired_dec, inc_sites, Checker};
 use crate::ctx::CheckCtx;
@@ -17,10 +17,6 @@ pub struct ErrorPathChecker;
 impl Checker for ErrorPathChecker {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::P5
-    }
-
-    fn name(&self) -> &'static str {
-        "ErrorPathChecker"
     }
 
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
@@ -38,26 +34,7 @@ impl Checker for ErrorPathChecker {
             if !has_any_paired_dec(ctx, site.api, &obj) {
                 continue; // P4's territory (never paired at all).
             }
-            let fexit = graph.cfg.exit;
-            let api = site.api;
-            let null_guard = refminer_cpg::null_guard_nodes(&graph.cfg, &graph.facts, &obj);
-            let (o1, o2) = (obj.clone(), obj.clone());
-            let q = PathQuery::new(vec![
-                Step::new(move |n| graph.is_error_node(n) && !null_guard.contains(&n)).avoiding(
-                    move |n| {
-                        ctx.is_paired_dec(n, api, &o1)
-                            || ctx.returns_object(n, &o1)
-                            || ctx.escapes_object(n, &o1)
-                            || ctx.reassigns_object(n, &o1)
-                    },
-                ),
-                Step::new(move |n| n == fexit).avoiding(move |n| {
-                    ctx.is_paired_dec(n, api, &o2)
-                        || ctx.returns_object(n, &o2)
-                        || ctx.escapes_object(n, &o2)
-                }),
-            ])
-            .without_back_edges();
+            let q = error_path_query(ctx, site.api, &obj);
             if let Some(witness) = q.search(&graph.cfg, site.node) {
                 out.push(Finding {
                     pattern: AntiPattern::P5,
@@ -83,6 +60,33 @@ impl Checker for ErrorPathChecker {
         }
         out
     }
+}
+
+/// P5's witness query, searched from the increment: a path into an
+/// error block (not a NULL-guard bailout of `obj`) and on to the exit
+/// that never pairs, returns or stores `obj`, nor overwrites it before
+/// the error block. The witness's first node is the error block the
+/// finding reports. The delta engine runs the same query so both
+/// engines report the same line and verdict.
+pub fn error_path_query<'a>(ctx: &'a CheckCtx<'a>, api: &'a RcApi, obj: &str) -> PathQuery<'a> {
+    let graph = ctx.graph;
+    let exit = graph.cfg.exit;
+    let null_guard = null_guard_nodes(&graph.cfg, &graph.facts, obj);
+    let (o1, o2) = (obj.to_string(), obj.to_string());
+    PathQuery::new(vec![
+        Step::new(move |n| graph.is_error_node(n) && !null_guard.contains(&n)).avoiding(move |n| {
+            ctx.is_paired_dec(n, api, &o1)
+                || ctx.returns_object(n, &o1)
+                || ctx.escapes_object(n, &o1)
+                || ctx.reassigns_object(n, &o1)
+        }),
+        Step::new(move |n| n == exit).avoiding(move |n| {
+            ctx.is_paired_dec(n, api, &o2)
+                || ctx.returns_object(n, &o2)
+                || ctx.escapes_object(n, &o2)
+        }),
+    ])
+    .without_back_edges()
 }
 
 /// **P6 — Inter-unpaired / indirect call**
@@ -121,10 +125,6 @@ const NAME_PAIRS: &[(&str, &str)] = &[
 impl Checker for InterUnpairedChecker {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::P6
-    }
-
-    fn name(&self) -> &'static str {
-        "InterUnpairedChecker"
     }
 
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
@@ -289,17 +289,12 @@ impl Checker for DirectFreeChecker {
         AntiPattern::P7
     }
 
-    fn name(&self) -> &'static str {
-        "DirectFreeChecker"
-    }
-
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
-        const FREE_FNS: &[&str] = &["kfree", "kvfree", "kfree_sensitive", "vfree"];
         let mut out = Vec::new();
         let graph = ctx.graph;
         for n in graph.cfg.node_ids() {
             for call in &graph.facts[n].calls {
-                if !FREE_FNS.contains(&call.name.as_str()) {
+                if !is_kfree_family(&call.name) {
                     continue;
                 }
                 let Some(obj) = call.arg_root(0).map(str::to_string) else {

@@ -1,6 +1,6 @@
 //! Checkers P8 and P9: future-risk bugs (§5.4).
 
-use refminer_cpg::{Origin, PathQuery, Step, StoreTarget};
+use refminer_cpg::{NodeId, Origin, PathQuery, Step, StoreTarget};
 use refminer_rcapi::RcDir;
 
 use crate::checker::Checker;
@@ -21,10 +21,6 @@ impl Checker for UadChecker {
         AntiPattern::P8
     }
 
-    fn name(&self) -> &'static str {
-        "UadChecker"
-    }
-
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
         let graph = ctx.graph;
@@ -43,28 +39,7 @@ impl Checker for UadChecker {
                 else {
                     continue;
                 };
-                // Search: from the decrement, reach a node that
-                // dereferences obj — without an intervening re-take,
-                // reassignment, or NULL-ing of the pointer.
-                let (o1, o2, o3) = (obj.clone(), obj.clone(), obj.clone());
-                let dec_node = n;
-                let q = PathQuery::new(vec![Step::new(move |m| {
-                    m != dec_node && graph.facts[m].derefs_var(&o1)
-                })
-                .avoiding(move |m| {
-                    ctx.reassigns_object(m, &o2)
-                        || graph.facts[m].calls.iter().any(|c| {
-                            ctx.kb
-                                .get(&c.name)
-                                .filter(|a| a.dir == RcDir::Inc)
-                                .and_then(|a| a.object_arg())
-                                .and_then(|i| c.arg_root(i))
-                                == Some(&o3)
-                        })
-                })]);
-                // Back-edges stay enabled: a put at the bottom of a
-                // loop body makes the deref at the top of the *next*
-                // iteration a UAD too.
+                let q = use_after_decrease_query(ctx, n, &obj);
                 if let Some(witness) = q.search(&graph.cfg, n) {
                     let deref_node = witness[0];
                     out.push(Finding {
@@ -91,6 +66,36 @@ impl Checker for UadChecker {
     }
 }
 
+/// P8's witness query, searched from the decrement at `dec_node`: a
+/// path to a node that dereferences `obj`, without an intervening
+/// re-take or reassignment of the pointer. Back-edges stay enabled: a
+/// put at the bottom of a loop body makes the deref at the top of the
+/// *next* iteration a UAD too. The delta engine runs the same query for
+/// objects the function never acquired, so both engines report the
+/// same line.
+pub fn use_after_decrease_query<'a>(
+    ctx: &'a CheckCtx<'a>,
+    dec_node: NodeId,
+    obj: &str,
+) -> PathQuery<'a> {
+    let graph = ctx.graph;
+    let (o1, o2, o3) = (obj.to_string(), obj.to_string(), obj.to_string());
+    PathQuery::new(vec![Step::new(move |m| {
+        m != dec_node && graph.facts[m].derefs_var(&o1)
+    })
+    .avoiding(move |m| {
+        ctx.reassigns_object(m, &o2)
+            || graph.facts[m].calls.iter().any(|c| {
+                ctx.kb
+                    .get(&c.name)
+                    .filter(|a| a.dir == RcDir::Inc)
+                    .and_then(|a| a.object_arg())
+                    .and_then(|i| c.arg_root(i))
+                    == Some(&o3)
+            })
+    })])
+}
+
 /// **P9 — Reference escape** (`F_start → S_{A_{G|O}} → F_end`).
 ///
 /// Storing a *borrowed* reference (a parameter the function does not
@@ -102,10 +107,6 @@ pub struct EscapeChecker;
 impl Checker for EscapeChecker {
     fn pattern(&self) -> AntiPattern {
         AntiPattern::P9
-    }
-
-    fn name(&self) -> &'static str {
-        "EscapeChecker"
     }
 
     fn check(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {

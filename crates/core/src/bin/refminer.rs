@@ -92,12 +92,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_pattern(s: &str) -> Option<AntiPattern> {
-    AntiPattern::all()
-        .into_iter()
-        .find(|p| p.id().eq_ignore_ascii_case(s))
-}
-
 fn parse_impact(s: &str) -> Option<Impact> {
     match s.to_ascii_lowercase().as_str() {
         "leak" => Some(Impact::Leak),
@@ -177,7 +171,7 @@ fn parse_args() -> Options {
             "--pattern" => {
                 let value = args.next().unwrap_or_else(|| usage());
                 let parsed: Option<Vec<AntiPattern>> =
-                    value.split(',').map(parse_pattern).collect();
+                    value.split(',').map(AntiPattern::from_id).collect();
                 match parsed {
                     Some(v) => opts.patterns = Some(v),
                     None => {
@@ -189,7 +183,7 @@ fn parse_args() -> Options {
             "--only-pattern" => {
                 let value = args.next().unwrap_or_else(|| usage());
                 let parsed: Option<Vec<AntiPattern>> =
-                    value.split(',').map(parse_pattern).collect();
+                    value.split(',').map(AntiPattern::from_id).collect();
                 match parsed {
                     Some(v) if !v.is_empty() => opts.only_patterns = Some(v),
                     _ => {

@@ -130,42 +130,14 @@ impl ToJson for EvalReport {
     }
 }
 
-/// The checker that owns each manifest pattern number.
-fn checker_name_for(pattern: u8) -> &'static str {
-    match pattern {
-        1 => "ReturnErrorChecker",
-        2 => "ReturnNullChecker",
-        3 => "SmartLoopBreakChecker",
-        4 => "HiddenApiChecker",
-        5 => "ErrorPathChecker",
-        6 => "InterUnpairedChecker",
-        7 => "DirectFreeChecker",
-        8 => "UadChecker",
-        9 => "EscapeChecker",
-        _ => "",
-    }
-}
-
-/// The manifest pattern number of an [`AntiPattern`].
-fn pattern_num(p: AntiPattern) -> u8 {
-    AntiPattern::all()
-        .into_iter()
-        .position(|q| q == p)
-        .map(|i| i as u8 + 1)
-        .unwrap_or(0)
-}
-
 /// Whether `finding` claims the bug: same file and function, and the
 /// bug's pattern is covered by the finding's checker list (or equals
 /// the finding's own pattern, for findings predating checker stamping).
-fn finding_claims(finding: &Finding, path: &str, function: &str, pattern: u8) -> bool {
+fn finding_claims(finding: &Finding, path: &str, function: &str, pattern: AntiPattern) -> bool {
     finding.file == path
         && finding.function == function
-        && (pattern_num(finding.pattern) == pattern
-            || finding
-                .checkers
-                .iter()
-                .any(|c| c == checker_name_for(pattern)))
+        && (finding.pattern == pattern
+            || finding.checkers.iter().any(|c| c == pattern.checker_name()))
 }
 
 /// Scores `findings` against the manifest's ground truth. See the
@@ -174,12 +146,12 @@ pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
     let mut per: BTreeMap<AntiPattern, Counts> = BTreeMap::new();
 
     for bug in &manifest.bugs {
-        let Some(pattern) = AntiPattern::all().get(bug.pattern as usize - 1).copied() else {
+        let Some(pattern) = AntiPattern::from_number(bug.pattern) else {
             continue;
         };
         let hit = findings
             .iter()
-            .any(|f| finding_claims(f, &bug.path, &bug.function, bug.pattern));
+            .any(|f| finding_claims(f, &bug.path, &bug.function, pattern));
         let counts = per.entry(pattern).or_default();
         if hit {
             counts.tp += 1;
@@ -190,10 +162,10 @@ pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
 
     let mut trap_hits = 0usize;
     for f in findings {
-        let claims_some_bug = manifest
-            .bugs
-            .iter()
-            .any(|b| finding_claims(f, &b.path, &b.function, b.pattern));
+        let claims_some_bug = manifest.bugs.iter().any(|b| {
+            AntiPattern::from_number(b.pattern)
+                .is_some_and(|p| finding_claims(f, &b.path, &b.function, p))
+        });
         if claims_some_bug {
             continue;
         }

@@ -6,8 +6,9 @@
 //! refcounting bugs in C codebases, plus the empirical-study pipeline
 //! (commit mining, taxonomy, statistics, word2vec keyword analysis).
 //!
-//! The facade re-exports the subsystem crates and offers the
-//! end-to-end [`audit`] pipeline:
+//! The facade re-exports the analysis crates and offers the
+//! end-to-end [`audit`] pipeline; the study's `refminer-dataset` and
+//! `refminer-w2v` crates stand on their own:
 //!
 //! ```
 //! use refminer::{audit, AuditConfig, Project};
@@ -65,7 +66,6 @@ pub use refminer_clex as clex;
 pub use refminer_corpus as corpus;
 pub use refminer_cparse as cparse;
 pub use refminer_cpg as cpg;
-pub use refminer_dataset as dataset;
 pub use refminer_delta as delta;
 pub use refminer_delta::DeltaEngine;
 pub use refminer_fixcheck as fixdiff;
@@ -80,4 +80,3 @@ pub use refminer_sweep::{BugTemplate, CloneMatch, StructSig};
 pub use refminer_template as template;
 pub use refminer_trace as trace;
 pub use refminer_trace::{TraceHandle, TraceLog, TraceSummary};
-pub use refminer_w2v as w2v;

@@ -491,10 +491,7 @@ impl EngineHandle {
     fn query(&self, id: u64, filter: &QueryFilter) -> Response {
         self.shared.counters.queries.fetch_add(1, Ordering::SeqCst);
         let pattern = match &filter.pattern {
-            Some(p) => match AntiPattern::all()
-                .into_iter()
-                .find(|ap| ap.id().eq_ignore_ascii_case(p))
-            {
+            Some(p) => match AntiPattern::from_id(p) {
                 Some(ap) => Some(ap),
                 None => {
                     return Response::err(

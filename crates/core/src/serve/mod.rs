@@ -3,9 +3,9 @@
 //! Holds the [`crate::Project`] scan, knowledge base and all four
 //! audit-cache layers hot in one process and answers line-delimited
 //! JSON-RPC (see [`protocol`]) over TCP and, on Unix, a Unix-domain
-//! socket. The [`engine`] implements the robustness contract
-//! (deadlines, backpressure, degraded-mode serving); [`watch`] adds
-//! `--watch` re-auditing; [`render`] is the single JSONL serializer
+//! socket. The `engine` module implements the robustness contract
+//! (deadlines, backpressure, degraded-mode serving); `watch` adds
+//! `--watch` re-auditing; `render` is the single JSONL serializer
 //! shared with the one-shot CLI so `query` output is byte-identical to
 //! `refminer --json` over the same tree.
 

@@ -1,7 +1,7 @@
 //! Runs the `scripts/verify.sh` release gate against prebuilt binaries,
-//! so the one-shot fmt → clippy → build → test → chaos → serve →
+//! so the one-shot fmt → clippy → doc → build → test → chaos → serve →
 //! revisions chain stays wired into the test suite. The cargo-based
-//! steps (fmt, clippy, build, test) are skipped because this test
+//! steps (fmt, clippy, doc, build, test) are skipped because this test
 //! already runs under cargo — re-entering it here would recurse.
 
 use std::path::Path;
@@ -18,7 +18,7 @@ fn script() -> std::path::PathBuf {
 fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
     let out = Command::new("bash")
         .arg(script())
-        .env("VERIFY_SKIP", "fmt clippy build test")
+        .env("VERIFY_SKIP", "fmt clippy doc build test")
         .env("REFMINER_BIN", env!("CARGO_BIN_EXE_refminer"))
         .env("CHAOSGEN_BIN", env!("CARGO_BIN_EXE_chaosgen"))
         .env("HISTGEN_BIN", env!("CARGO_BIN_EXE_histgen"))
@@ -36,6 +36,10 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
     );
     assert!(
         stdout.contains("verify.sh: [clippy] skipped"),
+        "stdout:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("verify.sh: [doc] skipped"),
         "stdout:\n{stdout}"
     );
     assert!(
@@ -68,7 +72,7 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
 fn verify_script_fails_fast_with_the_step_name() {
     let out = Command::new("bash")
         .arg(script())
-        .env("VERIFY_SKIP", "fmt clippy build test chaos serve")
+        .env("VERIFY_SKIP", "fmt clippy doc build test chaos serve")
         .env("HISTGEN_BIN", "/bin/false")
         .output()
         .expect("run verify.sh");

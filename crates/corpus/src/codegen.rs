@@ -534,10 +534,6 @@ mod tests {
         ApiKb::builtin()
     }
 
-    fn pattern_of(n: u8) -> AntiPattern {
-        AntiPattern::all()[(n - 1) as usize]
-    }
-
     /// Every buggy emitter must trigger exactly its checker; every
     /// clean emitter must trigger none.
     #[test]
@@ -565,7 +561,7 @@ mod tests {
             let tu = parse_str("drivers/test/gen.c", &src);
             let findings = check_unit(&tu, &kb);
             assert!(
-                findings.iter().any(|f| f.pattern == pattern_of(*pattern)),
+                findings.iter().any(|f| f.pattern.number() == *pattern),
                 "P{pattern} via {api} not detected; findings={findings:?}\nsrc:\n{src}"
             );
         }

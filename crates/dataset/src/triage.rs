@@ -96,7 +96,7 @@ pub fn triage(findings: &[Finding], manifest: &Manifest) -> Triage {
     let mut rows: Vec<TriagedFinding> = findings
         .iter()
         .map(|f| {
-            let tp = manifest.matches(&f.file, &f.function, pattern_num(f.pattern));
+            let tp = manifest.matches(&f.file, &f.function, f.pattern.number());
             let tricky = manifest.is_tricky(&f.file, &f.function);
             TriagedFinding {
                 finding: f.clone(),
@@ -173,10 +173,6 @@ pub fn triage(findings: &[Finding], manifest: &Manifest) -> Triage {
         }
     }
     Triage { rows }
-}
-
-fn pattern_num(p: AntiPattern) -> u8 {
-    AntiPattern::all().iter().position(|&q| q == p).unwrap() as u8 + 1
 }
 
 /// Aggregated Table 4 row.

@@ -9,36 +9,40 @@
 //! site it runs a forward dataflow over the function's CFG with an
 //! interval abstract domain: each node carries the possible net
 //! refcount delta the function still owes on the acquired object,
-//! as an interval `[lo, hi]` saturated at ±[`CAP`]. Transfer effects
+//! as an interval `[lo, hi]` saturated at ±`CAP`. Transfer effects
 //! come from the same substrate the checkers use — paired decrements
 //! (including alias- and helper-resolved ones through the
-//! [`ProgramDb`] effect summaries, which makes the engine
-//! interprocedural), further increments, hidden decrements of
-//! `ArgAndReturned` find-APIs, and helper acquires. Ownership
-//! transfers (return, escape, consumer hand-off, reassignment, direct
-//! free) kill the path: the delta is no longer this function's debt.
+//! [`ProgramDb`](refminer_progdb::ProgramDb) effect summaries, which
+//! makes the engine interprocedural), further increments, hidden
+//! decrements of `ArgAndReturned` find-APIs, and helper acquires.
+//! Ownership transfers (return, escape, consumer hand-off,
+//! reassignment, direct free) kill the path: the delta is no longer
+//! this function's debt.
 //! Branch edges on which the object is known NULL propagate nothing —
 //! no reference is held there.
 //!
 //! A site whose interval still admits a positive delta at the function
 //! exit (`hi > 0`) leaks on some path. The engine then *refines* the
-//! candidate with the shared path machinery — the same witness queries
-//! and feasibility classification the templates use — so corroborated
-//! findings land on the same line with the same verdict, and the
-//! cross-validation layer can union them. A candidate whose delta is
-//! positive on **every** exit path (`lo > 0`) but which no template
-//! query witnesses (e.g. a double-get with a single put on straight-
-//! line code) is reported structurally: that is the delta engine's own
-//! territory.
+//! candidate with the checkers' own witness queries
+//! ([`return_error_query`], [`error_path_query`],
+//! [`never_paired_query`]) and feasibility classification, so
+//! corroborated findings land on the same line with the same verdict,
+//! and the cross-validation layer can union them. A candidate whose
+//! delta is positive on **every** exit path (`lo > 0`) but which no
+//! template query witnesses (e.g. a double-get with a single put on
+//! straight-line code) is reported structurally: that is the delta
+//! engine's own territory.
 //!
 //! The over-put direction mirrors P8: a decrement of an object the
 //! function never acquired drives the interval negative; a subsequent
-//! dereference on some path is a use-after-decrease.
+//! dereference on some path ([`use_after_decrease_query`]) is a
+//! use-after-decrease.
 
 use refminer_checkers::{
-    has_any_paired_dec, inc_sites, AnalysisEngine, AntiPattern, CheckCtx, EngineId, Finding, Impact,
+    error_path_query, has_any_paired_dec, inc_sites, never_paired_query, return_error_query,
+    use_after_decrease_query, AnalysisEngine, AntiPattern, CheckCtx, EngineId, Finding, Impact,
 };
-use refminer_cpg::{null_guard_nodes, Feasibility, NodeId, NodeKind, PathQuery, Step};
+use refminer_cpg::{Feasibility, NodeId, NodeKind};
 use refminer_rcapi::{ObjectFlow, RcApi, RcClass, RcDir};
 
 /// Bump when the delta engine's logic changes: the value keys cached
@@ -70,7 +74,7 @@ impl Interval {
         Interval { lo: d, hi: d }
     }
 
-    /// Shifts both bounds by `d`, saturating at ±[`CAP`].
+    /// Shifts both bounds by `d`, saturating at ±`CAP`.
     pub fn shift(self, d: i8) -> Interval {
         Interval {
             lo: (self.lo + d).clamp(-CAP, CAP),
@@ -151,61 +155,39 @@ struct Seed<'a> {
 }
 
 fn seeds<'a>(ctx: &'a CheckCtx<'_>) -> Vec<Seed<'a>> {
-    let graph = ctx.graph;
-    let mut out = Vec::new();
-    for n in graph.cfg.node_ids() {
+    inc_sites(ctx)
+        .into_iter()
         // Smartloop iterator references are P3's hidden protocol, not
         // a per-site delta; skip the loop-head acquisitions entirely.
-        if matches!(graph.cfg.nodes[n].kind, NodeKind::MacroLoopHead { .. }) {
-            continue;
-        }
-        for call in &graph.facts[n].calls {
-            let Some(api) = ctx.kb.get(&call.name) else {
-                continue;
-            };
-            if api.dir != RcDir::Inc {
-                continue;
-            }
-            let assigned = graph.facts[n]
-                .assigns
-                .iter()
-                .find(|a| a.rhs_call.as_deref() == Some(api.name.as_str()))
-                .and_then(|a| match &a.target {
-                    refminer_cpg::StoreTarget::Var(v) => Some(v.clone()),
-                    _ => None,
-                });
-            let object = if api.returns_object() {
-                assigned.or_else(|| {
-                    // A bare `of_node_get(np)`-style call: the reference
-                    // lands back on the argument itself. Only for the
-                    // non-Embedded `ArgAndReturned` APIs — the embedded
-                    // find-family's argument is the search *start*,
-                    // which the call puts rather than acquires.
-                    if api.class == RcClass::Embedded {
-                        return None;
-                    }
-                    api.object_arg()
-                        .and_then(|i| call.arg_root(i))
-                        .map(str::to_string)
-                })
-            } else {
-                api.object_arg()
-                    .and_then(|i| call.arg_root(i))
-                    .map(str::to_string)
-            };
-            let Some(object) = object else {
-                // Discarded result: the template's P4 discard shape
-                // owns it; a delta over a nameless object is moot.
-                continue;
-            };
-            out.push(Seed {
-                node: n,
-                api,
+        .filter(|s| {
+            !matches!(
+                ctx.graph.cfg.nodes[s.node].kind,
+                NodeKind::MacroLoopHead { .. }
+            )
+        })
+        .filter_map(|s| {
+            // No object at all is a discarded result: the template's P4
+            // discard shape owns it; a delta over a nameless object is
+            // moot.
+            let object = s.object.or_else(|| {
+                // A bare `of_node_get(np)`-style call: the reference
+                // lands back on the argument itself. Only for the
+                // non-Embedded `ArgAndReturned` APIs — the embedded
+                // find-family's argument is the search *start*, which
+                // the call puts rather than acquires.
+                if !s.api.returns_object() || s.api.class == RcClass::Embedded {
+                    return None;
+                }
+                let i = s.api.object_arg()?;
+                s.call.arg_root(i).map(str::to_string)
+            })?;
+            Some(Seed {
+                node: s.node,
+                api: s.api,
                 object,
-            });
-        }
-    }
-    out
+            })
+        })
+        .collect()
 }
 
 /// The net refcount effect node `n` applies to `obj` (excluding the
@@ -281,12 +263,7 @@ fn transfers(ctx: &CheckCtx<'_>, obj: &str, n: NodeId) -> bool {
         || ctx.escapes_object(n, obj)
         || ctx.passes_to_consumer(n, obj)
         || ctx.reassigns_object(n, obj)
-        || ctx.graph.facts[n].calls.iter().any(|c| {
-            matches!(
-                c.name.as_str(),
-                "kfree" | "kvfree" | "kfree_sensitive" | "vfree"
-            ) && c.arg_root(0) == Some(obj)
-        })
+        || ctx.frees_object(n, obj)
 }
 
 /// Forward interval dataflow from the seed. Returns the interval at
@@ -337,19 +314,11 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
         if iv.hi <= 0 {
             continue;
         }
-        let obj = seed.object.clone();
+        let obj = seed.object.as_str();
         let api = seed.api;
-        let exit = graph.cfg.exit;
-        let null_guard = null_guard_nodes(&graph.cfg, &graph.facts, &obj);
         if api.inc_on_error {
             // P1's shape: the increment survives even the failure path.
-            let ng = null_guard.clone();
-            let (o1, o2) = (obj.clone(), obj.clone());
-            let q = PathQuery::new(vec![
-                Step::new(move |n| graph.is_error_node(n) && !ng.contains(&n))
-                    .avoiding(move |n| ctx.is_paired_dec(n, api, &o1)),
-                Step::new(move |n| n == exit).avoiding(move |n| ctx.is_paired_dec(n, api, &o2)),
-            ]);
+            let q = return_error_query(ctx, api, obj);
             if q.search(&graph.cfg, seed.node).is_some() {
                 out.push(delta_finding(
                     ctx,
@@ -367,26 +336,10 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
             }
             continue;
         }
-        if has_any_paired_dec(ctx, api, &obj) {
+        if has_any_paired_dec(ctx, api, obj) {
             // P5's shape: paired on the common paths, an error path
-            // slips out. Identical query → identical witness line and
-            // feasibility verdict as the template's ErrorPathChecker.
-            let ng = null_guard.clone();
-            let (o1, o2) = (obj.clone(), obj.clone());
-            let q = PathQuery::new(vec![
-                Step::new(move |n| graph.is_error_node(n) && !ng.contains(&n)).avoiding(move |n| {
-                    ctx.is_paired_dec(n, api, &o1)
-                        || ctx.returns_object(n, &o1)
-                        || ctx.escapes_object(n, &o1)
-                        || ctx.reassigns_object(n, &o1)
-                }),
-                Step::new(move |n| n == exit).avoiding(move |n| {
-                    ctx.is_paired_dec(n, api, &o2)
-                        || ctx.returns_object(n, &o2)
-                        || ctx.escapes_object(n, &o2)
-                }),
-            ])
-            .without_back_edges();
+            // slips out.
+            let q = error_path_query(ctx, api, obj);
             if let Some(witness) = q.search(&graph.cfg, seed.node) {
                 out.push(delta_finding(
                     ctx,
@@ -423,27 +376,9 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
             continue;
         }
         // Never paired at all: the hidden-API leak, for the find-like
-        // APIs whose reference the caller plausibly missed. Identical
-        // query → identical site line and verdict as HiddenApiChecker.
+        // APIs whose reference the caller plausibly missed.
         if api.class == RcClass::Embedded && api.returns_object() {
-            let o = obj.clone();
-            let ng = null_guard.clone();
-            let q = PathQuery::new(vec![Step::new(move |n| n == exit)
-                .avoiding(move |n| {
-                    ng.contains(&n)
-                        || ctx.is_paired_dec(n, api, &o)
-                        || ctx.returns_object(n, &o)
-                        || ctx.escapes_object(n, &o)
-                        || ctx.passes_to_consumer(n, &o)
-                        || ctx.graph.facts[n].calls.iter().any(|c| {
-                            matches!(
-                                c.name.as_str(),
-                                "kfree" | "kvfree" | "kfree_sensitive" | "vfree"
-                            ) && c.arg_root(0) == Some(o.as_str())
-                        })
-                })
-                .avoiding_edges(ctx.null_branch_of(&obj))])
-            .without_back_edges();
+            let q = never_paired_query(ctx, api, obj, false);
             if q.search(&graph.cfg, seed.node).is_some() {
                 out.push(delta_finding(
                     ctx,
@@ -466,8 +401,8 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
 
 /// The over-put direction: decrementing an object this function never
 /// acquired drives the delta negative; a subsequent dereference is a
-/// use-after-decrease. The witness query mirrors the template's
-/// UadChecker, restricted to the never-acquired (net-negative) case.
+/// use-after-decrease. The witness query is the UadChecker's,
+/// restricted to the never-acquired (net-negative) case.
 fn overput_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
     let graph = ctx.graph;
     let acquired: Vec<String> = inc_sites(ctx)
@@ -495,22 +430,7 @@ fn overput_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
                 // covers the use-after-put there.
                 continue;
             }
-            let (o1, o2, o3) = (obj.clone(), obj.clone(), obj.clone());
-            let dec_node = n;
-            let q = PathQuery::new(vec![Step::new(move |m| {
-                m != dec_node && graph.facts[m].derefs_var(&o1)
-            })
-            .avoiding(move |m| {
-                ctx.reassigns_object(m, &o2)
-                    || graph.facts[m].calls.iter().any(|c| {
-                        ctx.kb
-                            .get(&c.name)
-                            .filter(|a| a.dir == RcDir::Inc)
-                            .and_then(|a| a.object_arg())
-                            .and_then(|i| c.arg_root(i))
-                            == Some(&o3)
-                    })
-            })]);
+            let q = use_after_decrease_query(ctx, n, &obj);
             if let Some(witness) = q.search(&graph.cfg, n) {
                 let deref_node = witness[0];
                 out.push(Finding {

@@ -8,13 +8,15 @@
 //! 3. **Tricky snippets** — the measured precision cost of the paper's
 //!    false-positive root cause.
 
-use refminer::checkers::{check_unit_with_checkers, default_checkers, AntiPattern};
+use refminer::checkers::{
+    default_checkers, run_engines_traced, AnalysisEngine, AntiPattern, TemplateEngine,
+};
 use refminer::corpus::{generate_tree, TreeConfig};
 use refminer::cparse::parse_str;
 use refminer::cpg::FunctionGraph;
-use refminer::dataset::triage;
 use refminer::report::Table;
-use refminer::{audit, AuditConfig, Project};
+use refminer::{audit, AuditConfig, ProgramDb, Project, TraceHandle};
+use refminer_dataset::triage;
 use refminer_experiments::header;
 
 fn main() {
@@ -43,14 +45,33 @@ fn leave_one_out() {
         audit(&Project::from_tree(&tree), &AuditConfig::default()).kb
     };
 
+    // Helper effects resolve against each unit's own program database:
+    // the single-unit view, as in `check_unit`.
+    let programs: Vec<_> = tus
+        .iter()
+        .zip(&graphs)
+        .map(|(tu, gs)| {
+            let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+            ProgramDb::local(&tu.path, gs, &globals, &kb)
+        })
+        .collect();
+
     let recall_with = |skip: Option<AntiPattern>| -> (usize, usize) {
         let checkers: Vec<_> = default_checkers()
             .into_iter()
             .filter(|c| Some(c.pattern()) != skip)
             .collect();
+        let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::new(checkers))];
         let mut findings = Vec::new();
-        for (tu, gs) in tus.iter().zip(&graphs) {
-            findings.extend(check_unit_with_checkers(tu, &kb, gs, &checkers));
+        for ((tu, gs), program) in tus.iter().zip(&graphs).zip(&programs) {
+            findings.extend(run_engines_traced(
+                tu,
+                &kb,
+                gs,
+                &engines,
+                program,
+                &TraceHandle::disabled(),
+            ));
         }
         let t = triage(&findings, &tree.manifest);
         let found = tree
@@ -82,7 +103,7 @@ fn leave_one_out() {
             .manifest
             .bugs
             .iter()
-            .filter(|b| b.pattern == pattern_num(pattern))
+            .filter(|b| b.pattern == pattern.number())
             .count();
         let (found, _) = recall_with(Some(pattern));
         let missed = baseline_found - found;
@@ -174,8 +195,4 @@ fn tricky_ablation() {
          intra-procedural checkers cannot see (release hidden in an \
          extern helper) — the same root cause as the paper's five FPs (§6.4)."
     );
-}
-
-fn pattern_num(p: AntiPattern) -> u8 {
-    AntiPattern::all().iter().position(|&q| q == p).unwrap() as u8 + 1
 }

@@ -3,8 +3,8 @@
 //! simulated history; the paper's figure shows the same monotone
 //! growth on the real git log.
 
-use refminer::dataset::growth_by_year;
 use refminer::report::bar_chart;
+use refminer_dataset::growth_by_year;
 use refminer_experiments::{header, standard_bugs};
 
 fn main() {

@@ -2,8 +2,8 @@
 //! and bug density in bugs/KLOC (right). Finding 3: long-tailed, top-3
 //! subsystems hold 82.4%, drivers alone 56.9%; `block` is the densest.
 
-use refminer::dataset::{compare, DistributionStats, PAPER};
 use refminer::report::bar_chart;
+use refminer_dataset::{compare, DistributionStats, PAPER};
 use refminer_experiments::{header, standard_bugs};
 
 fn main() {

@@ -2,8 +2,8 @@
 //! fixed-version lines, sorted by introduction time, plus Findings 4–5
 //! (75.7% need over a year; 19 live >10 years; 23 span v2.6 → v5/v6).
 
-use refminer::dataset::{compare, LifetimeStats, PAPER};
 use refminer::report::series_plot;
+use refminer_dataset::{compare, LifetimeStats, PAPER};
 use refminer_experiments::{header, standard_bugs};
 
 fn main() {

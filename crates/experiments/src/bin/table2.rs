@@ -2,8 +2,8 @@
 //! (Findings 1 & 2), recovered by mining and classifying the simulated
 //! history.
 
-use refminer::dataset::{compare, BugKind, HistImpact, ImpactStats, PAPER};
 use refminer::report::Table;
+use refminer_dataset::{compare, BugKind, HistImpact, ImpactStats, PAPER};
 use refminer_experiments::{header, standard_bugs};
 
 fn main() {

@@ -2,10 +2,10 @@
 //! words of refcounting API names and the key words of bug-caused API
 //! names, trained on the simulated commit logs.
 
-use refminer::dataset::{PAPER_TABLE3, TABLE3_COLUMNS};
 use refminer::report::Table;
-use refminer::w2v::{W2vConfig, Word2Vec};
+use refminer_dataset::{PAPER_TABLE3, TABLE3_COLUMNS};
 use refminer_experiments::{header, quick_history, quick_mode, standard_history};
+use refminer_w2v::{W2vConfig, Word2Vec};
 
 const RC_KEYWORDS: [&str; 11] = [
     "refcount", "increase", "get", "hold", "grab", "retain", "decrease", "put", "unhold", "drop",

@@ -3,8 +3,8 @@
 //! false positives, plus measured precision/recall against the
 //! injection ground truth (something the paper could not measure).
 
-use refminer::dataset::{compare, triage, PAPER};
 use refminer::report::Table;
+use refminer_dataset::{compare, triage, PAPER};
 use refminer_experiments::{header, standard_audit};
 
 fn main() {

@@ -3,9 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use refminer::dataset::{triage, PatchStatus};
 use refminer::report::Table;
 use refminer::AntiPattern;
+use refminer_dataset::{triage, PatchStatus};
 use refminer_experiments::{header, standard_audit};
 
 fn main() {

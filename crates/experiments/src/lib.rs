@@ -20,9 +20,9 @@
 use refminer::corpus::{
     generate_history, generate_tree, History, HistoryConfig, SyntheticTree, TreeConfig,
 };
-use refminer::dataset::{classify_history, HistBug};
 use refminer::rcapi::ApiKb;
 use refminer::{audit, AuditConfig, AuditReport, Project};
+use refminer_dataset::{classify_history, HistBug};
 
 /// The standard simulated history used by the historical-study
 /// experiments (Figures 1–3, Tables 2–3). One seed, shared everywhere,

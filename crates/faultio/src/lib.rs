@@ -16,7 +16,7 @@
 //! - **Erroring** — the wrapper returns `io::Error` (kind `Other`,
 //!   message prefixed `injected fault:`) without touching the
 //!   filesystem. Models `EIO`, `ENOSPC`, permission flaps.
-//! - **Torn write** — for [`write`] only: the wrapper writes a *prefix*
+//! - **Torn write** — for [`write()`] only: the wrapper writes a *prefix*
 //!   of the content and then errors, simulating a process killed (or a
 //!   disk filled) mid-write. This is what makes the atomic-rename save
 //!   path testable without real `kill -9` timing races.
@@ -42,7 +42,7 @@ use std::sync::{Mutex, OnceLock};
 pub enum FaultOp {
     /// File reads: [`read`], [`read_to_string`].
     Read,
-    /// File writes: [`write`] (including the torn-write shape).
+    /// File writes: [`write()`] (including the torn-write shape).
     Write,
     /// [`rename`] — the atomic-publish step of cache saves.
     Rename,
@@ -98,7 +98,7 @@ pub struct FaultPlan {
     /// Hard cap on total injected failures; `None` is unlimited. Lets a
     /// soak test front-load chaos and then settle into a clean tail.
     pub max_failures: Option<u64>,
-    /// When set, a failing [`write`] first writes this fraction of the
+    /// When set, a failing [`write()`] first writes this fraction of the
     /// content (in per-mille, so `500` = half) before erroring — the
     /// torn-write shape. `0` means fail before writing anything.
     pub torn_write_permille: u16,
@@ -250,7 +250,7 @@ fn fnv_mix(mut h: u64, word: u64) -> u64 {
 /// What the schedule decided for one call.
 enum Injection {
     /// Return an injected `io::Error` (carries the torn-write permille,
-    /// which only [`write`] consults).
+    /// which only [`write()`] consults).
     Fail(u16),
     /// Sleep this many milliseconds, then proceed normally.
     Stall(u64),

@@ -21,6 +21,12 @@ pub const DEC_WORDS: &[&str] = &[
 /// paper analyzes in Table 3.
 pub const BUG_API_WORDS: &[&str] = &["foreach", "find", "parse", "open", "probe", "register"];
 
+/// Whether `name` is a kfree-family call: a plain memory free that,
+/// applied to a refcounted object, skips its release callback (§5.3.3).
+pub fn is_kfree_family(name: &str) -> bool {
+    matches!(name, "kfree" | "kvfree" | "kfree_sensitive" | "vfree")
+}
+
 /// Splits a C identifier into lowercase words (snake_case segments,
 /// with `for_each` fused into `foreach` to match the paper's keyword).
 pub fn name_words(name: &str) -> Vec<String> {

@@ -29,7 +29,7 @@ pub use discover::{
 };
 pub use kb::ApiKb;
 pub use keywords::{
-    is_findlike_name, name_direction, name_words, paired_dec_name, BUG_API_WORDS, DEC_WORDS,
-    INC_WORDS,
+    is_findlike_name, is_kfree_family, name_direction, name_words, paired_dec_name, BUG_API_WORDS,
+    DEC_WORDS, INC_WORDS,
 };
 pub use model::{ObjectFlow, RcApi, RcClass, RcDir, SmartLoop, RC_STRUCTS};

@@ -200,7 +200,8 @@ pub enum Subscript {
     End,
     /// `error` — an error-handling block.
     Error,
-    /// `break` — a loop break statement.
+    /// `break` — leaving a loop early: a `break`, or a `goto` or
+    /// `return` inside a loop.
     Break,
     /// `SL` — a smartloop macro.
     SmartLoop,

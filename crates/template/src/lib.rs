@@ -12,9 +12,14 @@
 //! - [`TemplateMatcher`] — compiles a template to a CPG path query and
 //!   searches function graphs for witnesses.
 //!
-//! [`anti_pattern_templates`] returns the paper's nine anti-patterns
-//! ready-parsed; the checker crate builds its detectors on top of these
-//! with added per-pattern precision (origins, avoidance constraints).
+//! A template is a necessary condition, not a detector. The nine
+//! anti-patterns' texts live on `AntiPattern::template_text` in
+//! `refminer-checkers`, whose checkers add the avoidance constraints
+//! that make each one precise without calling this crate. Its callers
+//! are the Table 1 experiment, the invariant test in
+//! `tests/paper_listings.rs` (every template-engine finding matches its
+//! pattern's template) and unit tests here and in the checkers that
+//! parse the nine texts.
 
 mod ast;
 mod matcher;
@@ -22,4 +27,4 @@ mod parse;
 
 pub use ast::{pretty, Atom, ContextKind, OpSpec, Operator, Subscript, Template};
 pub use matcher::{TemplateMatch, TemplateMatcher};
-pub use parse::{anti_pattern_templates, parse_template, TemplateParseError};
+pub use parse::{parse_template, TemplateParseError};

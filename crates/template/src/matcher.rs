@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use refminer_cpg::{
     Feasibility, FunctionGraph, NodeId, NodeKind, PathQuery, Payload, Step, StoreTarget,
 };
-use refminer_rcapi::{ApiKb, RcClass, RcDir};
+use refminer_rcapi::{is_kfree_family, ApiKb, RcClass, RcDir};
 
 use crate::ast::{Atom, ContextKind, OpSpec, Operator, Subscript, Template};
 
@@ -145,8 +145,15 @@ impl<'kb> TemplateMatcher<'kb> {
                     NodeKind::MacroLoopHead { name, .. } if kb.smartloop(name).is_some()
                 )
             }),
+            // Leaving a loop early: a `break`, or a `goto` or `return`
+            // inside one.
             (_, Subscript::Break) => Step::new(move |n: NodeId| {
-                matches!(&graph.cfg.nodes[n].kind, NodeKind::Stmt(Payload::Break))
+                let node = &graph.cfg.nodes[n];
+                match &node.kind {
+                    NodeKind::Stmt(Payload::Break) => true,
+                    NodeKind::Stmt(Payload::Goto(_) | Payload::Return(_)) => !node.loops.is_empty(),
+                    _ => false,
+                }
             }),
             (_, Subscript::Op(spec)) => {
                 let spec = spec.clone();
@@ -240,13 +247,18 @@ fn single_op_matches(
         }
         Operator::A => !facts.assigns.is_empty(),
         Operator::AEsc => facts.assigns.iter().any(|a| {
-            matches!(
-                &a.target,
-                StoreTarget::Field { .. } | StoreTarget::Indirect(_)
-            ) && match var {
+            let stored = match var {
                 Some(v) => a.rhs_root.as_deref() == Some(v),
                 None => true,
-            }
+            };
+            stored
+                && match &a.target {
+                    StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
+                    // A name the function does not declare is
+                    // file-scope: a global or a static.
+                    StoreTarget::Var(v) => !declares(graph, v),
+                    StoreTarget::Other => false,
+                }
         }),
         Operator::D => match var {
             Some(v) => facts.derefs_var(v),
@@ -263,13 +275,24 @@ fn single_op_matches(
         }
         Operator::L => facts.calls.iter().any(|c| is_lock_name(&c.name, false)),
         Operator::U => facts.calls.iter().any(|c| is_lock_name(&c.name, true)),
-        Operator::Free => facts.calls.iter().any(|c| {
-            matches!(
-                c.name.as_str(),
-                "kfree" | "kvfree" | "kfree_sensitive" | "vfree"
-            )
-        }),
+        Operator::Free => facts.calls.iter().any(|c| is_kfree_family(&c.name)),
     }
+}
+
+/// Whether the function declares `name`: a parameter, or a name some
+/// CFG `Decl` node declares.
+fn declares(graph: &FunctionGraph, name: &str) -> bool {
+    graph
+        .func
+        .params
+        .iter()
+        .any(|p| p.name.as_deref() == Some(name))
+        || graph.cfg.nodes.iter().any(|node| {
+            matches!(
+                &node.kind,
+                NodeKind::Stmt(Payload::Decl(decls)) if decls.iter().any(|d| d.name == name)
+            )
+        })
 }
 
 /// Whether `name` is a lock (`unlock == false`) or unlock
@@ -409,6 +432,22 @@ int scan(void)
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> M_SL -> S_break -> F_end").unwrap();
         assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);
+
+        // A `return` inside the loop leaves it just as early.
+        let g = graph(
+            r#"
+static int scan(struct device_node *parent)
+{
+        struct device_node *child;
+        for_each_child_of_node(parent, child) {
+                if (match(child))
+                        return 0;
+        }
+        return -ENODEV;
+}
+"#,
+        );
+        assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);
     }
 
     #[test]
@@ -443,5 +482,28 @@ void attach(struct priv *priv, struct device_node *np)
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_{A_GO} -> F_end").unwrap();
         assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);
+
+        // A store into a file-scope static escapes too; one into a
+        // local does not.
+        let tu = parse_str(
+            "t.c",
+            r#"
+static struct device_node *cached;
+void stash(struct device_node *np)
+{
+        cached = np;
+}
+void keep(struct device_node *np)
+{
+        struct device_node *local;
+        local = np;
+        use_node(local);
+}
+"#,
+        );
+        let stash = FunctionGraph::build(tu.function("stash").unwrap());
+        assert_eq!(TemplateMatcher::new(&kb).find(&t, &stash).len(), 1);
+        let keep = FunctionGraph::build(tu.function("keep").unwrap());
+        assert!(TemplateMatcher::new(&kb).find(&t, &keep).is_empty());
     }
 }

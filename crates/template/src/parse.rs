@@ -173,39 +173,11 @@ fn parse_spec(text: &str) -> Result<OpSpec, TemplateParseError> {
     Ok(acc)
 }
 
-/// The paper's nine anti-patterns (§5), ready-parsed.
-///
-/// Index 0 is Anti-Pattern 1 (`P1`), and so on.
-pub fn anti_pattern_templates() -> Vec<(String, Template)> {
-    // Text forms follow §5.1.3, §5.2.3, §5.3.4, §5.4.3. P6 spans two
-    // functions; the template shows the inc-side function with the
-    // named `interpaired` context standing in for the ⊤/⊥ pair.
-    let texts: [(&str, &str); 9] = [
-        ("P1", "F_start -> S_{G_E} -> B_error -> F_end"),
-        ("P2", "F_start -> S_{G_N} -> S_{D_N} -> F_end"),
-        ("P3", "F_start -> M_SL -> S_break -> F_end"),
-        ("P4", "F_start -> S_{G_H} -> F_end"),
-        ("P5", "F_start -> S_G -> B_error -> F_end"),
-        ("P6", "F_interpaired -> S_G -> F_end"),
-        ("P7", "F_start -> S_G -> S_{free} -> F_end"),
-        ("P8", "F_start -> S_P(p0) -> S_D(p0) -> F_end"),
-        ("P9", "F_start -> S_{A_GO} -> F_end"),
-    ];
-    texts
-        .iter()
-        .map(|(name, text)| {
-            (
-                name.to_string(),
-                parse_template(text).expect("builtin templates are valid"),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::pretty;
+    use refminer_checkers::AntiPattern;
 
     #[test]
     fn parses_listing1_template() {
@@ -253,7 +225,10 @@ mod tests {
 
     #[test]
     fn all_nine_anti_patterns_parse() {
-        let all = anti_pattern_templates();
+        let all: Vec<(&str, Template)> = AntiPattern::all()
+            .iter()
+            .map(|p| (p.id(), parse_template(p.template_text()).unwrap()))
+            .collect();
         assert_eq!(all.len(), 9);
         assert_eq!(all[0].0, "P1");
         assert_eq!(all[7].1.params(), vec!["p0"]);

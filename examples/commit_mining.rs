@@ -7,8 +7,8 @@
 //! ```
 
 use refminer::corpus::{generate_history, HistoryConfig};
-use refminer::dataset::{classify_history, mine, DistributionStats, ImpactStats, LifetimeStats};
 use refminer::rcapi::ApiKb;
+use refminer_dataset::{classify_history, mine, DistributionStats, ImpactStats, LifetimeStats};
 
 fn main() {
     let history = generate_history(&HistoryConfig::default());

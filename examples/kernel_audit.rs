@@ -9,9 +9,9 @@
 //! ```
 
 use refminer::corpus::{generate_tree, TreeConfig};
-use refminer::dataset::triage;
 use refminer::report::Table;
 use refminer::{audit, AuditConfig, Project};
+use refminer_dataset::triage;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -7,7 +7,7 @@
 //! ```
 
 use refminer::corpus::{generate_history, HistoryConfig};
-use refminer::w2v::{W2vConfig, Word2Vec};
+use refminer_w2v::{W2vConfig, Word2Vec};
 
 fn main() {
     let history = generate_history(&HistoryConfig {

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# One-shot release gate: fmt → clippy → build → test → chaos → serve →
-# revisions, fail fast, and end with a single "verify.sh: PASS" or
+# One-shot release gate: fmt → clippy → doc → build → test → chaos →
+# serve → revisions, fail fast, and end with a single "verify.sh: PASS" or
 # "verify.sh: FAIL (<step>)" verdict line. Timing lives in refbench/
 # (the repository's one benchmark harness), not here: the test step
 # already enforces the warm-cache speedup bound and the eval F1 floor.
 #
 # Env:
 #   VERIFY_SKIP     space-separated step names to skip
-#                   (any of: fmt clippy build test chaos serve revisions)
+#                   (any of: fmt clippy doc build test chaos serve
+#                   revisions)
 #   CHAOSGEN_BIN / REFMINER_BIN / HISTGEN_BIN — forwarded to the
 #   underlying scripts, so a harness can point every step at prebuilt
 #   binaries.
@@ -40,6 +41,7 @@ step() {
 
 step fmt cargo fmt --all --check --manifest-path "$here/Cargo.toml"
 step clippy cargo clippy --all-targets --quiet --manifest-path "$here/Cargo.toml" -- -D warnings
+step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet --manifest-path "$here/Cargo.toml"
 step build cargo build --release --quiet --manifest-path "$here/Cargo.toml" --workspace
 step test cargo test --quiet --manifest-path "$here/Cargo.toml" --workspace
 step chaos bash "$here/scripts/chaos.sh"

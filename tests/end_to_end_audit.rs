@@ -4,8 +4,8 @@
 //! numbers.
 
 use refminer::corpus::{generate_tree, TreeConfig};
-use refminer::dataset::triage;
 use refminer::{audit, AuditConfig, Project};
+use refminer_dataset::triage;
 
 #[test]
 fn table4_reproduces_exactly() {

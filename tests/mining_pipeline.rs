@@ -2,12 +2,12 @@
 //! classification → statistics, against the paper's Findings 1–5.
 
 use refminer::corpus::{generate_history, HistoryConfig};
-use refminer::dataset::{
+use refminer::rcapi::ApiKb;
+use refminer_dataset::{
     classify_history, growth_by_year, mine, BugKind, DistributionStats, ImpactStats, LifetimeStats,
 };
-use refminer::rcapi::ApiKb;
 
-fn standard() -> (refminer::corpus::History, Vec<refminer::dataset::HistBug>) {
+fn standard() -> (refminer::corpus::History, Vec<refminer_dataset::HistBug>) {
     let h = generate_history(&HistoryConfig::default());
     let bugs = classify_history(&h.commits, &ApiKb::builtin());
     (h, bugs)

@@ -2,11 +2,15 @@
 //! checkers must reproduce each listed bug (and stay quiet on the
 //! corrected variants).
 
-use refminer::checkers::{check_unit, AntiPattern, Impact};
+use std::collections::BTreeSet;
+
+use refminer::checkers::{check_unit, AntiPattern, EngineId, Impact};
+use refminer::corpus::{generate_tree, TreeConfig};
 use refminer::cparse::parse_str;
 use refminer::cpg::FunctionGraph;
 use refminer::rcapi::ApiKb;
 use refminer::template::{parse_template, TemplateMatcher};
+use refminer::{audit, AuditConfig, Project};
 
 fn findings(src: &str) -> Vec<refminer::Finding> {
     let tu = parse_str("listing.c", src);
@@ -202,6 +206,56 @@ static int usb_console_setup(struct usb_serial *serial)
     let matches = matcher.find(&t2, &g);
     assert_eq!(matches.len(), 1);
     assert_eq!(matches[0].bindings[0].1, "serial");
+}
+
+/// Every finding the template engine stamps matches its pattern's
+/// semantic template (§5) through the generic matcher, under the
+/// audit's knowledge base: a checker only narrows its template, never
+/// drifts away from it. Delta-only findings are out of scope, since
+/// the delta engine's structural P5 for a double get has no error
+/// block by construction.
+#[test]
+fn template_findings_match_their_pattern_template() {
+    let trees = [
+        TreeConfig::default(),
+        TreeConfig {
+            fp_traps: true,
+            cross_unit: true,
+            include_vendor: true,
+            clone_groups: 3,
+            ..Default::default()
+        },
+    ];
+    let mut covered = BTreeSet::new();
+    for config in trees {
+        let tree = generate_tree(&config);
+        let report = audit(&Project::from_tree(&tree), &AuditConfig::default());
+        let matcher = TemplateMatcher::new(&report.kb);
+        for f in &report.findings {
+            if !f.engines.contains(&EngineId::Template) {
+                continue;
+            }
+            let file = tree
+                .files
+                .iter()
+                .find(|s| s.path == f.file)
+                .expect("a finding names a file of the tree");
+            let tu = parse_str(&file.path, &file.content);
+            let func = tu
+                .function(&f.function)
+                .expect("a finding names a function of its file");
+            let template = parse_template(f.pattern.template_text()).expect("valid template");
+            assert!(
+                !matcher
+                    .find(&template, &FunctionGraph::build(func))
+                    .is_empty(),
+                "{f} does not match `{}`",
+                f.pattern.template_text()
+            );
+            covered.insert(f.pattern);
+        }
+    }
+    assert_eq!(covered, AntiPattern::all().into_iter().collect());
 }
 
 /// The corrected variants of the listings stay clean.

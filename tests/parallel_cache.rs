@@ -226,14 +226,6 @@ fn cross_tree() -> SyntheticTree {
     })
 }
 
-fn pattern_num(p: refminer::AntiPattern) -> u8 {
-    refminer::AntiPattern::all()
-        .iter()
-        .position(|&q| q == p)
-        .unwrap() as u8
-        + 1
-}
-
 #[test]
 fn whole_program_mode_finds_cross_unit_ground_truth_without_new_fps() {
     let tree = cross_tree();
@@ -255,7 +247,7 @@ fn whole_program_mode_finds_cross_unit_ground_truth_without_new_fps() {
     for b in &inter {
         let hit = |r: &AuditReport| {
             r.findings.iter().any(|f| {
-                f.file == b.path && f.function == b.function && pattern_num(f.pattern) == b.pattern
+                f.file == b.path && f.function == b.function && f.pattern.number() == b.pattern
             })
         };
         assert!(hit(&whole), "missed cross-unit bug: {b:?}");
@@ -271,7 +263,7 @@ fn whole_program_mode_finds_cross_unit_ground_truth_without_new_fps() {
     {
         assert!(
             tree.manifest
-                .matches(&f.file, &f.function, pattern_num(f.pattern)),
+                .matches(&f.file, &f.function, f.pattern.number()),
             "false positive: {f:?}"
         );
     }

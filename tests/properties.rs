@@ -13,8 +13,8 @@ use refminer::cparse::{parse_str, parse_str_with_errors};
 use refminer::cpg::{Cfg, FunctionGraph, PathQuery, Step};
 use refminer::rcapi::{name_direction, paired_dec_name, ApiKb};
 use refminer::template::parse_template;
-use refminer::w2v::tokenize;
 use refminer_prng::{ChaCha8Rng, Rng, SeedableRng};
+use refminer_w2v::tokenize;
 
 /// Draws a random string of length `0..=max_len` over `charset`.
 fn rand_string(rng: &mut ChaCha8Rng, charset: &[u8], max_len: usize) -> String {
@@ -335,7 +335,7 @@ fn audit_invariant_across_seeds() {
         });
         let project = refminer::Project::from_tree(&tree);
         let report = refminer::audit(&project, &refminer::AuditConfig::default());
-        let t = refminer::dataset::triage(&report.findings, &tree.manifest);
+        let t = refminer_dataset::triage(&report.findings, &tree.manifest);
         assert!(
             (t.recall(&tree.manifest) - 1.0).abs() < 1e-9,
             "recall {} at seed {seed}",
@@ -386,7 +386,7 @@ fn origins_params_stable() {
 /// word2vec text persistence round-trips for any trained model shape.
 #[test]
 fn w2v_persistence_round_trip() {
-    use refminer::w2v::{W2vConfig, Word2Vec};
+    use refminer_w2v::{W2vConfig, Word2Vec};
     let mut rng = ChaCha8Rng::seed_from_u64(0x2f2f);
     for _ in 0..6 {
         let dim = rng.gen_range(2..12usize);

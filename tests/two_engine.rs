@@ -16,11 +16,11 @@
 
 use refminer::checkers::Feasibility;
 use refminer::corpus::{generate_tree, SyntheticTree, TreeConfig};
-use refminer::dataset::triage;
 use refminer::{
     audit, audit_with_cache, evaluate, AuditCache, AuditConfig, AuditReport, Confidence, EngineSet,
     Project,
 };
+use refminer_dataset::triage;
 use refminer_json::ToJson;
 
 /// Committed floor for the combined two-engine F1 on the trap corpus.
