@@ -2,17 +2,17 @@
 
 use refminer_cparse::TranslationUnit;
 use refminer_cpg::{CallFact, FunctionGraph, NodeId, StoreTarget};
-use refminer_progdb::ProgramDb;
+use refminer_progdb::{fnv1a_fold, mix, ProgramDb, FNV_OFFSET};
 use refminer_rcapi::{ApiKb, RcApi};
 
 use crate::ctx::CheckCtx;
 use crate::engine::{run_engines_traced, AnalysisEngine, TemplateEngine};
-use crate::finding::Finding;
+use crate::finding::{AntiPattern, Finding};
 
 /// A static checker for one anti-pattern.
 pub trait Checker {
     /// The anti-pattern this checker detects.
-    fn pattern(&self) -> crate::finding::AntiPattern;
+    fn pattern(&self) -> AntiPattern;
     /// Stable checker name, recorded in each finding's `checkers` list
     /// (and combined when the report layer merges same-site findings).
     fn name(&self) -> &'static str {
@@ -40,7 +40,7 @@ pub fn default_checkers() -> Vec<Box<dyn Checker>> {
 /// The default checker set restricted to a subset of anti-patterns —
 /// the `--only-pattern` audit scope. Order is preserved, so a filtered
 /// run emits findings in the same relative order as a full run.
-pub fn checkers_for_patterns(patterns: &[crate::finding::AntiPattern]) -> Vec<Box<dyn Checker>> {
+pub fn checkers_for_patterns(patterns: &[AntiPattern]) -> Vec<Box<dyn Checker>> {
     default_checkers()
         .into_iter()
         .filter(|c| patterns.contains(&c.pattern()))
@@ -87,45 +87,28 @@ pub fn check_unit(unit: &TranslationUnit, kb: &ApiKb) -> Vec<Finding> {
 }
 
 /// Collapses duplicate findings (same pattern, file, line, api) into
-/// one, combining their checker and engine attributions and keeping
-/// the most credible feasibility verdict.
+/// one that [absorbs](Finding::absorb) the others' checker and engine
+/// attributions and feasibility verdicts.
 ///
 /// The sort key excludes checker and engine names, so when the two
 /// engines flag the same site the finding emitted first (engines run
 /// in template-then-delta order) survives and absorbs the other's
 /// attribution — the within-unit half of cross-validation.
 pub fn dedup_findings(findings: &mut Vec<Finding>) {
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.pattern, a.api.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.pattern,
-            b.api.as_str(),
-        ))
-    });
-    let mut out: Vec<Finding> = Vec::with_capacity(findings.len());
-    for f in findings.drain(..) {
-        match out.last_mut() {
-            Some(prev)
-                if prev.pattern == f.pattern
-                    && prev.file == f.file
-                    && prev.line == f.line
-                    && prev.api == f.api =>
-            {
-                for c in f.checkers {
-                    if !prev.checkers.contains(&c) {
-                        prev.checkers.push(c);
-                    }
-                }
-                for e in f.engines {
-                    prev.add_engine(e);
-                }
-                prev.feasibility = prev.feasibility.max(f.feasibility);
-            }
-            _ => out.push(f),
-        }
+    fn site(f: &Finding) -> (&str, u32, AntiPattern, &str) {
+        (f.file.as_str(), f.line, f.pattern, f.api.as_str())
     }
-    *findings = out;
+    findings.sort_by(|a, b| site(a).cmp(&site(b)));
+    findings.dedup_by(|f, kept| {
+        let same_site = site(kept) == site(f);
+        if same_site {
+            kept.absorb(f);
+        }
+        same_site
+    });
+    // A unit's findings live as long as its check-layer cache entry:
+    // keep no growth slack.
+    findings.shrink_to_fit();
 }
 
 /// A fingerprint of the default checker set, for cache keying.
@@ -145,17 +128,10 @@ pub fn checker_set_fingerprint() -> u64 {
     // v4: findings carry engine attributions; the within-unit dedup
     // unions checker/engine lists instead of dropping duplicates.
     const CHECKER_LOGIC_VERSION: u64 = 4;
-    let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&CHECKER_LOGIC_VERSION.to_le_bytes());
-    for p in crate::finding::AntiPattern::all() {
-        eat(p.id().as_bytes());
-        eat(p.template_text().as_bytes());
+    let mut h = mix(FNV_OFFSET, CHECKER_LOGIC_VERSION);
+    for p in AntiPattern::all() {
+        h = fnv1a_fold(h, p.id().as_bytes());
+        h = fnv1a_fold(h, p.template_text().as_bytes());
     }
     h
 }

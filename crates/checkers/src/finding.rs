@@ -224,7 +224,11 @@ impl fmt::Display for Confidence {
 }
 
 /// One detected anti-pattern instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A finding's identity is its value: `diff_findings` set-differences
+/// findings by equality and hash, and [`ToJson`] renders every field,
+/// so two findings are equal exactly when their JSONL lines are.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Finding {
     /// Which anti-pattern matched.
     pub pattern: AntiPattern,
@@ -269,6 +273,36 @@ impl Finding {
             self.engines.sort();
         }
     }
+
+    /// Merges a duplicate of this finding into it: `other`'s checkers
+    /// are appended in order (skipping ones already listed), its
+    /// engines are added, and the more credible feasibility verdict is
+    /// kept.
+    pub fn absorb(&mut self, other: &Finding) {
+        for c in &other.checkers {
+            if !self.checkers.contains(c) {
+                self.checkers.push(c.clone());
+            }
+        }
+        for &e in &other.engines {
+            self.add_engine(e);
+        }
+        self.feasibility = self.feasibility.max(other.feasibility);
+    }
+
+    /// Whether this finding claims the ground-truth bug `pattern` in
+    /// `function` of `path`: same file and function, and the bug's
+    /// pattern is the finding's own or one its checker list names. The
+    /// report layer merges same-site findings of one root-cause family,
+    /// so a P7 bug caught by both `DirectFreeChecker` and
+    /// `ErrorPathChecker` surfaces as one P5 finding whose checker list
+    /// still names `DirectFreeChecker`.
+    pub fn claims(&self, path: &str, function: &str, pattern: AntiPattern) -> bool {
+        self.file == path
+            && self.function == function
+            && (self.pattern == pattern
+                || self.checkers.iter().any(|c| c == pattern.checker_name()))
+    }
 }
 
 impl fmt::Display for Finding {
@@ -293,17 +327,6 @@ pub fn sort_findings_canonical(findings: &mut [Finding]) {
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 }
 
-/// Merges per-unit finding lists into one canonical report.
-///
-/// Lists must be supplied in unit index order (the order the project
-/// scanner yields units); the result is identical to checking the
-/// units one after another sequentially.
-pub fn merge_unit_findings(per_unit: impl IntoIterator<Item = Vec<Finding>>) -> Vec<Finding> {
-    let mut all: Vec<Finding> = per_unit.into_iter().flatten().collect();
-    sort_findings_canonical(&mut all);
-    all
-}
-
 /// Report-layer dedup: collapses findings that name the same
 /// `(file, line, root-cause family)` site into one, with the checker
 /// lists combined.
@@ -311,31 +334,18 @@ pub fn merge_unit_findings(per_unit: impl IntoIterator<Item = Vec<Finding>>) -> 
 /// Input must already be in canonical order ([`sort_findings_canonical`]
 /// groups same-site findings adjacently and fixes their relative order),
 /// so the merge is deterministic at any worker count: the first finding
-/// of each group survives, absorbing the others' checkers in encounter
-/// order and keeping the most credible feasibility verdict.
+/// of each group survives and [absorbs](Finding::absorb) the others in
+/// encounter order.
 pub fn merge_duplicate_findings(findings: &mut Vec<Finding>) {
-    let mut out: Vec<Finding> = Vec::with_capacity(findings.len());
-    for f in findings.drain(..) {
-        match out.last_mut() {
-            Some(prev)
-                if prev.file == f.file
-                    && prev.line == f.line
-                    && prev.pattern.root_cause() == f.pattern.root_cause() =>
-            {
-                for c in f.checkers {
-                    if !prev.checkers.contains(&c) {
-                        prev.checkers.push(c);
-                    }
-                }
-                for e in f.engines {
-                    prev.add_engine(e);
-                }
-                prev.feasibility = prev.feasibility.max(f.feasibility);
-            }
-            _ => out.push(f),
+    findings.dedup_by(|f, kept| {
+        let same_site = kept.file == f.file
+            && kept.line == f.line
+            && kept.pattern.root_cause() == f.pattern.root_cause();
+        if same_site {
+            kept.absorb(f);
         }
-    }
-    *findings = out;
+        same_site
+    });
 }
 
 impl ToJson for AntiPattern {
@@ -414,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential_order() {
+    fn canonical_sort_keeps_same_line_emission_order() {
         let mk = |file: &str, line: u32, api: &str| Finding {
             pattern: AntiPattern::P4,
             impact: Impact::Leak,
@@ -428,21 +438,72 @@ mod tests {
             checkers: Vec::new(),
             engines: Vec::new(),
         };
-        // Two units, the second sorting before the first by file name,
-        // plus same-line findings whose relative order must survive.
-        let unit0 = vec![mk("b.c", 7, "first"), mk("b.c", 7, "second")];
-        let unit1 = vec![mk("a.c", 3, "x")];
-        let merged = merge_unit_findings([unit0.clone(), unit1.clone()]);
+        // Two units concatenated in unit order, the second sorting
+        // before the first by file name, plus same-line findings whose
+        // relative order must survive the sort.
+        let mut all = vec![mk("b.c", 7, "first"), mk("b.c", 7, "second")];
+        all.push(mk("a.c", 3, "x"));
+        sort_findings_canonical(&mut all);
+        let order: Vec<&str> = all.iter().map(|f| f.api.as_str()).collect();
+        assert_eq!(order, ["x", "first", "second"]);
+    }
 
-        let mut sequential: Vec<Finding> = Vec::new();
-        sequential.extend(unit0);
-        sequential.extend(unit1);
-        sort_findings_canonical(&mut sequential);
-
-        assert_eq!(merged, sequential);
-        assert_eq!(merged[0].file, "a.c");
-        assert_eq!(merged[1].api, "first");
-        assert_eq!(merged[2].api, "second");
+    #[test]
+    fn value_identity_is_line_identity() {
+        // `diff_findings` compares findings as values; a field that
+        // `to_json` did not render would make two findings with equal
+        // lines unequal values. Each variant changes exactly one field,
+        // and the exhaustive pattern below stops compiling when a field
+        // is added, until the field gets its variant.
+        let base = Finding {
+            pattern: AntiPattern::P4,
+            impact: Impact::Leak,
+            file: "a.c".into(),
+            function: "f".into(),
+            line: 3,
+            api: "of_find_node_by_name".into(),
+            object: None,
+            message: "m".into(),
+            feasibility: Feasibility::Assumed,
+            checkers: vec!["HiddenApiChecker".into()],
+            engines: vec![EngineId::Template],
+        };
+        let Finding {
+            pattern: _,
+            impact: _,
+            file: _,
+            function: _,
+            line: _,
+            api: _,
+            object: _,
+            message: _,
+            feasibility: _,
+            checkers: _,
+            engines: _,
+        } = &base;
+        let with = |change: fn(&mut Finding)| {
+            let mut f = base.clone();
+            change(&mut f);
+            f
+        };
+        let variants = [
+            with(|f| f.pattern = AntiPattern::P1),
+            with(|f| f.impact = Impact::Uaf),
+            with(|f| f.file.push('x')),
+            with(|f| f.function.push('x')),
+            with(|f| f.line += 1),
+            with(|f| f.api.push('x')),
+            with(|f| f.object = Some("np".into())),
+            with(|f| f.message.push('x')),
+            with(|f| f.feasibility = Feasibility::Proven),
+            with(|f| f.checkers.push("DeltaEngine".into())),
+            with(|f| f.add_engine(EngineId::Delta)),
+        ];
+        let line_of = |f: &Finding| f.to_json().to_string();
+        for v in &variants {
+            assert_ne!(v, &base);
+            assert_ne!(line_of(v), line_of(&base), "{v:?} renders like the base");
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use ctx::CheckCtx;
 pub use deviation::{return_error_query, ReturnErrorChecker, ReturnNullChecker};
 pub use engine::{run_engines_traced, AnalysisEngine, EngineSet, TemplateEngine};
 pub use finding::{
-    merge_duplicate_findings, merge_unit_findings, sort_findings_canonical, AntiPattern,
-    Confidence, EngineId, Finding, Impact,
+    merge_duplicate_findings, sort_findings_canonical, AntiPattern, Confidence, EngineId, Finding,
+    Impact,
 };
 // The feasibility verdict each finding carries (see `refminer-cpg`).
 pub use hidden::{never_paired_query, HiddenApiChecker, SmartLoopBreakChecker};

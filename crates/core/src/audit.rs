@@ -51,12 +51,13 @@ use refminer_clex::{scan_defines, MacroDef};
 use refminer_cparse::{parse_str_limited, ParseLimits, TranslationUnit};
 use refminer_cpg::FunctionGraph;
 use refminer_delta::DeltaEngine;
+use refminer_progdb::{fnv1a, mix};
 use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, UnitDiscovery};
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    check_config_fingerprint, content_hash, discovery_config_fingerprint, fnv1a, kb_fingerprint,
-    mix, parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
+    check_config_fingerprint, content_hash, discovery_config_fingerprint, kb_fingerprint,
+    parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::parallel::run_indexed;
@@ -92,8 +93,6 @@ pub struct AuditConfig {
     /// Run API/smartloop discovery over the project and merge the
     /// results into the knowledge base (§6.1's lexer-parsing stage).
     pub discover_apis: bool,
-    /// Struct-nesting threshold for discovery.
-    pub nesting_threshold: usize,
     /// Per-unit resource caps.
     pub limits: AuditLimits,
     /// Worker threads for the per-unit stages. `0` (the default) means
@@ -135,7 +134,6 @@ impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
             discover_apis: true,
-            nesting_threshold: 3,
             limits: AuditLimits::default(),
             jobs: 0,
             whole_program: true,
@@ -412,18 +410,20 @@ impl UnitState {
 
 /// The phase-1 pass for one unit, computing only what the barrier
 /// reads. The byte-cap check, the limited parse and the discovery facts
-/// run inside the unit's fault boundary; the parse's one lex also
-/// yields the unit's `#define`s, and only a unit truncated at the token
-/// cap is lexed a second time ([`scan_defines`]) for the directives
-/// past the cap. The function-effect digest runs in a second boundary
-/// once the first has closed, from each function's CFG and node facts
-/// alone — no full graph, whose one build per unit is `check_one`'s —
-/// and is timed as an `export.unit` span. Units that did not parse —
-/// and units whose extraction faults — get an empty digest under their
-/// own path (and no extra diagnostic), so unit indexing in the merged
-/// database never shifts.
+/// (classified against the builtin `seed` KB) run inside the unit's
+/// fault boundary; the parse's one lex also yields the unit's
+/// `#define`s, and only a unit truncated at the token cap is lexed a
+/// second time ([`scan_defines`]) for the directives past the cap. The
+/// function-effect digest runs in a second boundary once the first has
+/// closed, from each function's CFG and node facts alone — no full
+/// graph, whose one build per unit is `check_one`'s — and is timed as
+/// an `export.unit` span. Units that did not parse — and units whose
+/// extraction faults — get an empty digest under their own path (and no
+/// extra diagnostic), so unit indexing in the merged database never
+/// shifts.
 fn parse_unit(
     unit: &SourceUnit,
+    seed: &ApiKb,
     limits: &AuditLimits,
     parse_limits: &ParseLimits,
     trace: &TraceHandle,
@@ -459,7 +459,7 @@ fn parse_unit(
         } else {
             std::mem::take(&mut out.defines)
         };
-        let discovery = discover_unit(&out.unit, &ApiKb::builtin());
+        let discovery = discover_unit(&out.unit, seed);
         (defs, out, discovery)
     });
     match parsed {
@@ -732,8 +732,13 @@ pub fn audit_cancellable(
     // scoping, and finding locations all embed it — so two files with
     // identical bytes at different paths must not share an entry (at
     // kernel scale the synthetic corpus really does produce such
-    // twins). Hashing is pure per-unit work, so it fans out too.
-    let parse_cfg = parse_config_fingerprint(config);
+    // twins). Hashing is pure per-unit work, so it fans out too. The
+    // builtin seed KB is built and fingerprinted once per audit: it
+    // keys the parse and discovery layers, classifies every unit's
+    // discovery facts and seeds the KB merge.
+    let seed = ApiKb::builtin();
+    let seed_fp = kb_fingerprint(&seed);
+    let parse_cfg = parse_config_fingerprint(config, seed_fp);
     let hash_span = trace.span("hash");
     let unit_keys: Vec<u64> = run_indexed(units, config.jobs, trace, "hash", |_, u| {
         if cancel.is_cancelled() {
@@ -749,7 +754,7 @@ pub fn audit_cancellable(
 
     // Tree fingerprint: every unit's path and key, plus the discovery
     // configuration; keys the whole-tree discovery *merge*.
-    let mut tree_fp = discovery_config_fingerprint(config);
+    let mut tree_fp = discovery_config_fingerprint(seed_fp);
     for (u, k) in units.iter().zip(&unit_keys) {
         tree_fp = mix(tree_fp, fnv1a(u.path.as_bytes()));
         tree_fp = mix(tree_fp, *k);
@@ -779,7 +784,7 @@ pub fn audit_cancellable(
             return cancelled_parse_placeholder();
         }
         let _unit_span = trace.unit_span("parse.unit", &units[i].path);
-        parse_unit(&units[i], limits, &parse_limits, trace)
+        parse_unit(&units[i], &seed, limits, &parse_limits, trace)
     });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
@@ -796,7 +801,7 @@ pub fn audit_cancellable(
     cancel.check()?;
     let merge_kb_span = trace.span("merge.kb");
     let kb: Arc<ApiKb> = if !config.discover_apis {
-        Arc::new(ApiKb::builtin())
+        Arc::new(seed)
     } else if let Some(kb) = cache.discovery_get(tree_fp) {
         kb
     } else {
@@ -808,17 +813,11 @@ pub fn audit_cancellable(
             .iter()
             .flat_map(|p| p.as_ref().unwrap().defines.iter().cloned())
             .collect();
-        let nesting_threshold = config.nesting_threshold;
         let discovered = fault_boundary(|| {
-            let d = merge_discoveries(
-                &discs,
-                &defines,
-                &ApiKb::builtin(),
-                &DiscoverConfig { nesting_threshold },
-            );
-            d.into_kb(ApiKb::builtin())
+            let d = merge_discoveries(&discs, &defines, &seed, &DiscoverConfig::default());
+            d.into_kb(seed.clone())
         })
-        .unwrap_or_else(|_| ApiKb::builtin());
+        .unwrap_or(seed);
         cache.discovery_put(tree_fp, discovered)
     };
     drop(merge_kb_span);

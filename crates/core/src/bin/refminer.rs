@@ -451,15 +451,9 @@ fn serve_usage() -> ! {
 fn serve_main() -> ExitCode {
     let mut listen = "127.0.0.1:0".to_string();
     let mut socket: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut jobs: usize = 0;
+    let mut cfg = ServeConfig::new(PathBuf::new());
     let mut watch = false;
-    let mut poll_ms: u64 = 300;
-    let mut debounce_ms: u64 = 150;
-    let mut queue: usize = 8;
-    let mut deadline_ms: u64 = 30_000;
-    let mut inject_delay_ms: u64 = 0;
-    let mut discovery = true;
+    let mut watch_opts = WatchOptions::default();
     let mut trace_path: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
 
@@ -479,19 +473,19 @@ fn serve_main() -> ExitCode {
                 socket = Some(PathBuf::from(args.next().unwrap_or_else(|| serve_usage())))
             }
             "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| serve_usage())))
+                cfg.cache_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| serve_usage())))
             }
             "--trace" => {
                 trace_path = Some(PathBuf::from(args.next().unwrap_or_else(|| serve_usage())))
             }
-            "--jobs" => jobs = num("--jobs") as usize,
+            "--jobs" => cfg.audit.jobs = num("--jobs") as usize,
             "--watch" => watch = true,
-            "--poll-ms" => poll_ms = num("--poll-ms"),
-            "--debounce-ms" => debounce_ms = num("--debounce-ms"),
-            "--queue" => queue = num("--queue").max(1) as usize,
-            "--deadline-ms" => deadline_ms = num("--deadline-ms").max(1),
-            "--inject-delay-ms" => inject_delay_ms = num("--inject-delay-ms"),
-            "--no-discovery" => discovery = false,
+            "--poll-ms" => watch_opts.poll_ms = num("--poll-ms"),
+            "--debounce-ms" => watch_opts.debounce_ms = num("--debounce-ms"),
+            "--queue" => cfg.queue_capacity = num("--queue").max(1) as usize,
+            "--deadline-ms" => cfg.default_deadline_ms = num("--deadline-ms").max(1),
+            "--inject-delay-ms" => cfg.inject_audit_delay_ms = num("--inject-delay-ms"),
+            "--no-discovery" => cfg.audit.discover_apis = false,
             other if other.starts_with('-') => {
                 eprintln!("unknown option `{other}`");
                 serve_usage();
@@ -504,26 +498,14 @@ fn serve_main() -> ExitCode {
             }
         }
     }
-    let root = root.unwrap_or_else(|| serve_usage());
-
-    let mut cfg = ServeConfig::new(root);
-    cfg.audit.jobs = jobs;
-    cfg.audit.discover_apis = discovery;
-    cfg.cache_dir = cache_dir;
-    cfg.queue_capacity = queue;
-    cfg.default_deadline_ms = deadline_ms;
-    cfg.inject_audit_delay_ms = inject_delay_ms;
+    cfg.root = root.unwrap_or_else(|| serve_usage());
     if trace_path.is_some() {
         cfg.trace = TraceHandle::recording();
     }
     let opts = ServeOptions {
         listen,
         socket,
-        watch: watch.then(|| WatchOptions {
-            poll_ms,
-            debounce_ms,
-            ..Default::default()
-        }),
+        watch: watch.then_some(watch_opts),
         trace_path,
     };
     match run_serve(cfg, &opts) {

@@ -70,8 +70,8 @@ use std::sync::Arc;
 use refminer_checkers::{checker_set_fingerprint, Finding};
 use refminer_clex::MacroDef;
 use refminer_cparse::TranslationUnit;
-use refminer_progdb::UnitExports;
-use refminer_rcapi::{ApiKb, UnitDiscovery};
+use refminer_progdb::{fnv1a, mix, UnitExports, FNV_OFFSET};
+use refminer_rcapi::{ApiKb, DiscoverConfig, UnitDiscovery};
 
 use crate::audit::{AuditConfig, UnitErrorKind};
 use crate::binfmt;
@@ -80,35 +80,10 @@ use crate::binfmt;
 // Hashing and fingerprints.
 // ----------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over a byte slice. Fast, dependency-free, and stable across
-/// platforms and runs — exactly what cache keys need (`DefaultHasher`
-/// makes no cross-version guarantee).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Content hash of a source file's text.
+/// Content hash of a source file's text: its FNV-1a hash
+/// ([`refminer_progdb::fnv1a`]).
 pub fn content_hash(text: &str) -> u64 {
     fnv1a(text.as_bytes())
-}
-
-/// Folds another word into an FNV-1a state; used to mix content hashes
-/// with configuration fingerprints.
-pub fn mix(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// On-format version of the parse layer; bump when parse-time
@@ -121,10 +96,11 @@ pub fn mix(h: u64, word: u64) -> u64 {
 /// export layer folded into the phase-1 pass).
 const PARSE_VERSION: u64 = 4;
 
-/// Fingerprint of the phase-1 configuration. Folds the builtin seed KB
-/// because per-unit discovery classifies against it, and the graph cap
-/// because the unit's exports are read off its built graphs.
-pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
+/// Fingerprint of the phase-1 configuration. Folds the builtin seed
+/// KB's fingerprint `seed_kb_fp` because per-unit discovery classifies
+/// against it, and the graph cap because the unit's exports are read
+/// off its built graphs.
+pub fn parse_config_fingerprint(config: &AuditConfig, seed_kb_fp: u64) -> u64 {
     let l = &config.limits;
     let mut h = FNV_OFFSET;
     h = mix(h, PARSE_VERSION);
@@ -132,7 +108,7 @@ pub fn parse_config_fingerprint(config: &AuditConfig) -> u64 {
     h = mix(h, l.max_tokens as u64);
     h = mix(h, l.max_parse_depth as u64);
     h = mix(h, l.max_graph_nodes as u64);
-    h = mix(h, kb_fingerprint(&ApiKb::builtin()));
+    h = mix(h, seed_kb_fp);
     h
 }
 
@@ -171,12 +147,13 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
     h
 }
 
-/// Fingerprint of the discovery configuration, including the builtin
-/// seed KB so a binary with a different seed never reuses old results.
-pub fn discovery_config_fingerprint(config: &AuditConfig) -> u64 {
+/// Fingerprint of the discovery configuration: the nesting threshold
+/// and the builtin seed KB's fingerprint `seed_kb_fp`, so a binary with
+/// a different seed never reuses old results.
+pub fn discovery_config_fingerprint(seed_kb_fp: u64) -> u64 {
     let mut h = FNV_OFFSET;
-    h = mix(h, config.nesting_threshold as u64);
-    h = mix(h, kb_fingerprint(&ApiKb::builtin()));
+    h = mix(h, DiscoverConfig::default().nesting_threshold as u64);
+    h = mix(h, seed_kb_fp);
     h
 }
 
@@ -923,13 +900,14 @@ mod tests {
             },
             ..AuditConfig::default()
         };
+        let seed_fp = kb_fingerprint(&ApiKb::builtin());
         assert_ne!(
-            parse_config_fingerprint(&config),
-            parse_config_fingerprint(&smaller_cap),
+            parse_config_fingerprint(&config, seed_fp),
+            parse_config_fingerprint(&smaller_cap, seed_fp),
             "max_graph_nodes must key the parse layer"
         );
         assert_ne!(
-            parse_config_fingerprint(&config),
+            parse_config_fingerprint(&config, seed_fp),
             check_config_fingerprint(&config)
         );
         let single_unit = AuditConfig {

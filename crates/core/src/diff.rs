@@ -11,11 +11,12 @@
 //! two-tree form `refminer diff` uses; fixcheck rebuilds revision A
 //! from a fix diff; the daemon's revision A is its previous snapshot.
 //!
-//! The delta is computed as a set difference over the exact JSONL
-//! lines [`render_finding_line`] produces, the same renderer the
-//! one-shot `--json` CLI and the daemon share. Because a cached audit
-//! is byte-identical to a cold one at any `--jobs`, the delta is
-//! byte-identical to diffing two full `--json` runs — the property
+//! The delta is computed as a set difference over finding *values*.
+//! [`Finding`]'s JSON rendering covers every field, so two findings are
+//! equal exactly when the JSONL lines the one-shot `--json` CLI and the
+//! daemon print for them are. Because a cached audit is byte-identical
+//! to a cold one at any `--jobs`, the delta is byte-identical to
+//! diffing two full `--json` runs — the property
 //! `scripts/revision_smoke.sh` replays the simulated fix history to
 //! check.
 //!
@@ -35,7 +36,6 @@ use refminer_sweep::{abstract_template, sweep, CloneMatch};
 use crate::audit::{audit_with_cache, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
 use crate::project::Project;
-use crate::serve::render_finding_line;
 
 /// Clones of a fixed bug that the fixing commit left unfixed.
 #[derive(Debug, Clone)]
@@ -89,35 +89,28 @@ pub struct DiffReport {
 
 /// A finding's identity with the line number masked out, for detecting
 /// pure moves.
-fn line_masked(f: &Finding) -> String {
-    let mut g = f.clone();
-    g.line = 0;
-    render_finding_line(&g)
+fn line_masked(f: &Finding) -> Finding {
+    Finding {
+        line: 0,
+        ..f.clone()
+    }
 }
 
 /// Computes the delta between two canonical finding lists.
 ///
 /// `introduced` = B − A and `fixed` = A − B as set differences over
-/// the exact [`render_finding_line`] strings; pairs equal after
-/// masking the line number are then reclassified as `moved`. The
-/// invariant the smoke tests script against:
-/// `introduced ∪ moved.B == B − A` and `fixed ∪ moved.A == A − B`.
+/// finding values; pairs equal after masking the line number are then
+/// reclassified as `moved`. The invariant the smoke tests script
+/// against: `introduced ∪ moved.B == B − A` and
+/// `fixed ∪ moved.A == A − B`.
 pub fn diff_findings(
     a: &[Finding],
     b: &[Finding],
 ) -> (Vec<Finding>, Vec<Finding>, Vec<(Finding, Finding)>) {
-    let a_lines: HashSet<String> = a.iter().map(render_finding_line).collect();
-    let b_lines: HashSet<String> = b.iter().map(render_finding_line).collect();
-    let introduced: Vec<Finding> = b
-        .iter()
-        .filter(|f| !a_lines.contains(&render_finding_line(f)))
-        .cloned()
-        .collect();
-    let gone: Vec<Finding> = a
-        .iter()
-        .filter(|f| !b_lines.contains(&render_finding_line(f)))
-        .cloned()
-        .collect();
+    let a_set: HashSet<&Finding> = a.iter().collect();
+    let b_set: HashSet<&Finding> = b.iter().collect();
+    let introduced: Vec<Finding> = b.iter().filter(|f| !a_set.contains(f)).cloned().collect();
+    let gone: Vec<Finding> = a.iter().filter(|f| !b_set.contains(f)).cloned().collect();
     // Pair up pure moves by *ordinal within signature bucket*: the
     // k-th vanished finding with a given line-masked identity pairs
     // with the k-th appearing one, both in canonical order. With two
@@ -126,7 +119,7 @@ pub fn diff_findings(
     // cross-pair them; ordinal pairing keeps each pure line shift
     // matched to its own twin and never reports it introduced+fixed.
     // Masked keys are computed once per finding, not once per probe.
-    let mut buckets: HashMap<String, VecDeque<usize>> = HashMap::new();
+    let mut buckets: HashMap<Finding, VecDeque<usize>> = HashMap::new();
     for (i, g) in introduced.iter().enumerate() {
         buckets.entry(line_masked(g)).or_default().push_back(i);
     }
@@ -245,7 +238,7 @@ pub fn diff_projects(
 
 /// Renders the delta as JSONL lines (no trailing newlines), grouped
 /// `introduced` → `fixed` → `moved` → `left_behind`. The `finding`
-/// objects are the exact [`render_finding_line`] serializations, so
+/// objects are the exact serializations the `--json` report prints, so
 /// extracting them reproduces the set difference of two full `--json`
 /// runs byte for byte.
 pub fn render_diff_lines(d: &DiffDelta) -> Vec<String> {

@@ -11,11 +11,12 @@
 //! - **FP** — a finding that matches no injected bug, attributed to the
 //!   finding's own pattern.
 //!
-//! Matching goes through the finding's `checkers` list rather than its
-//! pattern alone: the report layer merges same-site findings of one
-//! root-cause family, so a P7 bug caught by both `DirectFreeChecker`
-//! and `ErrorPathChecker` surfaces as a single P5-labelled finding
-//! whose checker list still names `DirectFreeChecker`.
+//! Matching is [`Finding::claims`], which goes through the finding's
+//! `checkers` list rather than its pattern alone: the report layer
+//! merges same-site findings of one root-cause family, so a P7 bug
+//! caught by both `DirectFreeChecker` and `ErrorPathChecker` surfaces
+//! as a single P5-labelled finding whose checker list still names
+//! `DirectFreeChecker`.
 
 use std::collections::BTreeMap;
 
@@ -130,16 +131,6 @@ impl ToJson for EvalReport {
     }
 }
 
-/// Whether `finding` claims the bug: same file and function, and the
-/// bug's pattern is covered by the finding's checker list (or equals
-/// the finding's own pattern, for findings predating checker stamping).
-fn finding_claims(finding: &Finding, path: &str, function: &str, pattern: AntiPattern) -> bool {
-    finding.file == path
-        && finding.function == function
-        && (finding.pattern == pattern
-            || finding.checkers.iter().any(|c| c == pattern.checker_name()))
-}
-
 /// Scores `findings` against the manifest's ground truth. See the
 /// module docs for the matching rules.
 pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
@@ -151,7 +142,7 @@ pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
         };
         let hit = findings
             .iter()
-            .any(|f| finding_claims(f, &bug.path, &bug.function, pattern));
+            .any(|f| f.claims(&bug.path, &bug.function, pattern));
         let counts = per.entry(pattern).or_default();
         if hit {
             counts.tp += 1;
@@ -163,8 +154,7 @@ pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
     let mut trap_hits = 0usize;
     for f in findings {
         let claims_some_bug = manifest.bugs.iter().any(|b| {
-            AntiPattern::from_number(b.pattern)
-                .is_some_and(|p| finding_claims(f, &b.path, &b.function, p))
+            AntiPattern::from_number(b.pattern).is_some_and(|p| f.claims(&b.path, &b.function, p))
         });
         if claims_some_bug {
             continue;

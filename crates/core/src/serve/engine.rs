@@ -42,7 +42,7 @@ use crate::cache::{AuditCache, CacheLoadOutcome};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::diff::{diff_delta, render_diff_lines};
 use crate::fixcheck::{fixcheck_cancellable, reconstruct_pre_fix, render_fixcheck_lines};
-use crate::project::{Project, ScanOptions};
+use crate::project::Project;
 use crate::{UnitDiagnostic, UnitErrorKind, UnitOutcome};
 
 /// Configuration for a resident engine.
@@ -52,18 +52,12 @@ pub struct ServeConfig {
     pub root: PathBuf,
     /// Audit configuration (jobs, limits, discovery, …).
     pub audit: AuditConfig,
-    /// Scan limits.
-    pub scan: ScanOptions,
     /// Where the audit cache persists; `None` keeps it in memory only.
     pub cache_dir: Option<PathBuf>,
     /// Bounded queue size; a full queue sheds with `overloaded`.
     pub queue_capacity: usize,
     /// Deadline for audit/reaudit requests that don't set one.
     pub default_deadline_ms: u64,
-    /// Bounded retries for transient scan errors before a job fails.
-    pub scan_retries: u32,
-    /// Initial backoff between scan retries; doubles per retry.
-    pub retry_backoff_ms: u64,
     /// Fault-harness hook: stall this long (cancellably) before each
     /// audit job, so tests can deterministically fill the queue and
     /// trip deadlines. `0` in production.
@@ -78,17 +72,19 @@ impl ServeConfig {
         ServeConfig {
             root: root.into(),
             audit: AuditConfig::default(),
-            scan: ScanOptions::default(),
             cache_dir: None,
             queue_capacity: 8,
             default_deadline_ms: DEFAULT_DEADLINE_MS,
-            scan_retries: 3,
-            retry_backoff_ms: 25,
             inject_audit_delay_ms: 0,
             trace: TraceHandle::disabled(),
         }
     }
 }
+
+/// Bounded retries for transient scan errors before a job fails.
+const SCAN_RETRIES: u32 = 3;
+/// Initial backoff between scan retries, in ms; doubles per retry.
+const RETRY_BACKOFF_MS: u64 = 25;
 
 /// One consistent, immutable view of the audited tree: the findings
 /// plus their prerendered JSON lines — the exact bytes the one-shot
@@ -695,17 +691,17 @@ fn run_job(
         }
     }
     // Transient scan errors retry with bounded exponential backoff.
-    let mut backoff = cfg.retry_backoff_ms.max(1);
+    let mut backoff = RETRY_BACKOFF_MS;
     let mut attempt: u32 = 0;
     let project = loop {
         if let Err(c) = job.cancel.check() {
             counters.audits_cancelled.fetch_add(1, Ordering::SeqCst);
             return JobOutcome::Cancelled(c.reason);
         }
-        match Project::scan_with(&cfg.root, &cfg.scan) {
+        match Project::scan(&cfg.root) {
             Ok(p) => break p,
             Err(e) => {
-                if attempt >= cfg.scan_retries {
+                if attempt >= SCAN_RETRIES {
                     counters.audits_failed.fetch_add(1, Ordering::SeqCst);
                     return JobOutcome::Failed(format!("scan failed after {attempt} retries: {e}"));
                 }

@@ -1,6 +1,6 @@
 //! `refminer serve` — the resident audit daemon.
 //!
-//! Holds the [`crate::Project`] scan, knowledge base and all four
+//! Holds the [`crate::Project`] scan, knowledge base and all three
 //! audit-cache layers hot in one process and answers line-delimited
 //! JSON-RPC (see [`protocol`]) over TCP and, on Unix, a Unix-domain
 //! socket. The `engine` module implements the robustness contract

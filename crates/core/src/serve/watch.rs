@@ -17,6 +17,8 @@ use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
+use refminer_progdb::{fnv1a_fold, mix, FNV_OFFSET};
+
 use super::engine::EngineHandle;
 
 /// Watcher tuning.
@@ -27,16 +29,16 @@ pub struct WatchOptions {
     /// How long the fingerprint must hold still after a change before
     /// a re-audit is enqueued (absorbs multi-file save bursts).
     pub debounce_ms: u64,
-    /// Backoff cap for transient fingerprint errors.
-    pub max_backoff_ms: u64,
 }
+
+/// Backoff cap for transient fingerprint errors.
+const MAX_BACKOFF: Duration = Duration::from_millis(5_000);
 
 impl Default for WatchOptions {
     fn default() -> Self {
         WatchOptions {
             poll_ms: 300,
             debounce_ms: 150,
-            max_backoff_ms: 5_000,
         }
     }
 }
@@ -58,7 +60,7 @@ fn watch_loop(handle: EngineHandle, opts: WatchOptions) {
                 // bounded, and keep the previous fingerprint.
                 handle.note_scan_retry();
                 sleep_unless_stopped(&handle, backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(opts.max_backoff_ms.max(1)));
+                backoff = (backoff * 2).min(MAX_BACKOFF);
                 continue;
             }
             Ok(fp) => {
@@ -110,7 +112,7 @@ fn sleep_unless_stopped(handle: &EngineHandle, total: Duration) {
 /// entry's path, size and mtime, walked in sorted order through the
 /// fault-injection seam.
 fn fingerprint_tree(root: &Path) -> std::io::Result<u64> {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = FNV_OFFSET;
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<std::path::PathBuf> = Vec::new();
@@ -120,38 +122,22 @@ fn fingerprint_tree(root: &Path) -> std::io::Result<u64> {
         entries.sort();
         for path in entries {
             let meta = refminer_faultio::metadata(&path)?;
-            h = fnv_str(h, &path.to_string_lossy());
+            h = fnv1a_fold(h, path.to_string_lossy().as_bytes());
             if meta.is_dir() {
                 stack.push(path);
                 continue;
             }
-            h = fnv_u64(h, meta.len());
+            h = mix(h, meta.len());
             let mtime = meta
                 .modified()
                 .ok()
                 .and_then(|m| m.duration_since(SystemTime::UNIX_EPOCH).ok())
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(0);
-            h = fnv_u64(h, mtime);
+            h = mix(h, mtime);
         }
     }
     Ok(h)
-}
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

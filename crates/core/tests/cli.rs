@@ -857,3 +857,150 @@ fn history_json_is_byte_identical_across_jobs_and_cache() {
     assert_eq!(base, warm, "warm cache changed history bytes");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Writes the three-clone-group fix history the revision subcommands
+/// are driven on; returns the scratch dir and the history root.
+fn clone_history(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = scratch_dir(tag);
+    let hist = dir.join("hist");
+    let out = histgen()
+        .args(["--seed", "11", "--scale", "0.05", "--clone-groups", "3"])
+        .arg(&hist)
+        .output()
+        .expect("run histgen");
+    assert!(out.status.success(), "histgen failed");
+    (dir, hist)
+}
+
+fn json_lines(stdout: &[u8]) -> Vec<refminer_json::Value> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|l| refminer_json::Value::parse(l).expect("JSONL line"))
+        .collect()
+}
+
+#[test]
+fn sweep_at_ranks_the_clone_siblings_of_a_seed_finding() {
+    let (dir, hist) = clone_history("sweep_at");
+    let out = refminer()
+        .args(["sweep", "--at", "drivers/clones/cg0_unit0.c:13", "--json"])
+        .arg(hist.join("rev00"))
+        .output()
+        .expect("run sweep");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "clones matched → exit 1: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines = json_lines(&out.stdout);
+    let template = lines[0].get("template").expect("template line first");
+    let origin = template.get("origin").expect("origin");
+    assert_eq!(
+        origin
+            .get("function")
+            .and_then(refminer_json::Value::as_str),
+        Some("cg0_site0")
+    );
+    for sibling in ["cg0_site1", "cg0_site2", "cg0_site3"] {
+        let hit = lines[1..].iter().any(|m| {
+            m.get("score").and_then(refminer_json::Value::as_u64) == Some(100)
+                && m.get("finding")
+                    .and_then(|f| f.get("function"))
+                    .and_then(refminer_json::Value::as_str)
+                    == Some(sibling)
+        });
+        assert!(hit, "{sibling} must match at score 100");
+    }
+
+    let out = refminer()
+        .args(["sweep", "--at", "drivers/clones/cg0_unit0.c:1"])
+        .arg(hist.join("rev00"))
+        .output()
+        .expect("run sweep");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "no finding at the site → exit 2"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no finding at"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn diff_no_sweep_reports_the_fix_without_left_behind() {
+    let (dir, hist) = clone_history("diff_no_sweep");
+    let diff = |extra: &[&str]| {
+        refminer()
+            .args(["diff", "--json"])
+            .args(extra)
+            .arg(hist.join("rev00"))
+            .arg(hist.join("rev01"))
+            .output()
+            .expect("run diff")
+    };
+    let kinds = |stdout: &[u8]| -> Vec<String> {
+        json_lines(stdout)
+            .iter()
+            .map(|l| {
+                l.get("delta")
+                    .and_then(refminer_json::Value::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    };
+    let out = diff(&["--no-sweep"]);
+    assert_eq!(out.status.code(), Some(0), "nothing introduced → exit 0");
+    assert_eq!(kinds(&out.stdout), ["fixed"]);
+    // The same commit with the sweep on leaves the unfixed clones behind.
+    let out = diff(&[]);
+    assert_eq!(out.status.code(), Some(1), "clones left behind → exit 1");
+    let swept = kinds(&out.stdout);
+    assert_eq!(swept[0], "fixed");
+    assert!(swept[1..].iter().all(|k| k == "left_behind") && swept.len() > 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn eval_sweep_scores_the_clone_groups() {
+    let (dir, hist) = clone_history("eval_sweep");
+    let out = refminer()
+        .args(["eval", "--sweep", "--json"])
+        .arg(hist.join("rev00"))
+        .output()
+        .expect("run eval --sweep");
+    assert_eq!(out.status.code(), Some(0));
+    let v = &json_lines(&out.stdout)[0];
+    let totals = v.get("totals").expect("totals");
+    let recall = totals.get("recall").and_then(refminer_json::Value::as_f64);
+    assert!(recall.unwrap() >= 0.9, "{v}");
+    assert_eq!(
+        totals
+            .get("spurious")
+            .and_then(refminer_json::Value::as_u64),
+        Some(0),
+        "{v}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn engines_template_drops_delta_attribution() {
+    let (dir, hist) = clone_history("engines");
+    let audit = |extra: &[&str]| {
+        let out = refminer()
+            .arg("--json")
+            .args(extra)
+            .arg(hist.join("rev00"))
+            .output()
+            .expect("run audit");
+        assert_eq!(out.status.code(), Some(1));
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    assert!(audit(&[]).contains("\"delta\""), "both engines by default");
+    let template_only = audit(&["--engines", "template"]);
+    assert!(!template_only.is_empty());
+    assert!(!template_only.contains("\"delta\""), "{template_only}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -476,10 +476,16 @@ fn kill_restart_with_corrupt_cache_recovers_byte_identical() {
     let cache_dir = dir.join(".serve-cache");
 
     // Round one: torn cache writes on a seeded schedule, then a hard
-    // kill — the daemon equivalent of dying mid-save.
+    // kill — the daemon equivalent of dying mid-save. Every audit job
+    // stalls first, so the kill below lands on one in flight.
     let d = Daemon::start(
         &dir,
-        &["--cache-dir", cache_dir.to_str().unwrap()],
+        &[
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+            "--inject-delay-ms",
+            "500",
+        ],
         &[(
             "REFMINER_FAULTS",
             "seed=7,rate=2,ops=write+rename,torn=500,max=100",
@@ -494,7 +500,44 @@ fn kill_restart_with_corrupt_cache_recovers_byte_identical() {
         });
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
     }
-    drop(d); // SIGKILL — no graceful shutdown, no final save.
+    // The CLI client drives the same daemon.
+    let rpc_client = |args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_refminer"));
+        cmd.arg("rpc").arg(&d.addr).args(args);
+        cmd
+    };
+    for args in [
+        &["status"][..],
+        &["audit"],
+        &["reaudit", "drivers/demo/demo.c"],
+    ] {
+        let out = rpc_client(args).output().expect("run rpc client");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "rpc {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    // SIGKILL while a client's `audit` is in flight: no graceful
+    // shutdown, no final save, and the client sees the daemon vanish.
+    let mut in_flight = rpc_client(&["audit"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rpc client");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while d.status().get("auditing").and_then(Value::as_bool) != Some(true) {
+        assert!(Instant::now() < deadline, "the audit never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(d);
+    let client = in_flight.wait().expect("wait rpc client");
+    assert_eq!(
+        client.code(),
+        Some(2),
+        "the in-flight audit must end as a transport failure"
+    );
 
     // If any save survived the torn-write faults, it must be the
     // binary container — the JSON-era `audit-cache.json` is gone.

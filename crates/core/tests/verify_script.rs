@@ -1,5 +1,5 @@
 //! Runs the `scripts/verify.sh` release gate against prebuilt binaries,
-//! so the one-shot fmt → clippy → doc → build → test → chaos → serve →
+//! so the one-shot fmt → clippy → doc → build → test → chaos →
 //! revisions chain stays wired into the test suite. The cargo-based
 //! steps (fmt, clippy, doc, build, test) are skipped because this test
 //! already runs under cargo — re-entering it here would recurse.
@@ -55,10 +55,6 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
         "stdout:\n{stdout}"
     );
     assert!(
-        stdout.contains("verify.sh: [serve] ok"),
-        "stdout:\n{stdout}"
-    );
-    assert!(
         stdout.contains("verify.sh: [revisions] ok"),
         "stdout:\n{stdout}"
     );
@@ -72,7 +68,7 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
 fn verify_script_fails_fast_with_the_step_name() {
     let out = Command::new("bash")
         .arg(script())
-        .env("VERIFY_SKIP", "fmt clippy doc build test chaos serve")
+        .env("VERIFY_SKIP", "fmt clippy doc build test chaos")
         .env("HISTGEN_BIN", "/bin/false")
         .output()
         .expect("run verify.sh");

@@ -167,14 +167,6 @@ impl ToJson for Manifest {
 }
 
 impl Manifest {
-    /// Whether a (path, function, pattern) triple matches an injected
-    /// bug.
-    pub fn matches(&self, path: &str, function: &str, pattern: u8) -> bool {
-        self.bugs
-            .iter()
-            .any(|b| b.path == path && b.function == function && b.pattern == pattern)
-    }
-
     /// Whether a (path, function) pair is one of the tricky snippets.
     pub fn is_tricky(&self, path: &str, function: &str) -> bool {
         self.tricky.iter().any(|(p, f)| p == path && f == function)
@@ -2049,8 +2041,16 @@ mod tests {
             scale: 0.05,
             ..Default::default()
         });
-        let b = &tree.manifest.bugs[0];
-        assert!(tree.manifest.matches(&b.path, &b.function, b.pattern));
-        assert!(!tree.manifest.matches(&b.path, &b.function, 200));
+        // Every recorded bug names an anti-pattern, so ground-truth
+        // matching (`Finding::claims`) can score it.
+        for b in &tree.manifest.bugs {
+            assert!(
+                refminer_checkers::AntiPattern::from_number(b.pattern).is_some(),
+                "{b:?}"
+            );
+            assert!(!tree.manifest.is_tricky(&b.path, &b.function), "{b:?}");
+        }
+        let (path, function) = &tree.manifest.tricky[0];
+        assert!(tree.manifest.is_tricky(path, function));
     }
 }

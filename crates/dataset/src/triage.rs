@@ -29,7 +29,8 @@ pub enum PatchStatus {
 pub struct TriagedFinding {
     /// The underlying finding.
     pub finding: Finding,
-    /// Whether it matches an injected bug (ground truth).
+    /// Whether it [claims](Finding::claims) an injected bug (ground
+    /// truth).
     pub true_positive: bool,
     /// Whether it landed on a deliberately tricky correct function.
     pub on_tricky: bool,
@@ -96,7 +97,10 @@ pub fn triage(findings: &[Finding], manifest: &Manifest) -> Triage {
     let mut rows: Vec<TriagedFinding> = findings
         .iter()
         .map(|f| {
-            let tp = manifest.matches(&f.file, &f.function, f.pattern.number());
+            let tp = manifest.bugs.iter().any(|b| {
+                AntiPattern::from_number(b.pattern)
+                    .is_some_and(|p| f.claims(&b.path, &b.function, p))
+            });
             let tricky = manifest.is_tricky(&f.file, &f.function);
             TriagedFinding {
                 finding: f.clone(),

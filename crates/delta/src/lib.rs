@@ -43,6 +43,7 @@ use refminer_checkers::{
     use_after_decrease_query, AnalysisEngine, AntiPattern, CheckCtx, EngineId, Finding, Impact,
 };
 use refminer_cpg::{Feasibility, NodeId, NodeKind};
+use refminer_progdb::{fnv1a, mix};
 use refminer_rcapi::{ObjectFlow, RcApi, RcClass, RcDir};
 
 /// Bump when the delta engine's logic changes: the value keys cached
@@ -132,16 +133,7 @@ impl AnalysisEngine for DeltaEngine {
 /// A fingerprint of the delta engine's logic, mixed into the check
 /// cache key whenever the engine is enabled.
 pub fn delta_fingerprint() -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in b"refminer-delta" {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for b in DELTA_LOGIC_VERSION.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    mix(fnv1a(b"refminer-delta"), DELTA_LOGIC_VERSION)
 }
 
 /// One acquisition the dataflow tracks: like the checkers' inc sites,

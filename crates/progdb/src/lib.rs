@@ -471,11 +471,13 @@ impl ProgramDb {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the state before any byte is folded in.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// Folds `bytes` into the FNV-1a state `h`. Folding two slices in turn
+/// hashes their concatenation.
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -483,13 +485,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn mix(h: u64, word: u64) -> u64 {
-    let mut h = h;
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// FNV-1a over a byte slice: fast, dependency-free, and stable across
+/// platforms and runs, which every cache key and fingerprint needs
+/// (`DefaultHasher` makes no cross-version guarantee).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// Folds a word's little-endian bytes into the FNV-1a state `h`; used
+/// to combine hashes and configuration values into one key.
+pub fn mix(h: u64, word: u64) -> u64 {
+    fnv1a_fold(h, &word.to_le_bytes())
 }
 
 #[cfg(test)]

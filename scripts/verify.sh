@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # One-shot release gate: fmt → clippy → doc → build → test → chaos →
-# serve → revisions, fail fast, and end with a single "verify.sh: PASS" or
+# revisions, fail fast, and end with a single "verify.sh: PASS" or
 # "verify.sh: FAIL (<step>)" verdict line. Timing lives in refbench/
 # (the repository's one benchmark harness), not here: the test step
 # already enforces the warm-cache speedup bound and the eval F1 floor.
 #
 # Env:
 #   VERIFY_SKIP     space-separated step names to skip
-#                   (any of: fmt clippy doc build test chaos serve
+#                   (any of: fmt clippy doc build test chaos
 #                   revisions)
 #   CHAOSGEN_BIN / REFMINER_BIN / HISTGEN_BIN — forwarded to the
 #   underlying scripts, so a harness can point every step at prebuilt
@@ -45,7 +45,6 @@ step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet 
 step build cargo build --release --quiet --manifest-path "$here/Cargo.toml" --workspace
 step test cargo test --quiet --manifest-path "$here/Cargo.toml" --workspace
 step chaos bash "$here/scripts/chaos.sh"
-step serve bash "$here/scripts/serve_smoke.sh"
 step revisions bash "$here/scripts/revision_smoke.sh"
 
 echo "verify.sh: PASS"

@@ -10,7 +10,9 @@
 use std::time::{Duration, Instant};
 
 use refminer::corpus::{generate_tree, next_revision, SyntheticTree, TreeConfig};
-use refminer::{audit, audit_with_cache, AuditCache, AuditConfig, AuditReport, Project};
+use refminer::{
+    audit, audit_with_cache, AntiPattern, AuditCache, AuditConfig, AuditReport, Project,
+};
 use refminer_json::ToJson;
 
 /// How much faster a warm in-memory audit must be than a cold one.
@@ -262,8 +264,10 @@ fn whole_program_mode_finds_cross_unit_ground_truth_without_new_fps() {
         .filter(|f| f.file.starts_with("drivers/crossunit/"))
     {
         assert!(
-            tree.manifest
-                .matches(&f.file, &f.function, f.pattern.number()),
+            tree.manifest.bugs.iter().any(|b| {
+                AntiPattern::from_number(b.pattern)
+                    .is_some_and(|p| f.claims(&b.path, &b.function, p))
+            }),
             "false positive: {f:?}"
         );
     }
