@@ -291,17 +291,10 @@ pub struct AuditReport {
     pub kb: ApiKb,
     /// Per-file fault-isolation diagnostics.
     pub diagnostics: AuditDiagnostics,
-    /// Cache hit/miss counters for this run (all zeros for the plain
-    /// [`audit`] entry point, which starts from an empty cache).
+    /// Cache hit/miss counters for this run. The plain [`audit`] entry
+    /// point starts from an empty cache, so it counts every unit as a
+    /// parse miss and every checked unit as a check miss.
     pub cache: CacheStats,
-    /// Wall-clock seconds of phase 1: the per-unit fan-out (lex, parse,
-    /// discovery facts, exports from CFGs and node facts) plus the
-    /// knowledge-base merge. Timing only — it never influences
-    /// findings, keys or any serialized result.
-    pub phase1_secs: f64,
-    /// Wall-clock seconds of phase 2: the [`ProgramDb`] merge plus the
-    /// check fan-out.
-    pub phase2_secs: f64,
 }
 
 impl AuditReport {
@@ -657,8 +650,8 @@ pub fn audit_with_cache(
 /// `{stage}.unit` spans, each unit's export step lands in an
 /// `export.unit` span inside its `parse.unit`, the feasibility
 /// fixpoint's share of graph construction lands in `feasibility` spans,
-/// and cache traffic, scheduler steals, per-checker time and limit trips
-/// land in counters.
+/// and cache traffic, scheduler worker counts, per-checker time and
+/// limit trips land in counters.
 pub fn audit_traced(
     project: &Project,
     config: &AuditConfig,
@@ -764,9 +757,7 @@ pub fn audit_cancellable(
     // Phase 1: the per-unit pass (lex+parse, defines, discovery facts,
     // exports), then the knowledge-base merge.
     // ------------------------------------------------------------------
-    let phase1_start = std::time::Instant::now();
-
-    // Work-stealing across workers, each unit inside its own fault
+    // Fanned out across workers, each unit inside its own fault
     // boundaries. Disk-loaded entries (no retained AST) are full hits —
     // they carry their exports, and the check stage rehydrates its own
     // unit on demand.
@@ -821,7 +812,6 @@ pub fn audit_cancellable(
         cache.discovery_put(tree_fp, discovered)
     };
     drop(merge_kb_span);
-    let phase1_secs = phase1_start.elapsed().as_secs_f64();
 
     // ------------------------------------------------------------------
     // Phase 2: program-database merge, then the check fan-out.
@@ -835,7 +825,6 @@ pub fn audit_cancellable(
     let kb_fp = mix(kb_fingerprint(&kb), check_config_fingerprint(config));
     let subsystem = config.subsystem.as_deref().map(|s| s.trim_end_matches('/'));
     let only_patterns = config.only_patterns.as_deref();
-    let phase2_start = Instant::now();
 
     // Barrier: merge per-unit exports into the program database, in
     // unit index order. Checkers resolve helper effects through it
@@ -893,7 +882,6 @@ pub fn audit_cancellable(
         checked[i] = Some(cache.check_put(unit_keys[i], deps_fp, c));
     }
     drop(check_span);
-    let phase2_secs = phase2_start.elapsed().as_secs_f64();
 
     // Merge, in unit index order, exactly as the sequential pipeline
     // would have: findings concatenated then canonically sorted, error
@@ -993,8 +981,6 @@ pub fn audit_cancellable(
         kb: (*kb).clone(),
         diagnostics,
         cache: cache.stats,
-        phase1_secs,
-        phase2_secs,
     })
 }
 

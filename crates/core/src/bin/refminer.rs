@@ -387,10 +387,6 @@ fn main() -> ExitCode {
             c.parse_misses + c.check_misses,
             c.hit_rate() * 100.0
         );
-        eprintln!(
-            "phases: {:.3}s parse+export+kb merge, {:.3}s progdb merge+check",
-            report.phase1_secs, report.phase2_secs
-        );
         if !d.is_clean() {
             for (kind, count) in d.by_kind() {
                 eprintln!("  {}: {count}", kind.name());

@@ -16,9 +16,8 @@
 //! equal exactly when the JSONL lines the one-shot `--json` CLI and the
 //! daemon print for them are. Because a cached audit is byte-identical
 //! to a cold one at any `--jobs`, the delta is byte-identical to
-//! diffing two full `--json` runs — the property
-//! `scripts/revision_smoke.sh` replays the simulated fix history to
-//! check.
+//! diffing two full `--json` runs — the property `tests/diff_sweep.rs`
+//! replays the simulated fix history to check.
 //!
 //! When a commit fixes a finding, the sweep engine abstracts the fixed
 //! bug into a template and searches revision B's surviving findings

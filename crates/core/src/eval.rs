@@ -291,7 +291,7 @@ impl SweepCounts {
         }
     }
 
-    fn add(&mut self, other: &SweepCounts) {
+    pub(crate) fn add(&mut self, other: &SweepCounts) {
         self.found += other.found;
         self.missed += other.missed;
         self.spurious += other.spurious;
@@ -372,6 +372,15 @@ impl ToJson for SweepEvalReport {
     }
 }
 
+/// Whether `manifest` injected a bug into `function` of `path`: a sweep
+/// or fixcheck report naming anything else is spurious.
+pub(crate) fn names_injected_bug(manifest: &Manifest, path: &str, function: &str) -> bool {
+    manifest
+        .bugs
+        .iter()
+        .any(|b| b.path == path && b.function == function)
+}
+
 /// Scores the sweep engine against the manifest's clone groups.
 ///
 /// For each group, the seed is the first unfixed member a finding
@@ -380,24 +389,19 @@ impl ToJson for SweepEvalReport {
 /// members. A match naming any manifest bug — this group's or, for
 /// repeated-API shapes, another group's — is never spurious; spurious
 /// counts only matches on functions the corpus injected no bug into.
+/// A group whose pattern number names no anti-pattern is skipped;
+/// [`Manifest::from_json`] never loads one.
 pub fn evaluate_sweep<F: FnMut(&str) -> Option<String>>(
     findings: &[Finding],
     manifest: &Manifest,
     kb: &ApiKb,
     mut source_of: F,
 ) -> SweepEvalReport {
-    let is_injected = |path: &str, function: &str| -> bool {
-        manifest
-            .bugs
-            .iter()
-            .any(|b| b.path == path && b.function == function)
-    };
     let mut rows = Vec::new();
     for group in &manifest.clone_groups {
-        let pattern = AntiPattern::all()
-            .get(group.pattern as usize - 1)
-            .copied()
-            .unwrap_or(AntiPattern::P1);
+        let Some(pattern) = AntiPattern::from_number(group.pattern) else {
+            continue;
+        };
         let unfixed: Vec<_> = group.members.iter().filter(|m| !m.fixed).collect();
         let seed = unfixed.iter().find_map(|m| {
             findings
@@ -432,7 +436,7 @@ pub fn evaluate_sweep<F: FnMut(&str) -> Option<String>>(
                 }
                 counts.spurious += matches
                     .iter()
-                    .filter(|c| !is_injected(&c.finding.file, &c.finding.function))
+                    .filter(|c| !names_injected_bug(manifest, &c.finding.file, &c.finding.function))
                     .count();
             }
         }

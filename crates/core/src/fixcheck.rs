@@ -36,9 +36,9 @@ use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::diff::{diff_delta, LeftBehind};
-use crate::eval::SweepCounts;
+use crate::eval::{names_injected_bug, SweepCounts};
 use crate::history::discover_revisions;
-use crate::project::Project;
+use crate::project::{is_source_path, Project};
 use crate::serve::render_finding_line;
 
 /// Everything `refminer fixcheck` reports for one fix diff.
@@ -87,12 +87,6 @@ fn unit_index(project: &Project, diff_path: &str) -> Option<usize> {
         .position(|u| paths_match(diff_path, &u.path))
 }
 
-/// True for the file kinds the scanner audits; diffs routinely also
-/// touch manifests, Makefiles and docs, which have no units to match.
-fn is_source_path(path: &str) -> bool {
-    path.ends_with(".c") || path.ends_with(".h")
-}
-
 /// Parses `diff_text` and reverse-applies it onto `post`, failing as
 /// [`fixcheck_project`] documents; the daemon maps those errors to
 /// `bad_request`.
@@ -105,7 +99,9 @@ pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<Pre
         .collect();
     let mut files_changed = 0usize;
     for file in &diff.files {
-        if !is_source_path(file.path()) {
+        // Diffs routinely also touch manifests, Makefiles and docs,
+        // which the scan never reads and so have no units to match.
+        if !is_source_path(Path::new(file.path())) {
             continue;
         }
         if file.is_added() {
@@ -350,15 +346,7 @@ impl ToJson for FixcheckEvalReport {
                         .collect(),
                 ),
             ),
-            (
-                "totals",
-                obj([
-                    ("found", self.totals.found.to_json()),
-                    ("missed", self.totals.missed.to_json()),
-                    ("spurious", self.totals.spurious.to_json()),
-                    ("recall", self.totals.recall().to_json()),
-                ]),
-            ),
+            ("totals", self.totals.to_json()),
         ])
     }
 }
@@ -447,18 +435,11 @@ pub fn evaluate_fixcheck(root: &Path, config: &AuditConfig) -> Result<FixcheckEv
                 counts.missed += 1;
             }
         }
-        for (file, function) in &reported {
-            let is_injected = manifest
-                .bugs
-                .iter()
-                .any(|b| b.path == *file && b.function == *function);
-            if !is_injected {
-                counts.spurious += 1;
-            }
-        }
-        totals.found += counts.found;
-        totals.missed += counts.missed;
-        totals.spurious += counts.spurious;
+        counts.spurious = reported
+            .iter()
+            .filter(|(file, function)| !names_injected_bug(&manifest, file, function))
+            .count();
+        totals.add(&counts);
         rows.push(FixcheckEvalRow {
             revision: id,
             group: repaired.map(|cg| cg.group.clone()),

@@ -1,4 +1,4 @@
-//! A work-stealing scheduler for per-unit pipeline stages.
+//! A shared-cursor scheduler for per-unit pipeline stages.
 //!
 //! The audit pipeline is embarrassingly parallel *between* units: each
 //! translation unit lexes, parses, graphs and checks independently, and
@@ -14,12 +14,11 @@
 //!   the units, the knowledge base and the limits without `Arc`-wrapping
 //!   any of them. Stages are long (whole files), so per-stage spawn cost
 //!   is noise.
-//! - **Work stealing.** Every worker owns a deque seeded with a
-//!   contiguous chunk of unit indices. An owner pops from the front; an
-//!   idle worker steals from the *back* of the longest victim queue.
-//!   Contiguous seeding keeps the common case (balanced trees) touching
-//!   each lock only at its own queue; stealing handles the pathological
-//!   tree where one directory holds all the big files.
+//! - **One shared cursor.** Every worker claims the next unit index
+//!   from one `AtomicUsize` with `fetch_add(1)` until the cursor passes
+//!   the end. A worker that draws a big file simply claims fewer units,
+//!   so the load balances one unit at a time with no queue and no lock,
+//!   including on the tree where one directory holds all the big files.
 //! - **Deterministic merge.** Workers tag each result with its input
 //!   index; the caller sorts the combined output by index. Scheduling
 //!   order can vary freely between runs and job counts — result order
@@ -30,8 +29,7 @@
 //! boundary *inside* the work closure, so a panicking unit degrades
 //! itself without taking down its worker thread.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use refminer_trace::TraceHandle;
 
@@ -64,12 +62,11 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// an exact replica of the historical sequential pipeline.
 ///
 /// The work closure receives `(index, &item)` so it can key caches or
-/// diagnostics off the original position. Scheduler behavior goes to
-/// `trace`: the number of cross-worker steals lands in a
-/// `{stage}.steals` counter and the worker count in `{stage}.workers`
-/// (an empty `stage` records nothing). Tracing is observation-only — a
-/// disabled handle, or any handle at all, never changes which items run
-/// where or the output order.
+/// diagnostics off the original position. A multi-worker run records
+/// its worker count in a `{stage}.workers` trace counter (an empty
+/// `stage` records nothing). Tracing is observation-only — a disabled
+/// handle, or any handle at all, never changes the results or their
+/// order.
 ///
 /// # Examples
 ///
@@ -121,94 +118,36 @@ where
         trace.add(&format!("{stage}.workers"), jobs as u64);
     }
 
-    // Seed each worker's deque with a contiguous slice of indices.
-    let queues: Vec<Mutex<VecDeque<usize>>> = split_chunks(items.len(), jobs)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-
+    // Each claim hands out a distinct index; the joins below publish
+    // the results, so the cursor needs no ordering of its own.
+    let cursor = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    let mut steals = 0u64;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
-            .map(|me| {
-                let queues = &queues;
-                let work = &work;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut stolen = 0u64;
-                    while let Some((i, was_steal)) = next_index(queues, me) {
-                        stolen += u64::from(was_steal);
-                        out.push((i, work(i, &items[i])));
-                    }
-                    (out, stolen)
+            .map(|_| {
+                s.spawn(|| {
+                    std::iter::from_fn(|| {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        items.get(i).map(|item| (i, work(i, item)))
+                    })
+                    .collect::<Vec<_>>()
                 })
             })
             .collect();
         for h in handles {
             // A panic here means one escaped the per-unit fault
             // boundary inside `work`; propagate it rather than lose it.
-            let (out, stolen) = h.join().expect("audit worker panicked");
-            tagged.extend(out);
-            steals += stolen;
+            tagged.extend(h.join().expect("audit worker panicked"));
         }
     });
-    if !stage.is_empty() {
-        trace.add(&format!("{stage}.steals"), steals);
-    }
 
     tagged.sort_by_key(|(i, _)| *i);
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `0..n` into `jobs` contiguous chunks, front-loading the
-/// remainder so sizes differ by at most one.
-fn split_chunks(n: usize, jobs: usize) -> Vec<VecDeque<usize>> {
-    let base = n / jobs;
-    let extra = n % jobs;
-    let mut start = 0;
-    (0..jobs)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let q: VecDeque<usize> = (start..start + len).collect();
-            start += len;
-            q
-        })
-        .collect()
-}
-
-/// Pops the next index for worker `me`: own queue front first, then a
-/// steal from the back of the fullest victim. Returns `None` only when
-/// every queue is empty — no work is ever added after seeding, so an
-/// all-empty sweep is a stable termination condition. The flag reports
-/// whether the pop was a cross-worker steal, for the trace counters.
-fn next_index(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<(usize, bool)> {
-    if let Some(i) = queues[me].lock().unwrap().pop_front() {
-        return Some((i, false));
-    }
-    // Pick the victim with the most remaining work to halve the largest
-    // backlog; sizes are read unlocked-then-relocked, so a stale read
-    // costs at most a failed steal and another sweep.
-    loop {
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|(w, _)| *w != me)
-            .map(|(w, q)| (w, q.lock().unwrap().len()))
-            .max_by_key(|(_, len)| *len)
-            .filter(|(_, len)| *len > 0)
-            .map(|(w, _)| w)?;
-        if let Some(i) = queues[victim].lock().unwrap().pop_back() {
-            return Some((i, true));
-        }
-        // Lost the race for that victim's last item; sweep again.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn auto_jobs_is_positive() {
@@ -263,8 +202,8 @@ mod tests {
 
     #[test]
     fn stealing_drains_imbalanced_work() {
-        // One "heavy" item per chunk boundary would serialize without
-        // stealing; with it, the run completes and order still holds.
+        // One "heavy" item keeps one worker busy while the others
+        // drain the rest; the run completes and order still holds.
         let items: Vec<u64> = (0..32).map(|i| if i == 0 { 400 } else { 1 }).collect();
         let spins = run_indexed_exact(&items, 4, &TraceHandle::disabled(), "", |_, &ms| {
             // Busy-wait proportional to the item weight.
@@ -279,8 +218,8 @@ mod tests {
 
     #[test]
     fn traced_variant_counts_steals_without_changing_results() {
-        // Item 0 is heavy enough that worker 0 is still busy on it while
-        // the other workers drain their own chunks and come stealing.
+        // Item 0 is heavy enough that its worker is still busy on it
+        // while the other workers drain the rest through the cursor.
         // Run the scheduler proper with a literal worker count so this
         // exercises real threads even on a single-core host, where
         // `effective_jobs` would clamp 4 down to an inline run.
@@ -297,17 +236,22 @@ mod tests {
         assert_eq!(out, sequential);
         let log = trace.finish().unwrap();
         assert_eq!(log.counters.get("stage.workers"), Some(&4));
-        // The heavy item serializes worker 0; the others must steal.
-        assert!(log.counters.get("stage.steals").copied().unwrap_or(0) > 0);
     }
 
     #[test]
     fn chunks_cover_range_without_overlap() {
+        // Includes zero items and fewer items than workers.
         for (n, jobs) in [(10, 3), (3, 8), (0, 2), (16, 4)] {
-            let chunks = split_chunks(n, jobs);
-            let mut all: Vec<usize> = chunks.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} jobs={jobs}");
+            let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let items: Vec<usize> = (0..n).collect();
+            let seen = run_indexed_exact(&items, jobs, &TraceHandle::disabled(), "", |i, &x| {
+                counters[i].fetch_add(1, Ordering::SeqCst);
+                x
+            });
+            assert_eq!(seen, items, "n={n} jobs={jobs}");
+            for (i, c) in counters.iter().enumerate() {
+                assert_eq!(c.load(Ordering::SeqCst), 1, "n={n} jobs={jobs} item {i}");
+            }
         }
     }
 }

@@ -139,132 +139,34 @@ impl Project {
     /// recorded as a [`ScanDiagnostic`] (see
     /// [`Project::scan_diagnostics`]) and the scan continues.
     pub fn scan_with(root: &Path, opts: &ScanOptions) -> io::Result<Project> {
-        // Probe the root first so a missing/unreadable argument is a
-        // hard error rather than a silently empty project. Scan
-        // syscalls go through the fault-injection seam so a chaos
-        // harness can flake them deterministically.
-        refminer_faultio::read_dir(root)?;
-
         let mut units = Vec::new();
-        let mut diags: Vec<ScanDiagnostic> = Vec::new();
-        let mut seen_dirs: HashSet<PathBuf> = HashSet::new();
-        let mut stack: Vec<PathBuf> = vec![root.to_path_buf()];
-
-        let rel_of = |path: &Path| -> String {
-            path.strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/")
-        };
-
-        while let Some(dir) = stack.pop() {
-            // Symlink-cycle guard: a directory is visited at most once
-            // under its canonical identity.
-            match std::fs::canonicalize(&dir) {
-                Ok(canon) => {
-                    if !seen_dirs.insert(canon) {
-                        diags.push(ScanDiagnostic {
-                            path: rel_of(&dir),
-                            kind: ScanErrorKind::SymlinkCycle,
-                            detail: "directory already visited".to_string(),
-                        });
-                        continue;
-                    }
-                }
-                Err(e) => {
-                    diags.push(ScanDiagnostic {
-                        path: rel_of(&dir),
-                        kind: ScanErrorKind::UnreadableDir,
-                        detail: e.to_string(),
-                    });
-                    continue;
-                }
+        let mut diags = walk_sources(root, |path, rel, meta| {
+            if meta.len() > opts.max_file_bytes {
+                let detail = format!(
+                    "{} bytes exceeds the {}-byte cap",
+                    meta.len(),
+                    opts.max_file_bytes
+                );
+                return Some(diagnostic(rel, ScanErrorKind::Oversize, detail));
             }
-            let entries = match refminer_faultio::read_dir(&dir) {
-                Ok(it) => it,
-                Err(e) => {
-                    diags.push(ScanDiagnostic {
-                        path: rel_of(&dir),
-                        kind: ScanErrorKind::UnreadableDir,
-                        detail: e.to_string(),
-                    });
-                    continue;
-                }
+            let bytes = match refminer_faultio::read(path) {
+                Ok(b) => b,
+                Err(e) => return Some(diagnostic(rel, ScanErrorKind::UnreadableFile, e)),
             };
-            for entry in entries {
-                let entry = match entry {
-                    Ok(e) => e,
-                    Err(e) => {
-                        diags.push(ScanDiagnostic {
-                            path: rel_of(&dir),
-                            kind: ScanErrorKind::UnreadableDir,
-                            detail: e.to_string(),
-                        });
-                        continue;
-                    }
-                };
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                    continue;
-                }
-                let is_c = path
-                    .extension()
-                    .and_then(|e| e.to_str())
-                    .is_some_and(|e| e == "c" || e == "h");
-                if !is_c {
-                    continue;
-                }
-                let rel = rel_of(&path);
-                match refminer_faultio::metadata(&path) {
-                    Ok(m) if m.len() > opts.max_file_bytes => {
-                        diags.push(ScanDiagnostic {
-                            path: rel,
-                            kind: ScanErrorKind::Oversize,
-                            detail: format!(
-                                "{} bytes exceeds the {}-byte cap",
-                                m.len(),
-                                opts.max_file_bytes
-                            ),
-                        });
-                        continue;
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        diags.push(ScanDiagnostic {
-                            path: rel,
-                            kind: ScanErrorKind::UnreadableFile,
-                            detail: e.to_string(),
-                        });
-                        continue;
-                    }
-                }
-                let bytes = match refminer_faultio::read(&path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        diags.push(ScanDiagnostic {
-                            path: rel,
-                            kind: ScanErrorKind::UnreadableFile,
-                            detail: e.to_string(),
-                        });
-                        continue;
-                    }
-                };
-                let text = match String::from_utf8(bytes) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        let lossy = String::from_utf8_lossy(e.as_bytes()).into_owned();
-                        diags.push(ScanDiagnostic {
-                            path: rel.clone(),
-                            kind: ScanErrorKind::NonUtf8,
-                            detail: "decoded lossily".to_string(),
-                        });
-                        lossy
-                    }
-                };
-                units.push(SourceUnit { path: rel, text });
-            }
-        }
+            let (text, lossy) = match String::from_utf8(bytes) {
+                Ok(text) => (text, None),
+                Err(e) => (
+                    String::from_utf8_lossy(e.as_bytes()).into_owned(),
+                    Some(diagnostic(
+                        rel.clone(),
+                        ScanErrorKind::NonUtf8,
+                        "decoded lossily",
+                    )),
+                ),
+            };
+            units.push(SourceUnit { path: rel, text });
+            lossy
+        })?;
         units.sort_by(|a, b| a.path.cmp(&b.path));
         diags.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(Project {
@@ -287,6 +189,98 @@ impl Project {
     /// Total source lines across the project.
     pub fn total_lines(&self) -> usize {
         self.units.iter().map(|u| u.text.lines().count()).sum()
+    }
+}
+
+/// Whether `path` names a C source: a `.c` or `.h` file. The scan, the
+/// `--watch` fingerprint and fixcheck's diff filter share this rule.
+pub(crate) fn is_source_path(path: &Path) -> bool {
+    path.extension()
+        .and_then(|e| e.to_str())
+        .is_some_and(|e| e == "c" || e == "h")
+}
+
+/// Walks `root` for C sources — the one walk behind both
+/// [`Project::scan_with`] and the daemon's `--watch` fingerprint, so the
+/// watcher sees exactly the files an audit reads.
+///
+/// The root is probed first: a missing or unreadable root is the only
+/// `Err`. Directory listings and file metadata go through the
+/// fault-injection seam, so a chaos harness can flake them
+/// deterministically. A directory is visited at most once under its
+/// canonical identity, which breaks symlink cycles. Each source file
+/// ([`is_source_path`]) is handed to `visit` with its on-disk path, its
+/// root-relative `/`-separated path and its metadata, in walk order;
+/// whatever diagnostic `visit` returns joins the walk's own (cycles,
+/// unreadable directories and files), which are returned unsorted.
+pub(crate) fn walk_sources(
+    root: &Path,
+    mut visit: impl FnMut(&Path, String, &std::fs::Metadata) -> Option<ScanDiagnostic>,
+) -> io::Result<Vec<ScanDiagnostic>> {
+    refminer_faultio::read_dir(root)?;
+    let rel_of = |path: &Path| -> String {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/")
+    };
+    let mut diags = Vec::new();
+    let mut seen_dirs: HashSet<PathBuf> = HashSet::new();
+    let mut stack: Vec<PathBuf> = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        let canon = match std::fs::canonicalize(&dir) {
+            Ok(canon) => canon,
+            Err(e) => {
+                diags.push(diagnostic(rel_of(&dir), ScanErrorKind::UnreadableDir, e));
+                continue;
+            }
+        };
+        if !seen_dirs.insert(canon) {
+            let detail = "directory already visited";
+            diags.push(diagnostic(
+                rel_of(&dir),
+                ScanErrorKind::SymlinkCycle,
+                detail,
+            ));
+            continue;
+        }
+        let entries = match refminer_faultio::read_dir(&dir) {
+            Ok(it) => it,
+            Err(e) => {
+                diags.push(diagnostic(rel_of(&dir), ScanErrorKind::UnreadableDir, e));
+                continue;
+            }
+        };
+        for entry in entries {
+            let path = match entry {
+                Ok(e) => e.path(),
+                Err(e) => {
+                    diags.push(diagnostic(rel_of(&dir), ScanErrorKind::UnreadableDir, e));
+                    continue;
+                }
+            };
+            if path.is_dir() {
+                stack.push(path);
+                continue;
+            }
+            if !is_source_path(&path) {
+                continue;
+            }
+            let rel = rel_of(&path);
+            match refminer_faultio::metadata(&path) {
+                Ok(meta) => diags.extend(visit(&path, rel, &meta)),
+                Err(e) => diags.push(diagnostic(rel, ScanErrorKind::UnreadableFile, e)),
+            }
+        }
+    }
+    Ok(diags)
+}
+
+fn diagnostic(path: String, kind: ScanErrorKind, detail: impl ToString) -> ScanDiagnostic {
+    ScanDiagnostic {
+        path,
+        kind,
+        detail: detail.to_string(),
     }
 }
 

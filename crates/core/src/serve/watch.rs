@@ -1,17 +1,19 @@
 //! `--watch`: re-audit when the tree changes.
 //!
 //! A polling watcher (no OS-specific notify APIs, keeping the
-//! workspace dependency-free) fingerprints the tree — every entry's
-//! path, size and mtime — and, when the fingerprint moves, *debounces*
-//! until it holds still before enqueueing one whole-tree re-audit
-//! through the engine's normal bounded queue. Per-unit cache
+//! workspace dependency-free) fingerprints the files an audit reads —
+//! each C source's relative path, size and mtime, found by the scan's
+//! own walk ([`walk_sources`]) — and, when the fingerprint moves,
+//! *debounces* until it holds still before enqueueing one whole-tree
+//! re-audit through the engine's normal bounded queue. Per-unit cache
 //! invalidation makes that re-audit cost proportional to what actually
-//! changed.
+//! changed. Anything else under the root, such as a `--cache-dir` the
+//! re-audit itself rewrites, never moves the fingerprint.
 //!
-//! Robustness: fingerprinting goes through the fault-injection seam,
-//! and a transient scan error backs off exponentially (capped) instead
-//! of spinning; a full queue just means the change is picked up on the
-//! next poll. Neither can wedge the watcher.
+//! Robustness: the walk goes through the fault-injection seam and
+//! breaks symlink cycles; an unreadable root backs off exponentially
+//! (capped) instead of spinning; a full queue just means the change is
+//! picked up on the next poll. None of these can wedge the watcher.
 
 use std::path::Path;
 use std::thread::JoinHandle;
@@ -20,6 +22,7 @@ use std::time::{Duration, Instant, SystemTime};
 use refminer_progdb::{fnv1a_fold, mix, FNV_OFFSET};
 
 use super::engine::EngineHandle;
+use crate::project::walk_sources;
 
 /// Watcher tuning.
 #[derive(Debug, Clone)]
@@ -56,8 +59,8 @@ fn watch_loop(handle: EngineHandle, opts: WatchOptions) {
     while !handle.is_stopped() {
         match fingerprint_tree(&root) {
             Err(_) => {
-                // Transient (possibly injected) scan fault: back off,
-                // bounded, and keep the previous fingerprint.
+                // Unreadable root (possibly an injected fault): back
+                // off, bounded, and keep the previous fingerprint.
                 handle.note_scan_retry();
                 sleep_unless_stopped(&handle, backoff);
                 backoff = (backoff * 2).min(MAX_BACKOFF);
@@ -108,36 +111,25 @@ fn sleep_unless_stopped(handle: &EngineHandle, total: Duration) {
     }
 }
 
-/// Order-independent-free fingerprint of the tree: a hash over every
-/// entry's path, size and mtime, walked in sorted order through the
-/// fault-injection seam.
+/// Fingerprint of the files an audit of `root` reads: every C source's
+/// relative path, size and mtime, in path order. Errs only when the
+/// root itself cannot be read.
 fn fingerprint_tree(root: &Path) -> std::io::Result<u64> {
-    let mut h = FNV_OFFSET;
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<std::path::PathBuf> = Vec::new();
-        for entry in refminer_faultio::read_dir(&dir)? {
-            entries.push(entry?.path());
-        }
-        entries.sort();
-        for path in entries {
-            let meta = refminer_faultio::metadata(&path)?;
-            h = fnv1a_fold(h, path.to_string_lossy().as_bytes());
-            if meta.is_dir() {
-                stack.push(path);
-                continue;
-            }
-            h = mix(h, meta.len());
-            let mtime = meta
-                .modified()
-                .ok()
-                .and_then(|m| m.duration_since(SystemTime::UNIX_EPOCH).ok())
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0);
-            h = mix(h, mtime);
-        }
-    }
-    Ok(h)
+    let mut files: Vec<(String, u64, u64)> = Vec::new();
+    walk_sources(root, |_, rel, meta| {
+        let mtime = meta
+            .modified()
+            .ok()
+            .and_then(|m| m.duration_since(SystemTime::UNIX_EPOCH).ok())
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0);
+        files.push((rel, meta.len(), mtime));
+        None
+    })?;
+    files.sort_unstable();
+    Ok(files.iter().fold(FNV_OFFSET, |h, (rel, len, mtime)| {
+        mix(mix(fnv1a_fold(h, rel.as_bytes()), *len), *mtime)
+    }))
 }
 
 #[cfg(test)]
@@ -157,6 +149,11 @@ mod tests {
         std::fs::write(dir.join("a.c"), "int a;\n").unwrap();
         let fp1 = fingerprint_tree(&dir).unwrap();
         assert_eq!(fp1, fingerprint_tree(&dir).unwrap());
+        // A file the audit does not read leaves it alone: here the
+        // cache a `--cache-dir` inside the root rewrites every audit.
+        std::fs::create_dir_all(dir.join(".refminer")).unwrap();
+        std::fs::write(dir.join(".refminer/audit-cache.bin"), "cache").unwrap();
+        assert_eq!(fp1, fingerprint_tree(&dir).unwrap());
         // Adding a file moves the fingerprint; size is part of it, so
         // even same-mtime rewrites of different length register.
         std::fs::write(dir.join("b.c"), "int b;\n").unwrap();
@@ -170,5 +167,21 @@ mod tests {
     #[test]
     fn fingerprint_errors_on_missing_root() {
         assert!(fingerprint_tree(Path::new("/nonexistent/refminer-watch")).is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fingerprint_survives_symlink_cycles() {
+        // The same tree the scan audits with one `symlink_cycle`
+        // diagnostic: sub/loop -> root.
+        let dir = temp_dir("symcycle");
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        std::fs::write(dir.join("sub/a.c"), "int a;\n").unwrap();
+        std::os::unix::fs::symlink(&dir, dir.join("sub/loop")).unwrap();
+        let fp = fingerprint_tree(&dir).expect("a cycle is not an error");
+        assert_eq!(fp, fingerprint_tree(&dir).unwrap());
+        std::fs::write(dir.join("sub/a.c"), "int aaaa;\n").unwrap();
+        assert_ne!(fp, fingerprint_tree(&dir).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

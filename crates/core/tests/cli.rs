@@ -197,6 +197,15 @@ fn stats_reports_unit_outcomes() {
         stderr.contains("units: 1 ok, 0 degraded, 0 skipped"),
         "stderr: {stderr}"
     );
+    // The trace's stage table times both phases: a row per stage.
+    for stage in ["parse", "merge.kb", "merge.progdb", "check"] {
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(stage)),
+            "no `{stage}` row in the stage table; stderr: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -880,6 +889,61 @@ fn json_lines(stdout: &[u8]) -> Vec<refminer_json::Value> {
 }
 
 #[test]
+fn revision_json_is_byte_identical_across_jobs_and_cache() {
+    let (dir, hist) = clone_history("revision_bytes");
+    let mut revs: Vec<PathBuf> = std::fs::read_dir(&hist)
+        .expect("read history")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.is_dir())
+        .collect();
+    revs.sort();
+    assert!(
+        revs.len() >= 3,
+        "base, a partial fix and the neutral commit"
+    );
+    let patch = dir.join("fix.patch");
+    let mut exits = Vec::new();
+    for (i, pair) in revs.windows(2).enumerate() {
+        std::fs::write(&patch, diff_between(&pair[0], &pair[1])).expect("write patch");
+        for (cmd, inputs) in [
+            ("diff", [&pair[0], &pair[1]]),
+            ("fixcheck", [&pair[1], &patch]),
+        ] {
+            let cache = dir.join(format!(".cache-{cmd}-{i}"));
+            let run = |extra: &[&str]| {
+                let out = refminer()
+                    .args([cmd, "--json"])
+                    .args(extra)
+                    .args(inputs)
+                    .output()
+                    .expect("run revision command");
+                (out.status.code(), out.stdout)
+            };
+            let base = run(&["--jobs", "4"]);
+            let cached = ["--jobs", "1", "--cache-dir", cache.to_str().unwrap()];
+            assert_eq!(
+                base,
+                run(&cached),
+                "{cmd} commit {i}: cold cache changed the output"
+            );
+            assert_eq!(
+                base,
+                run(&cached),
+                "{cmd} commit {i}: warm cache changed the output"
+            );
+            exits.push(base.0);
+        }
+    }
+    // The partial fixes leave clones behind (exit 1); the neutral
+    // commit is clean (exit 0).
+    assert!(
+        exits.contains(&Some(1)) && exits.contains(&Some(0)),
+        "{exits:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sweep_at_ranks_the_clone_siblings_of_a_seed_finding() {
     let (dir, hist) = clone_history("sweep_at");
     let out = refminer()
@@ -982,6 +1046,39 @@ fn eval_sweep_scores_the_clone_groups() {
         Some(0),
         "{v}"
     );
+
+    // A clone-group pattern naming no anti-pattern makes the manifest
+    // malformed: a usage error, never a panic or a silent P1.
+    let path = hist.join("rev00/manifest.json");
+    let text = std::fs::read_to_string(&path).expect("read manifest");
+    let mut manifest = refminer_json::Value::parse(&text).expect("manifest json");
+    let refminer_json::Value::Obj(root) = &mut manifest else {
+        panic!("manifest is not an object")
+    };
+    let (_, groups) = root
+        .iter_mut()
+        .find(|(k, _)| k == "clone_groups")
+        .expect("clone_groups");
+    let refminer_json::Value::Arr(groups) = groups else {
+        panic!("clone_groups is not an array")
+    };
+    let refminer_json::Value::Obj(group) = &mut groups[0] else {
+        panic!("clone group is not an object")
+    };
+    group
+        .iter_mut()
+        .find(|(k, _)| k == "pattern")
+        .expect("pattern")
+        .1 = refminer_json::Value::Num(0.0);
+    std::fs::write(&path, manifest.to_string()).expect("write manifest");
+    let out = refminer()
+        .args(["eval", "--sweep", "--json"])
+        .arg(hist.join("rev00"))
+        .output()
+        .expect("run eval --sweep");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("is not a valid manifest"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -707,9 +707,20 @@ fn reaudit_of_deleted_file_reports_diagnostic_not_error() {
 #[test]
 fn watch_mode_reaudits_on_change() {
     let dir = write_demo_tree("watch");
+    // The cache lives inside the watched root, so every audit rewrites
+    // a file under it; only source edits may trigger a re-audit.
+    let cache = dir.join(".refminer");
     let d = Daemon::start(
         &dir,
-        &["--watch", "--poll-ms", "50", "--debounce-ms", "40"],
+        &[
+            "--watch",
+            "--poll-ms",
+            "50",
+            "--debounce-ms",
+            "40",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+        ],
         &[],
     );
     d.wait_for_revision(1, Duration::from_secs(30));
@@ -729,6 +740,10 @@ fn watch_mode_reaudits_on_change() {
             .unwrap()
             >= 1
     );
+    // One edit, one re-audit: the re-audit's own cache save must not
+    // set off another.
+    std::thread::sleep(Duration::from_secs(1));
+    assert_eq!(d.revision(), 2, "the watcher re-audited without an edit");
 
     let v = d.rpc(&query_request(1, QueryFilter::default()));
     let lines = joined_lines(v.get("result").expect("result"));

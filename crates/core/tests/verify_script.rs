@@ -1,6 +1,6 @@
 //! Runs the `scripts/verify.sh` release gate against prebuilt binaries,
-//! so the one-shot fmt → clippy → doc → build → test → chaos →
-//! revisions chain stays wired into the test suite. The cargo-based
+//! so the one-shot fmt → clippy → doc → build → test → chaos chain
+//! stays wired into the test suite. The cargo-based
 //! steps (fmt, clippy, doc, build, test) are skipped because this test
 //! already runs under cargo — re-entering it here would recurse.
 
@@ -21,7 +21,6 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
         .env("VERIFY_SKIP", "fmt clippy doc build test")
         .env("REFMINER_BIN", env!("CARGO_BIN_EXE_refminer"))
         .env("CHAOSGEN_BIN", env!("CARGO_BIN_EXE_chaosgen"))
-        .env("HISTGEN_BIN", env!("CARGO_BIN_EXE_histgen"))
         .output()
         .expect("run verify.sh");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -55,10 +54,6 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
         "stdout:\n{stdout}"
     );
     assert!(
-        stdout.contains("verify.sh: [revisions] ok"),
-        "stdout:\n{stdout}"
-    );
-    assert!(
         stdout.trim_end().ends_with("verify.sh: PASS"),
         "the verdict must be the last line\nstdout:\n{stdout}"
     );
@@ -68,15 +63,15 @@ fn verify_script_chains_chaos_and_bench_to_a_single_pass() {
 fn verify_script_fails_fast_with_the_step_name() {
     let out = Command::new("bash")
         .arg(script())
-        .env("VERIFY_SKIP", "fmt clippy doc build test chaos")
-        .env("HISTGEN_BIN", "/bin/false")
+        .env("VERIFY_SKIP", "fmt clippy doc build test")
+        .env("CHAOSGEN_BIN", "/bin/false")
         .output()
         .expect("run verify.sh");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "a failing step must fail the gate");
     assert!(
-        stderr.contains("verify.sh: FAIL (revisions)"),
+        stderr.contains("verify.sh: FAIL (chaos)"),
         "stderr:\n{stderr}"
     );
     assert!(!stdout.contains("verify.sh: PASS"), "stdout:\n{stdout}");

@@ -174,7 +174,8 @@ impl Manifest {
 
     /// Parses the JSON written by [`SyntheticTree::write_to`] back into
     /// a manifest. Returns `None` on any malformed member — a partially
-    /// loaded ground truth would silently skew evaluation scores.
+    /// loaded ground truth would silently skew evaluation scores — and
+    /// on any bug, trap or clone-group pattern outside 1..=9.
     pub fn from_json(v: &Value) -> Option<Manifest> {
         let bugs = v
             .get("bugs")?
@@ -184,7 +185,7 @@ impl Manifest {
                 Some(InjectedBug {
                     path: b.get("path")?.as_str()?.to_string(),
                     function: b.get("function")?.as_str()?.to_string(),
-                    pattern: b.get("pattern")?.as_u64()? as u8,
+                    pattern: pattern_member(b)?,
                     api: b.get("api")?.as_str()?.to_string(),
                     impact: b.get("impact")?.as_str()?.to_string(),
                     subsystem: b.get("subsystem")?.as_str()?.to_string(),
@@ -216,7 +217,7 @@ impl Manifest {
                     Some(FpTrap {
                         path: t.get("path")?.as_str()?.to_string(),
                         function: t.get("function")?.as_str()?.to_string(),
-                        pattern: t.get("pattern")?.as_u64()? as u8,
+                        pattern: pattern_member(t)?,
                         kind: t.get("kind")?.as_str()?.to_string(),
                     })
                 })
@@ -231,7 +232,7 @@ impl Manifest {
                 .map(|g| {
                     Some(CloneGroup {
                         group: g.get("group")?.as_str()?.to_string(),
-                        pattern: g.get("pattern")?.as_u64()? as u8,
+                        pattern: pattern_member(g)?,
                         api: g.get("api")?.as_str()?.to_string(),
                         members: g
                             .get("members")?
@@ -257,6 +258,13 @@ impl Manifest {
             clone_groups,
         })
     }
+}
+
+/// An object's `pattern` member, when it is an anti-pattern number
+/// (1..=9).
+fn pattern_member(v: &Value) -> Option<u8> {
+    let n = v.get("pattern")?.as_u64()?;
+    (1..=9).contains(&n).then_some(n as u8)
 }
 
 /// One file of the generated tree.
@@ -1893,6 +1901,28 @@ mod tests {
         assert_eq!(back.clean_functions, tree.manifest.clean_functions);
         assert_eq!(back.fp_traps, tree.manifest.fp_traps);
         assert_eq!(back.clone_groups, tree.manifest.clone_groups);
+        // A pattern outside 1..=9 in any bug, trap or clone group makes
+        // the whole manifest malformed; 257 must not wrap to 1.
+        for member in ["bugs", "fp_traps", "clone_groups"] {
+            for bad in [0.0, 10.0, 257.0] {
+                let mut v = json.clone();
+                let Value::Obj(root) = &mut v else {
+                    unreachable!()
+                };
+                let Some((_, Value::Arr(items))) = root.iter_mut().find(|(k, _)| k == member)
+                else {
+                    unreachable!()
+                };
+                let Value::Obj(first) = &mut items[0] else {
+                    unreachable!()
+                };
+                first.iter_mut().find(|(k, _)| k == "pattern").unwrap().1 = Value::Num(bad);
+                assert!(
+                    Manifest::from_json(&v).is_none(),
+                    "{member} pattern {bad} was accepted"
+                );
+            }
+        }
     }
 
     #[test]

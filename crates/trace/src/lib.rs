@@ -13,9 +13,9 @@
 //!   per-unit spans (`parse.unit`, `check.unit`, `feasibility`, …)
 //!   nest inside them and overlap freely across worker threads.
 //! - **Counters** — named monotonic totals (`cache.parse.hit`,
-//!   `limit.token_cap`, `checker.errorpath.us`, `check.steals`, …).
+//!   `limit.token_cap`, `checker.errorpath.us`, `check.workers`, …).
 //! - **Peak in-flight** — the high-water mark of concurrently open
-//!   *unit* spans, i.e. how many units the work-stealing scheduler
+//!   *unit* spans, i.e. how many units the shared-cursor scheduler
 //!   actually had in flight at once.
 //!
 //! Determinism: recording is observation only. Nothing read from the

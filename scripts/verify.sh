@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
-# One-shot release gate: fmt → clippy → doc → build → test → chaos →
-# revisions, fail fast, and end with a single "verify.sh: PASS" or
+# One-shot release gate: fmt → clippy → doc → build → test → chaos,
+# fail fast, and end with a single "verify.sh: PASS" or
 # "verify.sh: FAIL (<step>)" verdict line. Timing lives in refbench/
 # (the repository's one benchmark harness), not here: the test step
 # already enforces the warm-cache speedup bound and the eval F1 floor.
 #
 # Env:
 #   VERIFY_SKIP     space-separated step names to skip
-#                   (any of: fmt clippy doc build test chaos
-#                   revisions)
-#   CHAOSGEN_BIN / REFMINER_BIN / HISTGEN_BIN — forwarded to the
-#   underlying scripts, so a harness can point every step at prebuilt
-#   binaries.
+#                   (any of: fmt clippy doc build test chaos)
+#   CHAOSGEN_BIN / REFMINER_BIN — forwarded to scripts/chaos.sh, so a
+#   harness can point the chaos step at prebuilt binaries.
 set -u
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,6 +43,5 @@ step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet 
 step build cargo build --release --quiet --manifest-path "$here/Cargo.toml" --workspace
 step test cargo test --quiet --manifest-path "$here/Cargo.toml" --workspace
 step chaos bash "$here/scripts/chaos.sh"
-step revisions bash "$here/scripts/revision_smoke.sh"
 
 echo "verify.sh: PASS"
