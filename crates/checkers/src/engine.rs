@@ -13,6 +13,11 @@
 //! the ctx), and the report layer suppresses `Infeasible` findings
 //! uniformly — an engine cannot opt out of the pruning.
 
+use std::cell::Cell;
+use std::time::Instant;
+
+use refminer_trace::TraceHandle;
+
 use crate::checker::Checker;
 use crate::ctx::CheckCtx;
 use crate::finding::{EngineId, Finding};
@@ -34,6 +39,12 @@ pub trait AnalysisEngine {
 
     /// Runs the engine over one function.
     fn analyze(&self, ctx: &CheckCtx<'_>) -> Vec<Finding>;
+
+    /// Adds the time the engine accumulated on its own counters since
+    /// the last flush to `trace`, and resets them. [`run_engines_traced`]
+    /// calls it once per unit; engines without counters of their own
+    /// keep this no-op.
+    fn flush_trace(&self, _trace: &TraceHandle) {}
 }
 
 /// The template engine: the paper's nine anti-pattern checkers behind
@@ -41,12 +52,16 @@ pub trait AnalysisEngine {
 /// scoping composes (a filtered set is just a smaller engine).
 pub struct TemplateEngine {
     checkers: Vec<Box<dyn Checker>>,
+    /// Nanoseconds each checker spent since the last
+    /// [`AnalysisEngine::flush_trace`], index-parallel to `checkers`.
+    spent_ns: Vec<Cell<u64>>,
 }
 
 impl TemplateEngine {
     /// The engine over an explicit checker set (ablations, `--only`).
     pub fn new(checkers: Vec<Box<dyn Checker>>) -> TemplateEngine {
-        TemplateEngine { checkers }
+        let spent_ns = checkers.iter().map(|_| Cell::new(0)).collect();
+        TemplateEngine { checkers, spent_ns }
     }
 
     /// The engine over the full default checker set.
@@ -60,20 +75,18 @@ impl AnalysisEngine for TemplateEngine {
         EngineId::Template
     }
 
-    /// Runs the checkers over one function graph, attributing
-    /// per-checker wall time to `checker.{name}.us` trace counters and
-    /// stamping each finding with its checker name.
+    /// Runs the checkers over one function graph, accumulating
+    /// per-checker wall time for the `checker.{name}.us` trace counters
+    /// (flushed once per unit) and stamping each finding with its
+    /// checker name.
     fn analyze(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
         let timing = ctx.trace.is_enabled();
         let mut out = Vec::new();
-        for checker in &self.checkers {
-            let start = timing.then(std::time::Instant::now);
+        for (checker, spent) in self.checkers.iter().zip(&self.spent_ns) {
+            let start = timing.then(Instant::now);
             let mut found = checker.check(ctx);
             if let Some(start) = start {
-                // Clamp to at least 1µs so even trivially fast checkers
-                // show up in the per-checker table.
-                let us = start.elapsed().as_micros().clamp(1, u64::MAX as u128) as u64;
-                ctx.trace.add(&format!("checker.{}.us", checker.name()), us);
+                spent.set(spent.get() + start.elapsed().as_nanos() as u64);
             }
             for f in &mut found {
                 if f.checkers.is_empty() {
@@ -84,6 +97,15 @@ impl AnalysisEngine for TemplateEngine {
             out.extend(found);
         }
         out
+    }
+
+    fn flush_trace(&self, trace: &TraceHandle) {
+        for (checker, spent) in self.checkers.iter().zip(&self.spent_ns) {
+            trace.add(
+                &format!("checker.{}.us", checker.name()),
+                spent.take() / 1000,
+            );
+        }
     }
 }
 
@@ -171,18 +193,21 @@ impl EngineSet {
 /// the phase-2 entry point of the two-engine audit. Engines run in
 /// list order per graph (the caller supplies them in canonical
 /// template-then-delta order), each engine's wall time on the unit is
-/// attributed to an `engine.{name}.us` trace counter, and the combined
-/// findings are deduped with attribution union, so a site both engines
-/// flag comes out once with `engines: [template, delta]`.
+/// summed in nanoseconds and added to its `engine.{name}.us` trace
+/// counter once, after the unit (when each engine flushes its own
+/// counters too), and the combined findings are deduped with
+/// attribution union, so a site both engines flag comes out once with
+/// `engines: [template, delta]`.
 pub fn run_engines_traced(
     unit: &refminer_cparse::TranslationUnit,
     kb: &refminer_rcapi::ApiKb,
     graphs: &[refminer_cpg::FunctionGraph],
     engines: &[Box<dyn AnalysisEngine>],
     program: &refminer_progdb::ProgramDb,
-    trace: &refminer_trace::TraceHandle,
+    trace: &TraceHandle,
 ) -> Vec<Finding> {
     let timing = trace.is_enabled();
+    let mut spent_ns = vec![0u64; engines.len()];
     let mut out = Vec::new();
     for graph in graphs {
         let ctx = CheckCtx {
@@ -194,17 +219,22 @@ pub fn run_engines_traced(
             program,
             trace: trace.clone(),
         };
-        for engine in engines {
-            let start = timing.then(std::time::Instant::now);
+        for (engine, spent) in engines.iter().zip(&mut spent_ns) {
+            let start = timing.then(Instant::now);
             let mut found = engine.analyze(&ctx);
             if let Some(start) = start {
-                let us = start.elapsed().as_micros().clamp(1, u64::MAX as u128) as u64;
-                trace.add(&format!("engine.{}.us", engine.name()), us);
+                *spent += start.elapsed().as_nanos() as u64;
             }
             for f in &mut found {
                 f.add_engine(engine.id());
             }
             out.extend(found);
+        }
+    }
+    if timing {
+        for (engine, spent) in engines.iter().zip(spent_ns) {
+            trace.add(&format!("engine.{}.us", engine.name()), spent / 1000);
+            engine.flush_trace(trace);
         }
     }
     crate::checker::dedup_findings(&mut out);

@@ -13,12 +13,15 @@
 //! and the digests into the [`ProgramDb`] — the function-summary
 //! database every checker resolves helper calls through, under linkage
 //! rules (`static` helpers stay unit-local; external definitions
-//! resolve tree-wide).
+//! resolve tree-wide) — and reads every unit's deps key off it. The
+//! result is memoized per tree, so an audit of a tree the cache has
+//! seen skips both merges.
 //!
 //! **Phase 2** builds each checked unit's full function graphs — their
 //! one build per unit — and checks them against the merged database, so
 //! an `of_node_put` wrapper defined in `a.c` pairs an acquisition in
-//! `b.c`.
+//! `b.c`. The database is built only when some unit misses the check
+//! layer.
 //!
 //! Every translation unit runs inside a *fault boundary*: resource caps
 //! (file bytes, token count, recursion depth, graph nodes) bound what a
@@ -56,8 +59,9 @@ use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, Un
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    check_config_fingerprint, content_hash, discovery_config_fingerprint, kb_fingerprint,
-    parse_config_fingerprint, AuditCache, CacheStats, CachedError, CheckedUnit, ParsedUnit,
+    barrier_config_fingerprint, check_config_fingerprint, content_hash, deps_keys, kb_fingerprint,
+    parse_config_fingerprint, AuditCache, Barrier, CacheStats, CachedError, CheckedUnit,
+    ParsedUnit,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::parallel::run_indexed;
@@ -287,14 +291,19 @@ pub struct AuditReport {
     pub functions: usize,
     /// Source lines scanned.
     pub lines: usize,
-    /// The knowledge base the checkers ran with (after discovery).
-    pub kb: ApiKb,
+    /// The knowledge base the checkers ran with (after discovery),
+    /// shared with the cache entry that holds it.
+    pub kb: Arc<ApiKb>,
     /// Per-file fault-isolation diagnostics.
     pub diagnostics: AuditDiagnostics,
     /// Cache hit/miss counters for this run. The plain [`audit`] entry
     /// point starts from an empty cache, so it counts every unit as a
     /// parse miss and every checked unit as a check miss.
     pub cache: CacheStats,
+    /// Each unit's parse-layer key, in unit order: how a caller holding
+    /// the audit's cache finds the ASTs it parsed (the left-behind
+    /// sweep) without keeping them alive past the cache.
+    pub(crate) unit_keys: Vec<u64>,
 }
 
 impl AuditReport {
@@ -423,7 +432,7 @@ fn parse_unit(
 ) -> ParsedUnit {
     let no_exports = || UnitExports {
         path: unit.path.clone(),
-        fns: Vec::new(),
+        ..UnitExports::default()
     };
     if unit.text.len() > limits.max_file_bytes {
         return ParsedUnit {
@@ -442,6 +451,7 @@ fn parse_unit(
             lines: 0,
             discovery: UnitDiscovery::default(),
             exports: no_exports(),
+            exports_faulted: false,
         };
     }
     let lines = unit.text.lines().count();
@@ -481,15 +491,17 @@ fn parse_unit(
             let exported =
                 fault_boundary(|| UnitExports::of_unit(&unit.path, &tu, limits.max_graph_nodes));
             trace.record_span("export.unit", Some(&unit.path), start, start.elapsed());
+            let exports_faulted = exported.is_err();
             let exports = exported.unwrap_or_else(|_| no_exports());
             ParsedUnit {
-                tu: Some(tu),
+                tu: Some(Arc::new(tu)),
                 parsed_ok: true,
                 defines,
                 errors,
                 lines,
                 discovery,
                 exports,
+                exports_faulted,
             }
         }
         Err(msg) => ParsedUnit {
@@ -503,6 +515,7 @@ fn parse_unit(
             lines,
             discovery: UnitDiscovery::default(),
             exports: no_exports(),
+            exports_faulted: false,
         },
     }
 }
@@ -527,7 +540,7 @@ fn check_one(
     trace: &TraceHandle,
 ) -> CheckedUnit {
     let rehydrated;
-    let tu: &TranslationUnit = match parsed.tu.as_ref() {
+    let tu: &TranslationUnit = match parsed.tu.as_deref() {
         Some(tu) => tu,
         None => {
             match fault_boundary(|| parse_str_limited(&unit.path, &unit.text, parse_limits).unit) {
@@ -645,8 +658,9 @@ pub fn audit_with_cache(
 /// Tracing is strictly observational: the report (findings, counters,
 /// diagnostics) is byte-identical whether the handle records or is
 /// disabled, at any `jobs` count and any cache temperature. Every
-/// pipeline stage opens a span (`hash`, `parse`, `merge.kb`,
-/// `merge.progdb`, `check`, `report`), per-unit work opens
+/// pipeline stage opens a span (`hash`, `parse`, `check`, `report`,
+/// and `merge.kb` and `merge.progdb` when the memoized barrier misses
+/// or a check miss needs the database), per-unit work opens
 /// `{stage}.unit` spans, each unit's export step lands in an
 /// `export.unit` span inside its `parse.unit`, the feasibility
 /// fixpoint's share of graph construction lands in `feasibility` spans,
@@ -726,12 +740,10 @@ pub fn audit_cancellable(
     // identical bytes at different paths must not share an entry (at
     // kernel scale the synthetic corpus really does produce such
     // twins). Hashing is pure per-unit work, so it fans out too. The
-    // builtin seed KB is built and fingerprinted once per audit: it
-    // keys the parse and discovery layers, classifies every unit's
-    // discovery facts and seeds the KB merge.
-    let seed = ApiKb::builtin();
-    let seed_fp = kb_fingerprint(&seed);
-    let parse_cfg = parse_config_fingerprint(config, seed_fp);
+    // builtin seed KB keys the parse and discovery layers, classifies
+    // every unit's discovery facts and seeds the KB merge.
+    let (seed, seed_fp) = seed_kb();
+    let parse_cfg = parse_config_fingerprint(config, *seed_fp);
     let hash_span = trace.span("hash");
     let unit_keys: Vec<u64> = run_indexed(units, config.jobs, trace, "hash", |_, u| {
         if cancel.is_cancelled() {
@@ -745,9 +757,9 @@ pub fn audit_cancellable(
     drop(hash_span);
     cancel.check()?;
 
-    // Tree fingerprint: every unit's path and key, plus the discovery
-    // configuration; keys the whole-tree discovery *merge*.
-    let mut tree_fp = discovery_config_fingerprint(seed_fp);
+    // Tree fingerprint: every unit's path and key, plus the barrier
+    // configuration; keys the memoized barrier.
+    let mut tree_fp = barrier_config_fingerprint(config, *seed_fp);
     for (u, k) in units.iter().zip(&unit_keys) {
         tree_fp = mix(tree_fp, fnv1a(u.path.as_bytes()));
         tree_fp = mix(tree_fp, *k);
@@ -755,7 +767,7 @@ pub fn audit_cancellable(
 
     // ------------------------------------------------------------------
     // Phase 1: the per-unit pass (lex+parse, defines, discovery facts,
-    // exports), then the knowledge-base merge.
+    // exports).
     // ------------------------------------------------------------------
     // Fanned out across workers, each unit inside its own fault
     // boundaries. Disk-loaded entries (no retained AST) are full hits —
@@ -775,7 +787,7 @@ pub fn audit_cancellable(
             return cancelled_parse_placeholder();
         }
         let _unit_span = trace.unit_span("parse.unit", &units[i].path);
-        parse_unit(&units[i], &seed, limits, &parse_limits, trace)
+        parse_unit(&units[i], seed, limits, &parse_limits, trace)
     });
     // Bail *before* the put loop: a tripped token means some results
     // are placeholders, and none of them may enter the cache.
@@ -784,67 +796,50 @@ pub fn audit_cancellable(
         parsed[i] = Some(cache.parse_put(unit_keys[i], p));
     }
     drop(parse_span);
+    let parsed: Vec<Arc<ParsedUnit>> = parsed
+        .into_iter()
+        .map(|p| p.expect("every unit has a parse entry after the put loop"))
+        .collect();
 
-    // Barrier: merge per-unit discovery facts into the knowledge base.
-    // The merge folds cached digests — no AST is touched — and runs in
-    // its own fault boundary: if a degraded unit trips it, fall back to
-    // the builtin KB rather than losing the audit.
+    // ------------------------------------------------------------------
+    // The barrier, memoized per tree: the knowledge-base merge, the
+    // program-database merge and every unit's deps key.
+    // ------------------------------------------------------------------
     cancel.check()?;
-    let merge_kb_span = trace.span("merge.kb");
-    let kb: Arc<ApiKb> = if !config.discover_apis {
-        Arc::new(seed)
-    } else if let Some(kb) = cache.discovery_get(tree_fp) {
-        kb
-    } else {
-        let discs: Vec<&UnitDiscovery> = parsed
-            .iter()
-            .map(|p| &p.as_ref().unwrap().discovery)
-            .collect();
-        let defines: Vec<MacroDef> = parsed
-            .iter()
-            .flat_map(|p| p.as_ref().unwrap().defines.iter().cloned())
-            .collect();
-        let discovered = fault_boundary(|| {
-            let d = merge_discoveries(&discs, &defines, &seed, &DiscoverConfig::default());
-            d.into_kb(seed.clone())
-        })
-        .unwrap_or(seed);
-        cache.discovery_put(tree_fp, discovered)
+    let mut program: Option<ProgramDb> = None;
+    let barrier = match cache.discovery_get(tree_fp) {
+        Some(b) => b,
+        None => {
+            let kb = merge_kb(&parsed, config.discover_apis, trace);
+            let db = build_program(&parsed, &kb, config.whole_program, trace);
+            let deps = deps_keys(&parsed, &kb, &db);
+            program = Some(db);
+            cache.discovery_put(tree_fp, Barrier { kb, deps })
+        }
     };
-    drop(merge_kb_span);
+    let kb = &barrier.kb;
 
     // ------------------------------------------------------------------
-    // Phase 2: program-database merge, then the check fan-out.
+    // Phase 2: the check fan-out.
     // ------------------------------------------------------------------
-    // Check keys fold the KB fingerprint — a changed KB (say, a newly
-    // discovered API) re-checks everything, as any unit might call it —
-    // with the unit's *summary-deps* fingerprint, which folds the
-    // resolution and summary of every helper the unit calls. Editing a
-    // helper's defining file therefore re-checks exactly that file and
-    // the units whose calls resolve into it.
-    let kb_fp = mix(kb_fingerprint(&kb), check_config_fingerprint(config));
+    // Check keys fold the check configuration with the unit's deps key,
+    // which folds the knowledge-base entry (or its absence) of every
+    // name the unit calls or opens a macro loop with, and the
+    // resolution and summary of every helper it calls. A newly
+    // discovered API therefore re-checks only the units that name it,
+    // and editing a helper's defining file re-checks exactly that file
+    // and the units whose calls resolve into it.
+    let check_cfg = check_config_fingerprint(config);
     let subsystem = config.subsystem.as_deref().map(|s| s.trim_end_matches('/'));
     let only_patterns = config.only_patterns.as_deref();
 
-    // Barrier: merge per-unit exports into the program database, in
-    // unit index order. Checkers resolve helper effects through it
-    // under linkage rules.
-    let merge_db_span = trace.span("merge.progdb");
-    let exports: Vec<&UnitExports> = parsed
-        .iter()
-        .map(|p| &p.as_ref().unwrap().exports)
-        .collect();
-    let program = ProgramDb::build(&exports, &kb, config.whole_program);
-    drop(merge_db_span);
-
-    // Check every unit that parsed and lies inside the subsystem
-    // filter, probing the check layer first.
-    let check_span = trace.span("check");
+    // Probe the check layer for every unit that parsed and lies inside
+    // the subsystem filter.
     let mut checked: Vec<Option<Arc<CheckedUnit>>> = (0..n).map(|_| None).collect();
     let mut check_keys: HashSet<(u64, u64)> = HashSet::new();
     let mut check_todo: Vec<(usize, u64)> = Vec::new();
     for i in 0..n {
-        if !parsed[i].as_ref().unwrap().parsed_ok {
+        if !parsed[i].parsed_ok {
             continue;
         }
         if let Some(prefix) = subsystem {
@@ -853,13 +848,20 @@ pub fn audit_cancellable(
                 continue;
             }
         }
-        let deps_fp = mix(kb_fp, program.deps_fingerprint(&units[i].path));
+        let deps_fp = mix(check_cfg, barrier.deps[i]);
         check_keys.insert((unit_keys[i], deps_fp));
         match cache.check_get(unit_keys[i], deps_fp) {
             Some(c) => checked[i] = Some(c),
             None => check_todo.push((i, deps_fp)),
         }
     }
+    // A memoized barrier built no database; the misses need one.
+    let program = match program {
+        Some(db) => db,
+        None if check_todo.is_empty() => ProgramDb::empty(),
+        None => build_program(&parsed, kb, config.whole_program, trace),
+    };
+    let check_span = trace.span("check");
     let checked_new = run_indexed(&check_todo, config.jobs, trace, "check", |_, &(i, _)| {
         if cancel.is_cancelled() {
             return CheckedUnit::default();
@@ -867,8 +869,8 @@ pub fn audit_cancellable(
         let _unit_span = trace.unit_span("check.unit", &units[i].path);
         check_one(
             &units[i],
-            parsed[i].as_ref().unwrap(),
-            &kb,
+            &parsed[i],
+            kb,
             &program,
             limits,
             &parse_limits,
@@ -897,7 +899,7 @@ pub fn audit_cancellable(
         diagnostics.units.push(d);
     }
     for i in 0..n {
-        let p = parsed[i].as_ref().unwrap();
+        let p = &parsed[i];
         lines += p.lines;
         let mut st = UnitState {
             path: units[i].path.clone(),
@@ -978,10 +980,57 @@ pub fn audit_cancellable(
         files: n,
         functions,
         lines,
-        kb: (*kb).clone(),
+        kb: Arc::clone(kb),
         diagnostics,
         cache: cache.stats,
+        unit_keys,
     })
+}
+
+/// The builtin seed KB and its fingerprint, built once per process.
+fn seed_kb() -> &'static (Arc<ApiKb>, u64) {
+    static SEED: OnceLock<(Arc<ApiKb>, u64)> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let kb = ApiKb::builtin();
+        let fp = kb_fingerprint(&kb);
+        (Arc::new(kb), fp)
+    })
+}
+
+/// The knowledge-base merge: the seed plus every unit's discovery
+/// facts, or the seed alone when discovery is off. The merge folds
+/// cached digests — no AST is touched — and runs in its own fault
+/// boundary: if a degraded unit trips it, fall back to the builtin KB
+/// rather than losing the audit.
+fn merge_kb(parsed: &[Arc<ParsedUnit>], discover: bool, trace: &TraceHandle) -> Arc<ApiKb> {
+    let _span = trace.span("merge.kb");
+    let seed = &seed_kb().0;
+    if !discover {
+        return Arc::clone(seed);
+    }
+    let discs: Vec<&UnitDiscovery> = parsed.iter().map(|p| &p.discovery).collect();
+    let defines: Vec<MacroDef> = parsed
+        .iter()
+        .flat_map(|p| p.defines.iter().cloned())
+        .collect();
+    fault_boundary(|| {
+        let d = merge_discoveries(&discs, &defines, seed, &DiscoverConfig::default());
+        Arc::new(d.into_kb((**seed).clone()))
+    })
+    .unwrap_or_else(|_| Arc::clone(seed))
+}
+
+/// The program-database merge: every unit's exports, in unit index
+/// order, under linkage rules.
+fn build_program(
+    parsed: &[Arc<ParsedUnit>],
+    kb: &ApiKb,
+    whole_program: bool,
+    trace: &TraceHandle,
+) -> ProgramDb {
+    let _span = trace.span("merge.progdb");
+    let exports: Vec<&UnitExports> = parsed.iter().map(|p| &p.exports).collect();
+    ProgramDb::build(&exports, kb, whole_program)
 }
 
 /// The cheap stand-in a parse worker returns after observing a tripped
@@ -996,6 +1045,7 @@ fn cancelled_parse_placeholder() -> ParsedUnit {
         lines: 0,
         discovery: UnitDiscovery::default(),
         exports: UnitExports::default(),
+        exports_faulted: false,
     }
 }
 
@@ -1107,6 +1157,50 @@ mod tests {
         assert_eq!(rehydrated.cache.check_misses, files);
         assert_eq!(rehydrated.findings, fresh.findings);
         assert_eq!(rehydrated.functions, fresh.functions);
+    }
+
+    #[test]
+    fn warm_audit_of_a_seen_tree_builds_no_program_db() {
+        // The barrier is memoized per tree: a second audit of the same
+        // tree merges nothing, and with every check entry a hit it
+        // builds no `ProgramDb` (no `merge.progdb` span). A check-layer
+        // miss (here: a new engine set) builds it again.
+        let tree = generate_tree(&TreeConfig {
+            scale: 0.03,
+            cross_unit: true,
+            ..Default::default()
+        });
+        let project = Project::from_tree(&tree);
+        let cfg = AuditConfig::default();
+        let mut cache = AuditCache::new();
+        let stages = |cfg: &AuditConfig, cache: &mut AuditCache| {
+            let trace = TraceHandle::recording();
+            let report = audit_traced(&project, cfg, cache, &trace);
+            let log = trace.finish().expect("a recording handle yields a log");
+            let stages: HashSet<String> = log.spans.into_iter().map(|s| s.stage).collect();
+            (report, stages)
+        };
+        let (cold, cold_stages) = stages(&cfg, &mut cache);
+        assert!(cold_stages.contains("merge.kb") && cold_stages.contains("merge.progdb"));
+        let (warm, warm_stages) = stages(&cfg, &mut cache);
+        assert_eq!(warm.cache.discovery_hits, 1);
+        assert_eq!(warm.cache.check_misses, 0);
+        assert!(!warm_stages.contains("merge.kb"), "{warm_stages:?}");
+        assert!(!warm_stages.contains("merge.progdb"), "{warm_stages:?}");
+        assert_eq!(warm.findings, cold.findings);
+        let template_only = AuditConfig {
+            engines: EngineSet::template_only(),
+            ..AuditConfig::default()
+        };
+        let (rechecked, stages) = stages(&template_only, &mut cache);
+        assert_eq!(rechecked.cache.discovery_hits, 1);
+        assert_eq!(rechecked.cache.check_misses, tree.files.len());
+        assert!(stages.contains("merge.progdb"), "{stages:?}");
+        assert_eq!(
+            rechecked.findings,
+            audit(&project, &template_only).findings,
+            "a database built after a memoized barrier is the one it memoized"
+        );
     }
 
     #[test]

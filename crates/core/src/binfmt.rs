@@ -3,7 +3,7 @@
 //! `audit-cache.bin` is a length-prefixed container (framed in
 //! [`crate::cache`]); this module encodes and decodes the *per-entry
 //! payloads* — one [`ParsedUnit`] (with its [`UnitExports`]),
-//! [`CheckedUnit`] or [`ApiKb`] each. The design goals, in order:
+//! [`CheckedUnit`] or [`Barrier`] each. The design goals, in order:
 //!
 //! - **Lazy**: every payload is self-contained, so the loader can index
 //!   `(key, offset, length)` without touching a single payload byte and
@@ -25,6 +25,8 @@
 //! or explicit `match`es — stable as long as the order is, which the
 //! cache version guards.
 
+use std::sync::Arc;
+
 use refminer_checkers::{AntiPattern, EngineId, Finding, Impact};
 use refminer_clex::MacroDef;
 use refminer_cpg::Feasibility;
@@ -34,7 +36,7 @@ use refminer_rcapi::{
 };
 
 use crate::audit::UnitErrorKind;
-use crate::cache::{CachedError, CheckedUnit, ParsedUnit};
+use crate::cache::{Barrier, CachedError, CheckedUnit, ParsedUnit};
 
 // ----------------------------------------------------------------------
 // Primitives.
@@ -351,6 +353,7 @@ fn put_exports(out: &mut Vec<u8>, u: &UnitExports) {
         put_vec(o, &f.calls, put_call_site);
         put_vec(o, &f.stores, |o, s| put_u32(o, *s as u32));
     });
+    put_vec(out, &u.loop_heads, |o, h| put_str(o, h));
 }
 
 fn get_exports(d: &mut Dec<'_>) -> Option<UnitExports> {
@@ -364,6 +367,7 @@ fn get_exports(d: &mut Dec<'_>) -> Option<UnitExports> {
                 stores: get_vec(d, |d| Some(d.u32()? as usize))?,
             })
         })?,
+        loop_heads: get_vec(d, |d| d.str())?,
     })
 }
 
@@ -467,6 +471,7 @@ pub(crate) fn encode_parsed(out: &mut Vec<u8>, p: &ParsedUnit) {
     put_vec(out, &p.defines, put_macro);
     put_discovery(out, &p.discovery);
     put_exports(out, &p.exports);
+    put_bool(out, p.exports_faulted);
 }
 
 pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
@@ -479,6 +484,7 @@ pub(crate) fn decode_parsed(bytes: &[u8]) -> Option<ParsedUnit> {
         defines: get_vec(&mut d, get_macro)?,
         discovery: get_discovery(&mut d)?,
         exports: get_exports(&mut d)?,
+        exports_faulted: d.bool()?,
     };
     d.is_done().then_some(p)
 }
@@ -519,16 +525,30 @@ pub(crate) fn encode_kb(out: &mut Vec<u8>, kb: &ApiKb) {
 
 /// Rebuilds a knowledge base, all or nothing — a partially-loaded KB
 /// would silently change findings.
-pub(crate) fn decode_kb(bytes: &[u8]) -> Option<ApiKb> {
-    let mut d = Dec::new(bytes);
+fn get_kb(d: &mut Dec<'_>) -> Option<ApiKb> {
     let mut kb = ApiKb::new();
-    for api in get_vec(&mut d, get_api)? {
+    for api in get_vec(d, get_api)? {
         kb.insert(api);
     }
-    for sl in get_vec(&mut d, get_smartloop)? {
+    for sl in get_vec(d, get_smartloop)? {
         kb.insert_loop(sl);
     }
-    d.is_done().then_some(kb)
+    Some(kb)
+}
+
+/// Encodes a discovery-layer entry: the KB, then the deps keys.
+pub(crate) fn encode_barrier(out: &mut Vec<u8>, b: &Barrier) {
+    encode_kb(out, &b.kb);
+    put_vec(out, &b.deps, |o, k| put_u64(o, *k));
+}
+
+pub(crate) fn decode_barrier(bytes: &[u8]) -> Option<Barrier> {
+    let mut d = Dec::new(bytes);
+    let b = Barrier {
+        kb: Arc::new(get_kb(&mut d)?),
+        deps: get_vec(&mut d, |d| d.u64())?,
+    };
+    d.is_done().then_some(b)
 }
 
 #[cfg(test)]
@@ -585,7 +605,9 @@ mod tests {
                     }],
                     stores: Vec::new(),
                 }],
+                loop_heads: vec!["for_each_w".into()],
             },
+            exports_faulted: true,
         };
         let mut bytes = Vec::new();
         encode_parsed(&mut bytes, &p);
@@ -597,6 +619,7 @@ mod tests {
         assert_eq!(back.defines, p.defines);
         assert_eq!(back.discovery, p.discovery);
         assert_eq!(back.exports, p.exports);
+        assert_eq!(back.exports_faulted, p.exports_faulted);
     }
 
     #[test]
@@ -612,6 +635,7 @@ mod tests {
                 }],
                 stores: vec![1],
             }],
+            loop_heads: vec!["for_each_child_of_node".into()],
         };
         let mut bytes = Vec::new();
         put_exports(&mut bytes, &u);
@@ -652,14 +676,18 @@ mod tests {
 
     #[test]
     fn kb_round_trips_and_is_order_free() {
-        let kb = ApiKb::builtin();
+        let b = Barrier {
+            kb: Arc::new(ApiKb::builtin()),
+            deps: vec![0, 7, u64::MAX],
+        };
         let mut bytes = Vec::new();
-        encode_kb(&mut bytes, &kb);
-        let back = decode_kb(&bytes).expect("round trip");
-        assert_eq!(back.len(), kb.len());
-        assert!(back.get("pm_runtime_get_sync").unwrap().inc_on_error);
+        encode_barrier(&mut bytes, &b);
+        let back = decode_barrier(&bytes).expect("round trip");
+        assert_eq!(back.kb.len(), b.kb.len());
+        assert!(back.kb.get("pm_runtime_get_sync").unwrap().inc_on_error);
+        assert_eq!(back.deps, b.deps);
         let mut again = Vec::new();
-        encode_kb(&mut again, &back);
+        encode_barrier(&mut again, &back);
         assert_eq!(bytes, again, "re-encoding is byte-stable");
     }
 
@@ -700,14 +728,20 @@ mod tests {
     #[test]
     fn enum_tags_out_of_range_fail_closed() {
         let mut bytes = Vec::new();
-        encode_kb(&mut bytes, &ApiKb::builtin());
+        encode_barrier(
+            &mut bytes,
+            &Barrier {
+                kb: Arc::new(ApiKb::builtin()),
+                deps: vec![1, 2],
+            },
+        );
         // The first API's class tag sits right after the count and the
         // name; stomp every byte in turn and require no panic — decode
-        // either fails or yields *some* KB, never UB or unwinding.
+        // either fails or yields *some* barrier, never UB or unwinding.
         for i in 0..bytes.len().min(64) {
             let mut dented = bytes.clone();
             dented[i] = 0xff;
-            let _ = decode_kb(&dented);
+            let _ = decode_barrier(&dented);
         }
     }
 }

@@ -15,21 +15,31 @@
 //!   parse-stage diagnostics, per-unit discovery facts
 //!   ([`UnitDiscovery`]), the unit's function-effect exports
 //!   ([`UnitExports`]), and (in memory) the parsed [`TranslationUnit`]
-//!   itself. Editing one file re-parses and re-exports exactly that
-//!   file, and the cross-unit KB and `ProgramDb` merges can run the
-//!   moment the pass ends.
-//! - **Discovery layer** — keyed by a *tree fingerprint* folding every
-//!   unit's key, so touching any file re-runs the cross-unit discovery
-//!   *merge* (cheap — it folds cached per-unit facts, no ASTs). Holds
-//!   the resulting [`ApiKb`].
-//! - **Check layer** — keyed by `(unit key, mix(KB fingerprint,
-//!   summary-deps fingerprint))`. Holds the unit's findings, function
-//!   count and check-stage diagnostics. Editing one file changes that
-//!   file's unit key *and* the deps fingerprint of every unit whose
-//!   helper calls resolve into it — so a changed helper in `a.c`
-//!   re-checks precisely `a.c` and its cross-unit callers, nothing
-//!   else. A KB change (new discovered API) still invalidates every
-//!   unit, as it must — any unit might call the new API.
+//!   itself, which the left-behind sweep of `diff` and `fixcheck`
+//!   borrows too. Editing one file re-parses and re-exports exactly
+//!   that file, and the cross-unit merges can run the moment the pass
+//!   ends.
+//! - **Discovery layer** — memoizes the whole barrier, keyed by a *tree
+//!   fingerprint* folding every unit's key with the barrier
+//!   configuration (discovery on or off, whole-program resolution).
+//!   Holds a [`Barrier`]: the merged [`ApiKb`] and every unit's deps
+//!   key. Touching any file re-runs the KB merge, the `ProgramDb`
+//!   merge and the deps walk once (cheap — they fold cached per-unit
+//!   facts, no ASTs); an audit of a tree the cache has seen skips all
+//!   three, and builds a `ProgramDb` only if some unit misses the
+//!   check layer.
+//! - **Check layer** — keyed by `(unit key, mix(check configuration,
+//!   deps key))`. Holds the unit's findings, function count and
+//!   check-stage diagnostics. The deps key
+//!   ([`ProgramDb::deps_fingerprint`]) folds the knowledge-base entries
+//!   of every name the unit calls or opens a macro loop with, and where
+//!   each call resolves with what summary: exactly what the checks read
+//!   from outside the unit's text. Editing one file changes that
+//!   file's unit key *and* the deps key of every unit whose helper
+//!   calls resolve into it; a newly discovered or changed API re-checks
+//!   only the units that name it. A unit whose export extraction
+//!   faulted has no trustworthy name list, so its deps key folds the
+//!   whole KB's fingerprint instead.
 //!
 //! # Persistence: `audit-cache.bin`
 //!
@@ -70,7 +80,7 @@ use std::sync::Arc;
 use refminer_checkers::{checker_set_fingerprint, Finding};
 use refminer_clex::MacroDef;
 use refminer_cparse::TranslationUnit;
-use refminer_progdb::{fnv1a, mix, UnitExports, FNV_OFFSET};
+use refminer_progdb::{fnv1a, mix, ProgramDb, UnitExports, FNV_OFFSET};
 use refminer_rcapi::{ApiKb, DiscoverConfig, UnitDiscovery};
 
 use crate::audit::{AuditConfig, UnitErrorKind};
@@ -94,7 +104,9 @@ pub fn content_hash(text: &str) -> u64 {
 /// functions, called names).
 /// v4: parse entries carry the unit's function-effect exports (the
 /// export layer folded into the phase-1 pass).
-const PARSE_VERSION: u64 = 4;
+/// v5: exports list the unit's macro-loop heads, and entries record
+/// whether export extraction faulted.
+const PARSE_VERSION: u64 = 5;
 
 /// Fingerprint of the phase-1 configuration. Folds the builtin seed
 /// KB's fingerprint `seed_kb_fp` because per-unit discovery classifies
@@ -147,12 +159,15 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
     h
 }
 
-/// Fingerprint of the discovery configuration: the nesting threshold
-/// and the builtin seed KB's fingerprint `seed_kb_fp`, so a binary with
-/// a different seed never reuses old results.
-pub fn discovery_config_fingerprint(seed_kb_fp: u64) -> u64 {
+/// Fingerprint of the barrier configuration: whether discovery runs
+/// (and with it the nesting threshold), whether calls resolve across
+/// units, and the builtin seed KB's fingerprint `seed_kb_fp`, so a
+/// binary with a different seed never reuses old results.
+pub fn barrier_config_fingerprint(config: &AuditConfig, seed_kb_fp: u64) -> u64 {
     let mut h = FNV_OFFSET;
+    h = mix(h, config.discover_apis as u64);
     h = mix(h, DiscoverConfig::default().nesting_threshold as u64);
+    h = mix(h, config.whole_program as u64);
     h = mix(h, seed_kb_fp);
     h
 }
@@ -165,6 +180,29 @@ pub fn kb_fingerprint(kb: &ApiKb) -> u64 {
     let mut bytes = Vec::new();
     binfmt::encode_kb(&mut bytes, kb);
     fnv1a(&bytes)
+}
+
+/// Every unit's deps key, in unit order (0 for units that did not
+/// parse): [`ProgramDb::deps_fingerprint`], which folds what the
+/// knowledge base and the database say about each name the unit's
+/// exports list. A unit whose extraction faulted lists nothing, so its
+/// key folds the whole KB's fingerprint instead.
+pub(crate) fn deps_keys(parsed: &[Arc<ParsedUnit>], kb: &ApiKb, program: &ProgramDb) -> Vec<u64> {
+    let mut whole_kb = None;
+    parsed
+        .iter()
+        .map(|p| {
+            if !p.parsed_ok {
+                return 0;
+            }
+            let deps = program.deps_fingerprint(&p.exports.path);
+            if p.exports_faulted {
+                mix(deps, *whole_kb.get_or_insert_with(|| kb_fingerprint(kb)))
+            } else {
+                deps
+            }
+        })
+        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -186,7 +224,7 @@ pub struct ParsedUnit {
     /// The parsed AST. `None` when parsing failed (panic/oversize) —
     /// see [`ParsedUnit::parsed_ok`] — or when the entry was loaded
     /// from disk, where ASTs are not persisted.
-    pub tu: Option<TranslationUnit>,
+    pub tu: Option<Arc<TranslationUnit>>,
     /// Whether parsing produced a usable (possibly degraded) AST. When
     /// `true` but [`ParsedUnit::tu`] is `None`, re-parsing the same
     /// text reproduces it.
@@ -206,6 +244,9 @@ pub struct ParsedUnit {
     /// Empty (under the unit's own path) when the unit did not parse
     /// or extraction faulted.
     pub exports: UnitExports,
+    /// Whether export extraction faulted on a unit that parsed: its
+    /// exports then name nothing the checks will look up.
+    pub exports_faulted: bool,
 }
 
 /// The check stage's result for one unit.
@@ -219,6 +260,17 @@ pub struct CheckedUnit {
     pub errors: Vec<CachedError>,
 }
 
+/// The barrier's result for one tree: what the discovery layer holds.
+#[derive(Debug)]
+pub struct Barrier {
+    /// The merged knowledge base (the builtin seed when discovery is
+    /// off).
+    pub kb: Arc<ApiKb>,
+    /// Per unit, in unit order, the deps key its check key folds; 0 for
+    /// units that did not parse.
+    pub deps: Vec<u64>,
+}
+
 /// Hit/miss counters for one audit run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -230,9 +282,10 @@ pub struct CacheStats {
     pub check_hits: usize,
     /// Units that were graphed and checked this run.
     pub check_misses: usize,
-    /// Cross-unit discovery passes served from cache (0 or 1 per run).
+    /// Barriers (KB merge, `ProgramDb` merge, deps keys) served from
+    /// cache (0 or 1 per run).
     pub discovery_hits: usize,
-    /// Cross-unit discovery passes executed this run (0 or 1).
+    /// Barriers computed this run (0 or 1).
     pub discovery_misses: usize,
     /// Units whose summary exports were served from cache. Exports
     /// ride the parse entry, so this always equals
@@ -338,7 +391,7 @@ pub enum CacheLoadOutcome {
 pub struct AuditCache {
     parse: HashMap<u64, Slot<ParsedUnit>>,
     check: HashMap<(u64, u64), Slot<CheckedUnit>>,
-    discovery: HashMap<u64, Slot<ApiKb>>,
+    discovery: HashMap<u64, Slot<Barrier>>,
     /// The loaded cache file, backing every `Slot::Disk` byte range.
     raw: Option<Vec<u8>>,
     /// Counters for the current (or most recent) audit run; reset by
@@ -365,7 +418,11 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// v6: parse entries drop the symbol digest, and the KB fingerprint
 /// in every check key hashes the binary KB encoding.
 /// v7: the export section is gone; parse entries carry the exports.
-const CACHE_VERSION: u64 = 7;
+/// v8: discovery entries memoize the whole barrier (the KB plus every
+/// unit's deps key), and check keys fold the KB entries a unit names
+/// instead of the whole KB's fingerprint, so a v7 check key would be
+/// looked up under a different meaning.
+const CACHE_VERSION: u64 = 8;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -457,6 +514,16 @@ impl AuditCache {
         arc
     }
 
+    /// The AST a parse-layer entry holds in memory, for a caller that
+    /// reads the audited units after the audit (the left-behind sweep).
+    /// Neither counts nor decodes: an entry loaded from disk holds none.
+    pub(crate) fn ast(&self, key: u64) -> Option<Arc<TranslationUnit>> {
+        match self.parse.get(&key)? {
+            Slot::Mem(p) => p.tu.clone(),
+            Slot::Disk { .. } => None,
+        }
+    }
+
     /// Check-layer lookup; counts a hit.
     pub(crate) fn check_get(&mut self, unit_key: u64, kb_fp: u64) -> Option<Arc<CheckedUnit>> {
         let hit = slot_get(
@@ -485,8 +552,13 @@ impl AuditCache {
     }
 
     /// Discovery-layer lookup; counts a hit.
-    pub(crate) fn discovery_get(&mut self, tree_fp: u64) -> Option<Arc<ApiKb>> {
-        let hit = slot_get(&mut self.discovery, &self.raw, tree_fp, binfmt::decode_kb);
+    pub(crate) fn discovery_get(&mut self, tree_fp: u64) -> Option<Arc<Barrier>> {
+        let hit = slot_get(
+            &mut self.discovery,
+            &self.raw,
+            tree_fp,
+            binfmt::decode_barrier,
+        );
         if hit.is_some() {
             self.stats.discovery_hits += 1;
         }
@@ -494,9 +566,9 @@ impl AuditCache {
     }
 
     /// Discovery-layer insert; counts the miss that required it.
-    pub(crate) fn discovery_put(&mut self, tree_fp: u64, kb: ApiKb) -> Arc<ApiKb> {
+    pub(crate) fn discovery_put(&mut self, tree_fp: u64, barrier: Barrier) -> Arc<Barrier> {
         self.stats.discovery_misses += 1;
-        let arc = Arc::new(kb);
+        let arc = Arc::new(barrier);
         self.discovery.insert(tree_fp, Slot::Mem(arc.clone()));
         arc
     }
@@ -565,13 +637,13 @@ impl AuditCache {
             self.put_payload(&mut body, slot, binfmt::encode_checked);
         }
 
-        let mut disc: Vec<(u64, &Slot<ApiKb>)> =
+        let mut disc: Vec<(u64, &Slot<Barrier>)> =
             self.discovery.iter().map(|(k, v)| (*k, v)).collect();
         disc.sort_by_key(|(k, _)| *k);
         binfmt::put_u64(&mut body, disc.len() as u64);
         for (k, slot) in disc {
             binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_kb);
+            self.put_payload(&mut body, slot, binfmt::encode_barrier);
         }
 
         let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -731,6 +803,14 @@ mod tests {
             lines,
             discovery: UnitDiscovery::default(),
             exports: UnitExports::default(),
+            exports_faulted: false,
+        }
+    }
+
+    fn barrier(deps: Vec<u64>) -> Barrier {
+        Barrier {
+            kb: Arc::new(ApiKb::builtin()),
+            deps,
         }
     }
 
@@ -764,22 +844,11 @@ mod tests {
         assert_ne!(kb_fingerprint(&a), kb_fingerprint(&ApiKb::new()));
     }
 
-    #[test]
-    fn kb_fingerprint_covers_every_api_and_smartloop_field() {
-        // The fingerprint keys the check layer, so a field it missed
-        // would let a changed KB serve stale findings. Each row changes
-        // exactly one field of the base KB's API or smartloop.
-        let api = RcApi::inc("w_get", RcClass::Specific, ObjectFlow::Arg(0), &["w_put"]);
-        let sl = SmartLoop::new("for_each_w", 1, "w_put", Some("w_find"));
-        let kb_of = |api: &RcApi, sl: &SmartLoop| {
-            let mut kb = ApiKb::new();
-            kb.insert(api.clone());
-            kb.insert_loop(sl.clone());
-            kb
-        };
-        let base = kb_fingerprint(&kb_of(&api, &sl));
-        type Edit<T> = (&'static str, fn(&mut T));
-        let api_edits: [Edit<RcApi>; 7] = [
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    /// One row per `RcApi` field, each changing exactly that field.
+    fn api_edits() -> [Edit<RcApi>; 7] {
+        [
             ("class", |a| a.class = RcClass::General),
             ("dir", |a| a.dir = RcDir::Dec),
             ("flow", |a| a.flow = ObjectFlow::Returned),
@@ -791,30 +860,121 @@ mod tests {
             ("releases_resources", |a| {
                 a.releases_resources = !a.releases_resources
             }),
-        ];
-        for (field, edit) in api_edits {
+        ]
+    }
+
+    /// One row per `SmartLoop` field but the name (the KB's key).
+    fn loop_edits() -> [Edit<SmartLoop>; 3] {
+        [
+            ("iter_arg", |l| l.iter_arg = 0),
+            ("dec_name", |l| l.dec_name = "w_release".into()),
+            ("embedded_api", |l| l.embedded_api = None),
+        ]
+    }
+
+    fn kb_of(apis: &[&RcApi], loops: &[&SmartLoop]) -> ApiKb {
+        let mut kb = ApiKb::new();
+        for api in apis {
+            kb.insert((*api).clone());
+        }
+        for sl in loops {
+            kb.insert_loop((*sl).clone());
+        }
+        kb
+    }
+
+    #[test]
+    fn kb_fingerprint_covers_every_api_and_smartloop_field() {
+        // The fingerprint keys the check entries of units whose export
+        // extraction faulted, so a field it missed would let a changed
+        // KB serve them stale findings. Each row changes exactly one
+        // field of the base KB's API or smartloop.
+        let api = RcApi::inc("w_get", RcClass::Specific, ObjectFlow::Arg(0), &["w_put"]);
+        let sl = SmartLoop::new("for_each_w", 1, "w_put", Some("w_find"));
+        let base = kb_fingerprint(&kb_of(&[&api], &[&sl]));
+        for (field, edit) in api_edits() {
             let mut changed = api.clone();
             edit(&mut changed);
             assert_ne!(
-                kb_fingerprint(&kb_of(&changed, &sl)),
+                kb_fingerprint(&kb_of(&[&changed], &[&sl])),
                 base,
                 "RcApi::{field} does not reach the fingerprint"
             );
         }
-        let loop_edits: [Edit<SmartLoop>; 3] = [
-            ("iter_arg", |l| l.iter_arg = 0),
-            ("dec_name", |l| l.dec_name = "w_release".into()),
-            ("embedded_api", |l| l.embedded_api = None),
-        ];
-        for (field, edit) in loop_edits {
+        for (field, edit) in loop_edits() {
             let mut changed = sl.clone();
             edit(&mut changed);
             assert_ne!(
-                kb_fingerprint(&kb_of(&api, &changed)),
+                kb_fingerprint(&kb_of(&[&api], &[&changed])),
                 base,
                 "SmartLoop::{field} does not reach the fingerprint"
             );
         }
+    }
+
+    #[test]
+    fn check_key_covers_the_kb_entries_a_unit_names_and_no_others() {
+        // A check key folds the unit's deps key, the only part of it the
+        // KB reaches. A field of a named entry it missed would let a
+        // changed KB serve stale findings; an entry the unit does not
+        // name that reached it would re-check the whole tree on every
+        // discovered API. The unit calls `w_get` and opens a
+        // `for_each_w` loop; `z_get` and `for_each_z` it never names.
+        let path = "drivers/w/w.c";
+        let src = "int probe(struct w *p)\n{\n\tstruct w *x = w_get(p);\n\n\
+                   \tfor_each_w(p, x)\n\t\tw_use(x);\n\treturn 0;\n}\n";
+        let tu = refminer_cparse::parse_str(path, src);
+        let unit = Arc::new(ParsedUnit {
+            exports: UnitExports::of_unit(path, &tu, 1_000),
+            ..parsed(9)
+        });
+        assert_eq!(unit.exports.loop_heads, ["for_each_w"]);
+        let key = |kb: &ApiKb| {
+            let db = ProgramDb::build(&[&unit.exports], kb, true);
+            deps_keys(std::slice::from_ref(&unit), kb, &db)[0]
+        };
+        let named = RcApi::inc("w_get", RcClass::Specific, ObjectFlow::Arg(0), &["w_put"]);
+        let other = RcApi::inc("z_get", RcClass::Specific, ObjectFlow::Arg(0), &["z_put"]);
+        let named_loop = SmartLoop::new("for_each_w", 1, "w_put", Some("w_find"));
+        let other_loop = SmartLoop::new("for_each_z", 1, "z_put", Some("z_find"));
+        let base = key(&kb_of(&[&named, &other], &[&named_loop, &other_loop]));
+        for (field, edit) in api_edits() {
+            let (mut n, mut o) = (named.clone(), other.clone());
+            edit(&mut n);
+            edit(&mut o);
+            let with_named = kb_of(&[&n, &other], &[&named_loop, &other_loop]);
+            assert_ne!(key(&with_named), base, "RcApi::{field} of a named entry");
+            let with_other = kb_of(&[&named, &o], &[&named_loop, &other_loop]);
+            assert_eq!(key(&with_other), base, "RcApi::{field} of an unnamed entry");
+        }
+        for (field, edit) in loop_edits() {
+            let (mut n, mut o) = (named_loop.clone(), other_loop.clone());
+            edit(&mut n);
+            edit(&mut o);
+            let with_named = kb_of(&[&named, &other], &[&n, &other_loop]);
+            assert_ne!(
+                key(&with_named),
+                base,
+                "SmartLoop::{field} of a named entry"
+            );
+            let with_other = kb_of(&[&named, &other], &[&named_loop, &o]);
+            assert_eq!(
+                key(&with_other),
+                base,
+                "SmartLoop::{field} of an unnamed entry"
+            );
+        }
+        // An entry's absence counts too, under both lookups of a name.
+        let missing_api = kb_of(&[&other], &[&named_loop, &other_loop]);
+        assert_ne!(key(&missing_api), base, "removing a named API");
+        let missing_loop = kb_of(&[&named, &other], &[&other_loop]);
+        assert_ne!(key(&missing_loop), base, "removing a named smartloop");
+        let head_as_api = RcApi::inc("for_each_w", RcClass::Embedded, ObjectFlow::Arg(1), &[]);
+        let added = kb_of(&[&named, &other, &head_as_api], &[&named_loop, &other_loop]);
+        assert_ne!(key(&added), base, "adding an API under a loop-head name");
+        let unnamed = RcApi::inc("y_get", RcClass::Specific, ObjectFlow::Arg(0), &[]);
+        let added = kb_of(&[&named, &other, &unnamed], &[&named_loop, &other_loop]);
+        assert_eq!(key(&added), base, "adding an API the unit never names");
     }
 
     #[test]
@@ -835,7 +995,7 @@ mod tests {
                 }],
             },
         );
-        cache.discovery_put(11, ApiKb::builtin());
+        cache.discovery_put(11, barrier(vec![3, 0]));
         let mut p = parsed(40);
         p.discovery.apis.push(RcApi::dec(
             "widget_put",
@@ -859,6 +1019,7 @@ mod tests {
                 }],
                 stores: vec![1],
             }],
+            loop_heads: vec!["for_each_w".into()],
         };
         cache.parse_put(5, p);
         cache.save().expect("save");
@@ -868,8 +1029,9 @@ mod tests {
         let c = reloaded.check_get(7, 9).expect("check entry");
         assert_eq!(c.functions, 4);
         assert_eq!(c.errors[0].kind, UnitErrorKind::GraphBlowup);
-        let kb = reloaded.discovery_get(11).expect("discovery entry");
-        assert_eq!(kb_fingerprint(&kb), kb_fingerprint(&ApiKb::builtin()));
+        let b = reloaded.discovery_get(11).expect("discovery entry");
+        assert_eq!(kb_fingerprint(&b.kb), kb_fingerprint(&ApiKb::builtin()));
+        assert_eq!(b.deps, vec![3, 0]);
         let p = reloaded.parse_get(5).expect("parse entry");
         assert!(p.parsed_ok);
         assert!(p.tu.is_none(), "ASTs must not round-trip through disk");
@@ -879,6 +1041,7 @@ mod tests {
         assert_eq!(p.defines[0].params, Some(vec!["w".to_string()]));
         assert_eq!(p.exports.path, "drivers/a/a.c");
         assert_eq!(p.exports.fns[0].calls[0].callee, "of_node_put");
+        assert_eq!(p.exports.loop_heads, vec!["for_each_w".to_string()]);
         assert_eq!(reloaded.stats.check_hits, 1);
         assert_eq!(reloaded.stats.parse_hits, 1);
         assert_eq!(reloaded.stats.export_hits, 1, "exports ride the parse hit");
@@ -930,7 +1093,7 @@ mod tests {
         cache.parse_put(1, parsed(10));
         cache.parse_put(2, parsed(20));
         cache.check_put(3, 4, CheckedUnit::default());
-        cache.discovery_put(5, ApiKb::builtin());
+        cache.discovery_put(5, barrier(vec![9]));
         let bytes = cache.to_bytes();
 
         let mut lazy = AuditCache::new();
@@ -1039,6 +1202,7 @@ mod tests {
                         stores: vec![(next() % 3) as usize],
                     });
                 }
+                p.exports.loop_heads = vec![format!("for_each_{}", next() % 3)];
                 cache.parse_put(next(), p);
             }
             for _ in 0..(next() % 4) {

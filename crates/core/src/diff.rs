@@ -23,14 +23,20 @@
 //! bug into a template and searches revision B's surviving findings
 //! for unfixed clones — the incomplete-fix ("one bug, hundreds
 //! behind") detector. Those surface as `left_behind` lines, additive
-//! to the delta.
+//! to the delta. The sweep reads the ASTs both audits left in the
+//! shared cache, found by the reports' unit keys; it parses a file
+//! only when its entry holds no AST (loaded from disk, or a unit that
+//! did not parse) or the audits ran under non-default parse limits,
+//! whose ASTs can differ from the sweep's default parse.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use refminer_checkers::Finding;
+use refminer_cparse::{parse_str, ParseLimits, TranslationUnit};
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::ApiKb;
-use refminer_sweep::{abstract_template, sweep, CloneMatch};
+use refminer_sweep::{abstract_template_parsed, sweep_parsed, CloneMatch};
 
 use crate::audit::{audit_with_cache, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
@@ -138,31 +144,73 @@ pub fn diff_findings(
     (introduced, fixed, moved)
 }
 
+/// One revision of a delta, as the sweep reads it: its tree and, when
+/// its audit's cache is at hand, the unit keys that find its ASTs
+/// there.
+pub(crate) struct Revision<'a> {
+    project: &'a Project,
+    asts: Option<(&'a AuditCache, &'a [u64])>,
+}
+
+impl<'a> Revision<'a> {
+    /// A revision whose units the sweep parses from their text.
+    pub(crate) fn text(project: &'a Project) -> Revision<'a> {
+        Revision {
+            project,
+            asts: None,
+        }
+    }
+
+    /// A revision audited through `cache` under `config`; `keys` are
+    /// its report's unit keys. Its ASTs serve the sweep only when the
+    /// audit parsed under the default limits the sweep's own parse
+    /// uses.
+    pub(crate) fn cached(
+        project: &'a Project,
+        keys: &'a [u64],
+        cache: &'a AuditCache,
+        config: &AuditConfig,
+    ) -> Revision<'a> {
+        let sweep_limits = ParseLimits::default();
+        let same_parse = config.limits.max_tokens == sweep_limits.max_tokens
+            && config.limits.max_parse_depth == sweep_limits.max_depth;
+        Revision {
+            project,
+            asts: same_parse.then_some((cache, keys)),
+        }
+    }
+
+    /// The parsed unit at `path`: the cached AST when there is one,
+    /// else a parse of its text.
+    fn unit(&self, path: &str) -> Option<Arc<TranslationUnit>> {
+        let i = self.project.units().iter().position(|u| u.path == path)?;
+        if let Some(tu) = self.asts.and_then(|(cache, keys)| cache.ast(keys[i])) {
+            return Some(tu);
+        }
+        let u = &self.project.units()[i];
+        Some(Arc::new(parse_str(&u.path, &u.text)))
+    }
+}
+
 /// Sweeps revision B's findings for unfixed clones of each fixed
-/// finding, reading seed sources from revision A (where the bug still
-/// exists) and candidate sources from revision B.
-pub fn sweep_left_behind(
+/// finding, reading seed units from revision A (where the bug still
+/// exists) and candidate units from revision B.
+fn sweep_left_behind(
     fixed: &[Finding],
-    project_a: &Project,
-    project_b: &Project,
+    a: &Revision<'_>,
+    b: &Revision<'_>,
     findings_b: &[Finding],
     kb: &ApiKb,
 ) -> Vec<LeftBehind> {
-    let source_in = |p: &Project, path: &str| -> Option<String> {
-        p.units()
-            .iter()
-            .find(|u| u.path == path)
-            .map(|u| u.text.clone())
-    };
     let mut out = Vec::new();
     for origin in fixed {
-        let Some(seed_src) = source_in(project_a, &origin.file) else {
+        let Some(seed) = a.unit(&origin.file) else {
             continue;
         };
-        let Some(template) = abstract_template(origin, &seed_src, kb) else {
+        let Some(template) = abstract_template_parsed(origin, &seed, kb) else {
             continue;
         };
-        let matches = sweep(&template, findings_b, kb, |path| source_in(project_b, path));
+        let matches = sweep_parsed(&template, findings_b, kb, |path| b.unit(path));
         out.push(LeftBehind {
             origin: origin.clone(),
             matches,
@@ -196,9 +244,30 @@ pub fn diff_delta(
     kb: &ApiKb,
     run_sweep: bool,
 ) -> DiffDelta {
+    revision_delta(
+        findings_a,
+        findings_b,
+        project_a.map(Revision::text).as_ref(),
+        &Revision::text(project_b),
+        kb,
+        run_sweep,
+    )
+}
+
+/// [`diff_delta`] over revisions whose ASTs the sweep may read from
+/// the cache: the one delta computation under `diff`, `fixcheck` and
+/// the daemon.
+pub(crate) fn revision_delta(
+    findings_a: &[Finding],
+    findings_b: &[Finding],
+    a: Option<&Revision<'_>>,
+    b: &Revision<'_>,
+    kb: &ApiKb,
+    run_sweep: bool,
+) -> DiffDelta {
     let (introduced, fixed, moved) = diff_findings(findings_a, findings_b);
-    let left_behind = match (run_sweep, project_a) {
-        (true, Some(pa)) => sweep_left_behind(&fixed, pa, project_b, findings_b, kb),
+    let left_behind = match (run_sweep, a) {
+        (true, Some(a)) => sweep_left_behind(&fixed, a, b, findings_b, kb),
         _ => Vec::new(),
     };
     DiffDelta {
@@ -220,11 +289,16 @@ pub fn diff_projects(
 ) -> DiffReport {
     let report_a = audit_with_cache(project_a, config, cache);
     let report_b = audit_with_cache(project_b, config, cache);
-    let delta = diff_delta(
+    let delta = revision_delta(
         &report_a.findings,
         &report_b.findings,
-        Some(project_a),
-        project_b,
+        Some(&Revision::cached(
+            project_a,
+            &report_a.unit_keys,
+            cache,
+            config,
+        )),
+        &Revision::cached(project_b, &report_b.unit_keys, cache, config),
         &report_b.kb,
         opts.sweep,
     );
@@ -333,6 +407,84 @@ mod tests {
         assert_eq!(fixed.len(), 1);
         assert_eq!(moved.len(), 1);
         assert_eq!(moved[0].1.line, 52);
+    }
+
+    /// Two probes that each leak `np` on the error path; `fixed` patches
+    /// only the first.
+    fn partial_fix() -> (Project, Project) {
+        let probe = |name: &str| {
+            format!(
+                "static int {name}(void)\n{{\n\tstruct device_node *np;\n\
+                 \tnp = of_find_node_by_name(NULL, \"{name}\");\n\
+                 \tif (!np)\n\t\treturn -ENODEV;\n\
+                 \tif ({name}_setup(np))\n\t\treturn -EIO;\n\
+                 \tof_node_put(np);\n\treturn 0;\n}}\n"
+            )
+        };
+        let buggy = format!("{}\n{}", probe("alpha"), probe("beta"));
+        let fixed = buggy.replacen(
+            "\tif (alpha_setup(np))\n\t\treturn -EIO;\n",
+            "\tif (alpha_setup(np)) {\n\t\tof_node_put(np);\n\t\treturn -EIO;\n\t}\n",
+            1,
+        );
+        let tree = |text: String| Project::from_sources(vec![("drivers/d/pair.c".into(), text)]);
+        (tree(buggy), tree(fixed))
+    }
+
+    #[test]
+    fn sweep_over_cached_asts_equals_the_sweep_over_text() {
+        let (a, b) = partial_fix();
+        let dr = diff_projects(
+            &a,
+            &b,
+            &AuditConfig::default(),
+            &mut AuditCache::new(),
+            &DiffOptions::default(),
+        );
+        assert_eq!(dr.delta.left_behind_total(), 1, "beta is left behind");
+        let from_text = diff_delta(
+            &dr.report_a.findings,
+            &dr.report_b.findings,
+            Some(&a),
+            &b,
+            &dr.report_b.kb,
+            true,
+        );
+        assert_eq!(
+            format!("{:?}", dr.delta.left_behind),
+            format!("{:?}", from_text.left_behind)
+        );
+    }
+
+    #[test]
+    fn sweep_reads_cached_asts_only_under_the_default_parse_limits() {
+        let (_, b) = partial_fix();
+        let path = "drivers/d/pair.c";
+        let mut cache = AuditCache::new();
+        let cfg = AuditConfig::default();
+        let report = audit_with_cache(&b, &cfg, &mut cache);
+        let cached = cache
+            .ast(report.unit_keys[0])
+            .expect("the audit kept its AST");
+        let tu = Revision::cached(&b, &report.unit_keys, &cache, &cfg).unit(path);
+        assert!(Arc::ptr_eq(&tu.unwrap(), &cached), "the sweep re-parsed");
+
+        let shallow = AuditConfig {
+            limits: crate::AuditLimits {
+                max_parse_depth: 16,
+                ..Default::default()
+            },
+            ..AuditConfig::default()
+        };
+        let report = audit_with_cache(&b, &shallow, &mut cache);
+        let cached = cache
+            .ast(report.unit_keys[0])
+            .expect("the audit kept its AST");
+        let tu = Revision::cached(&b, &report.unit_keys, &cache, &shallow).unit(path);
+        assert!(
+            !Arc::ptr_eq(&tu.unwrap(), &cached),
+            "an AST parsed under other limits than the sweep's served it"
+        );
     }
 
     /// Findings that differ in anything but the line never pair as

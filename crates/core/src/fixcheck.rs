@@ -35,7 +35,7 @@ use refminer_trace::TraceHandle;
 use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
 use crate::cancel::{CancelToken, Cancelled};
-use crate::diff::{diff_delta, LeftBehind};
+use crate::diff::{revision_delta, LeftBehind, Revision};
 use crate::eval::{names_injected_bug, SweepCounts};
 use crate::history::discover_revisions;
 use crate::project::{is_source_path, Project};
@@ -159,11 +159,16 @@ pub(crate) fn fixcheck_cancellable(
 ) -> Result<FixcheckReport, Cancelled> {
     let report_pre = audit_cancellable(&pre.tree, config, cache, trace, cancel)?;
     let report_post = audit_cancellable(post, config, cache, trace, cancel)?;
-    let delta = diff_delta(
+    let delta = revision_delta(
         &report_pre.findings,
         &report_post.findings,
-        Some(&pre.tree),
-        post,
+        Some(&Revision::cached(
+            &pre.tree,
+            &report_pre.unit_keys,
+            cache,
+            config,
+        )),
+        &Revision::cached(post, &report_post.unit_keys, cache, config),
         &report_post.kb,
         true,
     );

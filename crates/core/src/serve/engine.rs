@@ -40,7 +40,7 @@ use super::render::{render_diagnostics_line, render_finding_line, render_unit_di
 use crate::audit::{audit_cancellable, AuditConfig, AuditReport};
 use crate::cache::{AuditCache, CacheLoadOutcome};
 use crate::cancel::{CancelReason, CancelToken};
-use crate::diff::{diff_delta, render_diff_lines};
+use crate::diff::{render_diff_lines, revision_delta, Revision};
 use crate::fixcheck::{fixcheck_cancellable, reconstruct_pre_fix, render_fixcheck_lines};
 use crate::project::Project;
 use crate::{UnitDiagnostic, UnitErrorKind, UnitOutcome};
@@ -619,9 +619,10 @@ fn worker_loop(shared: Arc<Shared>) {
         shared.counters.cache_quarantined.store(1, Ordering::SeqCst);
     }
     let mut revision: u64 = 0;
-    // The last successfully-audited tree, kept so an `auditdiff` job
-    // can read revision-A sources for its left-behind clone sweep.
-    let mut last_project: Option<Project> = None;
+    // The last successfully-audited tree and its audit's unit keys,
+    // kept so an `auditdiff` job's left-behind clone sweep can read
+    // revision A's units from the cache.
+    let mut last_project: Option<(Project, Vec<u64>)> = None;
     'outer: loop {
         let job = {
             let mut q = shared.queue.lock().unwrap();
@@ -654,7 +655,7 @@ fn run_job(
     shared: &Shared,
     cache: &mut AuditCache,
     revision: &mut u64,
-    last_project: &mut Option<Project>,
+    last_project: &mut Option<(Project, Vec<u64>)>,
     job: &Job,
 ) -> JobOutcome {
     let cfg = &shared.cfg;
@@ -776,11 +777,14 @@ fn run_job(
             lines,
         },
         (JobKind::Diff, None) => {
-            let delta = diff_delta(
+            let a = last_project
+                .as_ref()
+                .map(|(p, keys)| Revision::cached(p, keys, cache, &cfg.audit));
+            let delta = revision_delta(
                 &prev.findings,
                 &report.findings,
-                last_project.as_ref(),
-                &project,
+                a.as_ref(),
+                &Revision::cached(&project, &report.unit_keys, cache, &cfg.audit),
                 &report.kb,
                 true,
             );
@@ -803,6 +807,6 @@ fn run_job(
             removed,
         },
     };
-    *last_project = Some(project);
+    *last_project = Some((project, report.unit_keys));
     outcome
 }

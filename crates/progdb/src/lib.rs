@@ -26,8 +26,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use refminer_cparse::{FunctionDef, TranslationUnit};
-use refminer_cpg::{Cfg, FunctionGraph, NodeFacts, StoreTarget};
-use refminer_rcapi::{ApiKb, RcDir};
+use refminer_cpg::{Cfg, FunctionGraph, NodeFacts, NodeKind, StoreTarget};
+use refminer_rcapi::{ApiKb, ObjectFlow, RcApi, RcClass, RcDir, SmartLoop};
 
 /// The refcounting effects one function applies to its parameters.
 ///
@@ -78,6 +78,11 @@ pub struct UnitExports {
     pub path: String,
     /// One export per function definition, in source order.
     pub fns: Vec<FnExport>,
+    /// The macro names the exported functions open macro loops with
+    /// (`for_each_child_of_node`), each once, in first-use order. The
+    /// checkers look these names up in the knowledge base, as
+    /// smartloops and as call origins.
+    pub loop_heads: Vec<String>,
 }
 
 fn push_unique(v: &mut Vec<usize>, idx: usize) {
@@ -137,18 +142,35 @@ impl FnExport {
     }
 }
 
+/// Adds the macro name of each of `cfg`'s macro-loop heads to `heads`,
+/// unless it is there already.
+fn add_loop_heads(cfg: &Cfg, heads: &mut Vec<String>) {
+    for node in &cfg.nodes {
+        if let NodeKind::MacroLoopHead { name, .. } = &node.kind {
+            if !heads.contains(name) {
+                heads.push(name.clone());
+            }
+        }
+    }
+}
+
 impl UnitExports {
     /// Extracts the exports of one unit from its function graphs.
     ///
     /// `globals` are the unit's global variable names (see
     /// [`FnExport::extract`]).
     pub fn extract(path: &str, graphs: &[FunctionGraph], globals: &[String]) -> UnitExports {
+        let mut loop_heads = Vec::new();
+        for g in graphs {
+            add_loop_heads(&g.cfg, &mut loop_heads);
+        }
         UnitExports {
             path: path.to_string(),
             fns: graphs
                 .iter()
                 .map(|g| FnExport::extract(&g.func, &g.cfg, &g.facts, globals))
                 .collect(),
+            loop_heads,
         }
     }
 
@@ -158,16 +180,20 @@ impl UnitExports {
     /// over the unit's graphs built under the same cap.
     pub fn of_unit(path: &str, tu: &TranslationUnit, max_nodes: usize) -> UnitExports {
         let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
+        let mut loop_heads = Vec::new();
+        let fns = tu
+            .functions()
+            .filter_map(|f| {
+                let cfg = Cfg::build_limited(f, max_nodes).ok()?;
+                add_loop_heads(&cfg, &mut loop_heads);
+                let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
+                Some(FnExport::extract(f, &cfg, &facts, &globals))
+            })
+            .collect();
         UnitExports {
             path: path.to_string(),
-            fns: tu
-                .functions()
-                .filter_map(|f| {
-                    let cfg = Cfg::build_limited(f, max_nodes).ok()?;
-                    let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
-                    Some(FnExport::extract(f, &cfg, &facts, &globals))
-                })
-                .collect(),
+            fns,
+            loop_heads,
         }
     }
 }
@@ -213,6 +239,9 @@ pub struct ProgramDb {
     unit_paths: Vec<Arc<str>>,
     /// Per unit: sorted, deduplicated callee names (for fingerprints).
     unit_callees: Vec<Vec<Arc<str>>>,
+    /// Per unit: the fingerprint of the knowledge-base entries of every
+    /// name its functions call or open a macro loop with.
+    unit_kb: Vec<u64>,
     whole_program: bool,
 }
 
@@ -268,6 +297,8 @@ impl ProgramDb {
         let mut unit_of_path = HashMap::new();
         let mut unit_paths = Vec::with_capacity(units.len());
         let mut unit_callees = Vec::with_capacity(units.len());
+        let mut unit_kb = Vec::with_capacity(units.len());
+        let mut entry_fps: HashMap<&str, u64> = HashMap::new();
         for (ui, unit) in units.iter().enumerate() {
             let path = interner.intern(&unit.path);
             unit_paths.push(path.clone());
@@ -294,7 +325,24 @@ impl ProgramDb {
             }
             names.sort();
             names.dedup();
+            let mut kb_names: Vec<&str> = unit
+                .fns
+                .iter()
+                .flat_map(|f| &f.calls)
+                .map(|c| c.callee.as_str())
+                .chain(unit.loop_heads.iter().map(String::as_str))
+                .collect();
+            kb_names.sort_unstable();
+            kb_names.dedup();
+            let mut h = FNV_OFFSET;
+            for name in kb_names {
+                let entry = *entry_fps
+                    .entry(name)
+                    .or_insert_with(|| kb_entry_fingerprint(kb, name));
+                h = mix(mix(h, fnv1a(name.as_bytes())), entry);
+            }
             unit_callees.push(names);
+            unit_kb.push(h);
         }
 
         // Effect fixpoint. A knowledge-base match on the callee name
@@ -372,6 +420,7 @@ impl ProgramDb {
             unit_of_path,
             unit_paths,
             unit_callees,
+            unit_kb,
             whole_program,
         }
     }
@@ -433,15 +482,20 @@ impl ProgramDb {
     }
 
     /// A fingerprint of everything `file`'s checking consumes from
-    /// *other* parts of the database: for each distinct callee name,
-    /// where it resolves to and what its merged summary says. Editing a
-    /// helper's unit changes this value for exactly the units that call
-    /// it, which is what keys their check-layer invalidation.
+    /// outside its own text: what the knowledge base says about each
+    /// name its functions call or open a macro loop with (its API and
+    /// smartloop entries, or their absence), and for each distinct
+    /// callee name, where it resolves to and what its merged summary
+    /// says. Those are the only names the checkers and the delta engine
+    /// look up, and nothing iterates the knowledge base, so this value
+    /// changes for exactly the units that call an edited helper or name
+    /// a changed KB entry — which is what keys their check-layer
+    /// invalidation.
     pub fn deps_fingerprint(&self, file: &str) -> u64 {
         let Some(&ui) = self.unit_of_path.get(file) else {
             return 0;
         };
-        let mut h = FNV_OFFSET;
+        let mut h = mix(FNV_OFFSET, self.unit_kb[ui]);
         for name in &self.unit_callees[ui] {
             h = mix(h, fnv1a(name.as_bytes()));
             match resolve(
@@ -469,6 +523,76 @@ impl ProgramDb {
         }
         h
     }
+}
+
+/// Fingerprint of the knowledge-base entries for `name`: its API entry
+/// and its smartloop entry, each or its absence. Both entry types are
+/// destructured whole, so a field added to either cannot be left out
+/// of the check keys this feeds.
+fn kb_entry_fingerprint(kb: &ApiKb, name: &str) -> u64 {
+    let str_fp = |h: u64, s: &str| mix(h, fnv1a(s.as_bytes()));
+    let mut h = FNV_OFFSET;
+    match kb.get(name) {
+        None => h = mix(h, 0),
+        Some(RcApi {
+            name,
+            class,
+            dir,
+            flow,
+            dec_names,
+            inc_on_error,
+            may_return_null,
+            releases_resources,
+        }) => {
+            h = str_fp(mix(h, 1), name);
+            h = mix(
+                h,
+                match class {
+                    RcClass::General => 0,
+                    RcClass::Specific => 1,
+                    RcClass::Embedded => 2,
+                },
+            );
+            h = mix(
+                h,
+                match dir {
+                    RcDir::Inc => 0,
+                    RcDir::Dec => 1,
+                },
+            );
+            let (tag, arg) = match flow {
+                ObjectFlow::Arg(i) => (0, *i),
+                ObjectFlow::Returned => (1, 0),
+                ObjectFlow::ArgAndReturned(i) => (2, *i),
+            };
+            h = mix(mix(h, tag), arg as u64);
+            h = mix(h, dec_names.len() as u64);
+            for d in dec_names {
+                h = str_fp(h, d);
+            }
+            for flag in [inc_on_error, may_return_null, releases_resources] {
+                h = mix(h, *flag as u64);
+            }
+        }
+    }
+    match kb.smartloop(name) {
+        None => h = mix(h, 0),
+        Some(SmartLoop {
+            name,
+            iter_arg,
+            dec_name,
+            embedded_api,
+        }) => {
+            h = str_fp(mix(h, 1), name);
+            h = mix(h, *iter_arg as u64);
+            h = str_fp(h, dec_name);
+            h = match embedded_api {
+                None => mix(h, 0),
+                Some(api) => str_fp(mix(h, 1), api),
+            };
+        }
+    }
+    h
 }
 
 /// The FNV-1a offset basis: the state before any byte is folded in.

@@ -15,6 +15,7 @@
 //! feasibility engine never enters the candidate pool.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use refminer_checkers::{AntiPattern, EngineId, Finding, Impact};
 use refminer_cparse::{parse_str, TranslationUnit};
@@ -260,7 +261,16 @@ pub fn struct_sig(g: &FunctionGraph, api: &str, object: Option<&str>, kb: &ApiKb
 /// source text of the file it lives in. Returns `None` when the seed
 /// function cannot be found in the source (stale report).
 pub fn abstract_template(finding: &Finding, source: &str, kb: &ApiKb) -> Option<BugTemplate> {
-    let tu = parse_str(&finding.file, source);
+    abstract_template_parsed(finding, &parse_str(&finding.file, source), kb)
+}
+
+/// [`abstract_template`] over the already-parsed unit the finding lives
+/// in — what a caller holding the audit's ASTs passes instead of text.
+pub fn abstract_template_parsed(
+    finding: &Finding,
+    tu: &TranslationUnit,
+    kb: &ApiKb,
+) -> Option<BugTemplate> {
     let func = tu.function(&finding.function)?;
     let g = FunctionGraph::build(func);
     let sig = struct_sig(&g, &finding.api, finding.object.as_deref(), kb);
@@ -310,7 +320,24 @@ pub fn sweep<F>(
 where
     F: FnMut(&str) -> Option<String>,
 {
-    let mut parsed: HashMap<String, Option<TranslationUnit>> = HashMap::new();
+    sweep_parsed(template, findings, kb, |path| {
+        source_of(path).map(|s| Arc::new(parse_str(path, &s)))
+    })
+}
+
+/// [`sweep`] over parsed units: `unit_of` is a path → parsed-unit
+/// lookup, asked at most once per candidate file, so a caller holding
+/// the audit's ASTs hands them over instead of their text.
+pub fn sweep_parsed<F>(
+    template: &BugTemplate,
+    findings: &[Finding],
+    kb: &ApiKb,
+    mut unit_of: F,
+) -> Vec<CloneMatch>
+where
+    F: FnMut(&str) -> Option<Arc<TranslationUnit>>,
+{
+    let mut parsed: HashMap<&str, Option<Arc<TranslationUnit>>> = HashMap::new();
     let mut out = Vec::new();
     for f in findings {
         if f.file == template.origin.file && f.line == template.origin.line {
@@ -323,8 +350,8 @@ where
             continue;
         }
         let tu = parsed
-            .entry(f.file.clone())
-            .or_insert_with(|| source_of(&f.file).map(|s| parse_str(&f.file, &s)));
+            .entry(f.file.as_str())
+            .or_insert_with(|| unit_of(&f.file));
         let Some(tu) = tu else { continue };
         let Some(func) = tu.function(&f.function) else {
             continue;

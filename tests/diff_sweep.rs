@@ -6,19 +6,23 @@
 //! cache temperature; (2) pure line shifts classify as `moved`, not
 //! introduced+fixed; (3) a partial-fix commit surfaces its unfixed
 //! clone siblings as `left_behind`; (4) diff, fixcheck and history
-//! re-parse only each revision's delta through one shared cache;
-//! (5) on the FP-trap corpus the sweep finds ≥90% of injected clone
-//! siblings with zero spurious matches.
+//! re-parse only each revision's delta through one shared cache, and
+//! re-check only the units the commit can reach; (5) on the FP-trap
+//! corpus the sweep finds ≥90% of injected clone siblings with zero
+//! spurious matches.
 
+use refminer::checkers::UnitExports;
 use refminer::corpus::{
     generate_fix_history, generate_release_history, generate_tree, ReleaseHistoryConfig, TreeConfig,
 };
+use refminer::cparse::parse_str;
 use refminer::serve::render_finding_line;
 use refminer::{
     audit_with_cache, diff_projects, evaluate_sweep, fixcheck_project, history_audit,
-    render_diff_lines, render_file_diff, AuditCache, AuditConfig, DiffOptions, Project,
+    render_diff_lines, render_file_diff, ApiKb, AuditCache, AuditConfig, AuditLimits, DiffOptions,
+    ProgramDb, Project,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 fn history_cfg() -> TreeConfig {
     TreeConfig {
@@ -307,6 +311,121 @@ fn revision_replays_reparse_only_each_revisions_delta() {
             rel.version
         );
     }
+}
+
+/// Each unit's exports, and the names its functions call or open a
+/// macro loop with: every name its checks look up.
+fn exports_and_names(p: &Project) -> Vec<(UnitExports, BTreeSet<String>)> {
+    let cap = AuditLimits::default().max_graph_nodes;
+    p.units()
+        .iter()
+        .map(|u| {
+            let ex = UnitExports::of_unit(&u.path, &parse_str(&u.path, &u.text), cap);
+            let calls = ex
+                .fns
+                .iter()
+                .flat_map(|f| f.calls.iter().map(|c| &c.callee));
+            let names = calls.chain(&ex.loop_heads).cloned().collect();
+            (ex, names)
+        })
+        .collect()
+}
+
+/// Names whose API or smartloop entry differs between two KBs.
+fn changed_entries(a: &ApiKb, b: &ApiKb) -> BTreeSet<String> {
+    let names = a.apis().chain(b.apis()).map(|x| x.name.clone());
+    let loops = a.smartloops().chain(b.smartloops()).map(|l| l.name.clone());
+    names
+        .chain(loops)
+        .filter(|n| a.get(n) != b.get(n) || a.smartloop(n) != b.smartloop(n))
+        .collect()
+}
+
+/// The units of `b` a commit from `a` must re-check: those it changed,
+/// those calling a helper whose merged summary it changed, and those
+/// naming a KB entry it changed.
+fn reachable_units(a: &Project, b: &Project, kb_a: &ApiKb, kb_b: &ApiKb) -> BTreeSet<String> {
+    let (units_a, units_b) = (exports_and_names(a), exports_and_names(b));
+    let db = |units: &[(UnitExports, BTreeSet<String>)], kb| {
+        let exports: Vec<&UnitExports> = units.iter().map(|(ex, _)| ex).collect();
+        ProgramDb::build(&exports, kb, true)
+    };
+    let (db_a, db_b) = (db(&units_a, kb_a), db(&units_b, kb_b));
+    let kb_changed = changed_entries(kb_a, kb_b);
+    b.units()
+        .iter()
+        .zip(&units_b)
+        .filter(|(u, (_, names))| {
+            let edited = a
+                .units()
+                .iter()
+                .find(|o| o.path == u.path)
+                .is_none_or(|o| o.text != u.text);
+            edited
+                || names.iter().any(|n| kb_changed.contains(n))
+                || names
+                    .iter()
+                    .any(|n| db_a.summary_of(&u.path, n) != db_b.summary_of(&u.path, n))
+        })
+        .map(|(u, _)| u.path.clone())
+        .collect()
+}
+
+/// Replays a fix history whose fix of group 4 makes discovery add the
+/// fixed function to the KB as an Inc API. For every commit, `diff`'s
+/// revision A and both `fixcheck` audits are trees the cache holds:
+/// they hit the memoized barrier (so build no `ProgramDb`), re-check
+/// nothing and add no cache entry. Revision B re-checks exactly the
+/// units the commit reaches.
+#[test]
+fn commit_checks_recheck_only_what_each_commit_reaches() {
+    let revs = generate_fix_history(&TreeConfig {
+        clone_groups: 5,
+        ..history_cfg()
+    });
+    let projects: Vec<Project> = revs.iter().map(|r| Project::from_tree(&r.tree)).collect();
+    let cfg = config(1);
+    let mut cache = AuditCache::new();
+    audit_with_cache(&projects[0], &cfg, &mut cache);
+    let mut kb_commits = Vec::new();
+    for i in 1..projects.len() {
+        let (a, b) = (&projects[i - 1], &projects[i]);
+        let dr = diff_projects(a, b, &cfg, &mut cache, &DiffOptions::default());
+        let s = &dr.report_a.cache;
+        assert_eq!(
+            (s.parse_misses, s.check_misses, s.discovery_hits),
+            (0, 0, 1),
+            "commit {i}: revision A must be served whole from the cache"
+        );
+        if !changed_entries(&dr.report_a.kb, &dr.report_b.kb).is_empty() {
+            kb_commits.push(i);
+        }
+        let reachable = reachable_units(a, b, &dr.report_a.kb, &dr.report_b.kb);
+        assert_eq!(
+            dr.report_b.cache.check_misses,
+            reachable.len(),
+            "commit {i}: revision B must re-check exactly {reachable:?}"
+        );
+
+        let diff: String = b
+            .units()
+            .iter()
+            .filter_map(|u| {
+                let old = a.units().iter().find(|o| o.path == u.path);
+                render_file_diff(&u.path, old.map_or("", |o| o.text.as_str()), &u.text)
+            })
+            .collect();
+        let before = cache.len();
+        let fr = fixcheck_project(b, &diff, &cfg, &mut cache).expect("the commit's diff applies");
+        assert_eq!(
+            cache.len(),
+            before,
+            "commit {i}: a fixcheck audit parsed, checked or merged something"
+        );
+        let s = &fr.report.cache;
+        assert_eq!((s.check_misses, s.discovery_hits), (0, 1), "commit {i}");
+    }
+    assert_eq!(kb_commits, [5], "the fix of group 4 changes the KB");
 }
 
 // ----------------------------------------------------------------------

@@ -375,17 +375,33 @@ fn summary_neutral_helper_edit_rechecks_only_the_edited_unit() {
 
 #[test]
 fn config_change_invalidates_check_layer_not_parse_layer() {
-    let tree = small_tree();
+    // The vendor module's units call wrappers only discovery adds to
+    // the KB; the rest of the tree names no discovered API.
+    let tree = generate_tree(&TreeConfig {
+        scale: 0.04,
+        include_vendor: true,
+        ..Default::default()
+    });
     let project = Project::from_tree(&tree);
     let mut cache = AuditCache::new();
     audit_with_cache(&project, &config(2, false), &mut cache);
 
     // Same parse limits, different KB (discovery on) → parse entries
-    // stay valid, check entries key on the new KB fingerprint.
+    // stay valid, and check entries key on the KB entries each unit
+    // names: the units that call a discovered API re-check, the rest
+    // keep their entries.
     let second = audit_with_cache(&project, &config(2, true), &mut cache);
     assert_eq!(second.cache.parse_misses, 0, "parse layer survives");
     assert!(
         second.cache.check_misses > 0,
-        "check layer re-keys on the KB"
+        "units naming a discovered API re-check"
     );
+    assert!(
+        second.cache.check_misses < tree.files.len() / 2,
+        "units naming no discovered API keep their entries: {} of {} re-checked",
+        second.cache.check_misses,
+        tree.files.len()
+    );
+    let cold = audit(&project, &config(2, true));
+    assert_eq!(json_lines(&second), json_lines(&cold));
 }
