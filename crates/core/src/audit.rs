@@ -40,7 +40,7 @@
 //! the end. Phase wall times are reported out of band and never enter
 //! any cached or serialized result.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -643,7 +643,8 @@ pub fn audit(project: &Project, config: &AuditConfig) -> AuditReport {
 /// the *same* cache skip every stage whose inputs are unchanged. The
 /// report is byte-identical to [`audit`]'s — caching only changes which
 /// work executes, never its result — and [`AuditReport::cache`] records
-/// this run's hits and misses.
+/// this run's hits and misses. Once the run completes, the cache keeps
+/// only what it and the previous run read (see [`AuditCache`]).
 pub fn audit_with_cache(
     project: &Project,
     config: &AuditConfig,
@@ -685,8 +686,9 @@ pub fn audit_traced(
 /// pipeline bails at the next boundary — crucially **before** the
 /// stage's cache-put loop, so placeholders never pollute any cache
 /// layer. A cancelled audit therefore costs at most one unit's worth
-/// of residual work per worker and leaves the cache exactly as
-/// consistent as it found it.
+/// of residual work per worker, leaves the cache exactly as consistent
+/// as it found it, and drops no entry: only a completed audit retires
+/// what neither it nor the previous one read.
 pub fn audit_cancellable(
     project: &Project,
     config: &AuditConfig,
@@ -836,7 +838,6 @@ pub fn audit_cancellable(
     // Probe the check layer for every unit that parsed and lies inside
     // the subsystem filter.
     let mut checked: Vec<Option<Arc<CheckedUnit>>> = (0..n).map(|_| None).collect();
-    let mut check_keys: HashSet<(u64, u64)> = HashSet::new();
     let mut check_todo: Vec<(usize, u64)> = Vec::new();
     for i in 0..n {
         if !parsed[i].parsed_ok {
@@ -849,7 +850,6 @@ pub fn audit_cancellable(
             }
         }
         let deps_fp = mix(check_cfg, barrier.deps[i]);
-        check_keys.insert((unit_keys[i], deps_fp));
         match cache.check_get(unit_keys[i], deps_fp) {
             Some(c) => checked[i] = Some(c),
             None => check_todo.push((i, deps_fp)),
@@ -949,26 +949,26 @@ pub fn audit_cancellable(
     diagnostics.units.sort_by(|a, b| a.path.cmp(&b.path));
     drop(report_span);
 
+    // The audit completed: the cache keeps what it and the previous
+    // audit read, and counts as stale what it held but this audit did
+    // not read.
+    let (parse_stale, check_stale, discovery_stale) = cache.end_audit();
     if trace.is_enabled() {
         trace.add("units.total", n as u64);
         let s = &cache.stats;
         for (name, value) in [
             ("cache.parse.hit", s.parse_hits),
             ("cache.parse.miss", s.parse_misses),
+            ("cache.parse.stale", parse_stale),
             ("cache.check.hit", s.check_hits),
             ("cache.check.miss", s.check_misses),
+            ("cache.check.stale", check_stale),
             ("cache.discovery.hit", s.discovery_hits),
             ("cache.discovery.miss", s.discovery_misses),
+            ("cache.discovery.stale", discovery_stale),
         ] {
             trace.add(name, value as u64);
         }
-        // Stale entries: leftovers from earlier trees/configs that no
-        // key produced this run could ever address.
-        let parse_keys: HashSet<u64> = unit_keys.iter().copied().collect();
-        let stale = cache.stale_counts(&parse_keys, &check_keys, tree_fp);
-        trace.add("cache.parse.stale", stale.parse as u64);
-        trace.add("cache.check.stale", stale.check as u64);
-        trace.add("cache.discovery.stale", stale.discovery as u64);
         // Limit trips, keyed by the diagnostic taxonomy.
         for (kind, count) in diagnostics.by_kind() {
             trace.add(&format!("limit.{}", kind.name()), count as u64);
@@ -1053,6 +1053,7 @@ fn cancelled_parse_placeholder() -> ParsedUnit {
 mod tests {
     use super::*;
     use refminer_corpus::{generate_tree, TreeConfig};
+    use std::collections::HashSet;
 
     #[test]
     fn audits_synthetic_tree_slice() {
@@ -1116,6 +1117,45 @@ mod tests {
         let clean = audit_with_cache(&project, &cfg, &mut AuditCache::new());
         assert_eq!(after.findings, clean.findings);
         assert_eq!(after.cache.parse_hits, 0, "cache was not cold");
+    }
+
+    #[test]
+    fn cancelled_audit_through_a_warm_cache_drops_nothing() {
+        use crate::cancel::CancelToken;
+
+        // A cache holding two trees. Neither a pre-cancelled audit nor
+        // one past its deadline may drop an entry, and neither counts as
+        // one of the two audits whose entries the cache keeps: the next
+        // completed audit, of the first tree, keeps the second.
+        let tree = |seed| {
+            Project::from_tree(&generate_tree(&TreeConfig {
+                seed,
+                scale: 0.03,
+                include_tricky: false,
+                ..Default::default()
+            }))
+        };
+        let (a, b) = (tree(1), tree(2));
+        let cfg = AuditConfig::default();
+        let trace = TraceHandle::disabled();
+        let mut cache = AuditCache::new();
+        audit_with_cache(&a, &cfg, &mut cache);
+        audit_with_cache(&b, &cfg, &mut cache);
+        let warm = cache.len();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for token in [
+            cancelled,
+            CancelToken::with_timeout(std::time::Duration::ZERO),
+        ] {
+            for project in [&a, &b] {
+                assert!(audit_cancellable(project, &cfg, &mut cache, &trace, &token).is_err());
+                assert_eq!(cache.len(), warm, "a cancelled audit dropped entries");
+            }
+        }
+        let again = audit_with_cache(&a, &cfg, &mut cache);
+        assert_eq!((again.cache.parse_misses, again.cache.check_misses), (0, 0));
+        assert_eq!(cache.len(), warm, "a cancelled audit counted as one kept");
     }
 
     #[test]

@@ -52,11 +52,10 @@ use refminer::serve::{
     render_diagnostics_line, render_finding_line, rpc_roundtrip, run_serve, ServeConfig,
     ServeOptions, WatchOptions,
 };
-use refminer::sweep::abstract_template;
 use refminer::{
     audit_traced, audit_with_cache, diff_projects, evaluate_engines, fixcheck_project,
-    render_diff_lines, AuditCache, AuditConfig, AuditLimits, DiffOptions, EngineSet, Project,
-    ScanOptions, TraceHandle,
+    render_diff_lines, sweep_clones, AuditCache, AuditConfig, AuditLimits, DiffOptions, EngineSet,
+    Project, Revision, ScanOptions, TraceHandle,
 };
 use refminer_json::{obj, ToJson, Value};
 
@@ -283,21 +282,17 @@ fn main() -> ExitCode {
         None => AuditCache::new(),
     };
     drop(cache_span);
-    let report = audit_traced(
-        &project,
-        &AuditConfig {
-            discover_apis: opts.discovery,
-            limits,
-            jobs: opts.jobs,
-            feasibility: opts.feasibility,
-            only_patterns: opts.only_patterns.clone(),
-            engines: opts.engines,
-            subsystem: opts.subsystem.clone(),
-            ..Default::default()
-        },
-        &mut cache,
-        &trace,
-    );
+    let config = AuditConfig {
+        discover_apis: opts.discovery,
+        limits,
+        jobs: opts.jobs,
+        feasibility: opts.feasibility,
+        only_patterns: opts.only_patterns.clone(),
+        engines: opts.engines,
+        subsystem: opts.subsystem.clone(),
+        ..Default::default()
+    };
+    let report = audit_traced(&project, &config, &mut cache, &trace);
     if opts.cache_dir.is_some() {
         let save_span = trace.span("cache.save");
         if let Err(e) = cache.save() {
@@ -307,7 +302,8 @@ fn main() -> ExitCode {
     }
     if opts.eval {
         let eval_span = trace.span("eval");
-        let code = run_eval(&opts, &project, &report);
+        let tree = Revision::audited(&project, &report, &cache, &config);
+        let code = run_eval(&opts, &tree, &report);
         drop(eval_span);
         finish_trace(&opts, &trace);
         return code;
@@ -820,7 +816,8 @@ fn sweep_main() -> ExitCode {
         }
     };
     let mut cache = flags.open_cache();
-    let report = audit_with_cache(&project, &flags.config(), &mut cache);
+    let config = flags.config();
+    let report = audit_with_cache(&project, &config, &mut cache);
     flags.save_cache("sweep", &mut cache);
     let Some(seed) = report
         .findings
@@ -830,25 +827,15 @@ fn sweep_main() -> ExitCode {
         eprintln!("refminer sweep: no finding at {seed_file}:{seed_line}");
         return ExitCode::from(2);
     };
-    let source_of = |path: &str| -> Option<String> {
-        project
-            .units()
-            .iter()
-            .find(|u| u.path == path)
-            .map(|u| u.text.clone())
-    };
-    let Some(seed_src) = source_of(&seed.file) else {
-        eprintln!("refminer sweep: seed source {} not in tree", seed.file);
-        return ExitCode::from(2);
-    };
-    let Some(template) = abstract_template(seed, &seed_src, &report.kb) else {
+    let tree = Revision::audited(&project, &report, &cache, &config);
+    let Some((template, matches)) = sweep_clones(seed, &tree, &tree, &report.findings, &report.kb)
+    else {
         eprintln!(
             "refminer sweep: could not abstract {}:{} into a template",
             seed.file, seed.line
         );
         return ExitCode::from(2);
     };
-    let matches = refminer::sweep::sweep(&template, &report.findings, &report.kb, source_of);
     if flags.json {
         println!("{}", obj([("template", template.to_json())]));
         for m in &matches {
@@ -1069,7 +1056,7 @@ fn run_fixcheck_eval(opts: &Options) -> ExitCode {
 /// ground-truth manifest the corpus generator wrote next to the tree.
 /// Under `--sweep`, score the clone sweep against the manifest's clone
 /// groups instead.
-fn run_eval(opts: &Options, project: &Project, report: &refminer::AuditReport) -> ExitCode {
+fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport) -> ExitCode {
     let findings = &report.findings;
     let manifest_path = opts.path.join("manifest.json");
     let text = match std::fs::read_to_string(&manifest_path) {
@@ -1094,13 +1081,7 @@ fn run_eval(opts: &Options, project: &Project, report: &refminer::AuditReport) -
         }
     };
     if opts.sweep_eval {
-        let sweep_eval = refminer::evaluate_sweep(findings, &manifest, &report.kb, |path| {
-            project
-                .units()
-                .iter()
-                .find(|u| u.path == path)
-                .map(|u| u.text.clone())
-        });
+        let sweep_eval = refminer::evaluate_sweep(findings, &manifest, &report.kb, tree);
         if opts.json {
             println!("{}", sweep_eval.to_json());
             return ExitCode::SUCCESS;

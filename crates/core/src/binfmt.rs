@@ -5,9 +5,9 @@
 //! payloads* — one [`ParsedUnit`] (with its [`UnitExports`]),
 //! [`CheckedUnit`] or [`Barrier`] each. The design goals, in order:
 //!
-//! - **Lazy**: every payload is self-contained, so the loader can index
-//!   `(key, offset, length)` without touching a single payload byte and
-//!   decode only the entries a run actually addresses.
+//! - **Self-contained**: every payload decodes on its own, from its own
+//!   length-prefixed bytes, so one that fails to decode is dropped alone
+//!   and its neighbours load.
 //! - **Total decoding**: `decode_*` returns `Option` and never panics
 //!   on any byte string — lengths are bounds-checked against the
 //!   remaining input, strings are UTF-8-validated, enum tags are
@@ -84,24 +84,15 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// The next `n` bytes (the container framing reads each payload
+    /// through here).
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.remaining() < n {
             return None;
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Some(s)
-    }
-
-    /// Skips `n` bytes (used by the container indexer to hop over
-    /// payloads without decoding them).
-    pub(crate) fn skip(&mut self, n: usize) -> Option<()> {
-        self.take(n).map(|_| ())
-    }
-
-    /// The cursor position (container framing records payload offsets).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {

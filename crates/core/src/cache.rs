@@ -55,25 +55,38 @@
 //! ```
 //!
 //! The checksum is FNV-1a over the body. Loading reads the file into
-//! one owned buffer, validates the header and walks the section
-//! *framing* only — payload bytes are indexed, not decoded — so a warm
-//! start costs one read (which the checksum needs in full anyway) plus
-//! O(entries) pointer arithmetic, and each entry deserializes lazily on
-//! first use ([`Slot`]). The buffer is the process's own copy, so
-//! nothing written to the file after the load can reach a lookup.
-//! Saving copies still-undecoded payloads byte-for-byte from the loaded
-//! buffer, so a warm save doesn't re-encode what it never touched.
-//! Saves publish atomically (temp file + rename) and a corrupt file is
-//! quarantined, both through the `refminer-faultio` seams.
+//! one owned buffer, validates the header and decodes every payload as
+//! it walks the section framing; the buffer is dropped once the walk
+//! ends, so nothing written to the file after the load can reach a
+//! lookup. Saves encode every held entry and publish atomically (a temp
+//! file, then a rename), and a corrupt file is quarantined, both through
+//! the `refminer-faultio` seams.
+//!
+//! # Retention: the last two audits
+//!
+//! Every entry is stamped with the audit that last read or wrote it.
+//! When an audit completes, the cache keeps exactly the entries that
+//! audit or the previous completed one read or wrote
+//! ([`AUDITS_KEPT`]), so a daemon, `history` or a `--cache-dir` user
+//! walking through revisions holds at most two trees' worth of
+//! entries, in memory and on disk. The window is two audits because a
+//! fixcheck right after a diff of the same commit re-reads entries
+//! only the diff's revision-A audit read. Entries loaded from disk
+//! count as read by no audit, so a process keeps a loaded entry only if
+//! its first audit reads it. A cancelled audit drops nothing, and what
+//! it read counts as read by the next audit to complete. Every held
+//! entry is therefore one a recent audit used, which is why the load
+//! decodes them all.
 //!
 //! Keys fold in every configuration input that can change the stage's
 //! output — resource limits, the nesting threshold, the checker-set
 //! fingerprint, the builtin-KB fingerprint — so a stale cache can be
 //! *unused*, never *wrong*. The same holds one level down: a corrupt
 //! payload (possible only past a checksum collision) fails to decode
-//! and degrades to a cache miss.
+//! and is dropped on load, a cache miss.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -309,58 +322,95 @@ impl CacheStats {
     }
 }
 
-/// Per-layer counts of cache entries the current run cannot address
-/// (see [`AuditCache::stale_counts`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStaleCounts {
-    /// Parse-layer entries keyed by content no current unit has.
-    pub parse: usize,
-    /// Check-layer entries whose `(unit, deps)` key no current unit
-    /// resolves to — superseded by edits to the unit or its helpers.
-    pub check: usize,
-    /// Discovery entries for trees other than the current one.
-    pub discovery: usize,
-}
-
 // ----------------------------------------------------------------------
-// Lazy slots.
+// Entries and their retention.
 // ----------------------------------------------------------------------
 
-/// One cache entry: either decoded ([`Slot::Mem`]) or still a byte
-/// range into the loaded file ([`Slot::Disk`]). Disk slots decode on
-/// first lookup and memoize; a save copies their bytes verbatim.
+/// How many completed audits' entries the cache keeps: those of the
+/// last audit and of the one before it (see the module docs).
+const AUDITS_KEPT: u64 = 2;
+
+/// One cache entry and the audit that last read or wrote it: audit `n`
+/// is the `n`-th through this cache, and 0 means no audit yet (an entry
+/// loaded from disk).
 #[derive(Debug)]
-enum Slot<T> {
-    Mem(Arc<T>),
-    Disk { off: usize, len: usize },
+struct Entry<T> {
+    value: Arc<T>,
+    read: u64,
 }
 
-/// Looks `key` up in a slot map, decoding and memoizing a disk slot on
-/// first touch. A payload that fails to decode (checksum-collision
-/// territory) is dropped — the lookup becomes a miss, never a wrong
-/// answer.
-fn slot_get<K: Eq + std::hash::Hash + Copy, T>(
-    map: &mut HashMap<K, Slot<T>>,
-    raw: &Option<Vec<u8>>,
-    key: K,
-    decode: impl Fn(&[u8]) -> Option<T>,
-) -> Option<Arc<T>> {
-    let (off, len) = match map.get(&key)? {
-        Slot::Mem(v) => return Some(v.clone()),
-        Slot::Disk { off, len } => (*off, *len),
+/// One layer: entries by key.
+type Layer<K, T> = HashMap<K, Entry<T>>;
+
+/// Looks `key` up and stamps the entry as read by `audit`.
+fn get<K: Eq + Hash, T>(layer: &mut Layer<K, T>, key: &K, audit: u64) -> Option<Arc<T>> {
+    let entry = layer.get_mut(key)?;
+    entry.read = audit;
+    Some(Arc::clone(&entry.value))
+}
+
+/// Inserts `value` under `key` as written by `audit`.
+fn put<K: Eq + Hash, T>(layer: &mut Layer<K, T>, key: K, value: T, audit: u64) -> Arc<T> {
+    let value = Arc::new(value);
+    let entry = Entry {
+        value: Arc::clone(&value),
+        read: audit,
     };
-    let bytes = raw.as_ref()?;
-    match decode(&bytes[off..off + len]) {
-        Some(v) => {
-            let arc = Arc::new(v);
-            map.insert(key, Slot::Mem(arc.clone()));
-            Some(arc)
-        }
-        None => {
-            map.remove(&key);
-            None
+    layer.insert(key, entry);
+    value
+}
+
+/// Ends `audit` for one layer: drops every entry last read at or before
+/// audit `floor`, and returns how many entries `audit` did not read.
+fn retire<K, T>(layer: &mut Layer<K, T>, audit: u64, floor: u64) -> usize {
+    let mut unread = 0;
+    layer.retain(|_, e| {
+        unread += usize::from(e.read != audit);
+        e.read > floor
+    });
+    unread
+}
+
+/// Writes one layer's section: its entry count, then per entry in
+/// sorted key order the key and the length-prefixed payload.
+fn put_layer<K: Ord + Copy, T>(
+    body: &mut Vec<u8>,
+    layer: &Layer<K, T>,
+    put_key: impl Fn(&mut Vec<u8>, K),
+    encode: impl Fn(&mut Vec<u8>, &T),
+) {
+    let mut entries: Vec<(K, &Entry<T>)> = layer.iter().map(|(k, e)| (*k, e)).collect();
+    entries.sort_by_key(|(k, _)| *k);
+    binfmt::put_u64(body, entries.len() as u64);
+    for (k, e) in entries {
+        put_key(body, k);
+        let at = body.len();
+        binfmt::put_u64(body, 0); // placeholder
+        encode(body, &e.value);
+        let len = (body.len() - at - 8) as u64;
+        body[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Reads one layer's section, decoding each payload as an entry no
+/// audit has read. `None` on malformed framing; a payload that fails to
+/// decode (checksum-collision territory) is dropped alone — a miss,
+/// never a wrong answer.
+fn get_layer<K: Eq + Hash, T>(
+    d: &mut binfmt::Dec<'_>,
+    get_key: impl Fn(&mut binfmt::Dec<'_>) -> Option<K>,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Option<Layer<K, T>> {
+    let mut layer = HashMap::new();
+    for _ in 0..d.u64()? {
+        let key = get_key(d)?;
+        let len = usize::try_from(d.u64()?).ok()?;
+        if let Some(v) = decode(d.take(len)?) {
+            let value = Arc::new(v);
+            layer.insert(key, Entry { value, read: 0 });
         }
     }
+    Some(layer)
 }
 
 // ----------------------------------------------------------------------
@@ -375,7 +425,7 @@ pub enum CacheLoadOutcome {
     /// No cache file existed (or the cache is memory-only).
     #[default]
     Empty,
-    /// The file validated and its entries were indexed.
+    /// The file validated and its entries were decoded.
     Loaded,
     /// The file was malformed or version-mismatched; it was renamed
     /// aside to the contained path and the cache rebuilt cold.
@@ -386,14 +436,18 @@ pub enum CacheLoadOutcome {
 }
 
 /// The three-layer audit cache. See the module docs for the layering
-/// and invalidation rules.
+/// and invalidation rules. When an audit through it completes, the
+/// cache keeps only the entries that audit or the previous completed
+/// one read or wrote, so it holds at most two trees' worth of entries;
+/// a cancelled audit drops nothing.
 #[derive(Debug, Default)]
 pub struct AuditCache {
-    parse: HashMap<u64, Slot<ParsedUnit>>,
-    check: HashMap<(u64, u64), Slot<CheckedUnit>>,
-    discovery: HashMap<u64, Slot<Barrier>>,
-    /// The loaded cache file, backing every `Slot::Disk` byte range.
-    raw: Option<Vec<u8>>,
+    parse: Layer<u64, ParsedUnit>,
+    check: Layer<(u64, u64), CheckedUnit>,
+    discovery: Layer<u64, Barrier>,
+    /// Audits completed through this cache; the one in progress is
+    /// number `audits + 1`.
+    audits: u64,
     /// Counters for the current (or most recent) audit run; reset by
     /// each `audit_with_cache` call.
     pub stats: CacheStats,
@@ -459,7 +513,6 @@ impl AuditCache {
                     // the next atomic save to overwrite.
                     let aside = dir.join(format!("{CACHE_FILE}{QUARANTINE_SUFFIX}"));
                     let _ = refminer_faultio::rename(&file, &aside);
-                    cache.clear_layers();
                     cache.load_outcome = CacheLoadOutcome::Quarantined(aside);
                 }
             }
@@ -480,15 +533,6 @@ impl AuditCache {
         &self.load_outcome
     }
 
-    /// Drops every in-memory layer (quarantine rebuilds cold even if a
-    /// malformed prefix half-loaded).
-    fn clear_layers(&mut self) {
-        self.parse.clear();
-        self.check.clear();
-        self.discovery.clear();
-        self.raw = None;
-    }
-
     /// Resets the per-run hit/miss counters.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
@@ -496,7 +540,7 @@ impl AuditCache {
 
     /// Parse-layer lookup; counts a hit (for the exports too).
     pub(crate) fn parse_get(&mut self, key: u64) -> Option<Arc<ParsedUnit>> {
-        let hit = slot_get(&mut self.parse, &self.raw, key, binfmt::decode_parsed);
+        let hit = get(&mut self.parse, &key, self.audits + 1);
         if hit.is_some() {
             self.stats.parse_hits += 1;
             self.stats.export_hits += 1;
@@ -509,29 +553,19 @@ impl AuditCache {
     pub(crate) fn parse_put(&mut self, key: u64, unit: ParsedUnit) -> Arc<ParsedUnit> {
         self.stats.parse_misses += 1;
         self.stats.export_misses += 1;
-        let arc = Arc::new(unit);
-        self.parse.insert(key, Slot::Mem(arc.clone()));
-        arc
+        put(&mut self.parse, key, unit, self.audits + 1)
     }
 
     /// The AST a parse-layer entry holds in memory, for a caller that
     /// reads the audited units after the audit (the left-behind sweep).
-    /// Neither counts nor decodes: an entry loaded from disk holds none.
+    /// Does not count as a read: an entry loaded from disk holds none.
     pub(crate) fn ast(&self, key: u64) -> Option<Arc<TranslationUnit>> {
-        match self.parse.get(&key)? {
-            Slot::Mem(p) => p.tu.clone(),
-            Slot::Disk { .. } => None,
-        }
+        self.parse.get(&key)?.value.tu.clone()
     }
 
     /// Check-layer lookup; counts a hit.
     pub(crate) fn check_get(&mut self, unit_key: u64, kb_fp: u64) -> Option<Arc<CheckedUnit>> {
-        let hit = slot_get(
-            &mut self.check,
-            &self.raw,
-            (unit_key, kb_fp),
-            binfmt::decode_checked,
-        );
+        let hit = get(&mut self.check, &(unit_key, kb_fp), self.audits + 1);
         if hit.is_some() {
             self.stats.check_hits += 1;
         }
@@ -546,19 +580,12 @@ impl AuditCache {
         unit: CheckedUnit,
     ) -> Arc<CheckedUnit> {
         self.stats.check_misses += 1;
-        let arc = Arc::new(unit);
-        self.check.insert((unit_key, kb_fp), Slot::Mem(arc.clone()));
-        arc
+        put(&mut self.check, (unit_key, kb_fp), unit, self.audits + 1)
     }
 
     /// Discovery-layer lookup; counts a hit.
     pub(crate) fn discovery_get(&mut self, tree_fp: u64) -> Option<Arc<Barrier>> {
-        let hit = slot_get(
-            &mut self.discovery,
-            &self.raw,
-            tree_fp,
-            binfmt::decode_barrier,
-        );
+        let hit = get(&mut self.discovery, &tree_fp, self.audits + 1);
         if hit.is_some() {
             self.stats.discovery_hits += 1;
         }
@@ -568,9 +595,21 @@ impl AuditCache {
     /// Discovery-layer insert; counts the miss that required it.
     pub(crate) fn discovery_put(&mut self, tree_fp: u64, barrier: Barrier) -> Arc<Barrier> {
         self.stats.discovery_misses += 1;
-        let arc = Arc::new(barrier);
-        self.discovery.insert(tree_fp, Slot::Mem(arc.clone()));
-        arc
+        put(&mut self.discovery, tree_fp, barrier, self.audits + 1)
+    }
+
+    /// Completes the audit in progress: keeps only the entries it or
+    /// the previous completed audit read or wrote, and returns per layer
+    /// `(parse, check, discovery)` how many entries it did not read
+    /// (the `cache.*.stale` trace counters).
+    pub(crate) fn end_audit(&mut self) -> (usize, usize, usize) {
+        self.audits += 1;
+        let (audit, floor) = (self.audits, self.audits.saturating_sub(AUDITS_KEPT));
+        (
+            retire(&mut self.parse, audit, floor),
+            retire(&mut self.check, audit, floor),
+            retire(&mut self.discovery, audit, floor),
+        )
     }
 
     /// Entries per layer: `(parse, check, discovery)`.
@@ -583,68 +622,37 @@ impl AuditCache {
         self.parse.is_empty() && self.check.is_empty() && self.discovery.is_empty()
     }
 
-    /// Counts entries that this run could never address — leftovers
-    /// whose key no current unit produces. Observability only (the
-    /// `cache.*.stale` trace counters); stale entries are already
-    /// unreachable by construction, so nothing consults this on the
-    /// hot path.
-    pub fn stale_counts(
-        &self,
-        parse_keys: &HashSet<u64>,
-        check_keys: &HashSet<(u64, u64)>,
-        tree_fp: u64,
-    ) -> CacheStaleCounts {
-        CacheStaleCounts {
-            parse: self
-                .parse
-                .keys()
-                .filter(|k| !parse_keys.contains(k))
-                .count(),
-            check: self
-                .check
-                .keys()
-                .filter(|k| !check_keys.contains(k))
-                .count(),
-            discovery: self.discovery.keys().filter(|&&k| k != tree_fp).count(),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Binary persistence.
     // ------------------------------------------------------------------
 
     /// Serializes every layer into the binary container. Entries are
     /// written in sorted key order, so equal caches produce equal
-    /// files; still-undecoded disk slots are copied byte-for-byte.
+    /// files.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::new();
-
-        let mut parse: Vec<(u64, &Slot<ParsedUnit>)> =
-            self.parse.iter().map(|(k, v)| (*k, v)).collect();
-        parse.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, parse.len() as u64);
-        for (k, slot) in parse {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_parsed);
-        }
-
-        let mut check: Vec<(&(u64, u64), &Slot<CheckedUnit>)> = self.check.iter().collect();
-        check.sort_by_key(|(k, _)| **k);
-        binfmt::put_u64(&mut body, check.len() as u64);
-        for ((uk, kb), slot) in check {
-            binfmt::put_u64(&mut body, *uk);
-            binfmt::put_u64(&mut body, *kb);
-            self.put_payload(&mut body, slot, binfmt::encode_checked);
-        }
-
-        let mut disc: Vec<(u64, &Slot<Barrier>)> =
-            self.discovery.iter().map(|(k, v)| (*k, v)).collect();
-        disc.sort_by_key(|(k, _)| *k);
-        binfmt::put_u64(&mut body, disc.len() as u64);
-        for (k, slot) in disc {
-            binfmt::put_u64(&mut body, k);
-            self.put_payload(&mut body, slot, binfmt::encode_barrier);
-        }
+        put_layer(
+            &mut body,
+            &self.parse,
+            binfmt::put_u64,
+            binfmt::encode_parsed,
+        );
+        let put_check_key = |body: &mut Vec<u8>, (uk, kb): (u64, u64)| {
+            binfmt::put_u64(body, uk);
+            binfmt::put_u64(body, kb);
+        };
+        put_layer(
+            &mut body,
+            &self.check,
+            put_check_key,
+            binfmt::encode_checked,
+        );
+        put_layer(
+            &mut body,
+            &self.discovery,
+            binfmt::put_u64,
+            binfmt::encode_barrier,
+        );
 
         let mut out = Vec::with_capacity(HEADER_LEN + body.len());
         out.extend_from_slice(&MAGIC);
@@ -654,36 +662,13 @@ impl AuditCache {
         out
     }
 
-    /// Writes one length-prefixed payload: decoded slots re-encode,
-    /// disk slots copy their raw bytes (same version, same layout).
-    fn put_payload<T>(
-        &self,
-        body: &mut Vec<u8>,
-        slot: &Slot<T>,
-        encode: impl Fn(&mut Vec<u8>, &T),
-    ) {
-        match slot {
-            Slot::Mem(v) => {
-                let at = body.len();
-                binfmt::put_u64(body, 0); // placeholder
-                encode(body, v);
-                let len = (body.len() - at - 8) as u64;
-                body[at..at + 8].copy_from_slice(&len.to_le_bytes());
-            }
-            Slot::Disk { off, len } => {
-                let raw = self.raw.as_ref().expect("disk slot without backing file");
-                binfmt::put_u64(body, *len as u64);
-                body.extend_from_slice(&raw[*off..*off + *len]);
-            }
-        }
-    }
-
-    /// Validates a cache file and indexes its entries as lazy disk
-    /// slots — payloads are *not* decoded here. Returns `false` (caller
-    /// quarantines) on a bad magic, a version mismatch, a checksum
-    /// mismatch, or malformed framing. [`AuditCache::with_dir`] loads
-    /// through here; tests feed corrupt buffers (bit flips, truncation)
-    /// straight in.
+    /// Validates a cache file and decodes its entries into the cache,
+    /// as entries no audit has read. Returns `false` (caller
+    /// quarantines), adding nothing, on a bad magic, a version
+    /// mismatch, a checksum mismatch, or malformed framing; a payload
+    /// that fails to decode is dropped alone. [`AuditCache::with_dir`]
+    /// loads through here; tests feed corrupt buffers (bit flips,
+    /// truncation) straight in.
     pub fn load_bytes(&mut self, bytes: Vec<u8>) -> bool {
         if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
             return false;
@@ -697,53 +682,21 @@ impl AuditCache {
             return false;
         }
 
-        // Walk the framing, recording byte ranges. Any structural
-        // violation rejects the whole file.
-        let mut parse = Vec::new();
-        let mut check = Vec::new();
-        let mut disc = Vec::new();
-        let ok = (|| {
-            let mut d = binfmt::Dec::new(&bytes);
-            d.skip(HEADER_LEN)?;
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                parse.push((key, off, len));
-            }
-            for _ in 0..d.u64()? {
-                let uk = d.u64()?;
-                let kb = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                check.push(((uk, kb), off, len));
-            }
-            for _ in 0..d.u64()? {
-                let key = d.u64()?;
-                let len = d.u64()? as usize;
-                let off = d.pos();
-                d.skip(len)?;
-                disc.push((key, off, len));
-            }
-            d.is_done().then_some(())
-        })()
-        .is_some();
-        if !ok {
+        // Any structural violation rejects the whole file.
+        let mut d = binfmt::Dec::new(&bytes[HEADER_LEN..]);
+        let layers = (|| {
+            let parse = get_layer(&mut d, |d| d.u64(), binfmt::decode_parsed)?;
+            let check_key = |d: &mut binfmt::Dec<'_>| Some((d.u64()?, d.u64()?));
+            let check = get_layer(&mut d, check_key, binfmt::decode_checked)?;
+            let discovery = get_layer(&mut d, |d| d.u64(), binfmt::decode_barrier)?;
+            d.is_done().then_some((parse, check, discovery))
+        })();
+        let Some((parse, check, discovery)) = layers else {
             return false;
-        }
-
-        for (k, off, len) in parse {
-            self.parse.insert(k, Slot::Disk { off, len });
-        }
-        for (k, off, len) in check {
-            self.check.insert(k, Slot::Disk { off, len });
-        }
-        for (k, off, len) in disc {
-            self.discovery.insert(k, Slot::Disk { off, len });
-        }
-        self.raw = Some(bytes);
+        };
+        self.parse.extend(parse);
+        self.check.extend(check);
+        self.discovery.extend(discovery);
         true
     }
 
@@ -1086,9 +1039,9 @@ mod tests {
 
     #[test]
     fn binary_file_round_trips_and_resaves_byte_identically() {
-        // A reloaded cache whose disk slots were never decoded must
-        // re-serialize to the exact same bytes (raw-slice copy), and
-        // one that *was* fully decoded must too (deterministic codec).
+        // A reloaded cache must re-serialize to the exact same bytes,
+        // before and after its entries are looked up (deterministic
+        // codec).
         let mut cache = AuditCache::new();
         cache.parse_put(1, parsed(10));
         cache.parse_put(2, parsed(20));
@@ -1096,16 +1049,16 @@ mod tests {
         cache.discovery_put(5, barrier(vec![9]));
         let bytes = cache.to_bytes();
 
-        let mut lazy = AuditCache::new();
-        assert!(lazy.load_bytes(bytes.clone()));
-        assert_eq!(lazy.len(), (2, 1, 1));
-        assert_eq!(lazy.to_bytes(), bytes, "undecoded resave is a byte copy");
+        let mut loaded = AuditCache::new();
+        assert!(loaded.load_bytes(bytes.clone()));
+        assert_eq!(loaded.len(), (2, 1, 1));
+        assert_eq!(loaded.to_bytes(), bytes, "a loaded cache re-encodes equal");
 
-        lazy.parse_get(1);
-        lazy.parse_get(2);
-        lazy.check_get(3, 4);
-        lazy.discovery_get(5);
-        assert_eq!(lazy.to_bytes(), bytes, "decoded resave re-encodes equal");
+        loaded.parse_get(1);
+        loaded.parse_get(2);
+        loaded.check_get(3, 4);
+        loaded.discovery_get(5);
+        assert_eq!(loaded.to_bytes(), bytes, "decoded resave re-encodes equal");
     }
 
     #[test]
@@ -1249,8 +1202,8 @@ mod tests {
     fn torn_payload_degrades_to_a_miss_not_a_wrong_answer() {
         // Corrupt one payload *and* fix up the checksum, simulating the
         // checksum-collision worst case: the framing loads, but the
-        // poisoned entry must fail decode and vanish — a miss — while
-        // its neighbors stay servable.
+        // poisoned entry must fail decode and be dropped on load — a
+        // miss — while its neighbors stay servable.
         let mut cache = AuditCache::new();
         cache.parse_put(1, parsed(10));
         cache.parse_put(2, parsed(20));
@@ -1265,9 +1218,8 @@ mod tests {
 
         let mut c = AuditCache::new();
         assert!(c.load_bytes(bytes));
-        assert_eq!(c.len().0, 2);
+        assert_eq!(c.len().0, 1, "poisoned entry is dropped on load");
         assert!(c.parse_get(1).is_none(), "poisoned entry must miss");
-        assert_eq!(c.len().0, 1, "poisoned entry is dropped");
         assert_eq!(c.parse_get(2).expect("neighbor survives").lines, 20);
         assert_eq!(c.stats.parse_hits, 1);
     }
@@ -1314,7 +1266,7 @@ mod tests {
     fn loaded_entries_ignore_later_writes_to_the_file() {
         // The loader owns its copy of the file. Overwriting the file in
         // place (same inode, same length) after the load must not
-        // change what a still-undecoded slot decodes to.
+        // change what a lookup returns.
         let dir = test_dir("in_place_overwrite");
         let mut cache = AuditCache::with_dir(&dir);
         cache.parse_put(1, parsed(10));
@@ -1461,5 +1413,84 @@ int widget_probe(struct widget *w)
             full.findings.len() > under_drivers.len(),
             "the tree has findings outside drivers/"
         );
+    }
+
+    #[test]
+    fn successive_edits_keep_the_cache_within_two_trees() {
+        // Each step edits four files and audits the new tree through one
+        // cache, which then holds that tree and the one before it: parse
+        // and check entries at most the live units plus the files the
+        // step edited, and two barriers. Every step still re-parses
+        // exactly its edited files.
+        use crate::{audit, audit_with_cache, Project};
+        use refminer_corpus::{generate_tree, next_revision, TreeConfig};
+
+        let mut tree = generate_tree(&TreeConfig {
+            scale: 0.05,
+            ..Default::default()
+        });
+        let cfg = AuditConfig {
+            jobs: 1,
+            ..AuditConfig::default()
+        };
+        let mut cache = AuditCache::new();
+        audit_with_cache(&Project::from_tree(&tree), &cfg, &mut cache);
+        let mut last = None;
+        for step in 0..30 {
+            let (next, edited) = next_revision(&tree, step, 4);
+            tree = next;
+            let project = Project::from_tree(&tree);
+            let report = audit_with_cache(&project, &cfg, &mut cache);
+            assert_eq!(report.cache.parse_misses, edited.len(), "step {step}");
+            let bound = project.units().len() + edited.len();
+            let (parse, check, discovery) = cache.len();
+            assert!(
+                parse <= bound && check <= bound && discovery <= 2,
+                "step {step}: {:?} entries for {bound} units and edits",
+                cache.len()
+            );
+            last = Some((project, report));
+        }
+        let (project, report) = last.expect("30 steps ran");
+        assert_eq!(report.findings, audit(&project, &cfg).findings);
+    }
+
+    #[test]
+    fn a_reopened_cache_keeps_only_what_its_first_audit_reads() {
+        // A saved cache holding two trees is reopened and audits one of
+        // them. Entries loaded from disk count as read by no audit, so
+        // the cache then holds that tree's entries alone, and the warm
+        // audit finds what a cold one does.
+        use crate::{audit, audit_with_cache, Project};
+        use refminer_corpus::{generate_tree, TreeConfig};
+
+        let tree = |seed| {
+            Project::from_tree(&generate_tree(&TreeConfig {
+                seed,
+                scale: 0.03,
+                ..Default::default()
+            }))
+        };
+        let (a, b) = (tree(1), tree(2));
+        let cfg = AuditConfig::default();
+        let dir = test_dir("reopened_keeps_one_tree");
+        let mut both = AuditCache::with_dir(&dir);
+        audit_with_cache(&a, &cfg, &mut both);
+        audit_with_cache(&b, &cfg, &mut both);
+        both.save().expect("save");
+        let mut alone = AuditCache::new();
+        audit_with_cache(&a, &cfg, &mut alone);
+        assert!(
+            both.len().0 > alone.len().0,
+            "the saved cache holds both trees"
+        );
+
+        let mut reopened = AuditCache::with_dir(&dir);
+        assert_eq!(reopened.len(), both.len());
+        let warm = audit_with_cache(&a, &cfg, &mut reopened);
+        assert_eq!((warm.cache.parse_misses, warm.cache.check_misses), (0, 0));
+        assert_eq!(reopened.len(), alone.len());
+        assert_eq!(warm.findings, audit(&a, &cfg).findings);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,9 @@
 //! shared cache, found by the reports' unit keys; it parses a file
 //! only when its entry holds no AST (loaded from disk, or a unit that
 //! did not parse) or the audits ran under non-default parse limits,
-//! whose ASTs can differ from the sweep's default parse.
+//! whose ASTs can differ from the sweep's default parse. `sweep --at`
+//! and `eval --sweep` run the same sweep ([`sweep_clones`]) over one
+//! audited revision.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -36,7 +38,7 @@ use refminer_checkers::Finding;
 use refminer_cparse::{parse_str, ParseLimits, TranslationUnit};
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::ApiKb;
-use refminer_sweep::{abstract_template_parsed, sweep_parsed, CloneMatch};
+use refminer_sweep::{abstract_template_parsed, sweep_parsed, BugTemplate, CloneMatch};
 
 use crate::audit::{audit_with_cache, AuditConfig, AuditReport};
 use crate::cache::AuditCache;
@@ -144,10 +146,10 @@ pub fn diff_findings(
     (introduced, fixed, moved)
 }
 
-/// One revision of a delta, as the sweep reads it: its tree and, when
-/// its audit's cache is at hand, the unit keys that find its ASTs
-/// there.
-pub(crate) struct Revision<'a> {
+/// A revision as the clone sweep ([`sweep_clones`]) reads it: its tree
+/// and, when its audit's cache is at hand, the unit keys that find its
+/// ASTs there.
+pub struct Revision<'a> {
     project: &'a Project,
     asts: Option<(&'a AuditCache, &'a [u64])>,
 }
@@ -161,10 +163,21 @@ impl<'a> Revision<'a> {
         }
     }
 
-    /// A revision audited through `cache` under `config`; `keys` are
-    /// its report's unit keys. Its ASTs serve the sweep only when the
-    /// audit parsed under the default limits the sweep's own parse
-    /// uses.
+    /// `project` as `report` audited it through `cache` under `config`.
+    /// The sweep reads the ASTs that audit left in the cache when it
+    /// parsed under the default limits the sweep's own parse uses, and
+    /// parses a unit from its text only when its entry holds no AST.
+    pub fn audited(
+        project: &'a Project,
+        report: &'a AuditReport,
+        cache: &'a AuditCache,
+        config: &AuditConfig,
+    ) -> Revision<'a> {
+        Revision::cached(project, &report.unit_keys, cache, config)
+    }
+
+    /// [`Revision::audited`] for a caller that kept only the report's
+    /// unit keys, `keys`.
     pub(crate) fn cached(
         project: &'a Project,
         keys: &'a [u64],
@@ -192,6 +205,23 @@ impl<'a> Revision<'a> {
     }
 }
 
+/// Abstracts `origin`, a finding of revision `a`, into a bug template
+/// and sweeps `findings_b`, revision `b`'s findings, for its clones —
+/// the one sweep under `diff`, `fixcheck`, the daemon, `sweep --at` and
+/// `eval --sweep`. `None` when `origin`'s function is not in `a`.
+pub fn sweep_clones(
+    origin: &Finding,
+    a: &Revision<'_>,
+    b: &Revision<'_>,
+    findings_b: &[Finding],
+    kb: &ApiKb,
+) -> Option<(BugTemplate, Vec<CloneMatch>)> {
+    let seed = a.unit(&origin.file)?;
+    let template = abstract_template_parsed(origin, &seed, kb)?;
+    let matches = sweep_parsed(&template, findings_b, kb, |path| b.unit(path));
+    Some((template, matches))
+}
+
 /// Sweeps revision B's findings for unfixed clones of each fixed
 /// finding, reading seed units from revision A (where the bug still
 /// exists) and candidate units from revision B.
@@ -202,21 +232,16 @@ fn sweep_left_behind(
     findings_b: &[Finding],
     kb: &ApiKb,
 ) -> Vec<LeftBehind> {
-    let mut out = Vec::new();
-    for origin in fixed {
-        let Some(seed) = a.unit(&origin.file) else {
-            continue;
-        };
-        let Some(template) = abstract_template_parsed(origin, &seed, kb) else {
-            continue;
-        };
-        let matches = sweep_parsed(&template, findings_b, kb, |path| b.unit(path));
-        out.push(LeftBehind {
-            origin: origin.clone(),
-            matches,
-        });
-    }
-    out
+    fixed
+        .iter()
+        .filter_map(|origin| {
+            let (_, matches) = sweep_clones(origin, a, b, findings_b, kb)?;
+            Some(LeftBehind {
+                origin: origin.clone(),
+                matches,
+            })
+        })
+        .collect()
 }
 
 /// Options for [`diff_projects`].
@@ -292,13 +317,8 @@ pub fn diff_projects(
     let delta = revision_delta(
         &report_a.findings,
         &report_b.findings,
-        Some(&Revision::cached(
-            project_a,
-            &report_a.unit_keys,
-            cache,
-            config,
-        )),
-        &Revision::cached(project_b, &report_b.unit_keys, cache, config),
+        Some(&Revision::audited(project_a, &report_a, cache, config)),
+        &Revision::audited(project_b, &report_b, cache, config),
         &report_b.kb,
         opts.sweep,
     );

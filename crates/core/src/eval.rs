@@ -24,7 +24,8 @@ use refminer_checkers::{AntiPattern, Confidence, EngineId, Finding};
 use refminer_corpus::Manifest;
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::ApiKb;
-use refminer_sweep::{abstract_template, sweep};
+
+use crate::diff::{sweep_clones, Revision};
 
 /// TP/FP/FN counts with the derived metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -384,18 +385,19 @@ pub(crate) fn names_injected_bug(manifest: &Manifest, path: &str, function: &str
 /// Scores the sweep engine against the manifest's clone groups.
 ///
 /// For each group, the seed is the first unfixed member a finding
-/// lands on (path + function); its template is swept over `findings`
-/// and the matches are scored against the group's *other* unfixed
-/// members. A match naming any manifest bug — this group's or, for
+/// lands on (path + function); its template, abstracted from
+/// `revision`, the tree `findings` were audited from, is swept over
+/// `findings` and the matches are scored against the group's *other*
+/// unfixed members. A match naming any manifest bug — this group's or, for
 /// repeated-API shapes, another group's — is never spurious; spurious
 /// counts only matches on functions the corpus injected no bug into.
 /// A group whose pattern number names no anti-pattern is skipped;
 /// [`Manifest::from_json`] never loads one.
-pub fn evaluate_sweep<F: FnMut(&str) -> Option<String>>(
+pub fn evaluate_sweep(
     findings: &[Finding],
     manifest: &Manifest,
     kb: &ApiKb,
-    mut source_of: F,
+    revision: &Revision<'_>,
 ) -> SweepEvalReport {
     let mut rows = Vec::new();
     for group in &manifest.clone_groups {
@@ -417,9 +419,8 @@ pub fn evaluate_sweep<F: FnMut(&str) -> Option<String>>(
                 counts.missed = unfixed.len();
             }
             Some((seed_member, seed_finding)) => {
-                let matches = source_of(&seed_finding.file)
-                    .and_then(|src| abstract_template(seed_finding, &src, kb))
-                    .map(|template| sweep(&template, findings, kb, &mut source_of))
+                let matches = sweep_clones(seed_finding, revision, revision, findings, kb)
+                    .map(|(_, matches)| matches)
                     .unwrap_or_default();
                 for m in &unfixed {
                     if m.path == seed_member.path && m.function == seed_member.function {

@@ -162,13 +162,8 @@ pub(crate) fn fixcheck_cancellable(
     let delta = revision_delta(
         &report_pre.findings,
         &report_post.findings,
-        Some(&Revision::cached(
-            &pre.tree,
-            &report_pre.unit_keys,
-            cache,
-            config,
-        )),
-        &Revision::cached(post, &report_post.unit_keys, cache, config),
+        Some(&Revision::audited(&pre.tree, &report_pre, cache, config)),
+        &Revision::audited(post, &report_post, cache, config),
         &report_post.kb,
         true,
     );

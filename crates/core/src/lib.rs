@@ -43,8 +43,8 @@ pub use cache::{
 };
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use diff::{
-    diff_delta, diff_findings, diff_projects, render_diff_lines, DiffDelta, DiffOptions,
-    DiffReport, LeftBehind,
+    diff_delta, diff_findings, diff_projects, render_diff_lines, sweep_clones, DiffDelta,
+    DiffOptions, DiffReport, LeftBehind, Revision,
 };
 pub use eval::{
     evaluate, evaluate_engines, evaluate_sweep, finding_attributed, Counts, EngineEvalReport,

@@ -201,6 +201,10 @@ struct Counters {
     cache_save_failures: AtomicU64,
     cache_quarantined: AtomicU64,
     files_removed: AtomicU64,
+    /// Entries per cache layer after the last job.
+    cache_parse_entries: AtomicU64,
+    cache_check_entries: AtomicU64,
+    cache_discovery_entries: AtomicU64,
 }
 
 struct Shared {
@@ -604,6 +608,18 @@ impl EngineHandle {
                 "files_removed",
                 c.files_removed.load(Ordering::SeqCst).to_json(),
             ),
+            (
+                "cache_parse_entries",
+                c.cache_parse_entries.load(Ordering::SeqCst).to_json(),
+            ),
+            (
+                "cache_check_entries",
+                c.cache_check_entries.load(Ordering::SeqCst).to_json(),
+            ),
+            (
+                "cache_discovery_entries",
+                c.cache_discovery_entries.load(Ordering::SeqCst).to_json(),
+            ),
         ])
     }
 }
@@ -639,6 +655,12 @@ fn worker_loop(shared: Arc<Shared>) {
         *shared.current.lock().unwrap() = Some(job.cancel.clone());
         shared.auditing.store(true, Ordering::SeqCst);
         let outcome = run_job(&shared, &mut cache, &mut revision, &mut last_project, &job);
+        let c = &shared.counters;
+        let (parse, check, discovery) = cache.len();
+        c.cache_parse_entries.store(parse as u64, Ordering::SeqCst);
+        c.cache_check_entries.store(check as u64, Ordering::SeqCst);
+        c.cache_discovery_entries
+            .store(discovery as u64, Ordering::SeqCst);
         shared.auditing.store(false, Ordering::SeqCst);
         *shared.current.lock().unwrap() = None;
         job.deliver(outcome);

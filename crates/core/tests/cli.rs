@@ -944,6 +944,47 @@ fn revision_json_is_byte_identical_across_jobs_and_cache() {
 }
 
 #[test]
+fn cache_dir_through_successive_revisions_keeps_one_tree() {
+    // One `--cache-dir` carried through every revision of a history,
+    // one process per revision. Each run prints what an uncached run
+    // prints, and the file keeps only what the run's audit read: after
+    // the last revision it is at most 1.2x its size after the first.
+    let (dir, hist) = clone_history("cache_dir_revisions");
+    let cache = dir.join(".cache");
+    let mut revs: Vec<PathBuf> = std::fs::read_dir(&hist)
+        .expect("read history")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.is_dir())
+        .collect();
+    revs.sort();
+    assert!(revs.len() >= 3, "a base and at least two commits");
+    let mut sizes = Vec::new();
+    for rev in &revs {
+        let run = |extra: &[&str]| {
+            let out = refminer()
+                .arg("--json")
+                .args(extra)
+                .arg(rev)
+                .output()
+                .expect("run refminer");
+            (out.status.code(), out.stdout)
+        };
+        let cached = run(&["--cache-dir", cache.to_str().unwrap()]);
+        assert_eq!(
+            cached,
+            run(&[]),
+            "{}: the cache changed the output",
+            rev.display()
+        );
+        let file = cache.join(refminer::CACHE_FILE);
+        sizes.push(std::fs::metadata(file).expect("cache file").len());
+    }
+    let (first, last) = (sizes[0], sizes[sizes.len() - 1]);
+    assert!(last * 5 <= first * 6, "cache file sizes {sizes:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sweep_at_ranks_the_clone_siblings_of_a_seed_finding() {
     let (dir, hist) = clone_history("sweep_at");
     let out = refminer()

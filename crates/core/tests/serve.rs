@@ -12,9 +12,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use refminer::corpus::{generate_workload, WorkloadConfig, WorkloadOp};
-use refminer::serve::protocol::{encode_request, Method, QueryFilter, Request};
-use refminer::serve::rpc_roundtrip;
+use refminer::corpus::{generate_tree, generate_workload, TreeConfig, WorkloadConfig, WorkloadOp};
+use refminer::serve::protocol::{encode_request, Method, QueryFilter, Request, Response};
+use refminer::serve::{rpc_roundtrip, Engine, ServeConfig};
 use refminer_json::Value;
 
 fn write_demo_tree(tag: &str) -> PathBuf {
@@ -922,5 +922,69 @@ fn fixcheck_rpc_reports_incomplete_fix_and_rejects_garbage() {
     let v = d.rpc(&query_request(9, QueryFilter::default()));
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
     d.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reaudit_rounds_keep_the_daemon_cache_within_two_trees() {
+    // An in-process engine over a generated tree. Each round appends a
+    // function to one file and re-audits; after every job `status`
+    // reports at most the tree's units plus that one edit in the parse
+    // and check layers, and at most two barriers.
+    let dir = std::env::temp_dir().join(format!("refminer_serve_bound_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tree = generate_tree(&TreeConfig {
+        scale: 0.03,
+        ..Default::default()
+    });
+    tree.write_to(&dir).expect("write tree");
+    let mut engine = Engine::start(ServeConfig::new(&dir));
+    let handle = engine.handle();
+    assert!(handle.wait_for_revision(1, Duration::from_secs(30)));
+    let sources: Vec<&str> = tree
+        .files
+        .iter()
+        .map(|f| f.path.as_str())
+        .filter(|p| p.ends_with(".c"))
+        .collect();
+    for round in 0..10u64 {
+        let path = sources[round as usize * 7 % sources.len()];
+        let file = dir.join(path);
+        let mut text = std::fs::read_to_string(&file).expect("read source");
+        text.push_str(&format!(
+            "\nint round{round}_helper(int x)\n{{\n\treturn x + {round};\n}}\n"
+        ));
+        std::fs::write(&file, text).expect("edit source");
+        let resp = handle.request(&Request {
+            id: round,
+            method: Method::Reaudit {
+                files: vec![path.to_string()],
+            },
+            deadline_ms: Some(30_000),
+        });
+        assert!(
+            matches!(resp, Response::Ok { .. }),
+            "round {round}: {resp:?}"
+        );
+        let Response::Ok { result: status, .. } = handle.request(&Request {
+            id: 99,
+            method: Method::Status,
+            deadline_ms: None,
+        }) else {
+            panic!("status failed");
+        };
+        let count = |k: &str| status.get(k).and_then(Value::as_u64).expect(k);
+        let bound = count("files") + 1;
+        let entries = [
+            count("cache_parse_entries"),
+            count("cache_check_entries"),
+            count("cache_discovery_entries"),
+        ];
+        assert!(
+            entries[0] <= bound && entries[1] <= bound && entries[2] <= 2,
+            "round {round}: {entries:?} entries for {bound} units and edits"
+        );
+    }
+    engine.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

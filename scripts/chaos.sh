@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Chaos smoke run: generate a corrupted synthetic tree, audit it in
-# strict mode, and check the process degrades instead of crashing.
+# strict mode, and check the process degrades instead of crashing; then
+# audit it cold and warm through one --cache-dir outside the tree and
+# check the persisted cache changes nothing.
 #
 # Env:
 #   CHAOSGEN_BIN / REFMINER_BIN  prebuilt binaries; default `cargo run`
@@ -8,8 +10,9 @@
 set -u
 
 here="$(cd "$(dirname "$0")/.." && pwd)"
-outdir="$(mktemp -d "${TMPDIR:-/tmp}/refminer-chaos.XXXXXX")"
-trap 'rm -rf "$outdir"' EXIT
+work="$(mktemp -d "${TMPDIR:-/tmp}/refminer-chaos.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
+outdir="$work/tree"
 
 chaosgen() {
     if [ -n "${CHAOSGEN_BIN:-}" ]; then
@@ -44,6 +47,22 @@ status=$?
 # strict-mode diagnostic failure (3). Crashes (codes >= 128) and scan
 # errors (2) mean the fault boundary leaked.
 case "$status" in
-    1|3) echo "chaos.sh: PASS (exit $status)";;
+    1|3) ;;
     *)   echo "chaos.sh: FAIL (exit $status)" >&2; exit 1;;
 esac
+
+# A warm run decodes every entry the cold run saved, degraded units'
+# included, and must print the same bytes and exit the same way.
+refminer --json --cache-dir "$work/cache" "$outdir" >"$work/cold.jsonl"
+cold=$?
+refminer --json --cache-dir "$work/cache" "$outdir" >"$work/warm.jsonl"
+warm=$?
+if [ ! -f "$work/cache/audit-cache.bin" ]; then
+    echo "chaos.sh: FAIL (the cold run saved no cache)" >&2
+    exit 1
+fi
+if [ "$cold" != "$warm" ] || ! cmp -s "$work/cold.jsonl" "$work/warm.jsonl"; then
+    echo "chaos.sh: FAIL (cold exit $cold, warm exit $warm; stdout must match)" >&2
+    exit 1
+fi
+echo "chaos.sh: PASS (exit $status)"

@@ -20,7 +20,7 @@ use refminer::serve::render_finding_line;
 use refminer::{
     audit_with_cache, diff_projects, evaluate_sweep, fixcheck_project, history_audit,
     render_diff_lines, render_file_diff, ApiKb, AuditCache, AuditConfig, AuditLimits, DiffOptions,
-    ProgramDb, Project,
+    ProgramDb, Project, Revision,
 };
 use std::collections::{BTreeSet, HashSet};
 
@@ -442,14 +442,11 @@ fn sweep_finds_clone_siblings_with_zero_spurious_matches() {
         ..Default::default()
     });
     let project = Project::from_tree(&tree);
-    let report = audit_with_cache(&project, &config(1), &mut AuditCache::new());
-    let sweep = evaluate_sweep(&report.findings, &tree.manifest, &report.kb, |path| {
-        project
-            .units()
-            .iter()
-            .find(|u| u.path == path)
-            .map(|u| u.text.clone())
-    });
+    let cfg = config(1);
+    let mut cache = AuditCache::new();
+    let report = audit_with_cache(&project, &cfg, &mut cache);
+    let audited = Revision::audited(&project, &report, &cache, &cfg);
+    let sweep = evaluate_sweep(&report.findings, &tree.manifest, &report.kb, &audited);
     assert!(
         sweep.totals.found + sweep.totals.missed > 0,
         "the corpus must seed clone groups"
