@@ -87,13 +87,12 @@ pub fn check_unit(unit: &TranslationUnit, kb: &ApiKb) -> Vec<Finding> {
 }
 
 /// Collapses duplicate findings (same pattern, file, line, api) into
-/// one that [absorbs](Finding::absorb) the others' checker and engine
-/// attributions and feasibility verdicts.
+/// one that [absorbs](Finding::absorb) the others' checker lists and
+/// feasibility verdicts.
 ///
-/// The sort key excludes checker and engine names, so when the two
-/// engines flag the same site the finding emitted first (engines run
-/// in template-then-delta order) survives and absorbs the other's
-/// attribution — the within-unit half of cross-validation.
+/// The sort key excludes checker names, so when two checkers flag the
+/// same site the finding emitted first survives and absorbs the
+/// other's.
 pub fn dedup_findings(findings: &mut Vec<Finding>) {
     fn site(f: &Finding) -> (&str, u32, AntiPattern, &str) {
         (f.file.as_str(), f.line, f.pattern, f.api.as_str())
@@ -257,7 +256,6 @@ int f(struct device *dev)
             message: String::new(),
             feasibility: refminer_cpg::Feasibility::Assumed,
             checkers: Vec::new(),
-            engines: Vec::new(),
         };
         let mut v = vec![f.clone(), f.clone()];
         dedup_findings(&mut v);
@@ -266,8 +264,8 @@ int f(struct device *dev)
 
     #[test]
     fn dedup_unions_checker_and_engine_attribution() {
-        use crate::finding::{AntiPattern, Confidence, EngineId, Impact};
-        let mk = |checker: &str, engine: EngineId| Finding {
+        use crate::finding::{AntiPattern, Impact};
+        let mk = |checker: &str, feasibility| Finding {
             pattern: AntiPattern::P5,
             impact: Impact::Leak,
             file: "a.c".into(),
@@ -276,21 +274,22 @@ int f(struct device *dev)
             api: "x".into(),
             object: None,
             message: String::new(),
-            feasibility: refminer_cpg::Feasibility::Assumed,
+            feasibility,
             checkers: vec![checker.into()],
-            engines: vec![engine],
         };
         let mut v = vec![
-            mk("ErrorPathChecker", EngineId::Template),
-            mk("DeltaEngine", EngineId::Delta),
+            mk("ErrorPathChecker", refminer_cpg::Feasibility::Assumed),
+            mk("DirectFreeChecker", refminer_cpg::Feasibility::Proven),
         ];
         dedup_findings(&mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(
             v[0].checkers,
-            vec!["ErrorPathChecker".to_string(), "DeltaEngine".to_string()]
+            vec![
+                "ErrorPathChecker".to_string(),
+                "DirectFreeChecker".to_string()
+            ]
         );
-        assert_eq!(v[0].engines, vec![EngineId::Template, EngineId::Delta]);
-        assert_eq!(v[0].confidence(), Confidence::Corroborated);
+        assert_eq!(v[0].feasibility, refminer_cpg::Feasibility::Proven);
     }
 }

@@ -47,7 +47,6 @@ impl Checker for ReturnErrorChecker {
                     ),
                     feasibility: graph.feas.classify(&q, &graph.cfg, site.node),
                     checkers: Vec::new(),
-                    engines: Vec::new(),
                 });
             }
         }
@@ -129,7 +128,6 @@ impl Checker for ReturnNullChecker {
                     ),
                     feasibility: graph.feas.classify(&q, &graph.cfg, site.node),
                     checkers: Vec::new(),
-                    engines: Vec::new(),
                 });
             }
         }

@@ -1,12 +1,10 @@
-//! The analysis-engine substrate: the trait boundary both the template
-//! checkers and the ownership-delta dataflow engine sit behind.
+//! The analysis-engine substrate: the trait boundary the template
+//! checkers sit behind.
 //!
-//! Phase 2 of the audit no longer hardwires the template checkers: it
-//! builds a list of [`AnalysisEngine`]s and hands every function graph
-//! to each of them through the shared [`CheckCtx`]. Engines stamp the
-//! findings they produce with their [`EngineId`]; the within-unit dedup
-//! and the report-layer merge union those stamps, so a site flagged by
-//! both engines independently surfaces once, `Corroborated`.
+//! Phase 2 of the audit hands every function graph to a list of
+//! [`AnalysisEngine`]s through the shared [`CheckCtx`]; the audit's
+//! list is one [`TemplateEngine`]. The within-unit dedup collapses
+//! same-site findings, unioning their checker lists.
 //!
 //! The feasibility pass lives on the substrate too: every engine
 //! classifies its witness paths through `graph.feas` (reachable via
@@ -20,7 +18,7 @@ use refminer_trace::TraceHandle;
 
 use crate::checker::Checker;
 use crate::ctx::CheckCtx;
-use crate::finding::{EngineId, Finding};
+use crate::finding::Finding;
 
 /// One analysis engine: a strategy producing findings for a single
 /// function, given the shared [`CheckCtx`] substrate (graphs, API
@@ -28,14 +26,9 @@ use crate::finding::{EngineId, Finding};
 /// Engine instances are cheap; each audit worker builds its own list,
 /// so the trait carries no thread-safety bound (mirroring [`Checker`]).
 pub trait AnalysisEngine {
-    /// The engine's identity, stamped into every finding it produces.
-    fn id(&self) -> EngineId;
-
-    /// Stable engine name (`"template"`, `"delta"`), used in trace
-    /// counters and reports.
-    fn name(&self) -> &'static str {
-        self.id().name()
-    }
+    /// Stable engine name (`"template"`), used in the engine's
+    /// `engine.{name}.us` trace counter.
+    fn name(&self) -> &'static str;
 
     /// Runs the engine over one function.
     fn analyze(&self, ctx: &CheckCtx<'_>) -> Vec<Finding>;
@@ -71,8 +64,8 @@ impl TemplateEngine {
 }
 
 impl AnalysisEngine for TemplateEngine {
-    fn id(&self) -> EngineId {
-        EngineId::Template
+    fn name(&self) -> &'static str {
+        "template"
     }
 
     /// Runs the checkers over one function graph, accumulating
@@ -92,7 +85,6 @@ impl AnalysisEngine for TemplateEngine {
                 if f.checkers.is_empty() {
                     f.checkers.push(checker.name().to_string());
                 }
-                f.add_engine(EngineId::Template);
             }
             out.extend(found);
         }
@@ -109,95 +101,12 @@ impl AnalysisEngine for TemplateEngine {
     }
 }
 
-/// Which engines an audit runs. The default is both: the template
-/// checkers find, the delta engine cross-validates (and contributes
-/// its own net-delta findings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineSet {
-    /// Run the template checkers.
-    pub template: bool,
-    /// Run the ownership-delta dataflow engine.
-    pub delta: bool,
-}
-
-impl Default for EngineSet {
-    fn default() -> EngineSet {
-        EngineSet {
-            template: true,
-            delta: true,
-        }
-    }
-}
-
-impl EngineSet {
-    /// The template-only set (the pre-two-engine behavior).
-    pub fn template_only() -> EngineSet {
-        EngineSet {
-            template: true,
-            delta: false,
-        }
-    }
-
-    /// Parses a comma-separated engine list (`"template,delta"`).
-    /// Rejects unknown names and empty lists.
-    pub fn parse(s: &str) -> Result<EngineSet, String> {
-        let mut set = EngineSet {
-            template: false,
-            delta: false,
-        };
-        for name in s.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-            match EngineId::from_name(name) {
-                Some(EngineId::Template) => set.template = true,
-                Some(EngineId::Delta) => set.delta = true,
-                None => return Err(format!("unknown engine '{name}' (template, delta)")),
-            }
-        }
-        if set
-            == (EngineSet {
-                template: false,
-                delta: false,
-            })
-        {
-            return Err("engine list selects no engine".to_string());
-        }
-        Ok(set)
-    }
-
-    /// Whether the set enables `engine`.
-    pub fn enables(&self, engine: EngineId) -> bool {
-        match engine {
-            EngineId::Template => self.template,
-            EngineId::Delta => self.delta,
-        }
-    }
-
-    /// The enabled engines in canonical order.
-    pub fn ids(&self) -> Vec<EngineId> {
-        EngineId::all()
-            .into_iter()
-            .filter(|e| self.enables(*e))
-            .collect()
-    }
-
-    /// Canonical comma-separated rendering (`"template,delta"`).
-    pub fn render(&self) -> String {
-        self.ids()
-            .iter()
-            .map(|e| e.name())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
 /// Runs a list of engines over every function of a translation unit —
-/// the phase-2 entry point of the two-engine audit. Engines run in
-/// list order per graph (the caller supplies them in canonical
-/// template-then-delta order), each engine's wall time on the unit is
-/// summed in nanoseconds and added to its `engine.{name}.us` trace
-/// counter once, after the unit (when each engine flushes its own
-/// counters too), and the combined findings are deduped with
-/// attribution union, so a site both engines flag comes out once with
-/// `engines: [template, delta]`.
+/// the phase-2 entry point of the audit. Engines run in list order per
+/// graph, each engine's wall time on the unit is summed in nanoseconds
+/// and added to its `engine.{name}.us` trace counter once, after the
+/// unit (when each engine flushes its own counters too), and the
+/// combined findings are deduped with their checker lists unioned.
 pub fn run_engines_traced(
     unit: &refminer_cparse::TranslationUnit,
     kb: &refminer_rcapi::ApiKb,
@@ -221,12 +130,9 @@ pub fn run_engines_traced(
         };
         for (engine, spent) in engines.iter().zip(&mut spent_ns) {
             let start = timing.then(Instant::now);
-            let mut found = engine.analyze(&ctx);
+            let found = engine.analyze(&ctx);
             if let Some(start) = start {
                 *spent += start.elapsed().as_nanos() as u64;
-            }
-            for f in &mut found {
-                f.add_engine(engine.id());
             }
             out.extend(found);
         }
@@ -248,23 +154,6 @@ mod tests {
     use refminer_cpg::FunctionGraph;
     use refminer_progdb::ProgramDb;
     use refminer_rcapi::ApiKb;
-
-    #[test]
-    fn engine_set_parses_and_renders() {
-        assert_eq!(EngineSet::parse("template,delta"), Ok(EngineSet::default()));
-        assert_eq!(EngineSet::parse("template"), Ok(EngineSet::template_only()));
-        assert_eq!(
-            EngineSet::parse("delta"),
-            Ok(EngineSet {
-                template: false,
-                delta: true
-            })
-        );
-        assert!(EngineSet::parse("bogus").is_err());
-        assert!(EngineSet::parse("").is_err());
-        assert_eq!(EngineSet::default().render(), "template,delta");
-        assert_eq!(EngineSet::template_only().render(), "template");
-    }
 
     #[test]
     fn template_engine_matches_checker_runner() {
@@ -295,6 +184,5 @@ int f(struct device *d)
         let via_check_unit = crate::checker::check_unit(&tu, &kb);
         assert_eq!(via_engines, via_check_unit);
         assert_eq!(via_check_unit.len(), 1);
-        assert_eq!(via_check_unit[0].engines, vec![EngineId::Template]);
     }
 }

@@ -144,85 +144,6 @@ impl fmt::Display for Impact {
     }
 }
 
-/// An analysis engine able to produce findings. The template engine
-/// runs the paper's nine anti-pattern checkers; the delta engine runs
-/// the ownership-delta dataflow analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EngineId {
-    /// The semantic-template checkers (P1–P9).
-    Template,
-    /// The ownership-delta interval dataflow engine.
-    Delta,
-}
-
-impl EngineId {
-    /// Both engines, in canonical (report) order.
-    pub fn all() -> [EngineId; 2] {
-        [EngineId::Template, EngineId::Delta]
-    }
-
-    /// Stable lowercase name, used in JSON and `--engines` parsing.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineId::Template => "template",
-            EngineId::Delta => "delta",
-        }
-    }
-
-    /// Parses a lowercase engine name back to its id.
-    pub fn from_name(name: &str) -> Option<EngineId> {
-        EngineId::all().into_iter().find(|e| e.name() == name)
-    }
-}
-
-impl fmt::Display for EngineId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Cross-validation confidence: which engines stand behind a finding.
-/// Derived from the finding's `engines` list, never stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Confidence {
-    /// Both engines reported the site independently.
-    Corroborated,
-    /// Only the template checkers reported it.
-    TemplateOnly,
-    /// Only the delta dataflow engine reported it.
-    DeltaOnly,
-}
-
-impl Confidence {
-    /// The confidence a given engine attribution implies. An empty
-    /// list (findings predating engine stamping) reads as
-    /// template-only, matching how those findings were produced.
-    pub fn of(engines: &[EngineId]) -> Confidence {
-        let template = engines.contains(&EngineId::Template);
-        let delta = engines.contains(&EngineId::Delta);
-        match (template, delta) {
-            (true, true) => Confidence::Corroborated,
-            (false, true) => Confidence::DeltaOnly,
-            _ => Confidence::TemplateOnly,
-        }
-    }
-
-    /// Stable lowercase name, used in JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Confidence::Corroborated => "corroborated",
-            Confidence::TemplateOnly => "template_only",
-            Confidence::DeltaOnly => "delta_only",
-        }
-    }
-}
-
-impl fmt::Display for Confidence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// One detected anti-pattern instance.
 ///
 /// A finding's identity is its value: `diff_findings` set-differences
@@ -252,40 +173,17 @@ pub struct Finding {
     /// The checkers that reported this site; more than one after the
     /// report layer merges same-(file, line, family) findings.
     pub checkers: Vec<String>,
-    /// The engines that reported this site, in canonical order
-    /// (template before delta). Both after the dedup/merge layers
-    /// collapse a site both engines flagged independently.
-    pub engines: Vec<EngineId>,
 }
 
 impl Finding {
-    /// The cross-validation confidence this finding's engine
-    /// attribution implies.
-    pub fn confidence(&self) -> Confidence {
-        Confidence::of(&self.engines)
-    }
-
-    /// Records that `engine` stands behind this finding, keeping the
-    /// engine list in canonical order and free of duplicates.
-    pub fn add_engine(&mut self, engine: EngineId) {
-        if !self.engines.contains(&engine) {
-            self.engines.push(engine);
-            self.engines.sort();
-        }
-    }
-
     /// Merges a duplicate of this finding into it: `other`'s checkers
-    /// are appended in order (skipping ones already listed), its
-    /// engines are added, and the more credible feasibility verdict is
-    /// kept.
+    /// are appended in order (skipping ones already listed), and the
+    /// more credible feasibility verdict is kept.
     pub fn absorb(&mut self, other: &Finding) {
         for c in &other.checkers {
             if !self.checkers.contains(c) {
                 self.checkers.push(c.clone());
             }
-        }
-        for &e in &other.engines {
-            self.add_engine(e);
         }
         self.feasibility = self.feasibility.max(other.feasibility);
     }
@@ -376,19 +274,6 @@ impl ToJson for Finding {
                 Value::Str(self.feasibility.name().to_string()),
             ),
             ("checkers", self.checkers.to_json()),
-            (
-                "engines",
-                Value::Arr(
-                    self.engines
-                        .iter()
-                        .map(|e| Value::Str(e.name().to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "confidence",
-                Value::Str(self.confidence().name().to_string()),
-            ),
         ])
     }
 }
@@ -436,7 +321,6 @@ mod tests {
             message: String::new(),
             feasibility: Feasibility::Assumed,
             checkers: Vec::new(),
-            engines: Vec::new(),
         };
         // Two units concatenated in unit order, the second sorting
         // before the first by file name, plus same-line findings whose
@@ -466,7 +350,6 @@ mod tests {
             message: "m".into(),
             feasibility: Feasibility::Assumed,
             checkers: vec!["HiddenApiChecker".into()],
-            engines: vec![EngineId::Template],
         };
         let Finding {
             pattern: _,
@@ -479,7 +362,6 @@ mod tests {
             message: _,
             feasibility: _,
             checkers: _,
-            engines: _,
         } = &base;
         let with = |change: fn(&mut Finding)| {
             let mut f = base.clone();
@@ -496,8 +378,7 @@ mod tests {
             with(|f| f.object = Some("np".into())),
             with(|f| f.message.push('x')),
             with(|f| f.feasibility = Feasibility::Proven),
-            with(|f| f.checkers.push("DeltaEngine".into())),
-            with(|f| f.add_engine(EngineId::Delta)),
+            with(|f| f.checkers.push("ErrorPathChecker".into())),
         ];
         let line_of = |f: &Finding| f.to_json().to_string();
         for v in &variants {
@@ -519,7 +400,6 @@ mod tests {
             message: "reference never released".into(),
             feasibility: Feasibility::Assumed,
             checkers: vec!["HiddenApiChecker".into()],
-            engines: vec![EngineId::Template],
         };
         let s = f.to_string();
         assert!(s.contains("drivers/soc/foo.c:42"));
@@ -528,8 +408,6 @@ mod tests {
         let json = f.to_json().to_string();
         assert!(json.contains("\"feasibility\":\"assumed\""));
         assert!(json.contains("HiddenApiChecker"));
-        assert!(json.contains("\"engines\":[\"template\"]"));
-        assert!(json.contains("\"confidence\":\"template_only\""));
     }
 
     #[test]
@@ -545,7 +423,6 @@ mod tests {
             message: String::new(),
             feasibility: Feasibility::Assumed,
             checkers: vec![checker.into()],
-            engines: vec![EngineId::Template],
         };
         // P5 and P7 share the "overlooked location" family at line 9;
         // P1 at the same line is a different family and must survive.
@@ -576,51 +453,5 @@ mod tests {
         sort_findings_canonical(&mut expect_feas);
         merge_duplicate_findings(&mut expect_feas);
         assert_eq!(expect_feas[1].feasibility, Feasibility::Proven);
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in EngineId::all() {
-            assert_eq!(EngineId::from_name(e.name()), Some(e));
-        }
-        assert_eq!(EngineId::from_name("nope"), None);
-    }
-
-    #[test]
-    fn confidence_derives_from_engine_attribution() {
-        use EngineId::*;
-        assert_eq!(Confidence::of(&[Template]), Confidence::TemplateOnly);
-        assert_eq!(Confidence::of(&[Delta]), Confidence::DeltaOnly);
-        assert_eq!(Confidence::of(&[Template, Delta]), Confidence::Corroborated);
-        assert_eq!(
-            Confidence::of(&[]),
-            Confidence::TemplateOnly,
-            "legacy findings without engine stamps read as template-only"
-        );
-    }
-
-    #[test]
-    fn merge_unions_engine_attribution() {
-        let mk = |engines: &[EngineId]| Finding {
-            pattern: AntiPattern::P5,
-            impact: Impact::Leak,
-            file: "a.c".into(),
-            function: "f".into(),
-            line: 9,
-            api: "get_thing".into(),
-            object: None,
-            message: String::new(),
-            feasibility: Feasibility::Assumed,
-            checkers: vec!["ErrorPathChecker".into()],
-            engines: engines.to_vec(),
-        };
-        // The delta finding arrives first here; the union must still
-        // come out in canonical (template, delta) order.
-        let mut v = vec![mk(&[EngineId::Delta]), mk(&[EngineId::Template])];
-        sort_findings_canonical(&mut v);
-        merge_duplicate_findings(&mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].engines, vec![EngineId::Template, EngineId::Delta]);
-        assert_eq!(v[0].confidence(), Confidence::Corroborated);
     }
 }

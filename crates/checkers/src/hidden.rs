@@ -94,7 +94,6 @@ impl Checker for SmartLoopBreakChecker {
                         ),
                         feasibility: graph.feas.classify(&q, &graph.cfg, head),
                         checkers: Vec::new(),
-                        engines: Vec::new(),
                     });
                 }
             }
@@ -167,7 +166,6 @@ impl Checker for HiddenApiChecker {
                                 // path; no path constraint applies.
                                 feasibility: refminer_cpg::Feasibility::Assumed,
                                 checkers: Vec::new(),
-                                engines: Vec::new(),
                             });
                         }
                     }
@@ -196,7 +194,6 @@ impl Checker for HiddenApiChecker {
                                 ),
                                 feasibility: graph.feas.classify(&q, &graph.cfg, site.node),
                                 checkers: Vec::new(),
-                                engines: Vec::new(),
                             });
                         }
                     }
@@ -239,7 +236,6 @@ impl Checker for HiddenApiChecker {
                         // happens wherever the call executes.
                         feasibility: refminer_cpg::Feasibility::Assumed,
                         checkers: Vec::new(),
-                        engines: Vec::new(),
                     });
                 }
             }

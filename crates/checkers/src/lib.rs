@@ -17,21 +17,18 @@
 //! | [`UadChecker`]           | P8 | future risk | UAF |
 //! | [`EscapeChecker`]        | P9 | future risk | UAF |
 //!
-//! The checkers are one [`AnalysisEngine`], the [`TemplateEngine`];
-//! the ownership-delta dataflow engine in `refminer-delta` is the
-//! other. [`run_engines_traced`] is the one entry point: it runs a
-//! list of engines over every function of a unit. [`check_unit`] is its
-//! single-unit view with the full checker set. Findings carry an
-//! `engines` attribution and derive a [`Confidence`]
-//! (corroborated / template-only / delta-only) from it.
+//! The checkers are one [`AnalysisEngine`], the [`TemplateEngine`].
+//! [`run_engines_traced`] is the one entry point: it runs a list of
+//! engines over every function of a unit. [`check_unit`] is its
+//! single-unit view with the full checker set.
 //!
 //! Each pattern's id, number, semantic template and checker name live
-//! on [`AntiPattern`]. Each path-based witness query the delta engine
-//! shares has one constructor, next to its checker:
-//! [`return_error_query`] (P1), [`never_paired_query`] (P4),
-//! [`error_path_query`] (P5) and [`use_after_decrease_query`] (P8).
-//! Both engines run the same query, so they report a site on the same
-//! line with the same verdict.
+//! on [`AntiPattern`]. Each path-based witness query has one
+//! constructor, next to its checker: [`return_error_query`] (P1),
+//! [`never_paired_query`] (P4), [`error_path_query`] (P5) and
+//! [`use_after_decrease_query`] (P8). The ownership-delta engine in
+//! `refminer-delta`, which the audit does not run, calls the same
+//! queries.
 
 mod checker;
 mod ctx;
@@ -48,10 +45,9 @@ pub use checker::{
 };
 pub use ctx::CheckCtx;
 pub use deviation::{return_error_query, ReturnErrorChecker, ReturnNullChecker};
-pub use engine::{run_engines_traced, AnalysisEngine, EngineSet, TemplateEngine};
+pub use engine::{run_engines_traced, AnalysisEngine, TemplateEngine};
 pub use finding::{
-    merge_duplicate_findings, sort_findings_canonical, AntiPattern, Confidence, EngineId, Finding,
-    Impact,
+    merge_duplicate_findings, sort_findings_canonical, AntiPattern, Finding, Impact,
 };
 // The feasibility verdict each finding carries (see `refminer-cpg`).
 pub use hidden::{never_paired_query, HiddenApiChecker, SmartLoopBreakChecker};

@@ -54,7 +54,6 @@ impl Checker for ErrorPathChecker {
                     ),
                     feasibility: graph.feas.classify(&q, &graph.cfg, site.node),
                     checkers: Vec::new(),
-                    engines: Vec::new(),
                 });
             }
         }
@@ -233,7 +232,6 @@ impl Checker for InterUnpairedChecker {
                     // to test against the intra-function constraints.
                     feasibility: refminer_cpg::Feasibility::Assumed,
                     checkers: Vec::new(),
-                    engines: Vec::new(),
                 });
             }
         }
@@ -337,7 +335,6 @@ impl Checker for DirectFreeChecker {
                         // condition to refute.
                         feasibility: refminer_cpg::Feasibility::Assumed,
                         checkers: Vec::new(),
-                        engines: Vec::new(),
                     });
                 }
             }

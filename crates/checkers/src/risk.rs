@@ -57,7 +57,6 @@ impl Checker for UadChecker {
                         ),
                         feasibility: graph.feas.classify(&q, &graph.cfg, n),
                         checkers: Vec::new(),
-                        engines: Vec::new(),
                     });
                 }
             }
@@ -198,7 +197,6 @@ impl Checker for EscapeChecker {
                     // happens wherever the store executes.
                     feasibility: refminer_cpg::Feasibility::Assumed,
                     checkers: Vec::new(),
-                    engines: Vec::new(),
                 });
             }
         }

@@ -47,13 +47,12 @@ use std::time::Instant;
 
 use refminer_checkers::{
     checkers_for_patterns, default_checkers, merge_duplicate_findings, run_engines_traced,
-    sort_findings_canonical, AnalysisEngine, AntiPattern, EngineSet, Feasibility, Finding, Impact,
-    ProgramDb, TemplateEngine, UnitExports,
+    sort_findings_canonical, AnalysisEngine, AntiPattern, Feasibility, Finding, Impact, ProgramDb,
+    TemplateEngine, UnitExports,
 };
 use refminer_clex::{scan_defines, MacroDef};
 use refminer_cparse::{parse_str_limited, ParseLimits, TranslationUnit};
 use refminer_cpg::FunctionGraph;
-use refminer_delta::DeltaEngine;
 use refminer_progdb::{fnv1a, mix};
 use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, UnitDiscovery};
 use refminer_trace::TraceHandle;
@@ -103,11 +102,6 @@ pub struct AuditConfig {
     /// one per available hardware thread; `1` runs everything inline on
     /// the calling thread. The report is identical either way.
     pub jobs: usize,
-    /// Whether helper-effect summaries resolve across translation
-    /// units (external linkage tree-wide). `false` restricts every
-    /// lookup to the unit's own definitions, reproducing the
-    /// pre-whole-program pipeline.
-    pub whole_program: bool,
     /// Whether the path-feasibility engine's `Infeasible` verdicts
     /// suppress findings in the report (the default). `false` keeps
     /// every finding, tagged — the pre-feasibility behavior.
@@ -119,13 +113,6 @@ pub struct AuditConfig {
     /// Restrict the run to a subset of anti-patterns (`--only-pattern`).
     /// `None` runs all nine.
     pub only_patterns: Option<Vec<AntiPattern>>,
-    /// Which analysis engines phase 2 runs (`--engines`). The default
-    /// is both: the template checkers and the ownership-delta dataflow
-    /// engine cross-validate each other, and findings carry per-engine
-    /// attribution plus a derived confidence. The engine set keys the
-    /// check-stage cache — template-only entries never serve a
-    /// two-engine run.
-    pub engines: EngineSet,
     /// Restrict checking to units under this path prefix
     /// (`--subsystem drivers/net`). `None` checks everything. Filtered
     /// units still parse and export — exports are whole-tree — but skip
@@ -140,10 +127,8 @@ impl Default for AuditConfig {
             discover_apis: true,
             limits: AuditLimits::default(),
             jobs: 0,
-            whole_program: true,
             feasibility: true,
             only_patterns: None,
-            engines: EngineSet::default(),
             subsystem: None,
         }
     }
@@ -522,8 +507,8 @@ fn parse_unit(
 
 /// The phase-2 check stage for one unit: the unit's one full graph
 /// build (CFG, facts, origins, error blocks, feasibility — timed as a
-/// `feasibility` span) and the engines against the merged program
-/// database, inside the unit's fault boundary. When the parse-layer
+/// `feasibility` span) and the template engine against the merged
+/// program database, inside the unit's fault boundary. When the parse-layer
 /// entry came from disk (no retained AST), the unit is re-parsed here
 /// first — parsing is deterministic, so the rehydrated AST is the one
 /// the entry describes.
@@ -536,7 +521,6 @@ fn check_one(
     limits: &AuditLimits,
     parse_limits: &ParseLimits,
     only_patterns: Option<&[AntiPattern]>,
-    engine_set: EngineSet,
     trace: &TraceHandle,
 ) -> CheckedUnit {
     let rehydrated;
@@ -565,20 +549,11 @@ fn check_one(
     let checked = fault_boundary(|| {
         let (graphs, capped, feas) =
             FunctionGraph::build_all_limited_timed(tu, limits.max_graph_nodes);
-        let mut engines: Vec<Box<dyn AnalysisEngine>> = Vec::new();
-        if engine_set.template {
-            let checkers = match only_patterns {
-                Some(ps) => checkers_for_patterns(ps),
-                None => default_checkers(),
-            };
-            engines.push(Box::new(TemplateEngine::new(checkers)));
-        }
-        if engine_set.delta {
-            engines.push(Box::new(match only_patterns {
-                Some(ps) => DeltaEngine::for_patterns(ps),
-                None => DeltaEngine::new(),
-            }));
-        }
+        let checkers = match only_patterns {
+            Some(ps) => checkers_for_patterns(ps),
+            None => default_checkers(),
+        };
+        let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::new(checkers))];
         let fs = run_engines_traced(tu, kb, &graphs, &engines, program, trace);
         (graphs.len(), capped, fs, feas)
     });
@@ -813,7 +788,7 @@ pub fn audit_cancellable(
         Some(b) => b,
         None => {
             let kb = merge_kb(&parsed, config.discover_apis, trace);
-            let db = build_program(&parsed, &kb, config.whole_program, trace);
+            let db = build_program(&parsed, &kb, trace);
             let deps = deps_keys(&parsed, &kb, &db);
             program = Some(db);
             cache.discovery_put(tree_fp, Barrier { kb, deps })
@@ -859,7 +834,7 @@ pub fn audit_cancellable(
     let program = match program {
         Some(db) => db,
         None if check_todo.is_empty() => ProgramDb::empty(),
-        None => build_program(&parsed, kb, config.whole_program, trace),
+        None => build_program(&parsed, kb, trace),
     };
     let check_span = trace.span("check");
     let checked_new = run_indexed(&check_todo, config.jobs, trace, "check", |_, &(i, _)| {
@@ -875,7 +850,6 @@ pub fn audit_cancellable(
             limits,
             &parse_limits,
             only_patterns,
-            config.engines,
             trace,
         )
     });
@@ -1022,15 +996,10 @@ fn merge_kb(parsed: &[Arc<ParsedUnit>], discover: bool, trace: &TraceHandle) -> 
 
 /// The program-database merge: every unit's exports, in unit index
 /// order, under linkage rules.
-fn build_program(
-    parsed: &[Arc<ParsedUnit>],
-    kb: &ApiKb,
-    whole_program: bool,
-    trace: &TraceHandle,
-) -> ProgramDb {
+fn build_program(parsed: &[Arc<ParsedUnit>], kb: &ApiKb, trace: &TraceHandle) -> ProgramDb {
     let _span = trace.span("merge.progdb");
     let exports: Vec<&UnitExports> = parsed.iter().map(|p| &p.exports).collect();
-    ProgramDb::build(&exports, kb, whole_program)
+    ProgramDb::build(&exports, kb, true)
 }
 
 /// The cheap stand-in a parse worker returns after observing a tripped
@@ -1161,8 +1130,10 @@ mod tests {
     #[test]
     fn dropping_asts_changes_nothing_but_memory() {
         // The cache file persists no ASTs, so a reopened cache serves
-        // parse hits without one. A check-layer-only change (the engine
-        // set) misses every check entry while keeping the parse layer
+        // parse hits without one. A check-layer-only change (an
+        // explicit list of all nine patterns, which finds the same but
+        // keys the check layer differently) misses every check entry
+        // while keeping the parse layer
         // warm: the check stage must re-parse each unit from its text
         // and reproduce what a fresh in-memory audit finds. The
         // cross-unit tree makes findings depend on the disk-loaded
@@ -1184,7 +1155,7 @@ mod tests {
         cache.save().expect("save the cache");
 
         let recheck_cfg = AuditConfig {
-            engines: EngineSet::template_only(),
+            only_patterns: Some(AntiPattern::all().to_vec()),
             ..cfg
         };
         let mut reopened = AuditCache::with_dir(&dir);
@@ -1204,7 +1175,7 @@ mod tests {
         // The barrier is memoized per tree: a second audit of the same
         // tree merges nothing, and with every check entry a hit it
         // builds no `ProgramDb` (no `merge.progdb` span). A check-layer
-        // miss (here: a new engine set) builds it again.
+        // miss (here: a new check key) builds it again.
         let tree = generate_tree(&TreeConfig {
             scale: 0.03,
             cross_unit: true,
@@ -1228,17 +1199,17 @@ mod tests {
         assert!(!warm_stages.contains("merge.kb"), "{warm_stages:?}");
         assert!(!warm_stages.contains("merge.progdb"), "{warm_stages:?}");
         assert_eq!(warm.findings, cold.findings);
-        let template_only = AuditConfig {
-            engines: EngineSet::template_only(),
+        let all_patterns = AuditConfig {
+            only_patterns: Some(AntiPattern::all().to_vec()),
             ..AuditConfig::default()
         };
-        let (rechecked, stages) = stages(&template_only, &mut cache);
+        let (rechecked, stages) = stages(&all_patterns, &mut cache);
         assert_eq!(rechecked.cache.discovery_hits, 1);
         assert_eq!(rechecked.cache.check_misses, tree.files.len());
         assert!(stages.contains("merge.progdb"), "{stages:?}");
         assert_eq!(
             rechecked.findings,
-            audit(&project, &template_only).findings,
+            audit(&project, &all_patterns).findings,
             "a database built after a memoized barrier is the one it memoized"
         );
     }

@@ -15,7 +15,6 @@
 //! OPTIONS:
 //!     --pattern <P1..P9>[,..]  only report these anti-patterns (report filter)
 //!     --only-pattern <P1..>[,..] only *run* these patterns' checkers
-//!     --engines <template,delta> which analysis engines run (default both)
 //!     --subsystem <PREFIX>     only audit units under this path prefix
 //!     --impact <leak|uaf|npd>  only report these impacts
 //!     --no-feasibility         keep findings on infeasible paths
@@ -53,9 +52,9 @@ use refminer::serve::{
     ServeOptions, WatchOptions,
 };
 use refminer::{
-    audit_traced, audit_with_cache, diff_projects, evaluate_engines, fixcheck_project,
-    render_diff_lines, sweep_clones, AuditCache, AuditConfig, AuditLimits, DiffOptions, EngineSet,
-    Project, Revision, ScanOptions, TraceHandle,
+    audit_traced, audit_with_cache, diff_projects, evaluate, fixcheck_project, render_diff_lines,
+    sweep_clones, AuditCache, AuditConfig, AuditLimits, DiffOptions, Project, Revision,
+    ScanOptions, TraceHandle,
 };
 use refminer_json::{obj, ToJson, Value};
 
@@ -66,7 +65,6 @@ struct Options {
     path: PathBuf,
     patterns: Option<Vec<AntiPattern>>,
     only_patterns: Option<Vec<AntiPattern>>,
-    engines: EngineSet,
     subsystem: Option<String>,
     impacts: Option<Vec<Impact>>,
     feasibility: bool,
@@ -84,9 +82,9 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: refminer [eval [--sweep|--fixcheck]] [--pattern P4,P8] [--only-pattern P4,P8] \
-         [--engines template,delta] [--subsystem PREFIX] [--impact leak,uaf,npd] [--no-feasibility] \
-         [--json|--csv] [--no-discovery] [--stats] [--strict] [--trace FILE] \
-         [--max-file-bytes N] [--jobs N] [--cache-dir DIR] <PATH>"
+         [--subsystem PREFIX] [--impact leak,uaf,npd] [--no-feasibility] [--json|--csv] \
+         [--no-discovery] [--stats] [--strict] [--trace FILE] [--max-file-bytes N] [--jobs N] \
+         [--cache-dir DIR] <PATH>"
     );
     std::process::exit(2);
 }
@@ -108,7 +106,6 @@ fn parse_args() -> Options {
         path: PathBuf::new(),
         patterns: None,
         only_patterns: None,
-        engines: EngineSet::default(),
         subsystem: None,
         impacts: None,
         feasibility: true,
@@ -187,16 +184,6 @@ fn parse_args() -> Options {
                     Some(v) if !v.is_empty() => opts.only_patterns = Some(v),
                     _ => {
                         eprintln!("unknown anti-pattern in `{value}`");
-                        usage();
-                    }
-                }
-            }
-            "--engines" => {
-                let value = args.next().unwrap_or_else(|| usage());
-                match EngineSet::parse(&value) {
-                    Ok(set) => opts.engines = set,
-                    Err(e) => {
-                        eprintln!("--engines: {e}");
                         usage();
                     }
                 }
@@ -288,9 +275,7 @@ fn main() -> ExitCode {
         jobs: opts.jobs,
         feasibility: opts.feasibility,
         only_patterns: opts.only_patterns.clone(),
-        engines: opts.engines,
         subsystem: opts.subsystem.clone(),
-        ..Default::default()
     };
     let report = audit_traced(&project, &config, &mut cache, &trace);
     if opts.cache_dir.is_some() {
@@ -780,9 +765,10 @@ fn sweep_usage() -> ! {
 }
 
 /// `refminer sweep --at FILE:LINE <PATH>`: abstract the confirmed
-/// finding at FILE:LINE (from a prior audit of the same tree) into a
-/// template and rank every clone site that instantiates it with
-/// different identifiers. Exit 0 when no clones match, 1 when some do,
+/// finding at FILE:LINE (from a prior audit of the same tree; FILE and
+/// the finding's path are equal, or one ends with the other right after
+/// a `/`) into a template and rank every clone site that instantiates
+/// it with different identifiers. Exit 0 when no clones match, 1 when some do,
 /// 2 on usage/scan errors or when no finding exists at that site.
 fn sweep_main() -> ExitCode {
     let mut at: Option<(String, u32)> = None;
@@ -822,7 +808,7 @@ fn sweep_main() -> ExitCode {
     let Some(seed) = report
         .findings
         .iter()
-        .find(|f| f.line == seed_line && (f.file == seed_file || f.file.ends_with(&seed_file)))
+        .find(|f| f.line == seed_line && refminer::fixdiff::paths_match(&seed_file, &f.file))
     else {
         eprintln!("refminer sweep: no finding at {seed_file}:{seed_line}");
         return ExitCode::from(2);
@@ -929,12 +915,8 @@ fn fixcheck_main() -> ExitCode {
         for inc in &r.incomplete {
             for m in &inc.matches {
                 println!(
-                    "! left unfixed ({}% match of {}:{}) [{}] {}",
-                    m.score,
-                    inc.origin.file,
-                    inc.origin.line,
-                    m.finding.confidence().name(),
-                    m.finding
+                    "! left unfixed ({}% match of {}:{}) {}",
+                    m.score, inc.origin.file, inc.origin.line, m.finding
                 );
             }
         }
@@ -1125,7 +1107,7 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
         print!("{}", t.render());
         return ExitCode::SUCCESS;
     }
-    let eval = evaluate_engines(findings, &manifest);
+    let eval = evaluate(findings, &manifest);
     if opts.json {
         println!("{}", eval.to_json());
         return ExitCode::SUCCESS;
@@ -1140,7 +1122,7 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
         "f1",
     ])
     .numeric();
-    for row in &eval.combined.rows {
+    for row in &eval.rows {
         t.row(vec![
             row.pattern.id().to_string(),
             row.counts.tp.to_string(),
@@ -1153,31 +1135,14 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
     }
     t.row(vec![
         "total".to_string(),
-        eval.combined.totals.tp.to_string(),
-        eval.combined.totals.fp.to_string(),
-        eval.combined.totals.missed.to_string(),
-        format!("{:.3}", eval.combined.totals.precision()),
-        format!("{:.3}", eval.combined.totals.recall()),
-        format!("{:.3}", eval.combined.totals.f1()),
+        eval.totals.tp.to_string(),
+        eval.totals.fp.to_string(),
+        eval.totals.missed.to_string(),
+        format!("{:.3}", eval.totals.precision()),
+        format!("{:.3}", eval.totals.recall()),
+        format!("{:.3}", eval.totals.f1()),
     ]);
-    for (engine, report) in &eval.per_engine {
-        t.row(vec![
-            engine.name().to_string(),
-            report.totals.tp.to_string(),
-            report.totals.fp.to_string(),
-            report.totals.missed.to_string(),
-            format!("{:.3}", report.totals.precision()),
-            format!("{:.3}", report.totals.recall()),
-            format!("{:.3}", report.totals.f1()),
-        ]);
-    }
     print!("{}", t.render());
-    let conf: Vec<String> = eval
-        .confidence
-        .iter()
-        .map(|(c, n)| format!("{} {n}", c.name()))
-        .collect();
-    println!("confidence: {}", conf.join(", "));
-    println!("trap hits: {}", eval.combined.trap_hits);
+    println!("trap hits: {}", eval.trap_hits);
     ExitCode::SUCCESS
 }

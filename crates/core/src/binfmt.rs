@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use refminer_checkers::{AntiPattern, EngineId, Finding, Impact};
+use refminer_checkers::{AntiPattern, Finding, Impact};
 use refminer_clex::MacroDef;
 use refminer_cpg::Feasibility;
 use refminer_progdb::{CallSite, FnExport, UnitExports};
@@ -391,15 +391,6 @@ fn put_finding(out: &mut Vec<u8>, f: &Finding) {
         },
     );
     put_vec(out, &f.checkers, |o, c| put_str(o, c));
-    put_vec(out, &f.engines, |o, e| {
-        put_u8(
-            o,
-            match e {
-                EngineId::Template => 0,
-                EngineId::Delta => 1,
-            },
-        )
-    });
 }
 
 fn get_finding(d: &mut Dec<'_>) -> Option<Finding> {
@@ -425,11 +416,6 @@ fn get_finding(d: &mut Dec<'_>) -> Option<Finding> {
             _ => return None,
         },
         checkers: get_vec(d, |d| d.str())?,
-        engines: get_vec(d, |d| match d.u8()? {
-            0 => Some(EngineId::Template),
-            1 => Some(EngineId::Delta),
-            _ => None,
-        })?,
     })
 }
 
@@ -649,7 +635,6 @@ mod tests {
                 message: "deref without NULL check".into(),
                 feasibility: Feasibility::Proven,
                 checkers: vec!["ReturnNullChecker".into()],
-                engines: vec![EngineId::Template],
             }],
             functions: 7,
             errors: vec![CachedError {
@@ -696,7 +681,6 @@ mod tests {
                 message: "m".into(),
                 feasibility: Feasibility::Assumed,
                 checkers: vec!["ErrorPathChecker".into()],
-                engines: vec![EngineId::Template, EngineId::Delta],
             }],
             functions: 1,
             errors: Vec::new(),

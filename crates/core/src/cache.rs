@@ -21,7 +21,7 @@
 //!   ends.
 //! - **Discovery layer** — memoizes the whole barrier, keyed by a *tree
 //!   fingerprint* folding every unit's key with the barrier
-//!   configuration (discovery on or off, whole-program resolution).
+//!   configuration (discovery on or off).
 //!   Holds a [`Barrier`]: the merged [`ApiKb`] and every unit's deps
 //!   key. Touching any file re-runs the KB merge, the `ProgramDb`
 //!   merge and the deps walk once (cheap — they fold cached per-unit
@@ -139,11 +139,9 @@ pub fn parse_config_fingerprint(config: &AuditConfig, seed_kb_fp: u64) -> u64 {
 
 /// Fingerprint of the check-stage configuration.
 ///
-/// `--only-pattern` and `--engines` change a unit's findings, so both
-/// key the layer — a filtered or template-only run never poisons (or
-/// reuses) full-run entries. The delta engine's own logic version is
-/// folded only when the engine is enabled, so template-only entries
-/// survive delta-engine changes. Two flags are deliberately absent:
+/// `--only-pattern` changes a unit's findings, so it keys the layer —
+/// a filtered run never poisons (or reuses) full-run entries. Two
+/// flags are deliberately absent:
 /// `--subsystem` only decides *which* units are checked, never what a
 /// checked unit yields, so a narrowed run reuses full-run entries; and
 /// the `feasibility` suppression flag, because verdicts are always
@@ -154,12 +152,6 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
     let mut h = FNV_OFFSET;
     h = mix(h, config.limits.max_graph_nodes as u64);
     h = mix(h, checker_set_fingerprint());
-    h = mix(h, config.whole_program as u64);
-    h = mix(h, config.engines.template as u64);
-    h = mix(h, config.engines.delta as u64);
-    if config.engines.delta {
-        h = mix(h, refminer_delta::delta_fingerprint());
-    }
     match &config.only_patterns {
         None => h = mix(h, 0),
         Some(ps) => {
@@ -173,14 +165,13 @@ pub fn check_config_fingerprint(config: &AuditConfig) -> u64 {
 }
 
 /// Fingerprint of the barrier configuration: whether discovery runs
-/// (and with it the nesting threshold), whether calls resolve across
-/// units, and the builtin seed KB's fingerprint `seed_kb_fp`, so a
-/// binary with a different seed never reuses old results.
+/// (and with it the nesting threshold), and the builtin seed KB's
+/// fingerprint `seed_kb_fp`, so a binary with a different seed never
+/// reuses old results.
 pub fn barrier_config_fingerprint(config: &AuditConfig, seed_kb_fp: u64) -> u64 {
     let mut h = FNV_OFFSET;
     h = mix(h, config.discover_apis as u64);
     h = mix(h, DiscoverConfig::default().nesting_threshold as u64);
-    h = mix(h, config.whole_program as u64);
     h = mix(h, seed_kb_fp);
     h
 }
@@ -476,7 +467,9 @@ pub const QUARANTINE_SUFFIX: &str = ".corrupt";
 /// unit's deps key), and check keys fold the KB entries a unit names
 /// instead of the whole KB's fingerprint, so a v7 check key would be
 /// looked up under a different meaning.
-const CACHE_VERSION: u64 = 8;
+/// v9: findings drop their engine attribution, so a v8 check payload
+/// would be read with the wrong layout.
+const CACHE_VERSION: u64 = 9;
 
 /// First bytes of every cache file; anything else is not ours.
 const MAGIC: [u8; 8] = *b"RFMCACHE";
@@ -1026,15 +1019,6 @@ mod tests {
             parse_config_fingerprint(&config, seed_fp),
             check_config_fingerprint(&config)
         );
-        let single_unit = AuditConfig {
-            whole_program: false,
-            ..AuditConfig::default()
-        };
-        assert_ne!(
-            check_config_fingerprint(&config),
-            check_config_fingerprint(&single_unit),
-            "whole-program mode must key the check layer"
-        );
     }
 
     #[test]
@@ -1177,7 +1161,6 @@ mod tests {
                             refminer_checkers::Feasibility::Proven,
                         ][(next() % 3) as usize],
                         checkers: vec!["C".into()],
-                        engines: Vec::new(),
                     });
                 }
                 cache.check_put(

@@ -383,7 +383,7 @@ pub fn render_diff_lines(d: &DiffDelta) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refminer_checkers::{AntiPattern, EngineId, Impact};
+    use refminer_checkers::{AntiPattern, Impact};
 
     fn finding_at(line: u32) -> Finding {
         Finding {
@@ -397,7 +397,6 @@ mod tests {
             message: "missing of_node_put on the error path".to_string(),
             feasibility: Default::default(),
             checkers: vec!["return_error_no_put".to_string()],
-            engines: vec![EngineId::Template],
         }
     }
 

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use refminer_checkers::{AntiPattern, Confidence, EngineId, Finding};
+use refminer_checkers::{AntiPattern, Finding};
 use refminer_corpus::Manifest;
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::ApiKb;
@@ -185,87 +185,6 @@ pub fn evaluate(findings: &[Finding], manifest: &Manifest) -> EvalReport {
         rows,
         totals,
         trap_hits,
-    }
-}
-
-/// Whether `finding` is attributed to `engine`. Findings predating
-/// engine stamping (empty list) read as template findings — the only
-/// engine that existed when they were produced.
-pub fn finding_attributed(finding: &Finding, engine: EngineId) -> bool {
-    finding.engines.contains(&engine)
-        || (finding.engines.is_empty() && engine == EngineId::Template)
-}
-
-/// The combined score plus one per-engine view and the confidence
-/// breakdown — `refminer eval`'s two-engine report.
-#[derive(Debug, Clone, Default)]
-pub struct EngineEvalReport {
-    /// Score over every finding, regardless of attribution.
-    pub combined: EvalReport,
-    /// Score over each engine's findings alone, in canonical order.
-    /// An engine's view keeps a merged finding whenever the engine
-    /// contributed to it, so `Corroborated` findings count for both.
-    pub per_engine: Vec<(EngineId, EvalReport)>,
-    /// How many findings carry each confidence level.
-    pub confidence: Vec<(Confidence, usize)>,
-}
-
-/// Scores `findings` combined and per engine. The per-engine views
-/// filter by attribution and re-run the same matching, so an engine's
-/// row answers "what would this engine alone have scored".
-pub fn evaluate_engines(findings: &[Finding], manifest: &Manifest) -> EngineEvalReport {
-    let combined = evaluate(findings, manifest);
-    let per_engine = EngineId::all()
-        .into_iter()
-        .map(|engine| {
-            let view: Vec<Finding> = findings
-                .iter()
-                .filter(|f| finding_attributed(f, engine))
-                .cloned()
-                .collect();
-            (engine, evaluate(&view, manifest))
-        })
-        .collect();
-    let confidence = [
-        Confidence::Corroborated,
-        Confidence::TemplateOnly,
-        Confidence::DeltaOnly,
-    ]
-    .into_iter()
-    .map(|c| (c, findings.iter().filter(|f| f.confidence() == c).count()))
-    .collect();
-    EngineEvalReport {
-        combined,
-        per_engine,
-        confidence,
-    }
-}
-
-impl ToJson for EngineEvalReport {
-    fn to_json(&self) -> Value {
-        let mut root = match self.combined.to_json() {
-            Value::Obj(pairs) => pairs,
-            _ => unreachable!("EvalReport serializes to an object"),
-        };
-        root.push((
-            "engines".to_string(),
-            Value::Obj(
-                self.per_engine
-                    .iter()
-                    .map(|(e, r)| (e.name().to_string(), r.to_json()))
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "confidence".to_string(),
-            Value::Obj(
-                self.confidence
-                    .iter()
-                    .map(|(c, n)| (c.name().to_string(), n.to_json()))
-                    .collect(),
-            ),
-        ));
-        Value::Obj(root)
     }
 }
 
@@ -493,7 +412,6 @@ mod tests {
             message: String::new(),
             feasibility: Feasibility::Assumed,
             checkers: checkers.iter().map(|c| c.to_string()).collect(),
-            engines: vec![EngineId::Template],
         }
     }
 
@@ -704,88 +622,6 @@ mod tests {
             Some(1.0),
             "nothing injected → per-pattern recall stays 1.0"
         );
-    }
-
-    #[test]
-    fn per_engine_views_score_independently() {
-        // One bug both engines caught (merged, Corroborated), one only
-        // the template saw, one delta-only FP: the combined view counts
-        // everything, each engine's view only its own work.
-        let mut manifest = Manifest::default();
-        manifest.bugs.push(bug("a.c", "f", 1));
-        manifest.bugs.push(bug("a.c", "g", 5));
-        let mut corroborated = finding("a.c", "f", AntiPattern::P1, &["ReturnErrorChecker"]);
-        corroborated.engines = vec![EngineId::Template, EngineId::Delta];
-        let template_only = finding("a.c", "g", AntiPattern::P5, &["ErrorPathChecker"]);
-        let mut delta_fp = finding("z.c", "h", AntiPattern::P5, &["DeltaEngine"]);
-        delta_fp.engines = vec![EngineId::Delta];
-        let report = evaluate_engines(&[corroborated, template_only, delta_fp], &manifest);
-
-        assert_eq!(
-            report.combined.totals,
-            Counts {
-                tp: 2,
-                fp: 1,
-                missed: 0
-            }
-        );
-        let by_engine: BTreeMap<EngineId, &EvalReport> =
-            report.per_engine.iter().map(|(e, r)| (*e, r)).collect();
-        assert_eq!(
-            by_engine[&EngineId::Template].totals,
-            Counts {
-                tp: 2,
-                fp: 0,
-                missed: 0
-            }
-        );
-        assert_eq!(
-            by_engine[&EngineId::Delta].totals,
-            Counts {
-                tp: 1,
-                fp: 1,
-                missed: 1
-            }
-        );
-        let conf: BTreeMap<Confidence, usize> = report.confidence.iter().copied().collect();
-        assert_eq!(conf[&Confidence::Corroborated], 1);
-        assert_eq!(conf[&Confidence::TemplateOnly], 1);
-        assert_eq!(conf[&Confidence::DeltaOnly], 1);
-
-        let v = json_round_trip_engines(&report);
-        let delta_f1 = v
-            .get("engines")
-            .and_then(|e| e.get("delta"))
-            .and_then(|d| d.get("totals"))
-            .and_then(|t| t.get("f1"))
-            .and_then(|f| f.as_f64())
-            .expect("engines.delta.totals.f1");
-        assert!((delta_f1 - 0.5).abs() < 1e-9, "got {delta_f1}");
-        assert_eq!(
-            v.get("confidence")
-                .and_then(|c| c.get("corroborated"))
-                .and_then(|n| n.as_u64()),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn legacy_unattributed_findings_count_as_template() {
-        let mut manifest = Manifest::default();
-        manifest.bugs.push(bug("a.c", "f", 1));
-        let mut legacy = finding("a.c", "f", AntiPattern::P1, &["ReturnErrorChecker"]);
-        legacy.engines = Vec::new();
-        assert!(finding_attributed(&legacy, EngineId::Template));
-        assert!(!finding_attributed(&legacy, EngineId::Delta));
-        let report = evaluate_engines(&[legacy], &manifest);
-        let by_engine: BTreeMap<EngineId, &EvalReport> =
-            report.per_engine.iter().map(|(e, r)| (*e, r)).collect();
-        assert_eq!(by_engine[&EngineId::Template].totals.tp, 1);
-        assert_eq!(by_engine[&EngineId::Delta].totals.missed, 1);
-    }
-
-    fn json_round_trip_engines(report: &EngineEvalReport) -> Value {
-        Value::parse(&report.to_json().to_string()).expect("engine eval report is valid JSON")
     }
 
     #[test]

@@ -263,20 +263,6 @@ pub fn render_fixcheck_lines(r: &FixcheckReport) -> Vec<String> {
                         },
                     ),
                     ("score", m.score.to_json()),
-                    (
-                        "confidence",
-                        Value::Str(m.finding.confidence().name().to_string()),
-                    ),
-                    (
-                        "engines",
-                        Value::Arr(
-                            m.finding
-                                .engines
-                                .iter()
-                                .map(|e| Value::Str(e.name().to_string()))
-                                .collect(),
-                        ),
-                    ),
                     ("line", Value::Str(render_finding_line(&m.finding))),
                 ])
                 .to_string(),

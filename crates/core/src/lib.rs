@@ -47,8 +47,8 @@ pub use diff::{
     DiffOptions, DiffReport, LeftBehind, Revision,
 };
 pub use eval::{
-    evaluate, evaluate_engines, evaluate_sweep, finding_attributed, Counts, EngineEvalReport,
-    EvalReport, EvalRow, SweepCounts, SweepEvalReport, SweepGroupRow,
+    evaluate, evaluate_sweep, Counts, EvalReport, EvalRow, SweepCounts, SweepEvalReport,
+    SweepGroupRow,
 };
 pub use fixcheck::{
     evaluate_fixcheck, fixcheck_project, render_fixcheck_lines, FixcheckEvalReport,
@@ -61,7 +61,7 @@ pub use parallel::{effective_jobs, run_indexed};
 pub use project::{Project, ScanDiagnostic, ScanErrorKind, ScanOptions, SourceUnit};
 
 pub use refminer_checkers as checkers;
-pub use refminer_checkers::{AntiPattern, Confidence, EngineId, EngineSet, Finding, Impact};
+pub use refminer_checkers::{AntiPattern, Finding, Impact};
 pub use refminer_clex as clex;
 pub use refminer_corpus as corpus;
 pub use refminer_cparse as cparse;

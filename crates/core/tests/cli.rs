@@ -337,37 +337,26 @@ fn eval_reports_per_engine_and_combined_metrics() {
     let v = refminer_json::Value::parse(String::from_utf8_lossy(&out.stdout).trim())
         .expect("eval report is JSON");
 
-    // Combined metrics keep their schema-1 shape at the top level...
-    assert!(v.get("per_pattern").is_some());
-    assert!(v.get("trap_hits").is_some());
-    // ...and the two-engine split plus confidence histogram ride along.
-    let engines = v.get("engines").expect("per-engine sub-reports");
-    for e in ["template", "delta"] {
-        let f1 = engines
-            .get(e)
-            .and_then(|s| s.get("totals"))
-            .and_then(|t| t.get("f1"))
-            .and_then(|f| f.as_f64())
-            .unwrap_or_else(|| panic!("missing {e} F1"));
-        assert!((0.0..=1.0).contains(&f1));
-    }
-    let conf = v.get("confidence").expect("confidence histogram");
-    let mut total = 0;
-    for c in ["corroborated", "template_only", "delta_only"] {
-        total += conf
-            .get(c)
-            .and_then(|n| n.as_u64())
-            .unwrap_or_else(|| panic!("missing {c}"));
-    }
-    assert!(total > 0, "confidence histogram is empty");
+    // The report is the combined score: per-pattern rows, totals and
+    // trap hits, and nothing else.
+    let refminer_json::Value::Obj(pairs) = &v else {
+        panic!("eval report is not an object: {v}")
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["per_pattern", "totals", "trap_hits"], "{v}");
+    let f1 = v
+        .get("totals")
+        .and_then(|t| t.get("f1"))
+        .and_then(|f| f.as_f64())
+        .expect("totals.f1");
+    assert!((0.0..=1.0).contains(&f1));
 
-    // The text table renders one row per engine plus the histogram.
+    // The text table ends in the totals row and the trap-hit count.
     let out = refminer().arg("eval").arg(&dir).output().expect("run");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    for needle in ["template", "delta", "confidence:"] {
-        assert!(text.contains(needle), "table missing {needle:?}:\n{text}");
-    }
+    assert!(text.contains("total"), "table missing the totals:\n{text}");
+    assert!(text.ends_with("trap hits: 0\n"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1124,21 +1113,87 @@ fn eval_sweep_scores_the_clone_groups() {
 }
 
 #[test]
-fn engines_template_drops_delta_attribution() {
-    let (dir, hist) = clone_history("engines");
-    let audit = |extra: &[&str]| {
-        let out = refminer()
-            .arg("--json")
-            .args(extra)
-            .arg(hist.join("rev00"))
-            .output()
-            .expect("run audit");
-        assert_eq!(out.status.code(), Some(1));
-        String::from_utf8(out.stdout).expect("utf8")
-    };
-    assert!(audit(&[]).contains("\"delta\""), "both engines by default");
-    let template_only = audit(&["--engines", "template"]);
-    assert!(!template_only.is_empty());
-    assert!(!template_only.contains("\"delta\""), "{template_only}");
+fn json_finding_lines_carry_exactly_the_finding_fields() {
+    let dir = write_demo_tree();
+    let out = refminer().arg("--json").arg(&dir).output().expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let lines = json_lines(&out.stdout);
+    assert_eq!(lines.len(), 2);
+    for line in &lines {
+        let refminer_json::Value::Obj(pairs) = line else {
+            panic!("finding line is not an object: {line}")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "pattern",
+                "impact",
+                "file",
+                "function",
+                "line",
+                "api",
+                "object",
+                "message",
+                "feasibility",
+                "checkers"
+            ]
+        );
+    }
+    // The audit runs one engine; there is no engine to choose.
+    let out = refminer()
+        .args(["--engines", "template"])
+        .arg(&dir)
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option `--engines`"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sweep_at_matches_the_file_on_a_path_boundary() {
+    // Both files have a finding at line 4; `b.c` names only the second,
+    // although `drivers/net/ab.c` also ends in `b.c` and sorts first.
+    let dir = scratch_dir("sweep_boundary");
+    std::fs::create_dir_all(dir.join("drivers/net")).expect("mkdir");
+    for (file, function) in [("ab.c", "ab_probe"), ("b.c", "b_probe")] {
+        std::fs::write(
+            dir.join("drivers/net").join(file),
+            format!(
+                r#"
+int {function}(struct platform_device *pdev)
+{{
+        struct device_node *np = of_find_node_by_name(NULL, "x");
+        if (!np)
+                return -ENODEV;
+        return 0;
+}}
+"#
+            ),
+        )
+        .expect("write unit");
+    }
+    let out = refminer()
+        .args(["sweep", "--at", "b.c:4", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("run sweep");
+    let lines = json_lines(&out.stdout);
+    let origin = lines
+        .first()
+        .and_then(|l| l.get("template"))
+        .and_then(|t| t.get("origin"))
+        .unwrap_or_else(|| panic!("no template: {}", String::from_utf8_lossy(&out.stderr)));
+    assert_eq!(
+        origin.get("file").and_then(refminer_json::Value::as_str),
+        Some("drivers/net/b.c")
+    );
+    assert_eq!(
+        origin
+            .get("function")
+            .and_then(refminer_json::Value::as_str),
+        Some("b_probe")
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -290,7 +290,6 @@ mod tests {
             message: String::new(),
             feasibility: refminer_checkers::Feasibility::Assumed,
             checkers: Vec::new(),
-            engines: Vec::new(),
         }
     }
 

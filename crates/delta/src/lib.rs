@@ -1,8 +1,10 @@
 //! # refminer-delta
 //!
-//! The ownership-delta dataflow engine: the second analysis engine of
-//! the two-engine audit core, cross-validating the semantic-template
-//! checkers with an independent abstraction.
+//! The ownership-delta dataflow engine: an independent abstraction of
+//! the refcount bugs the semantic-template checkers find. The audit
+//! does not run it: on every tree measured it added no finding and
+//! removed none. The benchmark builds it directly for its per-layer
+//! `delta.*` rows, and it goes once those rows do.
 //!
 //! Where the template engine pattern-matches the paper's nine
 //! anti-pattern shapes, this engine *counts*. For every acquisition
@@ -25,13 +27,12 @@
 //! exit (`hi > 0`) leaks on some path. The engine then *refines* the
 //! candidate with the checkers' own witness queries
 //! ([`return_error_query`], [`error_path_query`],
-//! [`never_paired_query`]) and feasibility classification, so
-//! corroborated findings land on the same line with the same verdict,
-//! and the cross-validation layer can union them. A candidate whose
-//! delta is positive on **every** exit path (`lo > 0`) but which no
-//! template query witnesses (e.g. a double-get with a single put on
-//! straight-line code) is reported structurally: that is the delta
-//! engine's own territory.
+//! [`never_paired_query`]) and feasibility classification, so a site
+//! both analyses flag lands on the same line with the same verdict. A
+//! candidate whose delta is positive on **every** exit path (`lo > 0`)
+//! but which no template query witnesses (e.g. a double-get with a
+//! single put on straight-line code) is reported structurally: that is
+//! the delta engine's own territory.
 //!
 //! The over-put direction mirrors P8: a decrement of an object the
 //! function never acquired drives the interval negative; a subsequent
@@ -40,18 +41,10 @@
 
 use refminer_checkers::{
     error_path_query, has_any_paired_dec, inc_sites, never_paired_query, return_error_query,
-    use_after_decrease_query, AnalysisEngine, AntiPattern, CheckCtx, EngineId, Finding, Impact,
+    use_after_decrease_query, AnalysisEngine, AntiPattern, CheckCtx, Finding, Impact,
 };
 use refminer_cpg::{Feasibility, NodeId, NodeKind};
-use refminer_progdb::{fnv1a, mix};
 use refminer_rcapi::{ObjectFlow, RcApi, RcClass, RcDir};
-
-/// Bump when the delta engine's logic changes: the value keys cached
-/// check entries through the engine-set fingerprint.
-///
-/// v1: interval dataflow with template-query witness refinement and
-/// the structural net-positive fallback.
-pub const DELTA_LOGIC_VERSION: u64 = 1;
 
 /// The checker-style name stamped into delta findings' `checkers`
 /// list, so reports and eval can tell which analysis stood up a site.
@@ -93,47 +86,27 @@ impl Interval {
 }
 
 /// The ownership-delta dataflow engine behind the [`AnalysisEngine`]
-/// trait. Scope it with [`DeltaEngine::for_patterns`] to honor
-/// `--only` audits; findings outside the scope are dropped after the
-/// analysis (the dataflow itself is pattern-agnostic).
+/// trait, over every anti-pattern it can attribute.
 #[derive(Default)]
-pub struct DeltaEngine {
-    only: Option<Vec<AntiPattern>>,
-}
+pub struct DeltaEngine;
 
 impl DeltaEngine {
-    /// The engine over all anti-patterns it can attribute.
+    /// A new engine; it holds no state.
     pub fn new() -> DeltaEngine {
-        DeltaEngine::default()
-    }
-
-    /// The engine restricted to `patterns` (the `--only` audit scope).
-    pub fn for_patterns(patterns: &[AntiPattern]) -> DeltaEngine {
-        DeltaEngine {
-            only: Some(patterns.to_vec()),
-        }
+        DeltaEngine
     }
 }
 
 impl AnalysisEngine for DeltaEngine {
-    fn id(&self) -> EngineId {
-        EngineId::Delta
+    fn name(&self) -> &'static str {
+        "delta"
     }
 
     fn analyze(&self, ctx: &CheckCtx<'_>) -> Vec<Finding> {
         let mut out = leak_findings(ctx);
         out.extend(overput_findings(ctx));
-        if let Some(only) = &self.only {
-            out.retain(|f| only.contains(&f.pattern));
-        }
         out
     }
-}
-
-/// A fingerprint of the delta engine's logic, mixed into the check
-/// cache key whenever the engine is enabled.
-pub fn delta_fingerprint() -> u64 {
-    mix(fnv1a(b"refminer-delta"), DELTA_LOGIC_VERSION)
 }
 
 /// One acquisition the dataflow tracks: like the checkers' inc sites,
@@ -440,7 +413,6 @@ fn overput_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
                     ),
                     feasibility: graph.feas.classify(&q, &graph.cfg, n),
                     checkers: vec![DELTA_CHECKER_NAME.to_string()],
-                    engines: Vec::new(),
                 });
             }
         }
@@ -468,24 +440,18 @@ fn delta_finding(
         message,
         feasibility,
         checkers: vec![DELTA_CHECKER_NAME.to_string()],
-        engines: Vec::new(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refminer_checkers::Confidence;
     use refminer_cparse::parse_str;
     use refminer_cpg::FunctionGraph;
     use refminer_progdb::ProgramDb;
     use refminer_rcapi::ApiKb;
 
     fn run(src: &str) -> Vec<Finding> {
-        run_engine(&DeltaEngine::new(), src)
-    }
-
-    fn run_engine(engine: &DeltaEngine, src: &str) -> Vec<Finding> {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
         let kb = ApiKb::builtin();
@@ -502,7 +468,7 @@ mod tests {
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),
             };
-            out.extend(engine.analyze(&ctx));
+            out.extend(DeltaEngine::new().analyze(&ctx));
         }
         out
     }
@@ -641,10 +607,6 @@ void pin_twice(struct device_node *np)
         assert_eq!(findings[0].pattern, AntiPattern::P5);
         assert_eq!(findings[0].feasibility, Feasibility::Assumed);
         assert!(findings[0].message.contains("net refcount delta"));
-        // Merged standalone, the finding reads delta-only.
-        let mut f = findings[0].clone();
-        f.add_engine(EngineId::Delta);
-        assert_eq!(f.confidence(), Confidence::DeltaOnly);
     }
 
     #[test]
@@ -664,26 +626,5 @@ int probe(void)
 }
 "#);
         assert!(findings.is_empty(), "got {findings:?}");
-    }
-
-    #[test]
-    fn pattern_scope_filters_findings() {
-        let src = r#"
-void ping_unhash(struct sock *sk)
-{
-        sock_put(sk);
-        sock_prot_inuse_add(net, sk->sk_prot, -1);
-}
-"#;
-        let scoped = run_engine(&DeltaEngine::for_patterns(&[AntiPattern::P5]), src);
-        assert!(scoped.is_empty(), "got {scoped:?}");
-        let scoped = run_engine(&DeltaEngine::for_patterns(&[AntiPattern::P8]), src);
-        assert_eq!(scoped.len(), 1);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_nonzero() {
-        assert_eq!(delta_fingerprint(), delta_fingerprint());
-        assert_ne!(delta_fingerprint(), 0);
     }
 }

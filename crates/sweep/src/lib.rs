@@ -8,16 +8,15 @@
 //! instantiate the same template with different identifiers.
 //!
 //! The sweep never re-discovers bugs on its own; it *ranks and groups*
-//! what the two analysis engines already reported, so a clone match
-//! inherits the engines' corroboration and the report layer's
-//! feasibility suppression. That is what keeps the sweep at zero
-//! spurious matches on the FP-trap corpus: a trap suppressed by the
-//! feasibility engine never enters the candidate pool.
+//! what the checkers already reported, so a clone match inherits the
+//! report layer's feasibility suppression. That is what keeps the sweep
+//! at zero spurious matches on the FP-trap corpus: a trap suppressed by
+//! the feasibility engine never enters the candidate pool.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use refminer_checkers::{AntiPattern, EngineId, Finding, Impact};
+use refminer_checkers::{AntiPattern, Finding, Impact};
 use refminer_cparse::{parse_str, TranslationUnit};
 use refminer_cpg::{CheckFact, FunctionGraph, StoreTarget};
 use refminer_json::{obj, ToJson, Value};
@@ -152,8 +151,6 @@ pub struct BugTemplate {
     pub impact: Impact,
     /// Where the template came from.
     pub origin: SeedSite,
-    /// The engines that stood behind the seed finding.
-    pub engines: Vec<EngineId>,
     /// Structural signature of the seed function.
     pub sig: StructSig,
 }
@@ -167,15 +164,6 @@ impl ToJson for BugTemplate {
             ("accepted_decs", self.accepted_decs.to_json()),
             ("impact", self.impact.to_json()),
             ("origin", self.origin.to_json()),
-            (
-                "engines",
-                Value::Arr(
-                    self.engines
-                        .iter()
-                        .map(|e| Value::Str(e.name().to_string()))
-                        .collect(),
-                ),
-            ),
             ("sig", self.sig.to_json()),
         ])
     }
@@ -184,7 +172,7 @@ impl ToJson for BugTemplate {
 /// A clone site the sweep matched against a template.
 #[derive(Debug, Clone)]
 pub struct CloneMatch {
-    /// The matched finding, engines attribution included.
+    /// The matched finding.
     pub finding: Finding,
     /// Structural similarity to the template, in percent.
     pub score: u32,
@@ -285,7 +273,6 @@ pub fn abstract_template_parsed(
             function: finding.function.clone(),
             line: finding.line,
         },
-        engines: finding.engines.clone(),
         sig,
     })
 }
@@ -400,7 +387,6 @@ mod tests {
             message: "reference never released".into(),
             feasibility: Feasibility::Assumed,
             checkers: vec!["HiddenApiChecker".into()],
-            engines: vec![EngineId::Template],
         }
     }
 
@@ -453,7 +439,6 @@ static struct device_node *gamma_lookup(void)
         assert!(t.accepted_decs.contains(&"of_node_put".to_string()));
         let json = t.to_json().to_string();
         assert!(json.contains("\"origin\""));
-        assert!(json.contains("\"engines\":[\"template\"]"));
     }
 
     #[test]

@@ -1,11 +1,37 @@
 //! The headline reproduction test: the full Table 4 run, end to end —
 //! generate the synthetic "latest release" tree, audit it with all
 //! nine checkers, triage against ground truth, and require the paper's
-//! numbers.
+//! numbers. Beside it, the audit-level contracts: the committed F1
+//! floor on the trap corpus, a `--json` report that is byte-identical
+//! across job counts and cache temperature, and a feasibility flag
+//! that filters the report without keying the cache.
 
-use refminer::corpus::{generate_tree, TreeConfig};
-use refminer::{audit, AuditConfig, Project};
+use refminer::checkers::Feasibility;
+use refminer::corpus::{generate_tree, SyntheticTree, TreeConfig};
+use refminer::{audit, audit_with_cache, evaluate, AuditCache, AuditConfig, Project};
 use refminer_dataset::triage;
+use refminer_json::ToJson;
+
+/// Committed floor for the audit's F1 on the trap corpus. Update
+/// deliberately, never to paper over a regression.
+const EVAL_F1_FLOOR: f64 = 0.99;
+
+fn small_tree() -> SyntheticTree {
+    generate_tree(&TreeConfig {
+        scale: 0.05,
+        ..Default::default()
+    })
+}
+
+/// The exact bytes `refminer --json` prints for these findings.
+fn json_lines<'a>(findings: impl IntoIterator<Item = &'a refminer::Finding>) -> String {
+    let mut out = String::new();
+    for f in findings {
+        out.push_str(&f.to_json().to_string());
+        out.push('\n');
+    }
+    out
+}
 
 #[test]
 fn table4_reproduces_exactly() {
@@ -41,6 +67,27 @@ fn table4_reproduces_exactly() {
         "perfect recall"
     );
     assert!(t.precision() > 0.98, "precision {}", t.precision());
+}
+
+#[test]
+fn every_bug_class_is_found() {
+    let tree = generate_tree(&TreeConfig::default());
+    let report = audit(&Project::from_tree(&tree), &AuditConfig::default());
+    let t = triage(&report.findings, &tree.manifest);
+
+    // The tree spans the taxonomy, and every injected bug class is
+    // found.
+    let mut classes: Vec<u8> = tree.manifest.bugs.iter().map(|b| b.pattern).collect();
+    classes.sort_unstable();
+    classes.dedup();
+    assert!(classes.len() >= 8, "corpus should span the taxonomy");
+    for class in classes {
+        let hit = t
+            .rows
+            .iter()
+            .any(|r| r.true_positive && r.finding.pattern.number() == class);
+        assert!(hit, "no P{class} bug found");
+    }
 }
 
 #[test]
@@ -99,4 +146,119 @@ fn filesystem_round_trip_preserves_findings() {
     for (a, b) in in_memory.findings.iter().zip(&from_disk.findings) {
         assert_eq!(a, b);
     }
+}
+
+#[test]
+fn trap_corpus_f1_stays_above_the_committed_floor() {
+    // The trap corpus proper: traps, clean functions, and injected
+    // bugs. The tricky-snippet family is excluded: those are the
+    // audit's five known organic FPs (see
+    // `every_false_positive_is_a_tricky_snippet`).
+    let tree = generate_tree(&TreeConfig {
+        scale: 0.1,
+        fp_traps: true,
+        include_tricky: false,
+        ..Default::default()
+    });
+    assert!(!tree.manifest.fp_traps.is_empty(), "traps were generated");
+    let report = audit(&Project::from_tree(&tree), &AuditConfig::default());
+    let f1 = evaluate(&report.findings, &tree.manifest).totals.f1();
+    assert!(
+        f1 >= EVAL_F1_FLOOR,
+        "F1 {f1:.4} below the committed floor {EVAL_F1_FLOOR}"
+    );
+}
+
+#[test]
+fn json_is_byte_identical_across_jobs_cache_and_scheduling() {
+    let tree = small_tree();
+    let project = Project::from_tree(&tree);
+
+    let baseline = audit(
+        &project,
+        &AuditConfig {
+            jobs: 1,
+            ..Default::default()
+        },
+    );
+    let expected = json_lines(&baseline.findings);
+
+    for jobs in [2, 8] {
+        let cfg = AuditConfig {
+            jobs,
+            ..Default::default()
+        };
+        let mut cache = AuditCache::new();
+        let cold = audit_with_cache(&project, &cfg, &mut cache);
+        let warm = audit_with_cache(&project, &cfg, &mut cache);
+        assert_eq!(
+            json_lines(&cold.findings),
+            expected,
+            "cold diverged (jobs={jobs})"
+        );
+        assert_eq!(
+            json_lines(&warm.findings),
+            expected,
+            "warm diverged (jobs={jobs})"
+        );
+        assert_eq!(warm.cache.check_misses, 0, "warm run re-checked");
+    }
+}
+
+#[test]
+fn feasibility_flag_never_keys_the_cache() {
+    let tree = small_tree();
+    let project = Project::from_tree(&tree);
+    let mut cache = AuditCache::new();
+
+    let with = AuditConfig {
+        feasibility: true,
+        ..Default::default()
+    };
+    let without = AuditConfig {
+        feasibility: false,
+        ..with.clone()
+    };
+
+    let cold = audit_with_cache(&project, &with, &mut cache);
+    assert!(cold.cache.check_misses > 0);
+
+    // Flipping the flag must be a pure report-layer change: the warm
+    // run re-checks nothing and re-parses nothing.
+    let flipped = audit_with_cache(&project, &without, &mut cache);
+    assert_eq!(flipped.cache.check_misses, 0, "flag keyed the check cache");
+    assert_eq!(flipped.cache.parse_misses, 0, "flag keyed the parse cache");
+    assert!(flipped.findings.len() >= cold.findings.len());
+
+    // And back again: still fully warm, and byte-identical to the cold
+    // suppressed report.
+    let back = audit_with_cache(&project, &with, &mut cache);
+    assert_eq!(back.cache.check_misses, 0);
+    assert_eq!(json_lines(&back.findings), json_lines(&cold.findings));
+}
+
+#[test]
+fn feasibility_suppression_is_a_pure_filter() {
+    let tree = generate_tree(&TreeConfig {
+        scale: 0.1,
+        fp_traps: true,
+        ..Default::default()
+    });
+    let project = Project::from_tree(&tree);
+    let on = audit(&project, &AuditConfig::default());
+    let off = audit(
+        &project,
+        &AuditConfig {
+            feasibility: false,
+            ..Default::default()
+        },
+    );
+    // The suppressed report is exactly the unsuppressed one minus
+    // `Infeasible`-tagged findings.
+    assert!(off.findings.len() > on.findings.len(), "traps were pruned");
+    let filtered = off
+        .findings
+        .iter()
+        .filter(|f| f.feasibility != Feasibility::Infeasible);
+    assert_eq!(json_lines(&on.findings), json_lines(filtered));
 }

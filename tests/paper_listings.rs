@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use refminer::checkers::{check_unit, AntiPattern, EngineId, Impact};
+use refminer::checkers::{check_unit, AntiPattern, Impact};
 use refminer::corpus::{generate_tree, TreeConfig};
 use refminer::cparse::parse_str;
 use refminer::cpg::FunctionGraph;
@@ -208,12 +208,10 @@ static int usb_console_setup(struct usb_serial *serial)
     assert_eq!(matches[0].bindings[0].1, "serial");
 }
 
-/// Every finding the template engine stamps matches its pattern's
-/// semantic template (§5) through the generic matcher, under the
-/// audit's knowledge base: a checker only narrows its template, never
-/// drifts away from it. Delta-only findings are out of scope, since
-/// the delta engine's structural P5 for a double get has no error
-/// block by construction.
+/// Every finding the audit reports matches its pattern's semantic
+/// template (§5) through the generic matcher, under the audit's
+/// knowledge base: a checker only narrows its template, never drifts
+/// away from it.
 #[test]
 fn template_findings_match_their_pattern_template() {
     let trees = [
@@ -232,9 +230,6 @@ fn template_findings_match_their_pattern_template() {
         let report = audit(&Project::from_tree(&tree), &AuditConfig::default());
         let matcher = TemplateMatcher::new(&report.kb);
         for f in &report.findings {
-            if !f.engines.contains(&EngineId::Template) {
-                continue;
-            }
             let file = tree
                 .files
                 .iter()
