@@ -58,7 +58,7 @@ use refminer_rcapi::{discover_unit, merge_discoveries, ApiKb, DiscoverConfig, Un
 use refminer_trace::TraceHandle;
 
 use crate::cache::{
-    barrier_config_fingerprint, check_config_fingerprint, content_hash, deps_keys, kb_fingerprint,
+    barrier_config_fingerprint, check_config_fingerprint, deps_keys, kb_fingerprint,
     parse_config_fingerprint, AuditCache, Barrier, CacheStats, CachedError, CheckedUnit,
     ParsedUnit,
 };
@@ -640,7 +640,8 @@ pub fn audit_with_cache(
 /// `{stage}.unit` spans, each unit's export step lands in an
 /// `export.unit` span inside its `parse.unit`, the feasibility
 /// fixpoint's share of graph construction lands in `feasibility` spans,
-/// and cache traffic, scheduler worker counts, per-checker time and
+/// and cache traffic, the units whose content hash this audit computed
+/// (`hash.computed`), scheduler worker counts, per-checker time and
 /// limit trips land in counters.
 pub fn audit_traced(
     project: &Project,
@@ -721,18 +722,23 @@ pub fn audit_cancellable(
     // every unit's discovery facts and seeds the KB merge.
     let (seed, seed_fp) = seed_kb();
     let parse_cfg = parse_config_fingerprint(config, *seed_fp);
+    // The project memoizes each unit's content hash, so only its first
+    // audit hashes the text.
     let hash_span = trace.span("hash");
-    let unit_keys: Vec<u64> = run_indexed(units, config.jobs, trace, "hash", |_, u| {
+    let hashed: Vec<(u64, bool)> = run_indexed(units, config.jobs, trace, "hash", |i, u| {
         if cancel.is_cancelled() {
-            return 0;
+            return (0, false);
         }
-        mix(
-            mix(fnv1a(u.path.as_bytes()), content_hash(&u.text)),
-            parse_cfg,
+        let (content, computed) = project.unit_hash(i);
+        (
+            mix(mix(fnv1a(u.path.as_bytes()), content), parse_cfg),
+            computed,
         )
     });
     drop(hash_span);
     cancel.check()?;
+    let computed = hashed.iter().filter(|(_, computed)| *computed).count();
+    let unit_keys: Vec<u64> = hashed.into_iter().map(|(key, _)| key).collect();
 
     // Tree fingerprint: every unit's path and key, plus the barrier
     // configuration; keys the memoized barrier.
@@ -929,6 +935,7 @@ pub fn audit_cancellable(
     let (parse_stale, check_stale, discovery_stale) = cache.end_audit();
     if trace.is_enabled() {
         trace.add("units.total", n as u64);
+        trace.add("hash.computed", computed as u64);
         let s = &cache.stats;
         for (name, value) in [
             ("cache.parse.hit", s.parse_hits),
@@ -1212,6 +1219,48 @@ mod tests {
             audit(&project, &all_patterns).findings,
             "a database built after a memoized barrier is the one it memoized"
         );
+    }
+
+    #[test]
+    fn a_stray_token_before_a_closing_brace_keeps_the_next_function_apart() {
+        // `return 0;+}`: the `}` after the stray `+` still closes `a`, so
+        // `b`'s leak is reported under `b`, not folded into `a`.
+        let p = Project::from_sources(vec![(
+            "t.c".to_string(),
+            "int a(void)\n{\n\treturn 0;+}\n\nstatic int b(void)\n{\n\
+             \tstruct device_node *np = of_find_node_by_name(NULL, \"x\");\n\
+             \tnp->flags = 1;\n\treturn 0;\n}\n"
+                .to_string(),
+        )]);
+        let report = audit(&p, &AuditConfig::default());
+        assert_eq!(report.functions, 2);
+        let sites: Vec<(&str, u32)> = report
+            .findings
+            .iter()
+            .map(|f| (f.function.as_str(), f.line))
+            .collect();
+        assert_eq!(sites, [("b", 7)]);
+    }
+
+    #[test]
+    fn a_second_audit_of_a_project_hashes_no_unit() {
+        // The project memoizes each unit's content hash: its first audit
+        // computes every one, any later audit none, through a fresh
+        // cache too.
+        let project = Project::from_tree(&generate_tree(&TreeConfig {
+            scale: 0.02,
+            ..Default::default()
+        }));
+        let computed = |cache: &mut AuditCache| {
+            let trace = TraceHandle::recording();
+            audit_traced(&project, &AuditConfig::default(), cache, &trace);
+            let log = trace.finish().expect("a recording handle yields a log");
+            log.counters.get("hash.computed").copied().unwrap_or(0)
+        };
+        let mut cache = AuditCache::new();
+        assert_eq!(computed(&mut cache), project.units().len() as u64);
+        assert_eq!(computed(&mut cache), 0);
+        assert_eq!(computed(&mut AuditCache::new()), 0);
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //! Exit codes: 0 no findings, 1 findings, 2 usage/scan error, 3 strict
 //! mode and at least one unit was not fully analyzed.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use refminer::checkers::{AntiPattern, Impact};
 use refminer::corpus::Manifest;
@@ -57,6 +59,41 @@ use refminer::{
     ScanOptions, TraceHandle,
 };
 use refminer_json::{obj, ToJson, Value};
+
+/// Set once stdout's reader has gone away; every later write is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// The CLI's one stdout writer, behind `out!` and `outln!`. A reader
+/// that closes early (`refminer --json <tree> | head -1`) ends the output
+/// quietly: the first `BrokenPipe` stops every later write and prints
+/// nothing, and the run still exits with the status it would have had.
+/// Any other write error is reported once on stderr, and stops the
+/// output too.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("refminer: cannot write to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through `write_stdout`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through `write_stdout`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 struct Options {
     eval: bool,
@@ -313,13 +350,13 @@ fn main() -> ExitCode {
         // The daemon's `query` responses reuse these exact renderers,
         // so its output can be diffed byte-for-byte against this path.
         for f in &findings {
-            println!("{}", render_finding_line(f));
+            outln!("{}", render_finding_line(f));
         }
         // A clean run emits findings only; the diagnostics line appears
         // exactly when something was lost, so its presence is itself
         // the signal.
         if let Some(line) = render_diagnostics_line(&report.diagnostics) {
-            println!("{line}");
+            outln!("{line}");
         }
     } else if opts.csv {
         let mut t = Table::new(vec![
@@ -336,10 +373,10 @@ fn main() -> ExitCode {
                 f.object.clone().unwrap_or_default(),
             ]);
         }
-        print!("{}", t.to_csv());
+        out!("{}", t.to_csv());
     } else {
         for f in &findings {
-            println!("{f}");
+            outln!("{f}");
         }
     }
 
@@ -587,7 +624,7 @@ fn rpc_main() -> ExitCode {
         return ExitCode::from(2);
     };
     if response.get("ok").and_then(Value::as_bool) != Some(true) {
-        println!("{line}");
+        outln!("{line}");
         return ExitCode::from(1);
     }
     let result = response.get("result").cloned().unwrap_or(Value::Null);
@@ -597,15 +634,15 @@ fn rpc_main() -> ExitCode {
         if let Some(lines) = result.get("lines").and_then(Value::as_array) {
             for l in lines {
                 if let Some(s) = l.as_str() {
-                    println!("{s}");
+                    outln!("{s}");
                 }
             }
         }
         if let Some(d) = result.get("diagnostics").and_then(Value::as_str) {
-            println!("{d}");
+            outln!("{d}");
         }
     } else {
-        println!("{result}");
+        outln!("{result}");
     }
     ExitCode::SUCCESS
 }
@@ -721,26 +758,33 @@ fn diff_main() -> ExitCode {
     let delta = &report.delta;
     if flags.json {
         for line in render_diff_lines(delta) {
-            println!("{line}");
+            outln!("{line}");
         }
     } else {
         for f in &delta.introduced {
-            println!("+ {f}");
+            outln!("+ {f}");
         }
         for f in &delta.fixed {
-            println!("- {f}");
+            outln!("- {f}");
         }
         for (from, to) in &delta.moved {
-            println!(
+            outln!(
                 "~ {}:{} -> {}:{} {}",
-                from.file, from.line, to.file, to.line, to.message
+                from.file,
+                from.line,
+                to.file,
+                to.line,
+                to.message
             );
         }
         for lb in &delta.left_behind {
             for m in &lb.matches {
-                println!(
+                outln!(
                     "! left behind ({}% match of {}:{}) {}",
-                    m.score, lb.origin.file, lb.origin.line, m.finding
+                    m.score,
+                    lb.origin.file,
+                    lb.origin.line,
+                    m.finding
                 );
             }
         }
@@ -823,12 +867,12 @@ fn sweep_main() -> ExitCode {
         return ExitCode::from(2);
     };
     if flags.json {
-        println!("{}", obj([("template", template.to_json())]));
+        outln!("{}", obj([("template", template.to_json())]));
         for m in &matches {
-            println!("{}", m.to_json());
+            outln!("{}", m.to_json());
         }
     } else {
-        println!(
+        outln!(
             "template: {} {} in {}:{} ({})",
             template.pattern,
             template.api,
@@ -837,7 +881,7 @@ fn sweep_main() -> ExitCode {
             template.family
         );
         for m in &matches {
-            println!("{:>3}% {}", m.score, m.finding);
+            outln!("{:>3}% {}", m.score, m.finding);
         }
         eprintln!("{} clone site(s)", matches.len());
     }
@@ -891,7 +935,7 @@ fn fixcheck_main() -> ExitCode {
     flags.save_cache("fixcheck", &mut cache);
     if flags.json {
         for line in refminer::render_fixcheck_lines(&r) {
-            println!("{line}");
+            outln!("{line}");
         }
     } else {
         for intent in &r.intents {
@@ -899,7 +943,7 @@ fn fixcheck_main() -> ExitCode {
                 refminer::rcapi::RcDir::Inc => "acquire",
                 refminer::rcapi::RcDir::Dec => "release",
             };
-            println!(
+            outln!(
                 "intent: {} ({dir}) in {} [pairs: {}]",
                 intent.api,
                 intent.file,
@@ -907,16 +951,19 @@ fn fixcheck_main() -> ExitCode {
             );
         }
         for f in &r.fixed {
-            println!("- fixed {f}");
+            outln!("- fixed {f}");
         }
         for f in &r.introduced {
-            println!("+ introduced {f}");
+            outln!("+ introduced {f}");
         }
         for inc in &r.incomplete {
             for m in &inc.matches {
-                println!(
+                outln!(
                     "! left unfixed ({}% match of {}:{}) {}",
-                    m.score, inc.origin.file, inc.origin.line, m.finding
+                    m.score,
+                    inc.origin.file,
+                    inc.origin.line,
+                    m.finding
                 );
             }
         }
@@ -960,7 +1007,7 @@ fn history_main() -> ExitCode {
     flags.save_cache("history", &mut cache);
     if flags.json {
         for line in refminer::render_history_lines(&report) {
-            println!("{line}");
+            outln!("{line}");
         }
     } else {
         let mut t =
@@ -976,7 +1023,7 @@ fn history_main() -> ExitCode {
                 ]);
             }
         }
-        print!("{}", t.render());
+        out!("{}", t.render());
         for rel in &report.releases {
             eprintln!(
                 "{}: {} files, {} lines, {} finding(s), {} unit(s) re-parsed",
@@ -1004,7 +1051,7 @@ fn run_fixcheck_eval(opts: &Options) -> ExitCode {
         }
     };
     if opts.json {
-        println!("{}", eval.to_json());
+        outln!("{}", eval.to_json());
         return ExitCode::SUCCESS;
     }
     let mut t = Table::new(vec![
@@ -1029,8 +1076,8 @@ fn run_fixcheck_eval(opts: &Options) -> ExitCode {
         eval.totals.missed.to_string(),
         eval.totals.spurious.to_string(),
     ]);
-    print!("{}", t.render());
-    println!("recall: {:.3}", eval.totals.recall());
+    out!("{}", t.render());
+    outln!("recall: {:.3}", eval.totals.recall());
     ExitCode::SUCCESS
 }
 
@@ -1065,7 +1112,7 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
     if opts.sweep_eval {
         let sweep_eval = refminer::evaluate_sweep(findings, &manifest, &report.kb, tree);
         if opts.json {
-            println!("{}", sweep_eval.to_json());
+            outln!("{}", sweep_eval.to_json());
             return ExitCode::SUCCESS;
         }
         let mut t = Table::new(vec![
@@ -1104,12 +1151,12 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
             c.spurious.to_string(),
             format!("{:.3}", c.recall()),
         ]);
-        print!("{}", t.render());
+        out!("{}", t.render());
         return ExitCode::SUCCESS;
     }
     let eval = evaluate(findings, &manifest);
     if opts.json {
-        println!("{}", eval.to_json());
+        outln!("{}", eval.to_json());
         return ExitCode::SUCCESS;
     }
     let mut t = Table::new(vec![
@@ -1142,7 +1189,7 @@ fn run_eval(opts: &Options, tree: &Revision<'_>, report: &refminer::AuditReport)
         format!("{:.3}", eval.totals.recall()),
         format!("{:.3}", eval.totals.f1()),
     ]);
-    print!("{}", t.render());
-    println!("trap hits: {}", eval.trap_hits);
+    out!("{}", t.render());
+    outln!("trap hits: {}", eval.trap_hits);
     ExitCode::SUCCESS
 }

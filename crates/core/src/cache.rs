@@ -24,10 +24,12 @@
 //!   configuration (discovery on or off).
 //!   Holds a [`Barrier`]: the merged [`ApiKb`] and every unit's deps
 //!   key. Touching any file re-runs the KB merge, the `ProgramDb`
-//!   merge and the deps walk once (cheap — they fold cached per-unit
-//!   facts, no ASTs); an audit of a tree the cache has seen skips all
-//!   three, and builds a `ProgramDb` only if some unit misses the
-//!   check layer.
+//!   merge and the deps walk once. They fold cached per-unit facts,
+//!   no ASTs: on refbench's 402-unit fix history (in-process medians,
+//!   one worker, 2-vCPU host) the KB merge takes 0.35–0.55 ms, the
+//!   `ProgramDb` build 0.7 ms and the deps walk 0.07 ms. An audit of a
+//!   tree the cache has seen skips all three, and builds a `ProgramDb`
+//!   only if some unit misses the check layer.
 //! - **Check layer** — keyed by `(unit key, mix(check configuration,
 //!   deps key))`. Holds the unit's findings, function count and
 //!   check-stage diagnostics. The deps key

@@ -89,13 +89,17 @@ fn unit_index(project: &Project, diff_path: &str) -> Option<usize> {
 
 /// Parses `diff_text` and reverse-applies it onto `post`, failing as
 /// [`fixcheck_project`] documents; the daemon maps those errors to
-/// `bad_request`.
+/// `bad_request`. Every file the diff leaves alone takes over its
+/// content hash from `post`'s memo (hashing it there first if no audit
+/// has yet), so the two trees together hash `post` once plus the files
+/// the diff reverse-applies.
 pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<PreFix, String> {
     let diff = parse_diff(diff_text)?;
-    let mut pre_sources: Vec<(String, String)> = post
+    let mut pre_sources: Vec<(String, String, Option<u64>)> = post
         .units()
         .iter()
-        .map(|u| (u.path.clone(), u.text.clone()))
+        .enumerate()
+        .map(|(i, u)| (u.path.clone(), u.text.clone(), Some(post.unit_hash(i).0)))
         .collect();
     let mut files_changed = 0usize;
     for file in &diff.files {
@@ -113,13 +117,13 @@ pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<Pre
             }
             // An added file has no pre-fix text: drop it from the
             // reconstructed pre tree.
-            pre_sources.retain(|(p, _)| !paths_match(file.path(), p));
+            pre_sources.retain(|(p, _, _)| !paths_match(file.path(), p));
             files_changed += 1;
             continue;
         }
         if file.is_deleted() {
             let pre_text = file.reverse_apply("")?;
-            pre_sources.push((file.path().to_string(), pre_text));
+            pre_sources.push((file.path().to_string(), pre_text, None));
             files_changed += 1;
             continue;
         }
@@ -131,8 +135,9 @@ pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<Pre
         };
         let unit = &post.units()[idx];
         let pre_text = file.reverse_apply(&unit.text)?;
-        if let Some(slot) = pre_sources.iter_mut().find(|(p, _)| *p == unit.path) {
+        if let Some(slot) = pre_sources.iter_mut().find(|(p, _, _)| *p == unit.path) {
             slot.1 = pre_text;
+            slot.2 = None;
         }
         files_changed += 1;
     }
@@ -141,7 +146,7 @@ pub(crate) fn reconstruct_pre_fix(post: &Project, diff_text: &str) -> Result<Pre
     }
     Ok(PreFix {
         diff,
-        tree: Project::from_sources(pre_sources),
+        tree: Project::from_hashed_sources(pre_sources),
         files_changed,
     })
 }
@@ -499,6 +504,33 @@ mod tests {
         let lines = render_fixcheck_lines(&r);
         assert!(lines.iter().any(|l| l.contains("\"incomplete\"")));
         assert!(lines.last().unwrap().contains("\"clean\":false"));
+    }
+
+    #[test]
+    fn a_one_file_fixcheck_after_the_post_audit_hashes_one_file() {
+        // The rebuilt pre-fix tree takes over the post tree's hashes for
+        // the file the diff leaves alone, and the post tree's audit reads
+        // its own memo: of the two audits, only the reverse-applied file
+        // is hashed.
+        let (path, pre_text) = buggy_unit();
+        let post_text = fixed_alpha(&pre_text);
+        let diff = render_file_diff(&path, &pre_text, &post_text).expect("texts differ");
+        let post = Project::from_sources(vec![
+            (path, post_text),
+            (
+                "drivers/demo/other.c".to_string(),
+                "int other(void) { return 0; }\n".to_string(),
+            ),
+        ]);
+        let cfg = AuditConfig::default();
+        let mut cache = AuditCache::new();
+        crate::audit::audit_with_cache(&post, &cfg, &mut cache);
+        let trace = TraceHandle::recording();
+        let pre = reconstruct_pre_fix(&post, &diff).expect("the diff applies");
+        fixcheck_cancellable(&post, pre, &cfg, &mut cache, &trace, &CancelToken::never())
+            .expect("never cancelled");
+        let log = trace.finish().expect("a recording handle yields a log");
+        assert_eq!(log.counters.get("hash.computed"), Some(&1));
     }
 
     #[test]

@@ -10,8 +10,11 @@
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use refminer_corpus::SyntheticTree;
+
+use crate::cache::content_hash;
 
 /// One source file queued for analysis.
 #[derive(Debug, Clone)]
@@ -98,33 +101,62 @@ impl Default for ScanOptions {
 pub struct Project {
     units: Vec<SourceUnit>,
     scan_diags: Vec<ScanDiagnostic>,
+    /// Per unit, its content hash once an audit has asked for it. The
+    /// units never change after construction, so neither does a hash.
+    hashes: Vec<OnceLock<u64>>,
 }
 
 impl Project {
+    fn new(units: Vec<SourceUnit>, scan_diags: Vec<ScanDiagnostic>) -> Project {
+        let hashes = units.iter().map(|_| OnceLock::new()).collect();
+        Project {
+            units,
+            scan_diags,
+            hashes,
+        }
+    }
+
     /// Builds a project from in-memory sources.
     pub fn from_sources(sources: Vec<(String, String)>) -> Project {
-        Project {
-            units: sources
+        Project::new(
+            sources
                 .into_iter()
                 .map(|(path, text)| SourceUnit { path, text })
                 .collect(),
+            Vec::new(),
+        )
+    }
+
+    /// Builds a project from in-memory sources, each with its content
+    /// hash when the caller already knows it (`content_hash` of that
+    /// very text, e.g. read off another project holding the same file).
+    pub(crate) fn from_hashed_sources(sources: Vec<(String, String, Option<u64>)>) -> Project {
+        let (units, hashes) = sources
+            .into_iter()
+            .map(|(path, text, hash)| {
+                let memo = hash.map_or_else(OnceLock::new, OnceLock::from);
+                (SourceUnit { path, text }, memo)
+            })
+            .unzip();
+        Project {
+            units,
             scan_diags: Vec::new(),
+            hashes,
         }
     }
 
     /// Builds a project from a generated synthetic tree.
     pub fn from_tree(tree: &SyntheticTree) -> Project {
-        Project {
-            units: tree
-                .files
+        Project::new(
+            tree.files
                 .iter()
                 .map(|f| SourceUnit {
                     path: f.path.clone(),
                     text: f.content.clone(),
                 })
                 .collect(),
-            scan_diags: Vec::new(),
-        }
+            Vec::new(),
+        )
     }
 
     /// Recursively scans a directory for `.c` and `.h` files with
@@ -169,10 +201,7 @@ impl Project {
         })?;
         units.sort_by(|a, b| a.path.cmp(&b.path));
         diags.sort_by(|a, b| a.path.cmp(&b.path));
-        Ok(Project {
-            units,
-            scan_diags: diags,
-        })
+        Ok(Project::new(units, diags))
     }
 
     /// The files in the project.
@@ -184,6 +213,19 @@ impl Project {
     /// in-memory projects.
     pub fn scan_diagnostics(&self) -> &[ScanDiagnostic] {
         &self.scan_diags
+    }
+
+    /// Unit `i`'s content hash ([`content_hash`] of its text), computed
+    /// the first time any audit asks and read from the memo after that;
+    /// the flag says whether this call computed it.
+    pub(crate) fn unit_hash(&self, i: usize) -> (u64, bool) {
+        if let Some(&h) = self.hashes[i].get() {
+            return (h, false);
+        }
+        let h = content_hash(&self.units[i].text);
+        // Two audits racing on one project compute the same value.
+        let _ = self.hashes[i].set(h);
+        (h, true)
     }
 
     /// Total source lines across the project.

@@ -1197,3 +1197,101 @@ int {function}(struct platform_device *pdev)
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `cmd` against a 10-s deadline, polling `try_wait` and killing
+/// the child past it, so a run that never ends fails its test instead
+/// of hanging the suite. Returns the exit code.
+fn code_within_deadline(mut cmd: Command, what: &str) -> Option<i32> {
+    use std::time::{Duration, Instant};
+    let mut child = cmd
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn refminer");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(status) = child.try_wait().expect("poll refminer") {
+            return status.code();
+        }
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{what} was still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Two helpers that call each other with their arguments swapped send
+/// the releases back and forth between the two parameters; the effect
+/// fixpoint must still end, with and without discovery.
+#[test]
+fn helpers_calling_each_other_with_swapped_arguments_finish() {
+    let dir = scratch_dir("swapped_recursion");
+    std::fs::write(
+        dir.join("swap.c"),
+        r#"static void my_node_put(struct device_node *n)
+{
+        of_node_put(n);
+}
+static void g(struct device_node *a, struct device_node *b);
+static void f(struct device_node *a, struct device_node *b)
+{
+        g(a, b);
+        my_node_put(b);
+}
+static void g(struct device_node *a, struct device_node *b)
+{
+        f(b, a);
+}
+"#,
+    )
+    .expect("write unit");
+    for args in [&["--jobs", "1", "--json"][..], &["--no-discovery"][..]] {
+        let mut cmd = refminer();
+        cmd.args(args).arg(&dir);
+        let code = code_within_deadline(cmd, &format!("refminer {args:?}"));
+        assert!(
+            matches!(code, Some(0 | 1)),
+            "refminer {args:?} exited {code:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout before the CLI writes a byte: the output
+/// ends quietly (no panic, nothing on stderr) and the run exits with the
+/// status it has with an open stdout — 1, as both runs find something.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let (dir, hist) = clone_history("closed_stdout");
+    let rev = hist.join("rev00");
+    let commands: [&[&str]; 2] = [
+        &["--json"],
+        &["sweep", "--at", "drivers/clones/cg0_unit0.c:13", "--json"],
+    ];
+    for args in commands {
+        let open = refminer().args(args).arg(&rev).output().expect("run");
+        assert_eq!(open.status.code(), Some(1), "{args:?} finds something");
+        assert!(!open.stdout.is_empty());
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let closed = refminer()
+            .args(args)
+            .arg(&rev)
+            .stdout(writer)
+            .output()
+            .expect("run with a closed stdout");
+        assert_eq!(
+            closed.status.code(),
+            open.status.code(),
+            "{args:?} with a closed stdout"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&closed.stderr),
+            "",
+            "{args:?} printed on stderr"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

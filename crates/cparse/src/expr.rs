@@ -50,12 +50,7 @@ impl Parser {
             self.leave_depth();
             r
         } else {
-            let span = self.cur_span();
-            self.bump();
-            Expr {
-                kind: ExprKind::Unknown,
-                span,
-            }
+            self.unknown_operand()
         };
         let span = lhs.span.join(rhs.span);
         Expr {
@@ -83,12 +78,7 @@ impl Parser {
             self.leave_depth();
             t
         } else {
-            let span = self.cur_span();
-            self.bump();
-            Expr {
-                kind: ExprKind::Unknown,
-                span,
-            }
+            self.unknown_operand()
         };
         self.expect_punct(Punct::Colon);
         let els = if self.enter_depth() {
@@ -96,12 +86,7 @@ impl Parser {
             self.leave_depth();
             e
         } else {
-            let span = self.cur_span();
-            self.bump();
-            Expr {
-                kind: ExprKind::Unknown,
-                span,
-            }
+            self.unknown_operand()
         };
         let span = cond.span.join(els.span);
         Expr {
@@ -177,16 +162,11 @@ impl Parser {
     }
 
     /// Every expression-grammar cycle passes through here, so this is
-    /// where the recursion-depth guard lives: at the cap, one token is
-    /// consumed (guaranteeing progress) and an `Unknown` node returned.
+    /// where the recursion-depth guard lives: at the cap it returns
+    /// `unknown_operand`'s `Unknown` node.
     fn parse_unary(&mut self) -> Expr {
         if !self.enter_depth() {
-            let span = self.cur_span();
-            self.bump();
-            return Expr {
-                kind: ExprKind::Unknown,
-                span,
-            };
+            return self.unknown_operand();
         }
         let e = self.parse_unary_inner();
         self.leave_depth();
@@ -593,12 +573,25 @@ impl Parser {
             _ => {
                 self.errors
                     .push(crate::error::ParseError::UnexpectedToken { span });
-                self.pos += 1;
-                Expr {
-                    kind: ExprKind::Unknown,
-                    span,
-                }
+                self.unknown_operand()
             }
+        }
+    }
+
+    /// The `Unknown` operand recovery leaves where no operand could be
+    /// parsed (past the depth cap, or at a token no operand starts
+    /// with). It consumes that one token to make progress, unless the
+    /// token is a `}`: that brace closes the enclosing block and belongs
+    /// to the block's parser. Consuming it (`return 0;+}`) would fold
+    /// every function after it into this one.
+    fn unknown_operand(&mut self) -> Expr {
+        let span = self.cur_span();
+        if !self.at_punct(Punct::RBrace) {
+            self.bump();
+        }
+        Expr {
+            kind: ExprKind::Unknown,
+            span,
         }
     }
 

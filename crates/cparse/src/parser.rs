@@ -362,14 +362,21 @@ impl Parser {
 
     /// Skips forward to just past the next `;` at brace depth zero, or
     /// past a balanced `{...}` block — the parser's panic-mode recovery.
+    /// It stops *before* an unmatched `}`: that brace closes the block
+    /// the recovery started in, and belongs to that block's parser. At
+    /// top level, where no block is open, the translation-unit loop
+    /// drops the stray brace to make progress.
     pub(crate) fn recover_to_sync(&mut self) {
         let mut depth = 0usize;
         while let Some(t) = self.peek() {
             match &t.kind {
                 TokenKind::Punct(Punct::LBrace) => depth += 1,
                 TokenKind::Punct(Punct::RBrace) => {
+                    if depth == 0 {
+                        return;
+                    }
                     self.pos += 1;
-                    if depth <= 1 {
+                    if depth == 1 {
                         return;
                     }
                     depth -= 1;
@@ -1055,7 +1062,7 @@ impl Parser {
         if !self.enter_depth() {
             if self.at_punct(Punct::LBrace) {
                 self.skip_balanced(Punct::LBrace, Punct::RBrace);
-            } else {
+            } else if !self.at_punct(Punct::RBrace) {
                 self.bump();
             }
             return Initializer::List(Vec::new());

@@ -769,3 +769,33 @@ fn paren_run_recovery_builds_a_bounded_ast() {
     let cap = refminer_cparse::ParseLimits::default().max_depth as usize;
     assert!(max_expr_depth(&out.unit) <= cap + 1);
 }
+
+/// A stray token where an operand should be, right before a function's
+/// closing brace (`return 0;+}`): the `}` still closes the function, so
+/// the function after it stays its own.
+#[test]
+fn stray_operand_before_a_closing_brace_keeps_the_next_function() {
+    let tu = parse_str(
+        "t.c",
+        "int a(void)\n{\n\treturn 0;+}\n\nstatic int b(void)\n{\n\treturn 1;\n}\n",
+    );
+    let names: Vec<&str> = tu.functions().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["a", "b"]);
+}
+
+/// Statement-level recovery at the depth cap stops before the `}` that
+/// closes the enclosing block, at every cap.
+#[test]
+fn depth_capped_recovery_leaves_the_closing_brace() {
+    let src = "int a(void)\n{\n\tif (x)\n\t\tif (y)\n\t\t\tif (z)\n}\n\
+               static int b(void)\n{\n\treturn 1;\n}\n";
+    for max_depth in 1..=8 {
+        let limits = refminer_cparse::ParseLimits {
+            max_depth,
+            ..Default::default()
+        };
+        let tu = refminer_cparse::parse_str_limited("t.c", src, &limits).unit;
+        let names: Vec<&str> = tu.functions().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "max_depth {max_depth}");
+    }
+}

@@ -22,8 +22,7 @@
 //! parks the parameter in a field, out-parameter, or global) used for
 //! cross-unit escape reasoning.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use refminer_cparse::{FunctionDef, TranslationUnit};
 use refminer_cpg::{Cfg, FunctionGraph, NodeFacts, NodeKind, StoreTarget};
@@ -31,11 +30,11 @@ use refminer_rcapi::{ApiKb, ObjectFlow, RcApi, RcClass, RcDir, SmartLoop};
 
 /// The refcounting effects one function applies to its parameters.
 ///
-/// Each vector holds 0-based parameter indices; `releases`/`acquires`
-/// mean the function decrements/increments the refcounter of that
-/// argument on some path, `stores` means it parks the argument in a
-/// long-lived location (field, out-parameter or global), i.e. the
-/// reference escapes into the callee.
+/// Each vector is a set of 0-based parameter indices, in ascending
+/// order; `releases`/`acquires` mean the function decrements/increments
+/// the refcounter of that argument on some path, `stores` means it
+/// parks the argument in a long-lived location (field, out-parameter or
+/// global), i.e. the reference escapes into the callee.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnSummary {
     /// Parameters whose refcounter the function decrements.
@@ -44,6 +43,25 @@ pub struct FnSummary {
     pub acquires: Vec<usize>,
     /// Parameters the function stores into a long-lived location.
     pub stores: Vec<usize>,
+}
+
+impl FnSummary {
+    /// Effect set `k`: `releases`, `acquires`, `stores` for 0, 1, 2.
+    fn part(&self, k: usize) -> &Vec<usize> {
+        match k {
+            0 => &self.releases,
+            1 => &self.acquires,
+            _ => &self.stores,
+        }
+    }
+
+    fn part_mut(&mut self, k: usize) -> &mut Vec<usize> {
+        match k {
+            0 => &mut self.releases,
+            1 => &mut self.acquires,
+            _ => &mut self.stores,
+        }
+    }
 }
 
 /// One call made by a function, reduced to what summary propagation
@@ -203,22 +221,53 @@ struct FnInfo {
     unit: usize,
 }
 
-/// Build-time symbol interner: every function, callee, and unit-path
-/// name in the merged database shares one allocation per distinct
-/// string. Lookups still take `&str` (through `Borrow`), so the delta
-/// engine's interprocedural queries — one `summary_of` per call node
-/// per seed — never clone a key.
-#[derive(Default)]
-struct Interner(HashSet<Arc<str>>);
+/// Build-time names: every function, callee and macro-loop name of the
+/// merged units gets a dense id on first sight, so the rest of the
+/// build compares and indexes integers. The strings are borrowed from
+/// the exports being merged, and each name's knowledge-base API entry
+/// is looked up once, on first sight.
+struct Names<'a> {
+    ids: HashMap<&'a str, u32>,
+    names: Vec<&'a str>,
+    apis: Vec<Option<&'a RcApi>>,
+}
 
-impl Interner {
-    fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some(a) = self.0.get(s) {
-            return a.clone();
+impl<'a> Names<'a> {
+    fn id(&mut self, name: &'a str, kb: &'a ApiKb) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
         }
-        let a: Arc<str> = Arc::from(s);
-        self.0.insert(a.clone());
-        a
+        let id = self.names.len() as u32;
+        self.ids.insert(name, id);
+        self.names.push(name);
+        self.apis.push(kb.get(name));
+        id
+    }
+
+    /// Sorts `ids` by name and drops repeats: the order the deps
+    /// fingerprint folds names in.
+    fn sort_dedup(&self, ids: &mut Vec<u32>) {
+        ids.sort_unstable_by(|&a, &b| self.names[a as usize].cmp(self.names[b as usize]));
+        ids.dedup();
+    }
+}
+
+/// A resolved helper call: the calling and the called definition, and
+/// the caller parameter each argument is rooted in.
+struct Edge<'a> {
+    caller: usize,
+    callee: usize,
+    args: &'a [Option<usize>],
+}
+
+/// Inserts `idx` into the ascending set `set`; whether it was new.
+fn insert_sorted(set: &mut Vec<usize>, idx: usize) -> bool {
+    match set.binary_search(&idx) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, idx);
+            true
+        }
     }
 }
 
@@ -228,17 +277,25 @@ impl Interner {
 pub struct ProgramDb {
     fns: Vec<FnInfo>,
     summaries: Vec<FnSummary>,
-    /// Per unit: first definition of each name (file-scope lookup).
-    by_unit: Vec<HashMap<Arc<str>, usize>>,
-    /// First non-`static` definition of each name, in unit order.
-    extern_first: HashMap<Arc<str>, usize>,
-    unit_of_path: HashMap<Arc<str>, usize>,
-    /// Unit index → path: the O(1) reverse of `unit_of_path`, so the
-    /// deps fingerprint can name a resolution's defining unit without
-    /// scanning the forward map.
-    unit_paths: Vec<Arc<str>>,
-    /// Per unit: sorted, deduplicated callee names (for fingerprints).
-    unit_callees: Vec<Vec<Arc<str>>>,
+    /// Name id of every name with at least one definition; the other
+    /// build-time names never resolve, so lookups need only these.
+    defined: HashMap<Box<str>, u32>,
+    /// `(unit, name id)` → the unit's first definition of the name
+    /// (file-scope lookup).
+    local: HashMap<(usize, u32), usize>,
+    /// Per defined name id: its first non-`static` definition, in unit
+    /// order.
+    extern_first: Vec<Option<usize>>,
+    unit_of_path: HashMap<Box<str>, usize>,
+    /// Per unit: the FNV-1a hash of its path, which the deps
+    /// fingerprint folds for a resolution's defining unit.
+    unit_path_fp: Vec<u64>,
+    /// Per unit: the ids of its callee names, sorted by name,
+    /// deduplicated (for fingerprints).
+    unit_callees: Vec<Vec<u32>>,
+    /// Per name id: the FNV-1a hash of the name (0 for names no unit
+    /// calls or opens a macro loop with).
+    name_fp: Vec<u64>,
     /// Per unit: the fingerprint of the knowledge-base entries of every
     /// name its functions call or open a macro loop with.
     unit_kb: Vec<u64>,
@@ -246,17 +303,17 @@ pub struct ProgramDb {
 }
 
 fn resolve(
-    by_unit: &[HashMap<Arc<str>, usize>],
-    extern_first: &HashMap<Arc<str>, usize>,
+    local: &HashMap<(usize, u32), usize>,
+    extern_first: &[Option<usize>],
     whole_program: bool,
     unit: usize,
-    name: &str,
+    name: u32,
 ) -> Option<usize> {
-    if let Some(&id) = by_unit[unit].get(name) {
+    if let Some(&id) = local.get(&(unit, name)) {
         return Some(id);
     }
     if whole_program {
-        extern_first.get(name).copied()
+        extern_first.get(name as usize).copied().flatten()
     } else {
         None
     }
@@ -289,125 +346,146 @@ impl ProgramDb {
     /// definition in that order. With `whole_program == false` every
     /// lookup stays unit-local, reproducing the pre-refactor per-unit
     /// behavior exactly.
+    ///
+    /// Every call is resolved once, to its knowledge-base effect or to
+    /// a definition, and every distinct name is hashed once; the effect
+    /// fixpoint then runs over definition ids alone. Each summary part
+    /// is a set, kept as an ascending vector.
     pub fn build(units: &[&UnitExports], kb: &ApiKb, whole_program: bool) -> ProgramDb {
-        let mut interner = Interner::default();
-        let mut fns = Vec::new();
-        let mut by_unit = Vec::with_capacity(units.len());
-        let mut extern_first: HashMap<Arc<str>, usize> = HashMap::new();
-        let mut unit_of_path = HashMap::new();
-        let mut unit_paths = Vec::with_capacity(units.len());
-        let mut unit_callees = Vec::with_capacity(units.len());
-        let mut unit_kb = Vec::with_capacity(units.len());
-        let mut entry_fps: HashMap<&str, u64> = HashMap::new();
+        // Sized up front: growing a map re-hashes every key it holds.
+        let (n_fns, n_calls) = units
+            .iter()
+            .flat_map(|u| &u.fns)
+            .fold((0, 0), |(f, c), fun| (f + 1, c + fun.calls.len()));
+        let mut names = Names {
+            ids: HashMap::with_capacity(n_fns + n_calls),
+            names: Vec::new(),
+            apis: Vec::new(),
+        };
+        let mut fns = Vec::with_capacity(n_fns);
+        let mut local: HashMap<(usize, u32), usize> = HashMap::with_capacity(n_fns);
+        let mut extern_first: Vec<Option<usize>> = Vec::new();
+        let mut unit_of_path: HashMap<Box<str>, usize> = HashMap::with_capacity(units.len());
+        let mut unit_path_fp = Vec::with_capacity(units.len());
         for (ui, unit) in units.iter().enumerate() {
-            let path = interner.intern(&unit.path);
-            unit_paths.push(path.clone());
-            unit_of_path.entry(path).or_insert(ui);
-            let mut map: HashMap<Arc<str>, usize> = HashMap::new();
+            if !unit_of_path.contains_key(unit.path.as_str()) {
+                unit_of_path.insert(unit.path.as_str().into(), ui);
+            }
+            unit_path_fp.push(fnv1a(unit.path.as_bytes()));
             for f in &unit.fns {
                 let id = fns.len();
                 fns.push(FnInfo {
                     is_static: f.is_static,
                     unit: ui,
                 });
-                let name = interner.intern(&f.name);
-                map.entry(name.clone()).or_insert(id);
-                if !f.is_static {
-                    extern_first.entry(name).or_insert(id);
+                let name = names.id(&f.name, kb);
+                local.entry((ui, name)).or_insert(id);
+                if extern_first.len() <= name as usize {
+                    extern_first.resize(name as usize + 1, None);
+                }
+                if !f.is_static && extern_first[name as usize].is_none() {
+                    extern_first[name as usize] = Some(id);
                 }
             }
-            by_unit.push(map);
-            let mut names: Vec<Arc<str>> = Vec::new();
+        }
+        let defined: HashMap<Box<str>, u32> = names
+            .names
+            .iter()
+            .enumerate()
+            .map(|(id, &name)| (name.into(), id as u32))
+            .collect();
+
+        // Resolve every call once. A knowledge-base match on the callee
+        // name always shadows helper resolution, and its effect on the
+        // caller's parameters is final at once; a call resolving to a
+        // definition becomes an edge of the fixpoint below.
+        let mut summaries = Vec::with_capacity(fns.len());
+        let mut edges: Vec<Edge<'_>> = Vec::new();
+        let mut unit_callees = Vec::with_capacity(units.len());
+        let mut unit_kb = Vec::with_capacity(units.len());
+        // Per name id: its FNV-1a hash and KB-entry fingerprint, each
+        // computed the first time a unit names it.
+        let mut name_fps: Vec<Option<(u64, u64)>> = Vec::new();
+        for (ui, unit) in units.iter().enumerate() {
+            let mut callees = Vec::new();
             for f in &unit.fns {
-                for c in &f.calls {
-                    names.push(interner.intern(&c.callee));
+                let caller = summaries.len();
+                let mut stores = f.stores.clone();
+                stores.sort_unstable();
+                stores.dedup();
+                let mut summary = FnSummary {
+                    stores,
+                    ..FnSummary::default()
+                };
+                for call in &f.calls {
+                    let name = names.id(&call.callee, kb);
+                    callees.push(name);
+                    if let Some(api) = names.apis[name as usize] {
+                        let obj = api.object_arg();
+                        if let Some(idx) = obj.and_then(|o| call.args.get(o).copied().flatten()) {
+                            match api.dir {
+                                RcDir::Dec => insert_sorted(&mut summary.releases, idx),
+                                RcDir::Inc => insert_sorted(&mut summary.acquires, idx),
+                            };
+                        }
+                        continue;
+                    }
+                    if let Some(callee) = resolve(&local, &extern_first, whole_program, ui, name) {
+                        edges.push(Edge {
+                            caller,
+                            callee,
+                            args: &call.args,
+                        });
+                    }
                 }
+                summaries.push(summary);
             }
-            names.sort();
-            names.dedup();
-            let mut kb_names: Vec<&str> = unit
-                .fns
-                .iter()
-                .flat_map(|f| &f.calls)
-                .map(|c| c.callee.as_str())
-                .chain(unit.loop_heads.iter().map(String::as_str))
-                .collect();
-            kb_names.sort_unstable();
-            kb_names.dedup();
+            let mut kb_names = callees.clone();
+            names.sort_dedup(&mut callees);
+            kb_names.extend(unit.loop_heads.iter().map(|h| names.id(h, kb)));
+            names.sort_dedup(&mut kb_names);
+            name_fps.resize(names.names.len(), None);
             let mut h = FNV_OFFSET;
-            for name in kb_names {
-                let entry = *entry_fps
-                    .entry(name)
-                    .or_insert_with(|| kb_entry_fingerprint(kb, name));
-                h = mix(mix(h, fnv1a(name.as_bytes())), entry);
+            for id in kb_names {
+                let (name_fp, entry_fp) = *name_fps[id as usize].get_or_insert_with(|| {
+                    let name = names.names[id as usize];
+                    let entry = kb_entry_fingerprint(names.apis[id as usize], kb.smartloop(name));
+                    (fnv1a(name.as_bytes()), entry)
+                });
+                h = mix(mix(h, name_fp), entry_fp);
             }
-            unit_callees.push(names);
+            unit_callees.push(callees);
             unit_kb.push(h);
         }
 
-        // Effect fixpoint. A knowledge-base match on the callee name
-        // always shadows helper resolution; summaries are read from the
-        // current state, so effects propagate through helper chains
-        // across rounds (and within a round, in definition order). Each
-        // round recomputes every summary fresh from a state that only
-        // grows, so iterates are monotone over a finite domain (arg
-        // indices of the function's own calls): the loop terminates at
-        // the least fixed point without an arbitrary round cap. Running
-        // to the true fixpoint also makes the result independent of
-        // which *other* units are in the database — any subset of units
-        // closed under call resolution converges to the same summaries.
-        let mut summaries = vec![FnSummary::default(); fns.len()];
+        // Effect fixpoint over the resolved edges: each callee's effects
+        // flow through the argument map into its caller's sets. A round
+        // only ever inserts into a set, and each set is bounded by the
+        // caller's parameter indices that appear in its stores and call
+        // arguments, so the loop ends once a round inserts nothing —
+        // at the least fixed point, whatever order the calls run in.
+        // That also makes the result independent of which *other* units
+        // are in the database: any subset of units closed under call
+        // resolution converges to the same summaries.
+        let mut flowed = Vec::new();
         loop {
-            let mut changed = false;
-            let mut id = 0;
-            for (ui, unit) in units.iter().enumerate() {
-                for f in &unit.fns {
-                    let mut summary = FnSummary {
-                        stores: f.stores.clone(),
-                        ..FnSummary::default()
-                    };
-                    for call in &f.calls {
-                        if let Some(api) = kb.get(&call.callee) {
-                            if let Some(obj) = api.object_arg() {
-                                if let Some(idx) = call.args.get(obj).copied().flatten() {
-                                    match api.dir {
-                                        RcDir::Dec => push_unique(&mut summary.releases, idx),
-                                        RcDir::Inc => push_unique(&mut summary.acquires, idx),
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        let Some(callee_id) =
-                            resolve(&by_unit, &extern_first, whole_program, ui, &call.callee)
-                        else {
-                            continue;
-                        };
-                        let callee = summaries[callee_id].clone();
-                        for &rel in &callee.releases {
-                            if let Some(idx) = call.args.get(rel).copied().flatten() {
-                                push_unique(&mut summary.releases, idx);
-                            }
-                        }
-                        for &acq in &callee.acquires {
-                            if let Some(idx) = call.args.get(acq).copied().flatten() {
-                                push_unique(&mut summary.acquires, idx);
-                            }
-                        }
-                        for &st in &callee.stores {
-                            if let Some(idx) = call.args.get(st).copied().flatten() {
-                                push_unique(&mut summary.stores, idx);
-                            }
-                        }
+            let mut grew = false;
+            for e in &edges {
+                for part in 0..3 {
+                    flowed.clear();
+                    flowed.extend(
+                        summaries[e.callee]
+                            .part(part)
+                            .iter()
+                            .filter_map(|&p| e.args.get(p).copied().flatten()),
+                    );
+                    let into = summaries[e.caller].part_mut(part);
+                    for &idx in &flowed {
+                        grew |= insert_sorted(into, idx);
                     }
-                    if summaries[id] != summary {
-                        summaries[id] = summary;
-                        changed = true;
-                    }
-                    id += 1;
                 }
             }
-            if !changed {
+            if !grew {
                 break;
             }
         }
@@ -415,31 +493,40 @@ impl ProgramDb {
         ProgramDb {
             fns,
             summaries,
-            by_unit,
+            defined,
+            local,
             extern_first,
             unit_of_path,
-            unit_paths,
+            unit_path_fp,
             unit_callees,
+            name_fp: name_fps
+                .into_iter()
+                .map(|fp| fp.map_or(0, |(name_fp, _)| name_fp))
+                .collect(),
             unit_kb,
             whole_program,
         }
     }
 
-    fn resolve_from(&self, file: &str, name: &str) -> Option<usize> {
+    /// The defining unit and definition `name` resolves to from `file`.
+    fn resolve_from(&self, file: &str, name: &str) -> Option<(usize, usize)> {
         let ui = *self.unit_of_path.get(file)?;
-        resolve(
-            &self.by_unit,
+        let name = *self.defined.get(name)?;
+        let id = resolve(
+            &self.local,
             &self.extern_first,
             self.whole_program,
             ui,
             name,
-        )
+        )?;
+        Some((ui, id))
     }
 
     /// The summary of `name` as visible from `file`, or `None` if the
     /// name does not resolve to a definition from there.
     pub fn summary_of(&self, file: &str, name: &str) -> Option<&FnSummary> {
-        self.resolve_from(file, name).map(|id| &self.summaries[id])
+        self.resolve_from(file, name)
+            .map(|(_, id)| &self.summaries[id])
     }
 
     /// Whether calling `callee` from `file` releases a reference held
@@ -453,14 +540,7 @@ impl ProgramDb {
     /// a different unit than `file` — the gate for every behavior
     /// refinement that must leave single-unit results untouched.
     pub fn cross_unit_summary(&self, file: &str, callee: &str) -> Option<&FnSummary> {
-        let ui = *self.unit_of_path.get(file)?;
-        let id = resolve(
-            &self.by_unit,
-            &self.extern_first,
-            self.whole_program,
-            ui,
-            callee,
-        )?;
+        let (ui, id) = self.resolve_from(file, callee)?;
         if self.fns[id].unit == ui {
             return None;
         }
@@ -496,10 +576,10 @@ impl ProgramDb {
             return 0;
         };
         let mut h = mix(FNV_OFFSET, self.unit_kb[ui]);
-        for name in &self.unit_callees[ui] {
-            h = mix(h, fnv1a(name.as_bytes()));
+        for &name in &self.unit_callees[ui] {
+            h = mix(h, self.name_fp[name as usize]);
             match resolve(
-                &self.by_unit,
+                &self.local,
                 &self.extern_first,
                 self.whole_program,
                 ui,
@@ -507,8 +587,7 @@ impl ProgramDb {
             ) {
                 Some(id) => {
                     let info = &self.fns[id];
-                    let def_unit: &str = &self.unit_paths[info.unit];
-                    h = mix(h, fnv1a(def_unit.as_bytes()));
+                    h = mix(h, self.unit_path_fp[info.unit]);
                     h = mix(h, info.is_static as u64 + 1);
                     let s = &self.summaries[id];
                     for part in [&s.releases, &s.acquires, &s.stores] {
@@ -525,14 +604,14 @@ impl ProgramDb {
     }
 }
 
-/// Fingerprint of the knowledge-base entries for `name`: its API entry
-/// and its smartloop entry, each or its absence. Both entry types are
-/// destructured whole, so a field added to either cannot be left out
-/// of the check keys this feeds.
-fn kb_entry_fingerprint(kb: &ApiKb, name: &str) -> u64 {
+/// Fingerprint of a name's knowledge-base entries: its API entry `api`
+/// and its smartloop entry `smartloop`, each or its absence. Both entry
+/// types are destructured whole, so a field added to either cannot be
+/// left out of the check keys this feeds.
+fn kb_entry_fingerprint(api: Option<&RcApi>, smartloop: Option<&SmartLoop>) -> u64 {
     let str_fp = |h: u64, s: &str| mix(h, fnv1a(s.as_bytes()));
     let mut h = FNV_OFFSET;
-    match kb.get(name) {
+    match api {
         None => h = mix(h, 0),
         Some(RcApi {
             name,
@@ -575,7 +654,7 @@ fn kb_entry_fingerprint(kb: &ApiKb, name: &str) -> u64 {
             }
         }
     }
-    match kb.smartloop(name) {
+    match smartloop {
         None => h = mix(h, 0),
         Some(SmartLoop {
             name,
@@ -673,6 +752,38 @@ static void outer(struct device_node *np)
         );
         assert!(db.call_releases("t.c", "inner", 0));
         assert!(db.call_releases("t.c", "outer", 0));
+    }
+
+    #[test]
+    fn mutual_recursion_with_swapped_arguments_ends_with_both_sets() {
+        // `f` and `g` pass their parameters to each other swapped, so the
+        // releases flow back and forth between the two parameters. The
+        // build runs on its own thread against a deadline: a fixpoint
+        // that never ends fails the test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let db = local_db(
+                r#"
+static void g(struct device_node *a, struct device_node *b);
+static void f(struct device_node *a, struct device_node *b)
+{
+        g(a, b);
+        of_node_put(b);
+}
+static void g(struct device_node *a, struct device_node *b)
+{
+        f(b, a);
+}
+"#,
+            );
+            let releases = |name| db.summary_of("t.c", name).unwrap().releases.clone();
+            tx.send((releases("f"), releases("g"))).ok();
+        });
+        let (f, g) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the effect fixpoint ends");
+        assert_eq!(f, vec![0, 1]);
+        assert_eq!(g, vec![0, 1]);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use refminer_checkers::{AntiPattern, Finding, Impact};
-use refminer_cparse::{parse_str, TranslationUnit};
-use refminer_cpg::{CheckFact, FunctionGraph, StoreTarget};
+use refminer_cparse::{parse_str, FunctionDef, TranslationUnit};
+use refminer_cpg::{error_nodes, Cfg, CheckFact, NodeFacts, StoreTarget};
 use refminer_json::{obj, ToJson, Value};
 use refminer_rcapi::ApiKb;
 
@@ -191,19 +191,24 @@ impl ToJson for CloneMatch {
 }
 
 /// Computes the structural signature of one function with respect to an
-/// acquire API and (optionally) the acquired object variable.
-pub fn struct_sig(g: &FunctionGraph, api: &str, object: Option<&str>, kb: &ApiKb) -> StructSig {
+/// acquire API and (optionally) the acquired object variable. It reads
+/// only the function's CFG, the CFG's node facts and whether any node
+/// lies in an error-handling block, so it builds just those — never the
+/// origin and feasibility analyses of a full [`FunctionGraph`].
+///
+/// [`FunctionGraph`]: refminer_cpg::FunctionGraph
+pub fn struct_sig(func: &FunctionDef, api: &str, object: Option<&str>, kb: &ApiKb) -> StructSig {
+    let cfg = Cfg::build(func);
+    let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
     let decs = kb.accepted_decs(api);
     let mut sig = StructSig {
-        error_blocks: !g.error_nodes.is_empty(),
+        error_blocks: !error_nodes(&cfg, &facts).is_empty(),
         ..StructSig::default()
     };
-    sig.in_loop = g
-        .nodes_calling(api)
-        .iter()
-        .any(|&n| !g.cfg.nodes[n].loops.is_empty());
-    for i in g.cfg.node_ids() {
-        let facts = &g.facts[i];
+    for (node, facts) in cfg.nodes.iter().zip(&facts) {
+        if facts.calls_named(api) && !node.loops.is_empty() {
+            sig.in_loop = true;
+        }
         if facts.is_return && facts.returns_error {
             sig.error_return = true;
         }
@@ -260,8 +265,7 @@ pub fn abstract_template_parsed(
     kb: &ApiKb,
 ) -> Option<BugTemplate> {
     let func = tu.function(&finding.function)?;
-    let g = FunctionGraph::build(func);
-    let sig = struct_sig(&g, &finding.api, finding.object.as_deref(), kb);
+    let sig = struct_sig(func, &finding.api, finding.object.as_deref(), kb);
     Some(BugTemplate {
         pattern: finding.pattern,
         family: finding.pattern.root_cause(),
@@ -343,8 +347,7 @@ where
         let Some(func) = tu.function(&f.function) else {
             continue;
         };
-        let g = FunctionGraph::build(func);
-        let sig = struct_sig(&g, &f.api, f.object.as_deref(), kb);
+        let sig = struct_sig(func, &f.api, f.object.as_deref(), kb);
         // Ownership-transfer veto: a candidate handing the object to a
         // custom-release-shaped helper the seed never used is
         // structurally *explained*, not cloned — listing it would be a
