@@ -243,7 +243,7 @@ impl Checker for InterUnpairedChecker {
 fn ops_table_pairs(unit: &TranslationUnit) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for g in unit.globals() {
-        let Some(init @ Initializer::List(_)) = &g.init else {
+        let Some(init @ Initializer::List(_)) = g.init.as_deref() else {
             continue;
         };
         for (top_field, bottom_field) in OPS_PAIRS {

@@ -163,11 +163,7 @@ impl Checker for EscapeChecker {
                 // Only refcounted types are interesting; approximate by
                 // "struct pointer" parameters whose struct tag looks
                 // refcounted or device-tree related.
-                let src_param = graph
-                    .func
-                    .params
-                    .iter()
-                    .find(|p| p.name.as_deref() == Some(src));
+                let src_param = graph.params.iter().find(|p| p.name.as_deref() == Some(src));
                 let refcounted_ty = src_param
                     .and_then(|p| p.ty.struct_tag())
                     .map(|t| {

@@ -327,9 +327,11 @@ fn main() -> ExitCode {
         let tree = Revision::audited(&project, &report, &cache, &config);
         let code = run_eval(&opts, &tree, &report);
         drop(eval_span);
+        free_cache(cache, &trace);
         finish_trace(&opts, &trace);
         return code;
     }
+    free_cache(cache, &trace);
     let findings: Vec<_> = report
         .findings
         .iter()
@@ -433,6 +435,14 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
+}
+
+/// Drops the audit's cache, which holds every unit's AST, inside a
+/// `free` stage span, so that `--stats` and `--trace` account for the
+/// free: on a large tree it is a visible share of the run.
+fn free_cache(cache: AuditCache, trace: &TraceHandle) {
+    let _span = trace.span("free");
+    drop(cache);
 }
 
 /// Drains the trace recorder: writes the JSON-lines span log to the

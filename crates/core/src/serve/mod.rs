@@ -60,16 +60,14 @@ pub fn run_serve(cfg: ServeConfig, opts: &ServeOptions) -> io::Result<()> {
 
     let listener = TcpListener::bind(&opts.listen)?;
     listener.set_nonblocking(true)?;
-    println!("listening on {}", listener.local_addr()?);
-    io::stdout().flush()?;
+    announce(format_args!("listening on {}", listener.local_addr()?));
 
     #[cfg(unix)]
     if let Some(path) = &opts.socket {
         let _ = std::fs::remove_file(path);
         let unix = std::os::unix::net::UnixListener::bind(path)?;
         unix.set_nonblocking(true)?;
-        println!("socket {}", path.display());
-        io::stdout().flush()?;
+        announce(format_args!("socket {}", path.display()));
         let h = handle.clone();
         std::thread::spawn(move || accept_loop_unix(unix, h));
     }
@@ -107,6 +105,14 @@ pub fn run_serve(cfg: ServeConfig, opts: &ServeOptions) -> io::Result<()> {
         let _ = std::fs::remove_file(path);
     }
     Ok(())
+}
+
+/// Prints one line of the daemon's start-up announcement on stdout. A
+/// write error (say, a closed pipe) is ignored: the announcement is a
+/// courtesy to whoever reads stdout, and the daemon serves without it.
+fn announce(line: std::fmt::Arguments<'_>) {
+    let mut out = io::stdout().lock();
+    let _ = writeln!(out, "{line}").and_then(|()| out.flush());
 }
 
 fn serve_tcp_conn(stream: TcpStream, handle: EngineHandle) {

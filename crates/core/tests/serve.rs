@@ -269,6 +269,66 @@ fn unix_socket_answers_rpc() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The daemon announces its addresses on stdout, but nobody has to read
+/// them: with stdout a pipe whose reader is gone, it still serves on
+/// its socket and exits cleanly on `shutdown`.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_does_not_stop_the_daemon() {
+    let dir = write_demo_tree("closed_stdout");
+    let sock = dir.join("refminer.sock");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_refminer"))
+        .arg("serve")
+        .args(["--listen", "127.0.0.1:0", "--socket"])
+        .arg(&sock)
+        .arg(&dir)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let target = format!("unix:{}", sock.display());
+    let shutdown = encode_request(&Request {
+        id: 1,
+        method: Method::Shutdown,
+        deadline_ms: None,
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let reply = loop {
+        match rpc_roundtrip(&target, &shutdown) {
+            Ok(line) => break line,
+            Err(e) => {
+                let exited = child.try_wait().expect("try_wait");
+                if exited.is_some() || Instant::now() >= deadline {
+                    let _ = child.kill();
+                    let out = child.wait_with_output().expect("collect stderr");
+                    panic!(
+                        "the socket never answered ({e}); daemon {:?}, stderr:\n{}",
+                        out.status.code(),
+                        String::from_utf8_lossy(&out.stderr)
+                    );
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+    };
+    let v = Value::parse(&reply).expect("json");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true), "{v}");
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("daemon did not exit after shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let out = child.wait_with_output().expect("collect stderr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn full_queue_sheds_with_explicit_overloaded_error() {
     let dir = write_demo_tree("shed");

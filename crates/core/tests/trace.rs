@@ -158,6 +158,7 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
         "feasibility",
         "report",
         "cache.save",
+        "free",
     ] {
         assert!(
             stages.contains(required),

@@ -14,7 +14,7 @@ pub struct TranslationUnit {
     /// The path the file was parsed from (informational).
     pub path: String,
     /// Top-level items in source order.
-    pub items: Vec<Item>,
+    pub items: Box<[Item]>,
 }
 
 impl TranslationUnit {
@@ -77,7 +77,7 @@ pub struct FunctionDef {
     /// Return type.
     pub ret: TypeName,
     /// Parameters in order.
-    pub params: Vec<Param>,
+    pub params: Box<[Param]>,
     /// Whether the definition is `static`.
     pub is_static: bool,
     /// The body.
@@ -94,7 +94,7 @@ pub struct Prototype {
     /// Return type.
     pub ret: TypeName,
     /// Parameters.
-    pub params: Vec<Param>,
+    pub params: Box<[Param]>,
     /// Span of the prototype.
     pub span: Span,
 }
@@ -169,7 +169,7 @@ pub struct StructDef {
     /// Whether this is a `union`.
     pub is_union: bool,
     /// Fields in order.
-    pub fields: Vec<Field>,
+    pub fields: Box<[Field]>,
     /// Span of the definition.
     pub span: Span,
 }
@@ -191,7 +191,7 @@ pub struct EnumDef {
     /// The tag, if any.
     pub name: Option<String>,
     /// Enumerator names in order.
-    pub variants: Vec<String>,
+    pub variants: Box<[String]>,
     /// Span of the definition.
     pub span: Span,
 }
@@ -214,8 +214,9 @@ pub struct Declaration {
     pub name: String,
     /// Declared type.
     pub ty: TypeName,
-    /// Initializer, if present.
-    pub init: Option<Initializer>,
+    /// Initializer, if present. Boxed: most declarators have none, and
+    /// an inline one would grow every declaration from 88 to 144 bytes.
+    pub init: Option<Box<Initializer>>,
     /// Whether declared `static`.
     pub is_static: bool,
     /// Span of the declarator.
@@ -228,7 +229,7 @@ pub enum Initializer {
     /// `= expr`
     Expr(Expr),
     /// `= { .field = init, init, ... }`
-    List(Vec<(Option<String>, Initializer)>),
+    List(Box<[(Option<String>, Initializer)]>),
 }
 
 impl Initializer {
@@ -257,7 +258,7 @@ impl Initializer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Statements in order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Box<[Stmt]>,
     /// Span from `{` to `}`.
     pub span: Span,
 }
@@ -278,7 +279,7 @@ pub enum StmtKind {
     Block(Block),
     /// One or more local declarations from a single declaration
     /// statement (`int a = 1, *b;` yields two entries).
-    Decl(Vec<Declaration>),
+    Decl(Box<[Declaration]>),
     /// An expression statement.
     Expr(Expr),
     /// `if (cond) then [else els]`
@@ -291,11 +292,13 @@ pub enum StmtKind {
     While { cond: Expr, body: Box<Stmt> },
     /// `do body while (cond);`
     DoWhile { body: Box<Stmt>, cond: Expr },
-    /// `for (init; cond; step) body`
+    /// `for (init; cond; step) body`. The clauses are boxed, like every
+    /// rare payload, so that this variant does not set the size of
+    /// every statement.
     For {
         init: Option<Box<Stmt>>,
-        cond: Option<Expr>,
-        step: Option<Expr>,
+        cond: Option<Box<Expr>>,
+        step: Option<Box<Expr>>,
         body: Box<Stmt>,
     },
     /// A macro-defined loop such as `for_each_child_of_node(p, c) { .. }`
@@ -303,7 +306,7 @@ pub enum StmtKind {
     /// arguments are kept as expressions.
     MacroLoop {
         name: String,
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
         body: Box<Stmt>,
     },
     /// `switch (cond) body`
@@ -418,7 +421,10 @@ pub enum ExprKind {
     /// A character literal (raw text).
     CharLit(String),
     /// `callee(args...)`
-    Call { callee: Box<Expr>, args: Vec<Expr> },
+    Call {
+        callee: Box<Expr>,
+        args: Box<[Expr]>,
+    },
     /// `base.field` or `base->field`
     Member {
         base: Box<Expr>,
@@ -456,10 +462,10 @@ pub enum ExprKind {
     /// `sizeof(type)` where the operand parsed as a type.
     SizeofType(TypeName),
     /// `a, b, c`
-    Comma(Vec<Expr>),
+    Comma(Box<[Expr]>),
     /// A brace initializer appearing in expression position
     /// (compound literal payload).
-    InitList(Vec<(Option<String>, Box<Expr>)>),
+    InitList(Box<[(Option<String>, Box<Expr>)]>),
     /// A gcc statement expression `({ ...; v; })` — body is kept.
     StmtExpr(Block),
     /// Anything the parser had to give up on (span preserved).
@@ -498,9 +504,7 @@ impl Expr {
     /// name and arguments.
     pub fn as_direct_call(&self) -> Option<(&str, &[Expr])> {
         match &self.kind {
-            ExprKind::Call { callee, args } => {
-                callee.as_ident().map(|name| (name, args.as_slice()))
-            }
+            ExprKind::Call { callee, args } => callee.as_ident().map(|name| (name, &args[..])),
             _ => None,
         }
     }
@@ -650,6 +654,28 @@ mod tests {
         }
     }
 
+    /// Every list of the tree holds these nodes inline, so a variant
+    /// that grows one of them grows every list it appears in.
+    #[test]
+    fn node_sizes_stay_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Stmt>() <= 96,
+            "Stmt is {} bytes",
+            size_of::<Stmt>()
+        );
+        assert!(
+            size_of::<Declaration>() <= 88,
+            "Declaration is {} bytes",
+            size_of::<Declaration>()
+        );
+        assert!(
+            size_of::<Expr>() <= 64,
+            "Expr is {} bytes",
+            size_of::<Expr>()
+        );
+    }
+
     #[test]
     fn root_var_chases_member_chains() {
         let e = Expr {
@@ -675,7 +701,7 @@ mod tests {
         let call = Expr {
             kind: ExprKind::Call {
                 callee: Box::new(ident("of_node_put")),
-                args: vec![ident("np")],
+                args: Box::new([ident("np")]),
             },
             span: Span::default(),
         };
@@ -694,13 +720,13 @@ mod tests {
 
     #[test]
     fn designated_initializer_lookup() {
-        let init = Initializer::List(vec![
+        let init = Initializer::List(Box::new([
             (Some("probe".into()), Initializer::Expr(ident("foo_probe"))),
             (
                 Some("remove".into()),
                 Initializer::Expr(ident("foo_remove")),
             ),
-        ]);
+        ]));
         assert_eq!(
             init.designated("probe").and_then(|i| i.as_ident()),
             Some("foo_probe")

@@ -3,7 +3,7 @@
 use refminer_clex::{Keyword, Punct, Span, TokenKind};
 
 use crate::ast::{AssignOp, BinOp, Expr, ExprKind, PostOp, TypeName, UnOp};
-use crate::parser::Parser;
+use crate::parser::{take_above, Parser};
 
 impl Parser {
     /// Parses a full expression (including the comma operator).
@@ -13,13 +13,15 @@ impl Parser {
             return first;
         }
         let start = first.span;
-        let mut items = vec![first];
+        let mark = self.expr_stack.len();
+        self.expr_stack.push(first);
         while self.eat_punct(Punct::Comma) {
-            items.push(self.parse_assignment_expr());
+            let item = self.parse_assignment_expr();
+            self.expr_stack.push(item);
         }
         let span = start.join(self.cur_span());
         Expr {
-            kind: ExprKind::Comma(items),
+            kind: ExprKind::Comma(take_above(&mut self.expr_stack, mark)),
             span,
         }
     }
@@ -388,16 +390,18 @@ impl Parser {
             match &t.kind {
                 TokenKind::Punct(Punct::LParen) => {
                     self.pos += 1;
-                    let mut args = Vec::new();
+                    let mark = self.expr_stack.len();
                     if !self.at_punct(Punct::RParen) {
                         loop {
-                            args.push(self.parse_assignment_expr());
+                            let arg = self.parse_assignment_expr();
+                            self.expr_stack.push(arg);
                             if !self.eat_punct(Punct::Comma) {
                                 break;
                             }
                         }
                     }
                     self.expect_punct(Punct::RParen);
+                    let args = take_above(&mut self.expr_stack, mark);
                     if self.enter_depth() {
                         held += 1;
                         let span = e.span.join(self.cur_span());
@@ -598,19 +602,19 @@ impl Parser {
     /// Parses `{ [.name =] expr, ... }` in expression position.
     /// Guarded: nested brace lists recurse here without passing through
     /// `parse_unary`, so the depth cap is checked again.
-    fn parse_brace_expr_list(&mut self) -> Vec<(Option<String>, Box<Expr>)> {
+    fn parse_brace_expr_list(&mut self) -> Box<[(Option<String>, Box<Expr>)]> {
         if !self.enter_depth() {
             if self.at_punct(Punct::LBrace) {
                 self.skip_balanced(Punct::LBrace, Punct::RBrace);
             }
-            return Vec::new();
+            return Box::default();
         }
         let items = self.parse_brace_expr_list_inner();
         self.leave_depth();
         items
     }
 
-    fn parse_brace_expr_list_inner(&mut self) -> Vec<(Option<String>, Box<Expr>)> {
+    fn parse_brace_expr_list_inner(&mut self) -> Box<[(Option<String>, Box<Expr>)]> {
         self.expect_punct(Punct::LBrace);
         let mut items = Vec::new();
         while !self.at_eof() && !self.at_punct(Punct::RBrace) {
@@ -638,7 +642,7 @@ impl Parser {
             }
         }
         self.eat_punct(Punct::RBrace);
-        items
+        items.into()
     }
 }
 

@@ -16,6 +16,18 @@
 //!   [`Initializer::List`], enabling inter-paired API analysis
 //!   (Anti-Pattern 6).
 //!
+//! # Layout
+//!
+//! An audit holds every unit's tree until it ends, so the tree is
+//! compact. It never grows after parsing, so every list in it is a
+//! `Box<[T]>` at its final length (the statement, declarator and
+//! argument lists are built on scratch stacks, so each is allocated
+//! once), and the rare large payloads (a
+//! `for`'s condition and step, a declarator's initializer) are boxed:
+//! a [`Stmt`] takes at most 96 bytes, a [`Declaration`] 88 and an
+//! [`Expr`] 64. Parsed, a kernel-style tree takes under 8 bytes of AST
+//! per byte of source.
+//!
 //! # Examples
 //!
 //! ```

@@ -7,8 +7,8 @@
 use refminer_clex::{Keyword, LexOptions, Lexer, MacroDef, Punct, Span, Token, TokenKind};
 
 use crate::ast::{
-    Declaration, EnumDef, Field, FunctionDef, Initializer, Item, Param, Prototype, StructDef,
-    TranslationUnit, TypeName, Typedef,
+    Declaration, EnumDef, Expr, Field, FunctionDef, Initializer, Item, Param, Prototype, Stmt,
+    StructDef, TranslationUnit, TypeName, Typedef,
 };
 use crate::error::ParseError;
 
@@ -128,6 +128,19 @@ pub struct Parser {
     depth: u32,
     max_depth: u32,
     depth_capped: bool,
+    /// Scratch stacks the statement, declarator and argument lists are
+    /// built on. A list pushes its elements on top and moves them off
+    /// with [`take_above`] when it ends, so it is allocated once, at its
+    /// final length, with no growth or shrink; a list nested inside
+    /// another ends first and leaves the stack as it found it.
+    pub(crate) stmt_stack: Vec<Stmt>,
+    pub(crate) decl_stack: Vec<Declaration>,
+    pub(crate) expr_stack: Vec<Expr>,
+}
+
+/// Moves the elements `stack` holds above `mark` into an exact-size list.
+pub(crate) fn take_above<T>(stack: &mut Vec<T>, mark: usize) -> Box<[T]> {
+    stack.drain(mark..).collect()
 }
 
 /// Resource caps applied while lexing and parsing one unit, sized so a
@@ -198,15 +211,7 @@ pub fn parse_str_limited(path: &str, src: &str, limits: &ParseLimits) -> ParseOu
     };
     let (toks, lex_errors, truncated, defines) =
         Lexer::with_options(src, opts).tokenize_limited_with_defines(limits.max_tokens);
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        errors: Vec::new(),
-        path: path.to_string(),
-        depth: 0,
-        max_depth: limits.max_depth,
-        depth_capped: false,
-    };
+    let mut p = Parser::new(toks, path, limits.max_depth);
     let unit = p.parse_translation_unit();
     ParseOutcome {
         unit,
@@ -219,18 +224,25 @@ pub fn parse_str_limited(path: &str, src: &str, limits: &ParseLimits) -> ParseOu
 }
 
 impl Parser {
-    /// Builds a parser over an arbitrary token fragment (used by the
-    /// expression/statement fragment helpers and tests).
-    pub(crate) fn new_for_fragment(toks: Vec<Token>) -> Parser {
+    fn new(toks: Vec<Token>, path: &str, max_depth: u32) -> Parser {
         Parser {
             toks,
             pos: 0,
             errors: Vec::new(),
-            path: String::new(),
+            path: path.to_string(),
             depth: 0,
-            max_depth: ParseLimits::default().max_depth,
+            max_depth,
             depth_capped: false,
+            stmt_stack: Vec::new(),
+            decl_stack: Vec::new(),
+            expr_stack: Vec::new(),
         }
+    }
+
+    /// Builds a parser over an arbitrary token fragment (used by the
+    /// expression/statement fragment helpers and tests).
+    pub(crate) fn new_for_fragment(toks: Vec<Token>) -> Parser {
+        Parser::new(toks, "", ParseLimits::default().max_depth)
     }
 
     /// Enters one recursion level. Returns `false` at the depth cap,
@@ -432,7 +444,7 @@ impl Parser {
         }
         TranslationUnit {
             path: self.path.clone(),
-            items,
+            items: items.into(),
         }
     }
 
@@ -546,7 +558,7 @@ impl Parser {
             return vec![Item::Struct(StructDef {
                 name: tag,
                 is_union,
-                fields,
+                fields: fields.into(),
                 span: start.join(self.cur_span()),
             })];
         }
@@ -619,7 +631,7 @@ impl Parser {
         self.eat_punct(Punct::Semi);
         vec![Item::Enum(EnumDef {
             name: tag,
-            variants,
+            variants: variants.into(),
             span: start.join(self.cur_span()),
         })]
     }
@@ -947,7 +959,7 @@ impl Parser {
             }
             self.skip_annotations();
             let init = if self.eat_punct(Punct::Assign) {
-                Some(self.parse_initializer())
+                Some(Box::new(self.parse_initializer()))
             } else {
                 None
             };
@@ -993,12 +1005,12 @@ impl Parser {
     }
 
     /// Parses a parenthesized parameter list, cursor on `(`.
-    pub(crate) fn parse_param_list(&mut self) -> Vec<Param> {
+    pub(crate) fn parse_param_list(&mut self) -> Box<[Param]> {
         self.expect_punct(Punct::LParen);
         let mut params = Vec::new();
         if self.at_punct(Punct::RParen) {
             self.pos += 1;
-            return params;
+            return params.into();
         }
         loop {
             self.skip_annotations();
@@ -1053,7 +1065,7 @@ impl Parser {
             }
         }
         self.expect_punct(Punct::RParen);
-        params
+        params.into()
     }
 
     /// Parses an initializer: expression or braced (designated) list.
@@ -1065,7 +1077,7 @@ impl Parser {
             } else if !self.at_punct(Punct::RBrace) {
                 self.bump();
             }
-            return Initializer::List(Vec::new());
+            return Initializer::List(Box::default());
         }
         let init = self.parse_initializer_inner();
         self.leave_depth();
@@ -1098,7 +1110,7 @@ impl Parser {
                 }
             }
             self.eat_punct(Punct::RBrace);
-            Initializer::List(items)
+            Initializer::List(items.into())
         } else {
             Initializer::Expr(self.parse_assignment_expr())
         }

@@ -3,17 +3,18 @@
 use refminer_clex::{Keyword, Punct, TokenKind};
 
 use crate::ast::{Block, Declaration, Expr, Stmt, StmtKind, TypeName};
-use crate::parser::Parser;
+use crate::parser::{take_above, Parser};
 
 impl Parser {
     /// Parses a `{ ... }` block, cursor on `{`.
     pub(crate) fn parse_block(&mut self) -> Block {
         let start = self.cur_span();
         self.expect_punct(Punct::LBrace);
-        let mut stmts = Vec::new();
+        let mark = self.stmt_stack.len();
         while !self.at_eof() && !self.at_punct(Punct::RBrace) {
             let before = self.pos;
-            stmts.push(self.parse_stmt());
+            let stmt = self.parse_stmt();
+            self.stmt_stack.push(stmt);
             if self.pos == before {
                 // Guaranteed progress even on pathological input.
                 self.pos += 1;
@@ -21,7 +22,7 @@ impl Parser {
         }
         self.eat_punct(Punct::RBrace);
         Block {
-            stmts,
+            stmts: take_above(&mut self.stmt_stack, mark),
             span: start.join(self.cur_span()),
         }
     }
@@ -119,13 +120,13 @@ impl Parser {
                 let cond = if self.at_punct(Punct::Semi) {
                     None
                 } else {
-                    Some(self.parse_expr())
+                    Some(Box::new(self.parse_expr()))
                 };
                 self.eat_punct(Punct::Semi);
                 let step = if self.at_punct(Punct::RParen) {
                     None
                 } else {
-                    Some(self.parse_expr())
+                    Some(Box::new(self.parse_expr()))
                 };
                 self.expect_punct(Punct::RParen);
                 let body = Box::new(self.parse_stmt());
@@ -346,11 +347,11 @@ impl Parser {
 
     /// Parses a local declaration statement, returning one
     /// [`Declaration`] per declarator. Consumes the trailing `;`.
-    fn parse_local_decl(&mut self) -> Vec<Declaration> {
+    fn parse_local_decl(&mut self) -> Box<[Declaration]> {
         let start = self.cur_span();
         let is_static = self.at_keyword(Keyword::Static);
         let ty = self.parse_type_specifiers();
-        let mut out = Vec::new();
+        let mark = self.decl_stack.len();
         loop {
             let dstart = self.cur_span();
             let mut pointer = 0u8;
@@ -369,17 +370,17 @@ impl Parser {
                     }
                 }
                 self.eat_punct(Punct::Semi);
-                return out;
+                return take_above(&mut self.decl_stack, mark);
             };
             while self.at_punct(Punct::LBracket) {
                 self.skip_balanced(Punct::LBracket, Punct::RBracket);
             }
             let init = if self.eat_punct(Punct::Assign) {
-                Some(self.parse_initializer())
+                Some(Box::new(self.parse_initializer()))
             } else {
                 None
             };
-            out.push(Declaration {
+            self.decl_stack.push(Declaration {
                 name,
                 ty: TypeName {
                     base: ty.base.clone(),
@@ -395,7 +396,7 @@ impl Parser {
         }
         self.eat_punct(Punct::Semi);
         let _ = start;
-        out
+        take_above(&mut self.decl_stack, mark)
     }
 
     /// Attempts to parse `name(args) { body }` or `for_each_x(args) stmt`
@@ -415,48 +416,46 @@ impl Parser {
             return None;
         }
         self.pos += 2; // Past `name (`.
-        let mut args = Vec::new();
+        let mark = self.expr_stack.len();
         if !self.at_punct(Punct::RParen) {
             loop {
-                args.push(self.parse_assignment_expr());
+                let arg = self.parse_assignment_expr();
+                self.expr_stack.push(arg);
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
             }
         }
-        if !self.eat_punct(Punct::RParen) {
+        // `name(args) { ... }` is always a macro loop shape; `name(args)
+        // stmt;` only for loop-named macros. Otherwise `foo(x);` is a
+        // plain call, which the caller parses again as an expression, so
+        // the arguments never leave the stack.
+        let closed = self.eat_punct(Punct::RParen);
+        let braced = closed && self.at_punct(Punct::LBrace);
+        let loopish = name.contains("for_each") || name.starts_with("foreach");
+        if !(braced || (closed && loopish && !self.at_punct(Punct::Semi))) {
+            self.expr_stack.truncate(mark);
             self.pos = save;
             return None;
         }
-        // `name(args) { ... }` — always a macro loop shape.
-        if self.at_punct(Punct::LBrace) {
+        let args = take_above(&mut self.expr_stack, mark);
+        let body = if braced {
             let block = self.parse_block();
-            let span = start.join(self.cur_span());
-            return Some(Stmt {
-                kind: StmtKind::MacroLoop {
-                    name,
-                    args,
-                    body: Box::new(Stmt {
-                        span: block.span,
-                        kind: StmtKind::Block(block),
-                    }),
-                },
-                span,
-            });
-        }
-        // `for_each_x(args) stmt;` — single-statement body, only for
-        // loop-named macros (otherwise `foo(x);` is a plain call).
-        let loopish = name.contains("for_each") || name.starts_with("foreach");
-        if loopish && !self.at_punct(Punct::Semi) {
-            let body = Box::new(self.parse_stmt());
-            let span = start.join(self.cur_span());
-            return Some(Stmt {
-                kind: StmtKind::MacroLoop { name, args, body },
-                span,
-            });
-        }
-        self.pos = save;
-        None
+            Stmt {
+                span: block.span,
+                kind: StmtKind::Block(block),
+            }
+        } else {
+            self.parse_stmt()
+        };
+        Some(Stmt {
+            kind: StmtKind::MacroLoop {
+                name,
+                args,
+                body: Box::new(body),
+            },
+            span: start.join(self.cur_span()),
+        })
     }
 }
 

@@ -80,7 +80,7 @@ static int stm32_crc_remove(struct platform_device *pdev)
     match &f.body.stmts[1].kind {
         StmtKind::Decl(decls) => {
             assert_eq!(decls[0].name, "ret");
-            match &decls[0].init {
+            match decls[0].init.as_deref() {
                 Some(Initializer::Expr(e)) => {
                     assert_eq!(e.as_direct_call().unwrap().0, "pm_runtime_get_sync");
                 }
@@ -241,7 +241,7 @@ enum probe_state { PROBE_IDLE, PROBE_BUSY = 2, PROBE_DONE };
             }
             Item::Enum(e) => {
                 enums += 1;
-                assert_eq!(e.variants, vec!["PROBE_IDLE", "PROBE_BUSY", "PROBE_DONE"]);
+                assert_eq!(e.variants[..], ["PROBE_IDLE", "PROBE_BUSY", "PROBE_DONE"]);
             }
             _ => {}
         }

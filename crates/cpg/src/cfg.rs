@@ -31,7 +31,7 @@ pub enum Payload {
     /// An expression statement.
     Expr(Expr),
     /// A declaration statement (one entry per declarator).
-    Decl(Vec<Declaration>),
+    Decl(Box<[Declaration]>),
     /// A `return`, with its value.
     Return(Option<Expr>),
     /// A `goto` (kept even after resolution, for matching).
@@ -63,7 +63,7 @@ pub enum NodeKind {
         /// Macro name, e.g. `for_each_child_of_node`.
         name: String,
         /// Macro arguments as written.
-        args: Vec<Expr>,
+        args: Box<[Expr]>,
     },
     /// A synthetic join used as a loop head for `do`/`for` loops.
     LoopHead,
@@ -386,14 +386,14 @@ impl Builder {
                     cur = self.build_stmt(i, cur);
                 }
                 let head = match cond {
-                    Some(c) => self.add_node(NodeKind::Cond(c.clone()), stmt.span),
+                    Some(c) => self.add_node(NodeKind::Cond(Expr::clone(c)), stmt.span),
                     None => self.add_node(NodeKind::LoopHead, stmt.span),
                 };
                 self.connect_all(&cur, head);
                 // The step node sits between body end and head.
-                let step_node = step
-                    .as_ref()
-                    .map(|s| self.add_node(NodeKind::Stmt(Payload::Expr(s.clone())), stmt.span));
+                let step_node = step.as_ref().map(|s| {
+                    self.add_node(NodeKind::Stmt(Payload::Expr(Expr::clone(s))), stmt.span)
+                });
                 let back_target = head;
                 self.breaks.push(Vec::new());
                 self.continues.push(step_node.unwrap_or(head));

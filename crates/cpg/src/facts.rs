@@ -116,7 +116,7 @@ impl NodeFacts {
             }
             NodeKind::Stmt(Payload::Decl(decls)) => {
                 for d in decls {
-                    if let Some(refminer_cparse::Initializer::Expr(init)) = &d.init {
+                    if let Some(refminer_cparse::Initializer::Expr(init)) = d.init.as_deref() {
                         f.absorb_expr(init);
                         f.assigns.push(AssignFact {
                             target: StoreTarget::Var(d.name.clone()),

@@ -186,7 +186,7 @@ fn node_writes(kind: &NodeKind) -> Vec<(String, Option<i64>)> {
         NodeKind::Stmt(Payload::Expr(e)) | NodeKind::Cond(e) => collect_writes(e, &mut out),
         NodeKind::Stmt(Payload::Decl(decls)) => {
             for d in decls {
-                if let Some(Initializer::Expr(init)) = &d.init {
+                if let Some(Initializer::Expr(init)) = d.init.as_deref() {
                     collect_writes(init, &mut out);
                     out.push((d.name.clone(), const_of(init)));
                 }

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use refminer_cparse::{FunctionDef, TranslationUnit};
+use refminer_cparse::{FunctionDef, Param, TranslationUnit};
 
 use crate::cfg::{Cfg, NodeId};
 use crate::errorpath::error_nodes;
@@ -15,6 +15,10 @@ use crate::origins::Origins;
 /// facts, variable origins, and error-block classification — the same
 /// bundle the paper builds with JOERN and queries via line-ordered
 /// paths (§6.1).
+///
+/// Of the definition the graph keeps only the header (name, parameters,
+/// linkage): the CFG holds what the analyses read of the body, so a
+/// copy of the body would be dead weight.
 ///
 /// # Examples
 ///
@@ -38,8 +42,12 @@ use crate::origins::Origins;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FunctionGraph {
-    /// The function definition this graph was built from.
-    pub func: FunctionDef,
+    /// The function's name.
+    pub name: String,
+    /// The function's parameters, in order.
+    pub params: Box<[Param]>,
+    /// Whether the function is `static`.
+    pub is_static: bool,
     /// The control-flow graph.
     pub cfg: Cfg,
     /// Per-node facts, parallel to `cfg.nodes`.
@@ -113,7 +121,9 @@ impl FunctionGraph {
         let feas = FeasAnalysis::compute(&cfg, &facts);
         *feas_time += feas_start.elapsed();
         Ok(FunctionGraph {
-            func: func.clone(),
+            name: func.name.clone(),
+            params: func.params.clone(),
+            is_static: func.is_static,
             cfg,
             facts,
             origins,
@@ -158,7 +168,7 @@ impl FunctionGraph {
 
     /// The function name.
     pub fn name(&self) -> &str {
-        &self.func.name
+        &self.name
     }
 
     /// Node ids whose facts contain a call to `name`.
@@ -181,8 +191,7 @@ impl FunctionGraph {
 
     /// Names of the function's pointer parameters.
     pub fn pointer_params(&self) -> Vec<&str> {
-        self.func
-            .params
+        self.params
             .iter()
             .filter(|p| p.ty.is_pointer())
             .filter_map(|p| p.name.as_deref())

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use refminer_cparse::{FunctionDef, TranslationUnit};
+use refminer_cparse::{Param, TranslationUnit};
 use refminer_cpg::{Cfg, FunctionGraph, NodeFacts, NodeKind, StoreTarget};
 use refminer_rcapi::{ApiKb, ObjectFlow, RcApi, RcClass, RcDir, SmartLoop};
 
@@ -118,8 +118,15 @@ impl FnExport {
     /// `globals` are the unit's global variable names; a store into one
     /// of them counts as an escape (mirroring the checkers' notion of
     /// "escapes to a long-lived location").
-    pub fn extract(func: &FunctionDef, cfg: &Cfg, facts: &[NodeFacts], globals: &[String]) -> Self {
-        let params: Vec<Option<&str>> = func.params.iter().map(|p| p.name.as_deref()).collect();
+    pub fn extract(
+        name: &str,
+        params: &[Param],
+        is_static: bool,
+        cfg: &Cfg,
+        facts: &[NodeFacts],
+        globals: &[String],
+    ) -> Self {
+        let params: Vec<Option<&str>> = params.iter().map(|p| p.name.as_deref()).collect();
         let param_index = |root: Option<&str>| -> Option<usize> {
             let root = root?;
             params.iter().position(|p| *p == Some(root))
@@ -152,8 +159,8 @@ impl FnExport {
             }
         }
         FnExport {
-            name: func.name.clone(),
-            is_static: func.is_static,
+            name: name.to_string(),
+            is_static,
             calls,
             stores,
         }
@@ -186,7 +193,9 @@ impl UnitExports {
             path: path.to_string(),
             fns: graphs
                 .iter()
-                .map(|g| FnExport::extract(&g.func, &g.cfg, &g.facts, globals))
+                .map(|g| {
+                    FnExport::extract(&g.name, &g.params, g.is_static, &g.cfg, &g.facts, globals)
+                })
                 .collect(),
             loop_heads,
         }
@@ -205,7 +214,14 @@ impl UnitExports {
                 let cfg = Cfg::build_limited(f, max_nodes).ok()?;
                 add_loop_heads(&cfg, &mut loop_heads);
                 let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
-                Some(FnExport::extract(f, &cfg, &facts, &globals))
+                Some(FnExport::extract(
+                    &f.name,
+                    &f.params,
+                    f.is_static,
+                    &cfg,
+                    &facts,
+                    &globals,
+                ))
             })
             .collect();
         UnitExports {

@@ -282,11 +282,7 @@ fn single_op_matches(
 /// Whether the function declares `name`: a parameter, or a name some
 /// CFG `Decl` node declares.
 fn declares(graph: &FunctionGraph, name: &str) -> bool {
-    graph
-        .func
-        .params
-        .iter()
-        .any(|p| p.name.as_deref() == Some(name))
+    graph.params.iter().any(|p| p.name.as_deref() == Some(name))
         || graph.cfg.nodes.iter().any(|node| {
             matches!(
                 &node.kind,

@@ -8,10 +8,11 @@
 //! - **Spans** — named wall-time intervals, optionally tagged with the
 //!   unit (file) they cover. Top-level pipeline stages (`scan`,
 //!   `hash`, `parse`, `merge.kb`, `merge.progdb`, `check`,
-//!   `cache.load`, `cache.save`, `report`) run sequentially inside the
-//!   `audit` span, so their durations sum to ~the total wall time;
-//!   per-unit spans (`parse.unit`, `check.unit`, `feasibility`, …)
-//!   nest inside them and overlap freely across worker threads.
+//!   `cache.load`, `cache.save`, `report`, and the CLI's `free` of the
+//!   audit cache) run sequentially, so their durations sum to ~the
+//!   total wall time; per-unit spans (`parse.unit`, `check.unit`,
+//!   `feasibility`, …) nest inside them and overlap freely across
+//!   worker threads.
 //! - **Counters** — named monotonic totals (`cache.parse.hit`,
 //!   `limit.token_cap`, `checker.errorpath.us`, `check.workers`, …).
 //! - **Peak in-flight** — the high-water mark of concurrently open
