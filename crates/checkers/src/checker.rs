@@ -144,10 +144,10 @@ pub struct IncSite<'a> {
     /// The increment API called.
     pub api: &'a RcApi,
     /// The increment call itself.
-    pub call: &'a CallFact,
+    pub call: &'a CallFact<'a>,
     /// The object variable holding the new reference. `None` when the
     /// returned reference was discarded.
-    pub object: Option<String>,
+    pub object: Option<&'a str>,
 }
 
 /// Finds every increment-API call site in a function, with the object
@@ -157,7 +157,7 @@ pub fn inc_sites<'a>(ctx: &'a CheckCtx<'_>) -> Vec<IncSite<'a>> {
     for n in ctx.graph.cfg.node_ids() {
         let facts = &ctx.graph.facts[n];
         for call in &facts.calls {
-            let Some(api) = ctx.kb.get(&call.name) else {
+            let Some(api) = ctx.kb.get(call.name) else {
                 continue;
             };
             if api.dir != refminer_rcapi::RcDir::Inc {
@@ -167,15 +167,13 @@ pub fn inc_sites<'a>(ctx: &'a CheckCtx<'_>) -> Vec<IncSite<'a>> {
                 facts
                     .assigns
                     .iter()
-                    .find(|a| a.rhs_call.as_deref() == Some(api.name.as_str()))
-                    .and_then(|a| match &a.target {
-                        StoreTarget::Var(v) => Some(v.clone()),
+                    .find(|a| a.rhs_call == Some(api.name.as_str()))
+                    .and_then(|a| match a.target {
+                        StoreTarget::Var(v) => Some(v),
                         _ => None,
                     })
             } else {
-                api.object_arg()
-                    .and_then(|i| call.arg_root(i))
-                    .map(str::to_string)
+                api.object_arg().and_then(|i| call.arg_root(i))
             };
             out.push(IncSite {
                 node: n,
@@ -200,6 +198,7 @@ pub fn has_any_paired_dec(ctx: &CheckCtx<'_>, api: &RcApi, obj: &str) -> bool {
 mod tests {
     use super::*;
     use refminer_cparse::parse_str;
+    use std::collections::HashSet;
 
     #[test]
     fn inc_sites_extraction() {
@@ -216,6 +215,7 @@ int f(struct device *dev)
 "#,
         );
         let graphs = FunctionGraph::build_all(&tu);
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
         let kb = ApiKb::builtin();
         let db = ProgramDb::empty();
         let ctx = CheckCtx {
@@ -223,14 +223,15 @@ int f(struct device *dev)
             graph: &graphs[0],
             kb: &kb,
             unit: &tu,
+            globals: &globals,
             all_graphs: &graphs,
             program: &db,
             trace: refminer_trace::TraceHandle::disabled(),
         };
         let sites = inc_sites(&ctx);
         assert_eq!(sites.len(), 3);
-        assert_eq!(sites[0].object.as_deref(), Some("np"));
-        assert_eq!(sites[1].object.as_deref(), Some("dev"));
+        assert_eq!(sites[0].object, Some("np"));
+        assert_eq!(sites[1].object, Some("dev"));
         assert_eq!(sites[2].object, None);
     }
 

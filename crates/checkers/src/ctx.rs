@@ -1,5 +1,7 @@
 //! Checker context and shared helper predicates.
 
+use std::collections::HashSet;
+
 use refminer_cparse::TranslationUnit;
 use refminer_cpg::{FunctionGraph, NodeId, StoreTarget};
 use refminer_progdb::ProgramDb;
@@ -11,13 +13,16 @@ pub struct CheckCtx<'a> {
     /// The file the function lives in.
     pub file: &'a str,
     /// The function's code property graph.
-    pub graph: &'a FunctionGraph,
+    pub graph: &'a FunctionGraph<'a>,
     /// The API knowledge base.
     pub kb: &'a ApiKb,
     /// The containing translation unit (ops tables, globals).
     pub unit: &'a TranslationUnit,
+    /// The names of the unit's global variables, collected once per
+    /// unit: a store into one is an escape.
+    pub globals: &'a HashSet<&'a str>,
     /// Graphs of all functions in the unit (for inter-paired lookups).
-    pub all_graphs: &'a [FunctionGraph],
+    pub all_graphs: &'a [FunctionGraph<'a>],
     /// The program-wide function-summary database. Helper effects
     /// resolve through it under linkage rules: same-unit definitions
     /// first, external definitions tree-wide in whole-program audits.
@@ -36,12 +41,11 @@ impl<'a> CheckCtx<'a> {
         let facts = &self.graph.facts[n];
         let accepted = self.kb.accepted_decs(&inc.name);
         facts.calls.iter().any(|c| {
-            if !accepted.iter().any(|d| d == &c.name) && !self.kb.is_dec(&c.name) {
+            if !accepted.iter().any(|d| d == c.name) && !self.kb.is_dec(c.name) {
                 // Not a refcounting API by name: maybe a helper whose
                 // summary says it releases the object.
                 return c.args.iter().enumerate().any(|(i, a)| {
-                    a.root.as_deref() == Some(obj)
-                        && self.program.call_releases(self.file, &c.name, i)
+                    a.root == Some(obj) && self.program.call_releases(self.file, c.name, i)
                 });
             }
             // Any decrement on the object variable (or an alias of the
@@ -66,25 +70,24 @@ impl<'a> CheckCtx<'a> {
         if !facts.is_return {
             return false;
         }
-        facts.returns_var.as_deref() == Some(obj)
+        facts.returns_var == Some(obj)
             || facts
                 .calls
                 .iter()
-                .any(|c| c.args.iter().any(|a| a.root.as_deref() == Some(obj)))
+                .any(|c| c.args.iter().any(|a| a.root == Some(obj)))
     }
 
     /// Whether node `n` stores `obj` into a longer-lived location
     /// (struct field, indirect store, or a file-scope global), i.e.
     /// transfers ownership out of the function.
     pub fn escapes_object(&self, n: NodeId, obj: &str) -> bool {
-        let globals: Vec<&str> = self.unit.globals().map(|g| g.name.as_str()).collect();
         let direct = self.graph.facts[n].assigns.iter().any(|a| {
-            if a.rhs_root.as_deref() != Some(obj) {
+            if a.rhs_root != Some(obj) {
                 return false;
             }
-            match &a.target {
+            match a.target {
                 StoreTarget::Field { .. } | StoreTarget::Indirect(_) => true,
-                StoreTarget::Var(v) => globals.contains(&v.as_str()),
+                StoreTarget::Var(v) => self.globals.contains(v),
                 StoreTarget::Other => false,
             }
         });
@@ -95,8 +98,7 @@ impl<'a> CheckCtx<'a> {
         direct
             || self.graph.facts[n].calls.iter().any(|c| {
                 c.args.iter().enumerate().any(|(i, a)| {
-                    a.root.as_deref() == Some(obj)
-                        && self.program.cross_unit_stores(self.file, &c.name, i)
+                    a.root == Some(obj) && self.program.cross_unit_stores(self.file, c.name, i)
                 })
             })
     }
@@ -105,9 +107,10 @@ impl<'a> CheckCtx<'a> {
     /// reference is gone; subsequent paths cannot pair it anymore, but
     /// neither should they be blamed on this acquisition).
     pub fn reassigns_object(&self, n: NodeId, obj: &str) -> bool {
-        self.graph.facts[n].assigns.iter().any(|a| {
-            a.target == StoreTarget::Var(obj.to_string()) && a.rhs_root.as_deref() != Some(obj)
-        })
+        self.graph.facts[n]
+            .assigns
+            .iter()
+            .any(|a| a.target == StoreTarget::Var(obj) && a.rhs_root != Some(obj))
     }
 
     /// Whether node `n` frees `obj` with a kfree-family call (P7's
@@ -116,7 +119,7 @@ impl<'a> CheckCtx<'a> {
         self.graph.facts[n]
             .calls
             .iter()
-            .any(|c| is_kfree_family(&c.name) && c.arg_root(0) == Some(obj))
+            .any(|c| is_kfree_family(c.name) && c.arg_root(0) == Some(obj))
     }
 
     /// Whether node `n` passes `obj` to any call that is *not* a
@@ -125,11 +128,11 @@ impl<'a> CheckCtx<'a> {
     /// patterns like `foo_register(np)`).
     pub fn passes_to_consumer(&self, n: NodeId, obj: &str) -> bool {
         self.graph.facts[n].calls.iter().any(|c| {
-            if self.kb.get(&c.name).is_some() || !consumer_name(&c.name) {
+            if self.kb.get(c.name).is_some() || !consumer_name(c.name) {
                 return false;
             }
             c.args.iter().enumerate().any(|(i, a)| {
-                if a.root.as_deref() != Some(obj) {
+                if a.root != Some(obj) {
                     return false;
                 }
                 // When the consumer-named callee is *defined* in another
@@ -137,7 +140,7 @@ impl<'a> CheckCtx<'a> {
                 // reference only if it actually releases or stores the
                 // argument. Undefined or same-unit callees keep the
                 // conservative name-based suppression.
-                match self.program.cross_unit_summary(self.file, &c.name) {
+                match self.program.cross_unit_summary(self.file, c.name) {
                     Some(s) => s.releases.contains(&i) || s.stores.contains(&i),
                     None => true,
                 }
@@ -158,11 +161,11 @@ impl<'a> CheckCtx<'a> {
         use refminer_cpg::{CheckFact, EdgeKind};
         let obj = obj.to_string();
         move |from, _to, kind| {
-            self.graph.facts[from].checks.iter().any(|c| match c {
+            self.graph.facts[from].checks.iter().any(|c| match *c {
                 CheckFact::NullOnTrue(v) | CheckFact::ErrPtrOnTrue(v) => {
-                    v == &obj && kind == EdgeKind::True
+                    v == obj && kind == EdgeKind::True
                 }
-                CheckFact::NonNullOnTrue(v) => v == &obj && kind == EdgeKind::False,
+                CheckFact::NonNullOnTrue(v) => v == obj && kind == EdgeKind::False,
                 _ => false,
             })
         }
@@ -175,7 +178,7 @@ impl<'a> CheckCtx<'a> {
     pub fn helper_releases(&self, n: NodeId, obj: &str) -> bool {
         self.graph.facts[n].calls.iter().any(|c| {
             c.args.iter().enumerate().any(|(i, a)| {
-                a.root.as_deref() == Some(obj) && self.program.call_releases(self.file, &c.name, i)
+                a.root == Some(obj) && self.program.call_releases(self.file, c.name, i)
             })
         })
     }
@@ -196,15 +199,28 @@ mod tests {
     use super::*;
     use refminer_cparse::parse_str;
 
-    fn mk(src: &str) -> (TranslationUnit, Vec<FunctionGraph>) {
+    /// Runs `check` on the context of the first function of `src`.
+    fn with_ctx(src: &str, check: impl FnOnce(&CheckCtx<'_>)) {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
-        (tu, graphs)
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
+        let kb = ApiKb::builtin();
+        let db = ProgramDb::empty();
+        check(&CheckCtx {
+            file: "t.c",
+            graph: &graphs[0],
+            kb: &kb,
+            unit: &tu,
+            globals: &globals,
+            all_graphs: &graphs,
+            program: &db,
+            trace: TraceHandle::disabled(),
+        });
     }
 
     #[test]
     fn paired_dec_matches_alias() {
-        let (tu, graphs) = mk(r#"
+        let src = r#"
 int f(void)
 {
         struct device_node *np = of_find_node_by_name(NULL, "x");
@@ -212,74 +228,47 @@ int f(void)
         of_node_put(alias);
         return 0;
 }
-"#);
-        let kb = ApiKb::builtin();
-        let db = ProgramDb::empty();
-        let ctx = CheckCtx {
-            file: "t.c",
-            graph: &graphs[0],
-            kb: &kb,
-            unit: &tu,
-            all_graphs: &graphs,
-            program: &db,
-            trace: TraceHandle::disabled(),
-        };
-        let inc = kb.get("of_find_node_by_name").unwrap();
-        let put = ctx.graph.nodes_calling("of_node_put")[0];
-        assert!(ctx.is_paired_dec(put, inc, "np"));
+"#;
+        with_ctx(src, |ctx| {
+            let inc = ctx.kb.get("of_find_node_by_name").unwrap();
+            let put = ctx.graph.nodes_calling("of_node_put")[0];
+            assert!(ctx.is_paired_dec(put, inc, "np"));
+        });
     }
 
     #[test]
     fn escape_to_global_detected() {
-        let (tu, graphs) = mk(r#"
+        let src = r#"
 static struct device_node *cached;
 int f(struct device_node *np)
 {
         cached = np;
         return 0;
 }
-"#);
-        let kb = ApiKb::builtin();
-        let db = ProgramDb::empty();
-        let ctx = CheckCtx {
-            file: "t.c",
-            graph: &graphs[0],
-            kb: &kb,
-            unit: &tu,
-            all_graphs: &graphs,
-            program: &db,
-            trace: TraceHandle::disabled(),
-        };
-        let store = ctx
-            .graph
-            .cfg
-            .node_ids()
-            .find(|&i| !ctx.graph.facts[i].assigns.is_empty())
-            .unwrap();
-        assert!(ctx.escapes_object(store, "np"));
+"#;
+        with_ctx(src, |ctx| {
+            let store = ctx
+                .graph
+                .cfg
+                .node_ids()
+                .find(|&i| !ctx.graph.facts[i].assigns.is_empty())
+                .unwrap();
+            assert!(ctx.escapes_object(store, "np"));
+        });
     }
 
     #[test]
     fn consumer_call_detected() {
-        let (tu, graphs) = mk(r#"
+        let src = r#"
 int f(struct device_node *np)
 {
         snd_soc_register_card(np);
         return 0;
 }
-"#);
-        let kb = ApiKb::builtin();
-        let db = ProgramDb::empty();
-        let ctx = CheckCtx {
-            file: "t.c",
-            graph: &graphs[0],
-            kb: &kb,
-            unit: &tu,
-            all_graphs: &graphs,
-            program: &db,
-            trace: TraceHandle::disabled(),
-        };
-        let call = ctx.graph.nodes_calling("snd_soc_register_card")[0];
-        assert!(ctx.passes_to_consumer(call, "np"));
+"#;
+        with_ctx(src, |ctx| {
+            let call = ctx.graph.nodes_calling("snd_soc_register_card")[0];
+            assert!(ctx.passes_to_consumer(call, "np"));
+        });
     }
 }

@@ -26,11 +26,11 @@ impl Checker for ReturnErrorChecker {
             if !site.api.inc_on_error {
                 continue;
             }
-            let Some(obj) = site.object.clone() else {
+            let Some(obj) = site.object else {
                 continue;
             };
             let graph = ctx.graph;
-            let q = return_error_query(ctx, site.api, &obj);
+            let q = return_error_query(ctx, site.api, obj);
             if q.search(&graph.cfg, site.node).is_some() {
                 out.push(Finding {
                     pattern: AntiPattern::P1,
@@ -39,7 +39,7 @@ impl Checker for ReturnErrorChecker {
                     function: graph.name().to_string(),
                     line: graph.line_of(site.node),
                     api: site.api.name.clone(),
-                    object: Some(obj),
+                    object: Some(obj.to_string()),
                     message: format!(
                         "{} increments the refcounter even on failure; the error \
                          path returns without the paired decrement",
@@ -89,21 +89,19 @@ impl Checker for ReturnNullChecker {
             if !site.api.may_return_null || !site.api.returns_object() {
                 continue;
             }
-            let Some(obj) = site.object.clone() else {
+            let Some(obj) = site.object else {
                 continue;
             };
             let graph = ctx.graph;
-            let obj_deref = obj.clone();
-            let obj_check = obj.clone();
             // Path: call → deref(obj), never passing a NULL-ness check
             // of obj (in either polarity: any test guards the deref).
             let q = PathQuery::new(vec![Step::new(move |n| {
-                n != 0 && graph.facts[n].derefs_var(&obj_deref) && n != graph.cfg.entry
+                n != 0 && graph.facts[n].derefs_var(obj) && n != graph.cfg.entry
             })
             .avoiding(move |n| {
                 matches!(graph.cfg.nodes[n].kind, NodeKind::Cond(_))
-                    && graph.facts[n].checks.iter().any(|c| match c {
-                        CheckFact::NullOnTrue(v) | CheckFact::NonNullOnTrue(v) => v == &obj_check,
+                    && graph.facts[n].checks.iter().any(|c| match *c {
+                        CheckFact::NullOnTrue(v) | CheckFact::NonNullOnTrue(v) => v == obj,
                         _ => false,
                     })
             })]);
@@ -121,7 +119,7 @@ impl Checker for ReturnNullChecker {
                     function: graph.name().to_string(),
                     line: graph.line_of(deref_node),
                     api: site.api.name.clone(),
-                    object: Some(obj),
+                    object: Some(obj.to_string()),
                     message: format!(
                         "result of {} may be NULL but is dereferenced without a check",
                         site.api.name
@@ -141,10 +139,12 @@ mod tests {
     use refminer_cparse::parse_str;
     use refminer_cpg::FunctionGraph;
     use refminer_rcapi::ApiKb;
+    use std::collections::HashSet;
 
     fn run(checker: &dyn Checker, src: &str) -> Vec<Finding> {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
         let kb = ApiKb::builtin();
         let db = refminer_progdb::ProgramDb::empty();
         let mut out = Vec::new();
@@ -154,6 +154,7 @@ mod tests {
                 graph,
                 kb: &kb,
                 unit: &tu,
+                globals: &globals,
                 all_graphs: &graphs,
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),

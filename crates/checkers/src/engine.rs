@@ -12,6 +12,7 @@
 //! uniformly — an engine cannot opt out of the pruning.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::time::Instant;
 
 use refminer_trace::TraceHandle;
@@ -106,7 +107,8 @@ impl AnalysisEngine for TemplateEngine {
 /// graph, each engine's wall time on the unit is summed in nanoseconds
 /// and added to its `engine.{name}.us` trace counter once, after the
 /// unit (when each engine flushes its own counters too), and the
-/// combined findings are deduped with their checker lists unioned.
+/// combined findings are deduped with their checker lists unioned. The
+/// unit's global variable names are collected once, for every context.
 pub fn run_engines_traced(
     unit: &refminer_cparse::TranslationUnit,
     kb: &refminer_rcapi::ApiKb,
@@ -118,12 +120,14 @@ pub fn run_engines_traced(
     let timing = trace.is_enabled();
     let mut spent_ns = vec![0u64; engines.len()];
     let mut out = Vec::new();
+    let globals: HashSet<&str> = unit.globals().map(|g| g.name.as_str()).collect();
     for graph in graphs {
         let ctx = CheckCtx {
             file: &unit.path,
             graph,
             kb,
             unit,
+            globals: &globals,
             all_graphs: graphs,
             program,
             trace: trace.clone(),

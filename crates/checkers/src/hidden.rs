@@ -24,7 +24,7 @@ impl Checker for SmartLoopBreakChecker {
         let mut out = Vec::new();
         let graph = ctx.graph;
         for head in graph.cfg.node_ids() {
-            let NodeKind::MacroLoopHead { name, args } = &graph.cfg.nodes[head].kind else {
+            let NodeKind::MacroLoopHead { name, args } = graph.cfg.nodes[head].kind else {
                 continue;
             };
             let Some(sl) = ctx.kb.smartloop(name) else {
@@ -33,17 +33,16 @@ impl Checker for SmartLoopBreakChecker {
             let Some(iter_var) = args.get(sl.iter_arg).and_then(|a| a.as_ident()) else {
                 continue;
             };
-            let iter_var = iter_var.to_string();
             // Early exits from this loop: break/goto/return nodes whose
             // loop context contains this head.
             for exit_node in graph.cfg.node_ids() {
-                if !graph.cfg.nodes[exit_node].loops.contains(&head) {
+                if !graph.cfg.loops_of(exit_node).any(|h| h == head) {
                     continue;
                 }
-                let leaves = match &graph.cfg.nodes[exit_node].kind {
+                let leaves = match graph.cfg.nodes[exit_node].kind {
                     NodeKind::Stmt(Payload::Break) => {
                         // Only breaks of *this* loop (innermost).
-                        graph.cfg.nodes[exit_node].loops.last() == Some(&head)
+                        graph.cfg.nodes[exit_node].loop_head == Some(head)
                     }
                     NodeKind::Stmt(Payload::Goto(_)) => true,
                     NodeKind::Stmt(Payload::Return(_)) => true,
@@ -53,8 +52,8 @@ impl Checker for SmartLoopBreakChecker {
                     continue;
                 }
                 // Ownership transfer excuses the missing put.
-                if ctx.returns_object(exit_node, &iter_var)
-                    || ctx.escapes_object(exit_node, &iter_var)
+                if ctx.returns_object(exit_node, iter_var)
+                    || ctx.escapes_object(exit_node, iter_var)
                 {
                     continue;
                 }
@@ -66,12 +65,12 @@ impl Checker for SmartLoopBreakChecker {
                 let dec_name = sl.dec_name.clone();
                 let put_or_transfer = |n: refminer_cpg::NodeId| {
                     graph.facts[n].calls.iter().any(|c| {
-                        (c.name == dec_name || ctx.kb.is_dec(&c.name))
-                            && c.arg_root(0) == Some(&iter_var)
-                    }) || ctx.helper_releases(n, &iter_var)
-                        || ctx.returns_object(n, &iter_var)
-                        || ctx.escapes_object(n, &iter_var)
-                        || ctx.passes_to_consumer(n, &iter_var)
+                        (c.name == dec_name || ctx.kb.is_dec(c.name))
+                            && c.arg_root(0) == Some(iter_var)
+                    }) || ctx.helper_releases(n, iter_var)
+                        || ctx.returns_object(n, iter_var)
+                        || ctx.escapes_object(n, iter_var)
+                        || ctx.passes_to_consumer(n, iter_var)
                 };
                 let q = PathQuery::new(vec![
                     Step::new(move |n| n == exit_node).avoiding(put_or_transfer),
@@ -85,8 +84,8 @@ impl Checker for SmartLoopBreakChecker {
                         file: ctx.file.to_string(),
                         function: graph.name().to_string(),
                         line: graph.line_of(exit_node),
-                        api: name.clone(),
-                        object: Some(iter_var.clone()),
+                        api: name.to_string(),
+                        object: Some(iter_var.to_string()),
                         message: format!(
                             "early exit from {name} leaves the iterator's hidden \
                              reference unpaired; add {}({iter_var}) before leaving",
@@ -147,7 +146,7 @@ impl Checker for HiddenApiChecker {
                             || graph.facts[site.node]
                                 .assigns
                                 .iter()
-                                .any(|a| a.rhs_call.as_deref() == Some(site.api.name.as_str()))
+                                .any(|a| a.rhs_call == Some(site.api.name.as_str()))
                             || graph.facts[site.node].is_return;
                         if !consumed {
                             out.push(Finding {
@@ -186,7 +185,7 @@ impl Checker for HiddenApiChecker {
                                 function: graph.name().to_string(),
                                 line: graph.line_of(site.node),
                                 api: site.api.name.clone(),
-                                object: Some(obj.clone()),
+                                object: Some(obj.to_string()),
                                 message: format!(
                                     "{} takes a hidden reference on {obj} that is \
                                      never released",
@@ -292,10 +291,10 @@ fn preceded_by_get(ctx: &CheckCtx<'_>, node: refminer_cpg::NodeId, var: &str) ->
         n != node
             && ctx.graph.cfg.reachable(n, node)
             && ctx.graph.facts[n].calls.iter().any(|c| {
-                ctx.kb.is_inc(&c.name)
+                ctx.kb.is_inc(c.name)
                     && ctx
                         .kb
-                        .get(&c.name)
+                        .get(c.name)
                         .and_then(|a| a.object_arg())
                         .and_then(|i| c.arg_root(i))
                         == Some(var)
@@ -309,10 +308,12 @@ mod tests {
     use refminer_cparse::parse_str;
     use refminer_cpg::FunctionGraph;
     use refminer_rcapi::ApiKb;
+    use std::collections::HashSet;
 
     fn run(checker: &dyn Checker, src: &str) -> Vec<Finding> {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
         let kb = ApiKb::builtin();
         let db = refminer_progdb::ProgramDb::empty();
         let mut out = Vec::new();
@@ -322,6 +323,7 @@ mod tests {
                 graph,
                 kb: &kb,
                 unit: &tu,
+                globals: &globals,
                 all_graphs: &graphs,
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),

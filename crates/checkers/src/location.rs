@@ -26,15 +26,15 @@ impl Checker for ErrorPathChecker {
             if site.api.inc_on_error {
                 continue; // P1's territory.
             }
-            let Some(obj) = site.object.clone() else {
+            let Some(obj) = site.object else {
                 continue;
             };
             // P5 requires the pairing to exist *somewhere* — the
             // developer paired the common paths and overlooked one.
-            if !has_any_paired_dec(ctx, site.api, &obj) {
+            if !has_any_paired_dec(ctx, site.api, obj) {
                 continue; // P4's territory (never paired at all).
             }
-            let q = error_path_query(ctx, site.api, &obj);
+            let q = error_path_query(ctx, site.api, obj);
             if let Some(witness) = q.search(&graph.cfg, site.node) {
                 out.push(Finding {
                     pattern: AntiPattern::P5,
@@ -43,7 +43,7 @@ impl Checker for ErrorPathChecker {
                     function: graph.name().to_string(),
                     line: graph.line_of(witness[0]),
                     api: site.api.name.clone(),
-                    object: Some(obj),
+                    object: Some(obj.to_string()),
                     message: format!(
                         "error path exits without the {} that other paths perform",
                         ctx.kb
@@ -153,6 +153,7 @@ impl Checker for InterUnpairedChecker {
                 graph: top,
                 kb: ctx.kb,
                 unit: ctx.unit,
+                globals: ctx.globals,
                 all_graphs: ctx.all_graphs,
                 program: ctx.program,
                 trace: ctx.trace.clone(),
@@ -162,14 +163,14 @@ impl Checker for InterUnpairedChecker {
                 // ones stored into long-lived state (escaped) — either
                 // via a tracked local, or directly into a field
                 // (`priv->node = of_find_...(..)`).
-                let (obj, escapes) = match site.object.clone() {
+                let (obj, escapes) = match site.object {
                     Some(obj) => {
-                        let escapes = top.cfg.node_ids().any(|n| top_ctx.escapes_object(n, &obj));
+                        let escapes = top.cfg.node_ids().any(|n| top_ctx.escapes_object(n, obj));
                         (Some(obj), escapes)
                     }
                     None => {
                         let direct = top.facts[site.node].assigns.iter().any(|a| {
-                            a.rhs_call.as_deref() == Some(site.api.name.as_str())
+                            a.rhs_call == Some(site.api.name.as_str())
                                 && matches!(
                                     a.target,
                                     refminer_cpg::StoreTarget::Field { .. }
@@ -185,13 +186,13 @@ impl Checker for InterUnpairedChecker {
                 // Paired inside ⊤ itself? (By object when tracked, by
                 // accepted dec name otherwise.)
                 let accepted_top = ctx.kb.accepted_decs(&site.api.name);
-                let paired_in_top = match &obj {
+                let paired_in_top = match obj {
                     Some(o) => has_any_paired_dec(&top_ctx, site.api, o),
                     None => top.cfg.node_ids().any(|n| {
                         top.facts[n]
                             .calls
                             .iter()
-                            .any(|c| accepted_top.iter().any(|d| d == &c.name))
+                            .any(|c| accepted_top.iter().any(|d| d == c.name))
                     }),
                 };
                 if paired_in_top {
@@ -205,10 +206,10 @@ impl Checker for InterUnpairedChecker {
                 let paired_in_bottom = bottom.is_some_and(|b| {
                     b.cfg.node_ids().any(|n| {
                         b.facts[n].calls.iter().any(|c| {
-                            accepted.iter().any(|d| d == &c.name)
+                            accepted.iter().any(|d| d == c.name)
                                 || ctx
                                     .program
-                                    .cross_unit_release(ctx.file, &c.name, c.args.len())
+                                    .cross_unit_release(ctx.file, c.name, c.args.len())
                         })
                     })
                 });
@@ -222,7 +223,7 @@ impl Checker for InterUnpairedChecker {
                     function: top_name.clone(),
                     line: top.line_of(site.node),
                     api: site.api.name.clone(),
-                    object: obj,
+                    object: obj.map(str::to_string),
                     message: format!(
                         "{} acquires a reference in {top_name}() but the paired \
                          {bottom_name}() never releases it",
@@ -292,7 +293,7 @@ impl Checker for DirectFreeChecker {
         let graph = ctx.graph;
         for n in graph.cfg.node_ids() {
             for call in &graph.facts[n].calls {
-                if !is_kfree_family(&call.name) {
+                if !is_kfree_family(call.name) {
                     continue;
                 }
                 let Some(obj) = call.arg_root(0).map(str::to_string) else {
@@ -310,7 +311,7 @@ impl Checker for DirectFreeChecker {
                     m != n
                         && graph.facts[m].calls.iter().any(|c| {
                             ctx.kb
-                                .get(&c.name)
+                                .get(c.name)
                                 .filter(|a| a.dir == RcDir::Inc)
                                 .and_then(|a| a.object_arg())
                                 .and_then(|i| c.arg_root(i))
@@ -324,7 +325,7 @@ impl Checker for DirectFreeChecker {
                         file: ctx.file.to_string(),
                         function: graph.name().to_string(),
                         line: graph.line_of(n),
-                        api: call.name.clone(),
+                        api: call.name.to_string(),
                         object: Some(obj.clone()),
                         message: format!(
                             "{obj} is refcounted; freeing it with {} skips the \
@@ -348,10 +349,12 @@ mod tests {
     use super::*;
     use refminer_cparse::parse_str;
     use refminer_rcapi::ApiKb;
+    use std::collections::HashSet;
 
     fn run(checker: &dyn Checker, src: &str) -> Vec<Finding> {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
         let kb = ApiKb::builtin();
         let db = refminer_progdb::ProgramDb::empty();
         let mut out = Vec::new();
@@ -361,6 +364,7 @@ mod tests {
                 graph,
                 kb: &kb,
                 unit: &tu,
+                globals: &globals,
                 all_graphs: &graphs,
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),

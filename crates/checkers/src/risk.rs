@@ -26,7 +26,7 @@ impl Checker for UadChecker {
         let graph = ctx.graph;
         for n in graph.cfg.node_ids() {
             for call in &graph.facts[n].calls {
-                let Some(api) = ctx.kb.get(&call.name) else {
+                let Some(api) = ctx.kb.get(call.name) else {
                     continue;
                 };
                 if api.dir != RcDir::Dec {
@@ -48,7 +48,7 @@ impl Checker for UadChecker {
                         file: ctx.file.to_string(),
                         function: graph.name().to_string(),
                         line: graph.line_of(deref_node),
-                        api: call.name.clone(),
+                        api: call.name.to_string(),
                         object: Some(obj.clone()),
                         message: format!(
                             "{obj} is accessed after {}({obj}) may have dropped \
@@ -86,7 +86,7 @@ pub fn use_after_decrease_query<'a>(
         ctx.reassigns_object(m, &o2)
             || graph.facts[m].calls.iter().any(|c| {
                 ctx.kb
-                    .get(&c.name)
+                    .get(c.name)
                     .filter(|a| a.dir == RcDir::Inc)
                     .and_then(|a| a.object_arg())
                     .and_then(|i| c.arg_root(i))
@@ -112,10 +112,9 @@ impl Checker for EscapeChecker {
         let mut out = Vec::new();
         let graph = ctx.graph;
         let params = graph.pointer_params();
-        let globals: Vec<&str> = ctx.unit.globals().map(|g| g.name.as_str()).collect();
         for n in graph.cfg.node_ids() {
             for assign in &graph.facts[n].assigns {
-                let Some(src) = assign.rhs_root.as_deref() else {
+                let Some(src) = assign.rhs_root else {
                     continue;
                 };
                 // Only borrowed references: parameters that still hold
@@ -132,12 +131,11 @@ impl Checker for EscapeChecker {
                 // The escape target must outlive the call: a global
                 // variable, an out-parameter store (`*out = src` or
                 // `out->field = src` where out is another parameter).
-                let escapes = match &assign.target {
-                    StoreTarget::Var(v) => globals.contains(&v.as_str()),
-                    StoreTarget::Indirect(root) => params.contains(&root.as_str()) && root != src,
+                let escapes = match assign.target {
+                    StoreTarget::Var(v) => ctx.globals.contains(v),
+                    StoreTarget::Indirect(root) => params.contains(&root) && root != src,
                     StoreTarget::Field { root, .. } => {
-                        (params.contains(&root.as_str()) || globals.contains(&root.as_str()))
-                            && root != src
+                        (params.contains(&root) || ctx.globals.contains(root)) && root != src
                     }
                     StoreTarget::Other => false,
                 };
@@ -150,7 +148,7 @@ impl Checker for EscapeChecker {
                 let has_inc = graph.cfg.node_ids().any(|m| {
                     graph.facts[m].calls.iter().any(|c| {
                         ctx.kb
-                            .get(&c.name)
+                            .get(c.name)
                             .filter(|a| a.dir == RcDir::Inc)
                             .and_then(|a| a.object_arg())
                             .and_then(|i| c.arg_root(i))
@@ -206,10 +204,12 @@ mod tests {
     use refminer_cparse::parse_str;
     use refminer_cpg::FunctionGraph;
     use refminer_rcapi::ApiKb;
+    use std::collections::HashSet;
 
     fn run(checker: &dyn Checker, src: &str) -> Vec<Finding> {
         let tu = parse_str("t.c", src);
         let graphs = FunctionGraph::build_all(&tu);
+        let globals: HashSet<&str> = tu.globals().map(|g| g.name.as_str()).collect();
         let kb = ApiKb::builtin();
         let db = refminer_progdb::ProgramDb::empty();
         let mut out = Vec::new();
@@ -219,6 +219,7 @@ mod tests {
                 graph,
                 kb: &kb,
                 unit: &tu,
+                globals: &globals,
                 all_graphs: &graphs,
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),

@@ -507,11 +507,12 @@ fn parse_unit(
 
 /// The phase-2 check stage for one unit: the unit's one full graph
 /// build (CFG, facts, origins, error blocks, feasibility — timed as a
-/// `feasibility` span) and the template engine against the merged
-/// program database, inside the unit's fault boundary. When the parse-layer
-/// entry came from disk (no retained AST), the unit is re-parsed here
-/// first — parsing is deterministic, so the rehydrated AST is the one
-/// the entry describes.
+/// `graph` span, whose feasibility fixpoints are also timed as a
+/// `feasibility` span inside it) and the template engine against the
+/// merged program database, inside the unit's fault boundary. When the
+/// parse-layer entry came from disk (no retained AST), the unit is
+/// re-parsed here first — parsing is deterministic, so the rehydrated
+/// AST is the one the entry describes.
 #[allow(clippy::too_many_arguments)]
 fn check_one(
     unit: &SourceUnit,
@@ -549,16 +550,18 @@ fn check_one(
     let checked = fault_boundary(|| {
         let (graphs, capped, feas) =
             FunctionGraph::build_all_limited_timed(tu, limits.max_graph_nodes);
+        let built = start.elapsed();
         let checkers = match only_patterns {
             Some(ps) => checkers_for_patterns(ps),
             None => default_checkers(),
         };
         let engines: Vec<Box<dyn AnalysisEngine>> = vec![Box::new(TemplateEngine::new(checkers))];
         let fs = run_engines_traced(tu, kb, &graphs, &engines, program, trace);
-        (graphs.len(), capped, fs, feas)
+        (graphs.len(), capped, fs, built, feas)
     });
     match checked {
-        Ok((functions, capped, findings, feas)) => {
+        Ok((functions, capped, findings, built, feas)) => {
+            trace.record_span("graph", Some(&unit.path), start, built);
             trace.record_span("feasibility", Some(&unit.path), start, feas);
             let mut errors = Vec::new();
             if let Some(first) = capped.first() {
@@ -638,11 +641,12 @@ pub fn audit_with_cache(
 /// and `merge.kb` and `merge.progdb` when the memoized barrier misses
 /// or a check miss needs the database), per-unit work opens
 /// `{stage}.unit` spans, each unit's export step lands in an
-/// `export.unit` span inside its `parse.unit`, the feasibility
-/// fixpoint's share of graph construction lands in `feasibility` spans,
-/// and cache traffic, the units whose content hash this audit computed
-/// (`hash.computed`), scheduler worker counts, per-checker time and
-/// limit trips land in counters.
+/// `export.unit` span inside its `parse.unit`, each unit's phase-2
+/// graph build lands in a `graph` span inside its `check.unit`, the
+/// feasibility fixpoint's share of it in a `feasibility` span inside
+/// that, and cache traffic, the units whose content hash this audit
+/// computed (`hash.computed`), scheduler worker counts, per-checker
+/// time and limit trips land in counters.
 pub fn audit_traced(
     project: &Project,
     config: &AuditConfig,

@@ -121,7 +121,9 @@ pub fn content_hash(text: &str) -> u64 {
 /// export layer folded into the phase-1 pass).
 /// v5: exports list the unit's macro-loop heads, and entries record
 /// whether export extraction faulted.
-const PARSE_VERSION: u64 = 5;
+/// v6: an `else if` chain parses as one statement, so a chain deeper
+/// than the depth cap no longer degrades its unit.
+const PARSE_VERSION: u64 = 6;
 
 /// Fingerprint of the phase-1 configuration. Folds the builtin seed
 /// KB's fingerprint `seed_kb_fp` because per-unit discovery classifies

@@ -132,6 +132,46 @@ fn strict_mode_flags_degraded_units() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A function that takes a reference, then releases it in every arm of
+/// an `if` / `else if` chain of `arms` arms and after the chain.
+fn else_if_chain(arms: usize) -> String {
+    let mut src = String::from(
+        "int pick(const char *name)\n{\n\
+         \tstruct device_node *np = of_find_node_by_name(NULL, \"x\");\n\
+         \tif (!np)\n\t\treturn -ENODEV;\n\t",
+    );
+    for k in 0..arms {
+        if k > 0 {
+            src.push_str(" else ");
+        }
+        src.push_str(&format!(
+            "if (!strcmp(name, \"opt{k}\")) {{\n\t\tof_node_put(np);\n\t\treturn {k};\n\t}}"
+        ));
+    }
+    src.push_str("\n\tof_node_put(np);\n\treturn -EINVAL;\n}\n");
+    src
+}
+
+#[test]
+fn long_else_if_chains_are_one_level_of_nesting() {
+    // A flat chain is one level of nesting, however long: were each
+    // `else if` one level deeper, 125 arms would reach the parse-depth
+    // cap (128), degrade the unit and cut the chain into a false leak.
+    let dir = scratch_dir("else_if");
+    for arms in [124, 125, 200, 5_000] {
+        std::fs::write(dir.join(format!("chain{arms}.c")), else_if_chain(arms)).expect("write");
+    }
+    let out = refminer()
+        .args(["--strict", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.is_empty(), "findings or diagnostics: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn strict_mode_passes_on_clean_tree() {
     let dir = write_demo_tree();

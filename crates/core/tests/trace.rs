@@ -155,6 +155,7 @@ fn trace_log_parses_and_covers_all_pipeline_stages() {
         "merge.progdb",
         "check",
         "check.unit",
+        "graph",
         "feasibility",
         "report",
         "cache.save",
@@ -338,9 +339,10 @@ fn tracing_never_changes_findings() {
 fn one_full_graph_build_per_checked_unit() {
     // Phase 1 exports from CFGs and node facts alone; the one full
     // graph build — the one with a feasibility fixpoint — is the check
-    // stage's. So a cold audit records exactly one `feasibility` span
-    // per checked unit, inside its check.unit span and never inside its
-    // parse.unit span, and a warm one records none.
+    // stage's. So a cold audit records exactly one `graph` span per
+    // checked unit, inside its check.unit span and never inside its
+    // parse.unit span, with the unit's `feasibility` span inside it, and
+    // a warm one records neither.
     let dir = write_corpus_tree("builds");
     let trace_path = dir.join("trace.jsonl");
     let cache_dir = dir.join(".refminer-cache");
@@ -354,9 +356,11 @@ fn one_full_graph_build_per_checked_unit() {
         checked,
         "feasibility spans per checked unit"
     );
+    let graphs = unit_spans(&spans, "graph");
+    assert_eq!(graphs.len() as u64, checked, "graph spans per checked unit");
     let parse_units = unit_spans(&spans, "parse.unit");
     let check_units = unit_spans(&spans, "check.unit");
-    for (unit, span) in &builds {
+    for (unit, span) in &graphs {
         assert!(
             !within(*span, parse_units[unit]),
             "a graph of {unit} was built in phase 1"
@@ -364,6 +368,10 @@ fn one_full_graph_build_per_checked_unit() {
         assert!(
             within(*span, check_units[unit]),
             "the graphs of {unit} were built outside its check"
+        );
+        assert!(
+            within(builds[unit], *span),
+            "the feasibility fixpoints of {unit} ran outside its graph build"
         );
     }
     // `--stats` splits phase 1: the export step gets its own row.
@@ -379,7 +387,7 @@ fn one_full_graph_build_per_checked_unit() {
     assert_eq!(counter(&warm, "cache.check.miss"), 0);
     let rebuilt = spans_of(&warm)
         .iter()
-        .filter(|(stage, ..)| ["feasibility", "export.unit"].contains(stage))
+        .filter(|(stage, ..)| ["graph", "feasibility", "export.unit"].contains(stage))
         .count();
     assert_eq!(rebuilt, 0, "the warm re-audit rebuilt graphs or exports");
     std::fs::remove_dir_all(&dir).ok();

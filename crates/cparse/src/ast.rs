@@ -282,11 +282,11 @@ pub enum StmtKind {
     Decl(Box<[Declaration]>),
     /// An expression statement.
     Expr(Expr),
-    /// `if (cond) then [else els]`
+    /// `if (cond) then`, then its `else if` arms and final `else`.
     If {
         cond: Expr,
         then: Box<Stmt>,
-        els: Option<Box<Stmt>>,
+        els: Option<Box<Else>>,
     },
     /// `while (cond) body`
     While { cond: Expr, body: Box<Stmt> },
@@ -327,6 +327,28 @@ pub enum StmtKind {
     Continue,
     /// `;`
     Empty,
+}
+
+/// What follows an `if`'s first arm: its `else if` arms in source
+/// order, then the final `else` statement, if any. A chain of `else if`s
+/// is one list, so it costs one level of nesting however long it is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Else {
+    /// The `else if (cond) then` arms.
+    pub arms: Box<[ElseIf]>,
+    /// The statement of a final bare `else`.
+    pub stmt: Option<Stmt>,
+}
+
+/// One `else if (cond) then` arm.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElseIf {
+    /// The arm's condition.
+    pub cond: Expr,
+    /// The statement the condition guards.
+    pub then: Stmt,
+    /// From the arm's `if` to the end of the whole `if` statement.
+    pub span: Span,
 }
 
 /// An expression with its source span.
@@ -580,8 +602,13 @@ impl Stmt {
             }
             StmtKind::If { then, els, .. } => {
                 then.walk(f);
-                if let Some(e) = els {
-                    e.walk(f);
+                if let Some(els) = els {
+                    for arm in &els.arms {
+                        arm.then.walk(f);
+                    }
+                    if let Some(s) = &els.stmt {
+                        s.walk(f);
+                    }
                 }
             }
             StmtKind::While { body, .. }
@@ -598,28 +625,60 @@ impl Stmt {
         }
     }
 
-    /// Walks every expression contained in this statement subtree.
+    /// Walks every expression contained in this statement subtree: a
+    /// statement's own expressions before those of the statements it
+    /// holds, and each `else if` arm's condition just before its
+    /// statement's.
     pub fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        self.walk(&mut |s| match &s.kind {
-            StmtKind::Expr(e) | StmtKind::Case(e) => e.walk(f),
-            StmtKind::If { cond, .. }
-            | StmtKind::While { cond, .. }
-            | StmtKind::DoWhile { cond, .. }
-            | StmtKind::Switch { cond, .. } => cond.walk(f),
-            StmtKind::For { cond, step, .. } => {
+        match &self.kind {
+            StmtKind::Block(b) => {
+                for s in &b.stmts {
+                    s.walk_exprs(f);
+                }
+            }
+            StmtKind::Expr(e) | StmtKind::Case(e) | StmtKind::Return(Some(e)) => e.walk(f),
+            StmtKind::If { cond, then, els } => {
+                cond.walk(f);
+                then.walk_exprs(f);
+                if let Some(els) = els {
+                    for arm in &els.arms {
+                        arm.cond.walk(f);
+                        arm.then.walk_exprs(f);
+                    }
+                    if let Some(s) = &els.stmt {
+                        s.walk_exprs(f);
+                    }
+                }
+            }
+            StmtKind::While { cond, body }
+            | StmtKind::DoWhile { body, cond }
+            | StmtKind::Switch { cond, body } => {
+                cond.walk(f);
+                body.walk_exprs(f);
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
                 if let Some(c) = cond {
                     c.walk(f);
                 }
                 if let Some(st) = step {
                     st.walk(f);
                 }
+                if let Some(i) = init {
+                    i.walk_exprs(f);
+                }
+                body.walk_exprs(f);
             }
-            StmtKind::MacroLoop { args, .. } => {
+            StmtKind::MacroLoop { args, body, .. } => {
                 for a in args {
                     a.walk(f);
                 }
+                body.walk_exprs(f);
             }
-            StmtKind::Return(Some(e)) => e.walk(f),
             StmtKind::Decl(decls) => {
                 for d in decls {
                     if let Some(init) = &d.init {
@@ -628,7 +687,7 @@ impl Stmt {
                 }
             }
             _ => {}
-        });
+        }
     }
 }
 

@@ -67,9 +67,9 @@ mod parser;
 mod stmt;
 
 pub use ast::{
-    AssignOp, BinOp, Block, Declaration, EnumDef, Expr, ExprKind, Field, FunctionDef, Initializer,
-    Item, Param, PostOp, Prototype, Stmt, StmtKind, StructDef, TranslationUnit, TypeName, Typedef,
-    UnOp,
+    AssignOp, BinOp, Block, Declaration, Else, ElseIf, EnumDef, Expr, ExprKind, Field, FunctionDef,
+    Initializer, Item, Param, PostOp, Prototype, Stmt, StmtKind, StructDef, TranslationUnit,
+    TypeName, Typedef, UnOp,
 };
 pub use error::ParseError;
 pub use expr::parse_expr_str;

@@ -694,8 +694,7 @@ impl Parser {
                 self.skip_annotations();
                 // Function-pointer field `ret (*name)(args)`.
                 if self.at_punct(Punct::LParen) {
-                    let fspan = self.skip_balanced(Punct::LParen, Punct::RParen);
-                    let name = self.fn_ptr_name_from(fspan);
+                    let name = self.skip_fn_ptr_name();
                     if self.at_punct(Punct::LParen) {
                         self.skip_balanced(Punct::LParen, Punct::RParen);
                     }
@@ -758,20 +757,20 @@ impl Parser {
         }
     }
 
-    /// Recovers the name of a function-pointer declarator given the span
-    /// of its `( * name )` group; falls back to scanning the token range.
-    fn fn_ptr_name_from(&self, group: Span) -> String {
-        // The tokens of the group are behind the cursor; scan backwards
-        // for the last identifier inside the span.
-        let mut name = String::new();
-        for t in &self.toks {
-            if t.span.start >= group.start && t.span.end <= group.end {
-                if let TokenKind::Ident(s) = &t.kind {
-                    name = s.to_string();
-                }
-            }
-        }
-        name
+    /// Skips the `( * name )` group of a function-pointer declarator,
+    /// cursor on its `(`, and returns the last identifier inside it
+    /// (empty if there is none). Only the group's own tokens are read.
+    fn skip_fn_ptr_name(&mut self) -> String {
+        let first = self.pos;
+        self.skip_balanced(Punct::LParen, Punct::RParen);
+        self.toks[first..self.pos]
+            .iter()
+            .rev()
+            .find_map(|t| match &t.kind {
+                TokenKind::Ident(s) => Some(s.to_string()),
+                _ => None,
+            })
+            .unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -1036,8 +1035,7 @@ impl Parser {
                 self.skip_annotations();
                 let name = if self.at_punct(Punct::LParen) {
                     // Function-pointer parameter.
-                    let group = self.skip_balanced(Punct::LParen, Punct::RParen);
-                    let n = self.fn_ptr_name_from(group);
+                    let n = self.skip_fn_ptr_name();
                     if self.at_punct(Punct::LParen) {
                         self.skip_balanced(Punct::LParen, Punct::RParen);
                     }

@@ -2,7 +2,7 @@
 
 use refminer_clex::{Keyword, Punct, TokenKind};
 
-use crate::ast::{Block, Declaration, Expr, Stmt, StmtKind, TypeName};
+use crate::ast::{Block, Declaration, Else, ElseIf, Expr, Stmt, StmtKind, TypeName};
 use crate::parser::{take_above, Parser};
 
 impl Parser {
@@ -45,6 +45,15 @@ impl Parser {
         s
     }
 
+    /// Parses `if (cond) stmt`, cursor on `if`.
+    fn parse_if_arm(&mut self) -> (Expr, Stmt) {
+        self.pos += 1;
+        self.expect_punct(Punct::LParen);
+        let cond = self.parse_expr();
+        self.expect_punct(Punct::RParen);
+        (cond, self.parse_stmt())
+    }
+
     fn parse_stmt_inner(&mut self) -> Stmt {
         let start = self.cur_span();
         let Some(t) = self.peek() else {
@@ -69,19 +78,37 @@ impl Parser {
                 }
             }
             TokenKind::Keyword(Keyword::If) => {
-                self.pos += 1;
-                self.expect_punct(Punct::LParen);
-                let cond = self.parse_expr();
-                self.expect_punct(Punct::RParen);
-                let then = Box::new(self.parse_stmt());
-                let els = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.parse_stmt()))
-                } else {
-                    None
-                };
+                let (cond, then) = self.parse_if_arm();
+                // An `else if` chain is read here in a loop, not by
+                // recursion, so it costs one level of nesting.
+                let (mut arms, mut last) = (Vec::new(), None);
+                while self.eat_keyword(Keyword::Else) {
+                    if !self.at_keyword(Keyword::If) {
+                        last = Some(self.parse_stmt());
+                        break;
+                    }
+                    let arm_start = self.cur_span();
+                    arms.push((arm_start, self.parse_if_arm()));
+                }
+                let end = self.cur_span();
+                let els = (!arms.is_empty() || last.is_some()).then(|| {
+                    let arms = arms.into_iter().map(|(arm_start, (cond, then))| ElseIf {
+                        cond,
+                        then,
+                        span: arm_start.join(end),
+                    });
+                    Box::new(Else {
+                        arms: arms.collect(),
+                        stmt: last,
+                    })
+                });
                 Stmt {
-                    span: start.join(self.cur_span()),
-                    kind: StmtKind::If { cond, then, els },
+                    span: start.join(end),
+                    kind: StmtKind::If {
+                        cond,
+                        then: Box::new(then),
+                        els,
+                    },
                 }
             }
             TokenKind::Keyword(Keyword::While) => {

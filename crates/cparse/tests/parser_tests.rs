@@ -499,7 +499,17 @@ fn nested_if_else_chains() {
             if_count += 1;
         }
     });
-    assert_eq!(if_count, 2);
+    // The `else if` is an arm of the one `if`, not an `if` nested in
+    // its `else`.
+    assert_eq!(if_count, 1);
+    let StmtKind::If { els: Some(els), .. } = &stmts[0].kind else {
+        panic!("not an if-else: {:?}", stmts[0].kind);
+    };
+    assert_eq!(els.arms.len(), 1);
+    assert!(matches!(
+        els.stmt.as_ref().map(|s| &s.kind),
+        Some(StmtKind::Block(_))
+    ));
 }
 
 #[test]

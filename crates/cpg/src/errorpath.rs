@@ -91,7 +91,7 @@ pub fn null_guard_nodes(cfg: &Cfg, facts: &[NodeFacts], var: &str) -> HashSet<No
         let guards = matches!(cfg.nodes[n].kind, NodeKind::Cond(_))
             && facts[n].checks.iter().any(|c| {
                 matches!(c,
-                    CheckFact::NullOnTrue(v) | CheckFact::ErrPtrOnTrue(v) if v == var)
+                    CheckFact::NullOnTrue(v) | CheckFact::ErrPtrOnTrue(v) if *v == var)
             });
         if !guards {
             continue;
@@ -172,12 +172,16 @@ fn bailout_region(cfg: &Cfg, start: NodeId) -> Option<Vec<NodeId>> {
 mod tests {
     use super::*;
     use crate::facts::NodeFacts;
-    use refminer_cparse::parse_str;
+    use refminer_cparse::{parse_str, TranslationUnit};
 
-    fn analyze(body: &str) -> (Cfg, Vec<NodeFacts>, HashSet<NodeId>) {
-        let src =
-            format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}");
-        let tu = parse_str("t.c", &src);
+    fn unit(body: &str) -> TranslationUnit {
+        parse_str(
+            "t.c",
+            &format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}"),
+        )
+    }
+
+    fn analyze(tu: &TranslationUnit) -> (Cfg<'_>, Vec<NodeFacts<'_>>, HashSet<NodeId>) {
         let cfg = Cfg::build(tu.function("f").unwrap());
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
         let errs = error_nodes(&cfg, &facts);
@@ -196,12 +200,12 @@ mod tests {
 
     #[test]
     fn premature_return_is_error_block() {
-        let (cfg, facts, errs) =
-            analyze("ret = do_thing(); if (ret < 0) return ret; do_more(); return 0;");
+        let tu = unit("ret = do_thing(); if (ret < 0) return ret; do_more(); return 0;");
+        let (cfg, facts, errs) = analyze(&tu);
         // The `return ret` inside the check must be marked.
         let ret_nodes: Vec<_> = cfg
             .node_ids()
-            .filter(|&i| facts[i].is_return && facts[i].returns_var.as_deref() == Some("ret"))
+            .filter(|&i| facts[i].is_return && facts[i].returns_var == Some("ret"))
             .collect();
         assert!(ret_nodes.iter().any(|n| errs.contains(n)));
         // The trailing `return 0` must not be.
@@ -214,9 +218,10 @@ mod tests {
 
     #[test]
     fn error_label_block_marked() {
-        let (cfg, facts, errs) = analyze(
+        let tu = unit(
             "ret = do_thing(); if (ret) goto err_put; return 0; err_put: of_node_put(np); return ret;",
         );
+        let (cfg, facts, errs) = analyze(&tu);
         let put = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("of_node_put"))
@@ -226,8 +231,8 @@ mod tests {
 
     #[test]
     fn null_check_bailout_marked() {
-        let (cfg, facts, errs) =
-            analyze("np = find_thing(); if (!np) return -ENODEV; use_thing(np); return 0;");
+        let tu = unit("np = find_thing(); if (!np) return -ENODEV; use_thing(np); return 0;");
+        let (cfg, facts, errs) = analyze(&tu);
         let bail = cfg
             .node_ids()
             .find(|&i| facts[i].is_return && facts[i].returns_error)
@@ -242,7 +247,8 @@ mod tests {
 
     #[test]
     fn success_path_not_marked() {
-        let (cfg, facts, errs) = analyze("do_a(); do_b(); return 0;");
+        let tu = unit("do_a(); do_b(); return 0;");
+        let (cfg, facts, errs) = analyze(&tu);
         for i in cfg.node_ids() {
             let _ = &facts[i];
             assert!(!errs.contains(&i));
@@ -254,13 +260,14 @@ mod tests {
         // The staged-teardown idiom: a later failure jumps to `err_b`,
         // which falls through into the shared `err_a` tail. Every stage
         // of the chain is error-handling code.
-        let (cfg, facts, errs) = analyze(
+        let tu = unit(
             "ret = do_a(); if (ret) goto err_a; \
              ret = do_b(); if (ret) goto err_b; \
              return 0; \
              err_b: undo_b(np); \
              err_a: undo_a(np); return ret;",
         );
+        let (cfg, facts, errs) = analyze(&tu);
         let undo_b = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("undo_b"))
@@ -281,10 +288,11 @@ mod tests {
 
     #[test]
     fn is_err_or_null_guard_marked() {
-        let (cfg, facts, errs) = analyze(
+        let tu = unit(
             "np = find_thing(); if (IS_ERR_OR_NULL(np)) return -EINVAL; \
              use_thing(np); return 0;",
         );
+        let (cfg, facts, errs) = analyze(&tu);
         let bail = cfg
             .node_ids()
             .find(|&i| facts[i].is_return && facts[i].returns_error)
@@ -307,7 +315,8 @@ mod tests {
     #[test]
     fn early_return_einval_without_label() {
         // Argument validation with no cleanup label at all.
-        let (cfg, facts, errs) = analyze("if (!dev) return -EINVAL; do_work(dev); return 0;");
+        let tu = unit("if (!dev) return -EINVAL; do_work(dev); return 0;");
+        let (cfg, facts, errs) = analyze(&tu);
         let bail = cfg
             .node_ids()
             .find(|&i| facts[i].is_return && facts[i].returns_error)
@@ -342,7 +351,8 @@ mod tests {
              ret = do_a(dev); if (ret) return ret; put_thing(np); return 0;",
         ];
         for body in bodies {
-            let (cfg, facts, _) = analyze(body);
+            let tu = unit(body);
+            let (cfg, facts, _) = analyze(&tu);
             let q = PathQuery::new(vec![
                 Step::new(|n| facts[n].calls_named("get_thing")),
                 Step::new(|n| n == cfg.exit).avoiding(|n| facts[n].calls_named("put_thing")),

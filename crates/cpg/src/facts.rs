@@ -6,99 +6,102 @@
 //! shape found in its payload. These correspond to the paper's semantic
 //! operators (𝒢, 𝒫, 𝒜, 𝒟, ...) once an API knowledge base assigns
 //! refcounting meaning to call names.
+//!
+//! Facts name variables, fields and callees by `&str`s borrowed from the
+//! function's AST, like the CFG nodes they are read from.
 
 use refminer_cparse::{BinOp, Expr, ExprKind, UnOp};
 
 use crate::cfg::{CfgNode, NodeKind, Payload};
 
 /// One argument of a call, reduced to what the checkers need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgFact {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArgFact<'a> {
     /// The root variable of the argument expression, if any
     /// (`&serial->disc_mutex` → `serial`).
-    pub root: Option<String>,
+    pub root: Option<&'a str>,
     /// Whether the argument is syntactically `NULL` or literal `0`.
     pub is_null: bool,
 }
 
 /// A direct call `name(args...)` found in a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallFact {
+pub struct CallFact<'a> {
     /// Callee name.
-    pub name: String,
+    pub name: &'a str,
     /// Reduced arguments.
-    pub args: Vec<ArgFact>,
+    pub args: Vec<ArgFact<'a>>,
 }
 
-impl CallFact {
+impl<'a> CallFact<'a> {
     /// Root variable of argument `i`, if present.
-    pub fn arg_root(&self, i: usize) -> Option<&str> {
-        self.args.get(i).and_then(|a| a.root.as_deref())
+    pub fn arg_root(&self, i: usize) -> Option<&'a str> {
+        self.args.get(i).and_then(|a| a.root)
     }
 }
 
 /// Where an assignment stores to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreTarget {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreTarget<'a> {
     /// A plain local variable: `v = ...`.
-    Var(String),
+    Var(&'a str),
     /// A field of some object: `obj->field = ...` (root kept).
     Field {
         /// Root variable of the written object.
-        root: String,
+        root: &'a str,
         /// The field name.
-        field: String,
+        field: &'a str,
     },
     /// A dereference store `*p = ...` or array store `p[i] = ...`.
-    Indirect(String),
+    Indirect(&'a str),
     /// Anything else.
     Other,
 }
 
 /// An assignment found in a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssignFact {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AssignFact<'a> {
     /// Destination shape.
-    pub target: StoreTarget,
+    pub target: StoreTarget<'a>,
     /// If the right-hand side is (or ends in) a direct call, its name.
-    pub rhs_call: Option<String>,
+    pub rhs_call: Option<&'a str>,
     /// If the right-hand side is a plain variable/member chain, its
     /// root variable.
-    pub rhs_root: Option<String>,
+    pub rhs_root: Option<&'a str>,
 }
 
 /// A NULL-ness or error-ness test appearing in a condition node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckFact {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckFact<'a> {
     /// `!p` or `p == NULL` — true branch means the pointer is NULL.
-    NullOnTrue(String),
+    NullOnTrue(&'a str),
     /// `p` or `p != NULL` — true branch means the pointer is valid.
-    NonNullOnTrue(String),
+    NonNullOnTrue(&'a str),
     /// `ret < 0`, `ret`, `IS_ERR(p)`, `unlikely(err)` — true branch is
     /// the error path.
-    ErrOnTrue(String),
+    ErrOnTrue(&'a str),
     /// `IS_ERR(p)` / `IS_ERR_OR_NULL(p)` specifically — the pointer is
     /// an error sentinel on the true branch (no reference held).
-    ErrPtrOnTrue(String),
+    ErrPtrOnTrue(&'a str),
     /// `!ret`, `ret == 0` — true branch is the success path.
-    OkOnTrue(String),
+    OkOnTrue(&'a str),
 }
 
 /// The digest of a single CFG node.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeFacts {
+pub struct NodeFacts<'a> {
     /// All direct calls, outermost-first.
-    pub calls: Vec<CallFact>,
+    pub calls: Vec<CallFact<'a>>,
     /// All assignments (including declaration initializers; a
     /// declaration `T *v = f(x)` yields `v = f(x)`).
-    pub assigns: Vec<AssignFact>,
+    pub assigns: Vec<AssignFact<'a>>,
     /// Root variables dereferenced in the node (through `->`, `*`, `[]`,
     /// or `.` on a pointer-ish chain).
-    pub derefs: Vec<String>,
+    pub derefs: Vec<&'a str>,
     /// For condition nodes, the recognized checks.
-    pub checks: Vec<CheckFact>,
+    pub checks: Vec<CheckFact<'a>>,
     /// For return nodes: the returned root variable, if a simple one.
-    pub returns_var: Option<String>,
+    pub returns_var: Option<&'a str>,
     /// For return nodes: whether the value is a (possibly wrapped)
     /// negative error constant, `-EINVAL`-style.
     pub returns_error: bool,
@@ -106,11 +109,11 @@ pub struct NodeFacts {
     pub is_return: bool,
 }
 
-impl NodeFacts {
+impl<'a> NodeFacts<'a> {
     /// Extracts facts from a CFG node.
-    pub fn of(node: &CfgNode) -> NodeFacts {
+    pub fn of(node: &CfgNode<'a>) -> NodeFacts<'a> {
         let mut f = NodeFacts::default();
-        match &node.kind {
+        match node.kind {
             NodeKind::Stmt(Payload::Expr(e)) => {
                 f.absorb_expr(e);
             }
@@ -119,9 +122,9 @@ impl NodeFacts {
                     if let Some(refminer_cparse::Initializer::Expr(init)) = d.init.as_deref() {
                         f.absorb_expr(init);
                         f.assigns.push(AssignFact {
-                            target: StoreTarget::Var(d.name.clone()),
-                            rhs_call: init.as_direct_call().map(|(n, _)| n.to_string()),
-                            rhs_root: init.root_var().map(str::to_string),
+                            target: StoreTarget::Var(&d.name),
+                            rhs_call: init.as_direct_call().map(|(n, _)| n),
+                            rhs_root: init.root_var(),
                         });
                     }
                 }
@@ -130,7 +133,7 @@ impl NodeFacts {
                 f.is_return = true;
                 if let Some(v) = value {
                     f.absorb_expr(v);
-                    f.returns_var = v.root_var().map(str::to_string);
+                    f.returns_var = v.root_var();
                     f.returns_error = is_error_value(v);
                 }
             }
@@ -157,23 +160,23 @@ impl NodeFacts {
     }
 
     /// The first call to `name`, if any.
-    pub fn call(&self, name: &str) -> Option<&CallFact> {
+    pub fn call(&self, name: &str) -> Option<&CallFact<'a>> {
         self.calls.iter().find(|c| c.name == name)
     }
 
     /// Whether the node dereferences the variable `var`.
     pub fn derefs_var(&self, var: &str) -> bool {
-        self.derefs.iter().any(|d| d == var)
+        self.derefs.contains(&var)
     }
 
-    fn absorb_expr(&mut self, e: &Expr) {
+    fn absorb_expr(&mut self, e: &'a Expr) {
         collect_calls(e, &mut self.calls);
         collect_derefs(e, &mut self.derefs);
         collect_assigns(e, &mut self.assigns);
     }
 }
 
-fn reduce_arg(e: &Expr) -> ArgFact {
+fn reduce_arg(e: &Expr) -> ArgFact<'_> {
     let is_null = match &e.kind {
         ExprKind::Ident(s) => s == "NULL",
         ExprKind::IntLit(0) => true,
@@ -181,17 +184,17 @@ fn reduce_arg(e: &Expr) -> ArgFact {
         _ => false,
     };
     ArgFact {
-        root: e.root_var().map(str::to_string),
+        root: e.root_var(),
         is_null,
     }
 }
 
-fn collect_calls(e: &Expr, out: &mut Vec<CallFact>) {
+fn collect_calls<'a>(e: &'a Expr, out: &mut Vec<CallFact<'a>>) {
     e.walk(&mut |sub| {
         if let ExprKind::Call { callee, args } = &sub.kind {
             if let Some(name) = callee.as_ident() {
                 out.push(CallFact {
-                    name: name.to_string(),
+                    name,
                     args: args.iter().map(reduce_arg).collect(),
                 });
             }
@@ -199,7 +202,7 @@ fn collect_calls(e: &Expr, out: &mut Vec<CallFact>) {
     });
 }
 
-fn collect_derefs(e: &Expr, out: &mut Vec<String>) {
+fn collect_derefs<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
     e.walk(&mut |sub| {
         let root = match &sub.kind {
             ExprKind::Member { base, arrow, .. } => {
@@ -217,42 +220,37 @@ fn collect_derefs(e: &Expr, out: &mut Vec<String>) {
             _ => None,
         };
         if let Some(r) = root {
-            if !out.iter().any(|o| o == r) {
-                out.push(r.to_string());
+            if !out.contains(&r) {
+                out.push(r);
             }
         }
     });
 }
 
-fn collect_assigns(e: &Expr, out: &mut Vec<AssignFact>) {
+fn collect_assigns<'a>(e: &'a Expr, out: &mut Vec<AssignFact<'a>>) {
     e.walk(&mut |sub| {
         if let ExprKind::Assign { lhs, rhs, .. } = &sub.kind {
             let target = match &lhs.kind {
-                ExprKind::Ident(v) => StoreTarget::Var(v.clone()),
+                ExprKind::Ident(v) => StoreTarget::Var(v),
                 ExprKind::Member { base, field, .. } => match base.root_var() {
-                    Some(root) => StoreTarget::Field {
-                        root: root.to_string(),
-                        field: field.clone(),
-                    },
+                    Some(root) => StoreTarget::Field { root, field },
                     None => StoreTarget::Other,
                 },
                 ExprKind::Unary {
                     op: UnOp::Deref,
                     operand,
-                } => match operand.root_var() {
-                    Some(root) => StoreTarget::Indirect(root.to_string()),
-                    None => StoreTarget::Other,
-                },
-                ExprKind::Index { base, .. } => match base.root_var() {
-                    Some(root) => StoreTarget::Indirect(root.to_string()),
-                    None => StoreTarget::Other,
-                },
+                } => operand
+                    .root_var()
+                    .map_or(StoreTarget::Other, StoreTarget::Indirect),
+                ExprKind::Index { base, .. } => base
+                    .root_var()
+                    .map_or(StoreTarget::Other, StoreTarget::Indirect),
                 _ => StoreTarget::Other,
             };
             out.push(AssignFact {
                 target,
-                rhs_call: rhs.as_direct_call().map(|(n, _)| n.to_string()),
-                rhs_root: rhs.root_var().map(str::to_string),
+                rhs_call: rhs.as_direct_call().map(|(n, _)| n),
+                rhs_root: rhs.root_var(),
             });
         }
     });
@@ -295,7 +293,7 @@ pub(crate) fn errish_name(name: &str) -> bool {
 ///
 /// `polarity` is true when the expression's truth selects the True CFG
 /// edge; `!` flips it.
-pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>) {
+pub(crate) fn extract_checks<'a>(e: &'a Expr, polarity: bool, out: &mut Vec<CheckFact<'a>>) {
     match &e.kind {
         ExprKind::Unary {
             op: UnOp::Not,
@@ -306,14 +304,14 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
             match &operand.kind {
                 ExprKind::Ident(v) => {
                     if polarity {
-                        out.push(CheckFact::NullOnTrue(v.clone()));
+                        out.push(CheckFact::NullOnTrue(v));
                         if errish_name(v) {
-                            out.push(CheckFact::OkOnTrue(v.clone()));
+                            out.push(CheckFact::OkOnTrue(v));
                         }
                     } else {
-                        out.push(CheckFact::NonNullOnTrue(v.clone()));
+                        out.push(CheckFact::NonNullOnTrue(v));
                         if errish_name(v) {
-                            out.push(CheckFact::ErrOnTrue(v.clone()));
+                            out.push(CheckFact::ErrOnTrue(v));
                         }
                     }
                 }
@@ -326,14 +324,14 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
             // the true branch means "valid", which must not be
             // classified as error handling.
             if polarity {
-                out.push(CheckFact::NonNullOnTrue(v.clone()));
+                out.push(CheckFact::NonNullOnTrue(v));
                 if errish_name(v) {
-                    out.push(CheckFact::ErrOnTrue(v.clone()));
+                    out.push(CheckFact::ErrOnTrue(v));
                 }
             } else {
-                out.push(CheckFact::NullOnTrue(v.clone()));
+                out.push(CheckFact::NullOnTrue(v));
                 if errish_name(v) {
-                    out.push(CheckFact::OkOnTrue(v.clone()));
+                    out.push(CheckFact::OkOnTrue(v));
                 }
             }
         }
@@ -346,10 +344,10 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
                 // `p == NULL` (flipped=false when polarity true & Eq).
                 let (var, against_null, against_zero) = match (&lhs.kind, &rhs.kind) {
                     (ExprKind::Ident(v), other) | (other, ExprKind::Ident(v)) if matches!(other, ExprKind::Ident(n) if n == "NULL") => {
-                        (Some(v.clone()), true, false)
+                        (Some(v), true, false)
                     }
                     (ExprKind::Ident(v), ExprKind::IntLit(0))
-                    | (ExprKind::IntLit(0), ExprKind::Ident(v)) => (Some(v.clone()), false, true),
+                    | (ExprKind::IntLit(0), ExprKind::Ident(v)) => (Some(v), false, true),
                     _ => (None, false, false),
                 };
                 if let Some(v) = var {
@@ -372,9 +370,9 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
                 // `ret < 0`.
                 if let (ExprKind::Ident(v), ExprKind::IntLit(0)) = (&lhs.kind, &rhs.kind) {
                     if polarity {
-                        out.push(CheckFact::ErrOnTrue(v.clone()));
+                        out.push(CheckFact::ErrOnTrue(v));
                     } else {
-                        out.push(CheckFact::OkOnTrue(v.clone()));
+                        out.push(CheckFact::OkOnTrue(v));
                     }
                 }
             }
@@ -388,10 +386,10 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
             Some("IS_ERR") | Some("IS_ERR_OR_NULL") => {
                 if let Some(v) = args.first().and_then(|a| a.root_var()) {
                     if polarity {
-                        out.push(CheckFact::ErrOnTrue(v.to_string()));
-                        out.push(CheckFact::ErrPtrOnTrue(v.to_string()));
+                        out.push(CheckFact::ErrOnTrue(v));
+                        out.push(CheckFact::ErrPtrOnTrue(v));
                     } else {
-                        out.push(CheckFact::OkOnTrue(v.to_string()));
+                        out.push(CheckFact::OkOnTrue(v));
                     }
                 }
             }
@@ -410,50 +408,43 @@ pub(crate) fn extract_checks(e: &Expr, polarity: bool, out: &mut Vec<CheckFact>)
 mod tests {
     use super::*;
     use refminer_clex::Span;
-    use refminer_cparse::{parse_expr_str, parse_stmts_str, StmtKind};
+    use refminer_cparse::{parse_expr_str, parse_stmts_str, Stmt, StmtKind};
 
-    fn facts_of_stmt(src: &str) -> NodeFacts {
-        let stmts = parse_stmts_str(src);
-        let node = match &stmts[0].kind {
-            StmtKind::Expr(e) => CfgNode {
-                kind: NodeKind::Stmt(Payload::Expr(e.clone())),
-                span: Span::default(),
-                loops: Vec::new(),
-            },
-            StmtKind::Decl(d) => CfgNode {
-                kind: NodeKind::Stmt(Payload::Decl(d.clone())),
-                span: Span::default(),
-                loops: Vec::new(),
-            },
-            StmtKind::Return(v) => CfgNode {
-                kind: NodeKind::Stmt(Payload::Return(v.clone())),
-                span: Span::default(),
-                loops: Vec::new(),
-            },
-            other => panic!("unsupported test stmt {other:?}"),
-        };
-        NodeFacts::of(&node)
+    fn node(kind: NodeKind<'_>) -> CfgNode<'_> {
+        CfgNode {
+            kind,
+            span: Span::default(),
+            loop_head: None,
+        }
     }
 
-    fn facts_of_cond(src: &str) -> NodeFacts {
-        let e = parse_expr_str(src);
-        NodeFacts::of(&CfgNode {
-            kind: NodeKind::Cond(e),
-            span: Span::default(),
-            loops: Vec::new(),
-        })
+    /// The facts of the node built for the first of `stmts`.
+    fn stmt_facts(stmts: &[Stmt]) -> NodeFacts<'_> {
+        let payload = match &stmts[0].kind {
+            StmtKind::Expr(e) => Payload::Expr(e),
+            StmtKind::Decl(d) => Payload::Decl(d),
+            StmtKind::Return(v) => Payload::Return(v.as_ref()),
+            other => panic!("unsupported test stmt {other:?}"),
+        };
+        NodeFacts::of(&node(NodeKind::Stmt(payload)))
+    }
+
+    fn cond_facts(e: &Expr) -> NodeFacts<'_> {
+        NodeFacts::of(&node(NodeKind::Cond(e)))
     }
 
     #[test]
     fn call_facts() {
-        let f = facts_of_stmt("of_node_put(np);");
+        let s = parse_stmts_str("of_node_put(np);");
+        let f = stmt_facts(&s);
         assert!(f.calls_named("of_node_put"));
         assert_eq!(f.call("of_node_put").unwrap().arg_root(0), Some("np"));
     }
 
     #[test]
     fn nested_call_facts() {
-        let f = facts_of_stmt("register_thing(of_find_node_by_name(NULL, name));");
+        let s = parse_stmts_str("register_thing(of_find_node_by_name(NULL, name));");
+        let f = stmt_facts(&s);
         assert!(f.calls_named("register_thing"));
         assert!(f.calls_named("of_find_node_by_name"));
         assert!(f.call("of_find_node_by_name").unwrap().args[0].is_null);
@@ -461,73 +452,93 @@ mod tests {
 
     #[test]
     fn decl_initializer_becomes_assign() {
-        let f = facts_of_stmt("struct device *dev = bus_find_device(bus, NULL, np, m);");
+        let s = parse_stmts_str("struct device *dev = bus_find_device(bus, NULL, np, m);");
+        let f = stmt_facts(&s);
         assert_eq!(f.assigns.len(), 1);
-        assert_eq!(f.assigns[0].target, StoreTarget::Var("dev".to_string()));
-        assert_eq!(f.assigns[0].rhs_call.as_deref(), Some("bus_find_device"));
+        assert_eq!(f.assigns[0].target, StoreTarget::Var("dev"));
+        assert_eq!(f.assigns[0].rhs_call, Some("bus_find_device"));
     }
 
     #[test]
     fn member_store_target() {
-        let f = facts_of_stmt("priv->node = np;");
+        let s = parse_stmts_str("priv->node = np;");
+        let f = stmt_facts(&s);
         assert_eq!(
             f.assigns[0].target,
             StoreTarget::Field {
-                root: "priv".into(),
-                field: "node".into()
+                root: "priv",
+                field: "node"
             }
         );
-        assert_eq!(f.assigns[0].rhs_root.as_deref(), Some("np"));
+        assert_eq!(f.assigns[0].rhs_root, Some("np"));
     }
 
     #[test]
     fn deref_detection() {
-        let f = facts_of_stmt("x = serial->port[0];");
+        let s = parse_stmts_str("x = serial->port[0];");
+        let f = stmt_facts(&s);
         assert!(f.derefs_var("serial"));
-        let f = facts_of_stmt("y = *ptr;");
+        let s = parse_stmts_str("y = *ptr;");
+        let f = stmt_facts(&s);
         assert!(f.derefs_var("ptr"));
-        let f = facts_of_stmt("z = plain;");
+        let s = parse_stmts_str("z = plain;");
+        let f = stmt_facts(&s);
         assert!(f.derefs.is_empty());
     }
 
     #[test]
     fn return_error_shapes() {
-        assert!(facts_of_stmt("return -EINVAL;").returns_error);
-        assert!(facts_of_stmt("return ERR_PTR(-ENOMEM);").returns_error);
-        assert!(facts_of_stmt("return NULL;").returns_error);
-        let f = facts_of_stmt("return ret;");
+        for src in [
+            "return -EINVAL;",
+            "return ERR_PTR(-ENOMEM);",
+            "return NULL;",
+        ] {
+            let s = parse_stmts_str(src);
+            assert!(stmt_facts(&s).returns_error, "{src}");
+        }
+        let s = parse_stmts_str("return ret;");
+        let f = stmt_facts(&s);
         assert!(!f.returns_error);
-        assert_eq!(f.returns_var.as_deref(), Some("ret"));
+        assert_eq!(f.returns_var, Some("ret"));
     }
 
     #[test]
     fn null_checks() {
-        let f = facts_of_cond("!dev");
-        assert!(f.checks.contains(&CheckFact::NullOnTrue("dev".into())));
-        let f = facts_of_cond("dev == NULL");
-        assert!(f.checks.contains(&CheckFact::NullOnTrue("dev".into())));
-        let f = facts_of_cond("dev != NULL");
-        assert!(f.checks.contains(&CheckFact::NonNullOnTrue("dev".into())));
-        let f = facts_of_cond("dev");
-        assert!(f.checks.contains(&CheckFact::NonNullOnTrue("dev".into())));
+        let e = parse_expr_str("!dev");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::NullOnTrue("dev")));
+        let e = parse_expr_str("dev == NULL");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::NullOnTrue("dev")));
+        let e = parse_expr_str("dev != NULL");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::NonNullOnTrue("dev")));
+        let e = parse_expr_str("dev");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::NonNullOnTrue("dev")));
     }
 
     #[test]
     fn error_checks() {
-        let f = facts_of_cond("ret < 0");
-        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret".into())));
-        let f = facts_of_cond("IS_ERR(clk)");
-        assert!(f.checks.contains(&CheckFact::ErrOnTrue("clk".into())));
-        let f = facts_of_cond("unlikely(ret < 0)");
-        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret".into())));
-        let f = facts_of_cond("!ret");
-        assert!(f.checks.contains(&CheckFact::OkOnTrue("ret".into())));
+        let e = parse_expr_str("ret < 0");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret")));
+        let e = parse_expr_str("IS_ERR(clk)");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::ErrOnTrue("clk")));
+        let e = parse_expr_str("unlikely(ret < 0)");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret")));
+        let e = parse_expr_str("!ret");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::OkOnTrue("ret")));
     }
 
     #[test]
     fn compound_condition_checks() {
-        let f = facts_of_cond("!np || ret < 0");
-        assert!(f.checks.contains(&CheckFact::NullOnTrue("np".into())));
-        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret".into())));
+        let e = parse_expr_str("!np || ret < 0");
+        let f = cond_facts(&e);
+        assert!(f.checks.contains(&CheckFact::NullOnTrue("np")));
+        assert!(f.checks.contains(&CheckFact::ErrOnTrue("ret")));
     }
 }

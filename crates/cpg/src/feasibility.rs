@@ -109,34 +109,28 @@ fn join_val(a: AbsVal, b: AbsVal) -> Option<AbsVal> {
     }
 }
 
-/// A per-point environment; absent variables are unknown.
-type Env = BTreeMap<String, AbsVal>;
+/// A per-point environment, keyed by variable names borrowed from the
+/// AST; absent variables are unknown.
+type Env<'a> = BTreeMap<&'a str, AbsVal>;
 
 /// Join `b` into `a`, returning whether `a` changed.
 fn join_env(a: &mut Env, b: &Env) -> bool {
+    let before = a.len();
     let mut changed = false;
-    let keys: Vec<String> = a.keys().cloned().collect();
-    for k in keys {
-        let av = a[&k];
-        match b.get(&k).and_then(|&bv| join_val(av, bv)) {
-            Some(v) => {
-                if v != av {
-                    a.insert(k, v);
-                    changed = true;
-                }
-            }
-            None => {
-                a.remove(&k);
-                changed = true;
-            }
+    a.retain(|k, av| match b.get(k).and_then(|&bv| join_val(*av, bv)) {
+        Some(v) => {
+            changed |= v != *av;
+            *av = v;
+            true
         }
-    }
-    changed
+        None => false,
+    });
+    changed || a.len() != before
 }
 
 /// One write observed in a node, in evaluation order: the variable and
 /// its value if it is a recognizable constant.
-fn collect_writes(e: &Expr, out: &mut Vec<(String, Option<i64>)>) {
+fn collect_writes<'a>(e: &'a Expr, out: &mut Vec<(&'a str, Option<i64>)>) {
     e.walk(&mut |sub| match &sub.kind {
         ExprKind::Assign { op, lhs, rhs } => {
             if let ExprKind::Ident(v) = &lhs.kind {
@@ -145,7 +139,7 @@ fn collect_writes(e: &Expr, out: &mut Vec<(String, Option<i64>)>) {
                 } else {
                     None
                 };
-                out.push((v.clone(), val));
+                out.push((v, val));
             }
         }
         ExprKind::Unary {
@@ -157,7 +151,7 @@ fn collect_writes(e: &Expr, out: &mut Vec<(String, Option<i64>)>) {
             // and `v++`/`v--` change the value. All degrade the
             // variable to unknown.
             if let ExprKind::Ident(v) = &operand.kind {
-                out.push((v.clone(), None));
+                out.push((v, None));
             }
         }
         _ => {}
@@ -180,15 +174,15 @@ fn const_of(e: &Expr) -> Option<i64> {
 }
 
 /// All writes performed by a CFG node, in order.
-fn node_writes(kind: &NodeKind) -> Vec<(String, Option<i64>)> {
+fn node_writes<'a>(kind: &NodeKind<'a>) -> Vec<(&'a str, Option<i64>)> {
     let mut out = Vec::new();
-    match kind {
+    match *kind {
         NodeKind::Stmt(Payload::Expr(e)) | NodeKind::Cond(e) => collect_writes(e, &mut out),
         NodeKind::Stmt(Payload::Decl(decls)) => {
             for d in decls {
                 if let Some(Initializer::Expr(init)) = d.init.as_deref() {
                     collect_writes(init, &mut out);
-                    out.push((d.name.clone(), const_of(init)));
+                    out.push((&d.name, const_of(init)));
                 }
             }
         }
@@ -197,7 +191,7 @@ fn node_writes(kind: &NodeKind) -> Vec<(String, Option<i64>)> {
             // The macro rebinds its iteration variable(s) every trip.
             for a in args {
                 if let ExprKind::Ident(v) = &a.kind {
-                    out.push((v.clone(), None));
+                    out.push((v, None));
                 }
             }
         }
@@ -207,11 +201,11 @@ fn node_writes(kind: &NodeKind) -> Vec<(String, Option<i64>)> {
 }
 
 /// Applies a node's writes to an environment.
-fn transfer(env: &mut Env, writes: &[(String, Option<i64>)]) {
-    for (v, val) in writes {
+fn transfer<'a>(env: &mut Env<'a>, writes: &[(&'a str, Option<i64>)]) {
+    for &(v, val) in writes {
         match val {
             Some(k) => {
-                env.insert(v.clone(), AbsVal::Int(*k));
+                env.insert(v, AbsVal::Int(k));
             }
             None => {
                 env.remove(v);
@@ -223,11 +217,11 @@ fn transfer(env: &mut Env, writes: &[(String, Option<i64>)]) {
 /// Whether a check's error-code reading should be trusted for variable
 /// `v`: `IS_ERR(p)` also emits `ErrOnTrue(p)`, but an error pointer is
 /// not an integer comparison, so those variables are excluded.
-fn errptr_vars(checks: &[CheckFact]) -> HashSet<&str> {
+fn errptr_vars<'a>(checks: &[CheckFact<'a>]) -> HashSet<&'a str> {
     checks
         .iter()
-        .filter_map(|c| match c {
-            CheckFact::ErrPtrOnTrue(v) => Some(v.as_str()),
+        .filter_map(|c| match *c {
+            CheckFact::ErrPtrOnTrue(v) => Some(v),
             _ => None,
         })
         .collect()
@@ -247,15 +241,15 @@ fn edge_truth(kind: EdgeKind) -> Option<bool> {
 /// literal has the given truth value. Overwrites: if the edge
 /// contradicts the incoming value it is infeasible anyway and the
 /// refined environment only flows into dead territory.
-fn fact_refine(env: &mut Env, c: &CheckFact, errptr: &HashSet<&str>, truth: bool) {
-    match c {
+fn fact_refine<'a>(env: &mut Env<'a>, c: &CheckFact<'a>, errptr: &HashSet<&str>, truth: bool) {
+    match *c {
         CheckFact::NullOnTrue(v) => {
             let val = if truth {
                 AbsVal::Int(0)
             } else {
                 AbsVal::NonZero
             };
-            env.insert(v.clone(), val);
+            env.insert(v, val);
         }
         CheckFact::NonNullOnTrue(v) => {
             let val = if truth {
@@ -263,21 +257,21 @@ fn fact_refine(env: &mut Env, c: &CheckFact, errptr: &HashSet<&str>, truth: bool
             } else {
                 AbsVal::Int(0)
             };
-            env.insert(v.clone(), val);
+            env.insert(v, val);
         }
-        CheckFact::OkOnTrue(v) if errish_name(v) && !errptr.contains(v.as_str()) => {
+        CheckFact::OkOnTrue(v) if errish_name(v) && !errptr.contains(v) => {
             let val = if truth {
                 AbsVal::Int(0)
             } else {
                 AbsVal::NonZero
             };
-            env.insert(v.clone(), val);
+            env.insert(v, val);
         }
         // True branch: nonzero for both `if (ret)` and `ret < 0`. The
         // false branch of `ret < 0` only means non-negative, which this
         // domain cannot express.
-        CheckFact::ErrOnTrue(v) if truth && errish_name(v) && !errptr.contains(v.as_str()) => {
-            env.insert(v.clone(), AbsVal::NonZero);
+        CheckFact::ErrOnTrue(v) if truth && errish_name(v) && !errptr.contains(v) => {
+            env.insert(v, AbsVal::NonZero);
         }
         _ => {}
     }
@@ -288,7 +282,7 @@ fn fact_refine(env: &mut Env, c: &CheckFact, errptr: &HashSet<&str>, truth: bool
 /// of the check agrees on are reported (e.g. `ErrOnTrue` may come from
 /// `if (ret)` or `ret < 0`; both are false exactly when `ret == 0`).
 fn fact_contradicts(env: &Env, c: &CheckFact, errptr: &HashSet<&str>, truth: bool) -> bool {
-    match c {
+    match *c {
         CheckFact::NullOnTrue(v) => env.get(v).is_some_and(|&val| {
             if truth {
                 val.is_nonzero()
@@ -303,7 +297,7 @@ fn fact_contradicts(env: &Env, c: &CheckFact, errptr: &HashSet<&str>, truth: boo
                 val.is_nonzero()
             }
         }),
-        CheckFact::OkOnTrue(v) if errish_name(v) && !errptr.contains(v.as_str()) => {
+        CheckFact::OkOnTrue(v) if errish_name(v) && !errptr.contains(v) => {
             env.get(v).is_some_and(|&val| {
                 if truth {
                     val.is_nonzero()
@@ -312,7 +306,7 @@ fn fact_contradicts(env: &Env, c: &CheckFact, errptr: &HashSet<&str>, truth: boo
                 }
             })
         }
-        CheckFact::ErrOnTrue(v) if errish_name(v) && !errptr.contains(v.as_str()) => {
+        CheckFact::ErrOnTrue(v) if errish_name(v) && !errptr.contains(v) => {
             env.get(v).is_some_and(|&val| {
                 if truth {
                     val == AbsVal::Int(0)
@@ -332,21 +326,21 @@ fn fact_contradicts(env: &Env, c: &CheckFact, errptr: &HashSet<&str>, truth: boo
 /// feasible edges — e.g. the true edge of `if (!np || ret < 0)` when
 /// `np` is known non-NULL but `ret` is unknown — so the feasibility
 /// pass rebuilds the connective tree from the condition expression.
-enum CondChecks {
+enum CondChecks<'a> {
     /// One atomic comparison; the facts are consistent readings of the
     /// same literal (`truth` means the literal holds).
-    Leaf(Vec<CheckFact>),
+    Leaf(Vec<CheckFact<'a>>),
     /// `||` — true iff at least one child is.
-    AnyOf(Vec<CondChecks>),
+    AnyOf(Vec<CondChecks<'a>>),
     /// `&&` — true iff every child is.
-    AllOf(Vec<CondChecks>),
+    AllOf(Vec<CondChecks<'a>>),
 }
 
 /// Builds the connective tree for a condition expression. `negated`
 /// tracks an odd number of enclosing `!`s; De Morgan pushes the
 /// negation through connectives and [`extract_checks`]' polarity
 /// absorbs it at the leaves.
-fn cond_tree(e: &Expr, negated: bool) -> CondChecks {
+fn cond_tree(e: &Expr, negated: bool) -> CondChecks<'_> {
     match &e.kind {
         ExprKind::Unary {
             op: UnOp::Not,
@@ -393,7 +387,7 @@ fn cond_connective(e: &Expr) -> bool {
     }
 }
 
-impl CondChecks {
+impl<'a> CondChecks<'a> {
     /// Whether the environment proves this formula cannot have the
     /// given truth value.
     fn contradicted(&self, env: &Env, errptr: &HashSet<&str>, truth: bool) -> bool {
@@ -422,7 +416,7 @@ impl CondChecks {
 
     /// Refines `env` with what taking an edge of the given truth
     /// asserts about this formula.
-    fn refine(&self, env: &mut Env, errptr: &HashSet<&str>, truth: bool) {
+    fn refine(&self, env: &mut Env<'a>, errptr: &HashSet<&str>, truth: bool) {
         match self {
             CondChecks::Leaf(facts) => {
                 for f in facts {
@@ -486,14 +480,14 @@ impl FeasAnalysis {
     /// plain scan in node order.
     pub fn compute(cfg: &Cfg, facts: &[NodeFacts]) -> FeasAnalysis {
         let n = cfg.nodes.len();
-        let writes: Vec<Vec<(String, Option<i64>)>> =
+        let writes: Vec<Vec<(&str, Option<i64>)>> =
             cfg.nodes.iter().map(|nd| node_writes(&nd.kind)).collect();
         // Connective trees for condition nodes: the flat check lists in
         // `facts` lose `&&`/`||` structure, which pruning must respect.
         let trees: Vec<Option<CondChecks>> = cfg
             .nodes
             .iter()
-            .map(|nd| match &nd.kind {
+            .map(|nd| match nd.kind {
                 NodeKind::Cond(e) => Some(cond_tree(e, false)),
                 _ => None,
             })
@@ -592,12 +586,16 @@ impl FeasAnalysis {
 mod tests {
     use super::*;
     use crate::paths::Step;
-    use refminer_cparse::parse_str;
+    use refminer_cparse::{parse_str, TranslationUnit};
 
-    fn build(body: &str) -> (Cfg, Vec<NodeFacts>, FeasAnalysis) {
-        let src =
-            format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}");
-        let tu = parse_str("t.c", &src);
+    fn unit(body: &str) -> TranslationUnit {
+        parse_str(
+            "t.c",
+            &format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}"),
+        )
+    }
+
+    fn build(tu: &TranslationUnit) -> (Cfg<'_>, Vec<NodeFacts<'_>>, FeasAnalysis) {
         let cfg = Cfg::build(tu.function("f").unwrap());
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
         let feas = FeasAnalysis::compute(&cfg, &facts);
@@ -615,10 +613,11 @@ mod tests {
     fn correlated_error_branch_is_infeasible() {
         // `ret = 0; if (ret) goto err;` — the classic correlated
         // cleanup false path.
-        let (cfg, facts, feas) = build(
+        let tu = unit(
             "get_thing(np); ret = 0; if (ret) goto err; \
              put_thing(np); return 0; err: return -EINVAL;",
         );
+        let (cfg, facts, feas) = build(&tu);
         assert!(feas.active());
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some(), "syntactic path exists");
@@ -627,10 +626,11 @@ mod tests {
 
     #[test]
     fn real_error_branch_stays_feasible() {
-        let (cfg, facts, feas) = build(
+        let tu = unit(
             "get_thing(np); ret = do_thing(dev); if (ret) goto err; \
              put_thing(np); return 0; err: return ret;",
         );
+        let (cfg, facts, feas) = build(&tu);
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some());
         // `ret` came from a call: unknown, so the leaky path stands.
@@ -641,10 +641,11 @@ mod tests {
     fn rechecked_error_code_is_infeasible() {
         // After `if (ret) return ret;` falls through, ret == 0, so the
         // second test cannot take its true branch.
-        let (cfg, facts, feas) = build(
+        let tu = unit(
             "ret = do_thing(dev); if (ret) return ret; get_thing(np); \
              if (ret) goto err; put_thing(np); return 0; err: return ret;",
         );
+        let (cfg, facts, feas) = build(&tu);
         assert!(feas.active());
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some());
@@ -653,10 +654,11 @@ mod tests {
 
     #[test]
     fn constant_flag_guard_is_infeasible() {
-        let (cfg, facts, feas) = build(
+        let tu = unit(
             "int on = 1; get_thing(np); if (!on) goto skip; \
              put_thing(np); skip: return 0;",
         );
+        let (cfg, facts, feas) = build(&tu);
         assert!(feas.active());
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some());
@@ -665,10 +667,11 @@ mod tests {
 
     #[test]
     fn repeated_null_guard_is_infeasible() {
-        let (_cfg, _facts, feas) = build(
+        let tu = unit(
             "np = find_thing(dev); if (!np) return -ENODEV; \
              if (!np) return -EBUSY; return 0;",
         );
+        let (_cfg, _facts, feas) = build(&tu);
         // The second `!np` true edge contradicts the first guard's
         // fall-through.
         assert!(feas.active());
@@ -678,22 +681,22 @@ mod tests {
     fn loop_reassignment_defeats_constancy() {
         // `ret` changes inside the loop, so the test is genuinely
         // two-valued and nothing is pruned.
-        let (_cfg, _facts, feas) =
-            build("ret = 0; while (dev) { if (ret) break; ret = do_thing(dev); } return ret;");
+        let tu = unit("ret = 0; while (dev) { if (ret) break; ret = do_thing(dev); } return ret;");
+        let (_cfg, _facts, feas) = build(&tu);
         assert!(!feas.active());
     }
 
     #[test]
     fn address_taken_variable_is_unknown() {
-        let (_cfg, _facts, feas) =
-            build("ret = 0; probe_thing(&ret); if (ret) return ret; return 0;");
+        let tu = unit("ret = 0; probe_thing(&ret); if (ret) return ret; return 0;");
+        let (_cfg, _facts, feas) = build(&tu);
         assert!(!feas.active());
     }
 
     #[test]
     fn merge_of_distinct_constants_is_unknown() {
-        let (_cfg, _facts, feas) =
-            build("if (dev) ret = 0; else ret = 1; if (ret) return -EINVAL; return 0;");
+        let tu = unit("if (dev) ret = 0; else ret = 1; if (ret) return -EINVAL; return 0;");
+        let (_cfg, _facts, feas) = build(&tu);
         assert!(!feas.active());
     }
 
@@ -701,10 +704,11 @@ mod tests {
     fn surviving_query_is_proven() {
         // Function has one dead branch, but the leak path does not
         // need it: classification upgrades to Proven.
-        let (cfg, facts, feas) = build(
+        let tu = unit(
             "int on = 1; if (!on) return 0; get_thing(np); \
              if (ret < 0) return ret; put_thing(np); return 0;",
         );
+        let (cfg, facts, feas) = build(&tu);
         assert!(feas.active());
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some());
@@ -713,8 +717,8 @@ mod tests {
 
     #[test]
     fn no_constraints_means_assumed() {
-        let (cfg, facts, feas) =
-            build("get_thing(np); if (ret < 0) return ret; put_thing(np); return 0;");
+        let tu = unit("get_thing(np); if (ret < 0) return ret; put_thing(np); return 0;");
+        let (cfg, facts, feas) = build(&tu);
         assert!(!feas.active());
         let q = leak_query(&facts, cfg.exit, "put_thing");
         assert!(q.search_from_entry(&cfg).is_some());
@@ -725,7 +729,8 @@ mod tests {
     fn is_err_pointer_checks_are_not_folded() {
         // IS_ERR(p) emits ErrOnTrue(p), but p = NULL does not make
         // IS_ERR's edges prunable in the integer domain.
-        let (_cfg, _facts, feas) = build("np = NULL; if (IS_ERR(np)) return -EINVAL; return 0;");
+        let tu = unit("np = NULL; if (IS_ERR(np)) return -EINVAL; return 0;");
+        let (_cfg, _facts, feas) = build(&tu);
         assert!(!feas.active());
     }
 

@@ -16,9 +16,11 @@ use crate::origins::Origins;
 /// bundle the paper builds with JOERN and queries via line-ordered
 /// paths (§6.1).
 ///
-/// Of the definition the graph keeps only the header (name, parameters,
-/// linkage): the CFG holds what the analyses read of the body, so a
-/// copy of the body would be dead weight.
+/// The graph is a view of the function's AST: its header, node payloads,
+/// facts and origins borrow the definition's names, parameters,
+/// declarations and expressions rather than copying them, so the AST
+/// stays the one owner of statement data. A graph lives as long as the
+/// unit it was built from.
 ///
 /// # Examples
 ///
@@ -41,19 +43,19 @@ use crate::origins::Origins;
 /// assert!(g.nodes_calling("of_node_put").len() == 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct FunctionGraph {
+pub struct FunctionGraph<'a> {
     /// The function's name.
-    pub name: String,
+    pub name: &'a str,
     /// The function's parameters, in order.
-    pub params: Box<[Param]>,
+    pub params: &'a [Param],
     /// Whether the function is `static`.
     pub is_static: bool,
     /// The control-flow graph.
-    pub cfg: Cfg,
+    pub cfg: Cfg<'a>,
     /// Per-node facts, parallel to `cfg.nodes`.
-    pub facts: Vec<NodeFacts>,
+    pub facts: Vec<NodeFacts<'a>>,
     /// Variable-origin analysis results.
-    pub origins: Origins,
+    pub origins: Origins<'a>,
     /// Nodes classified as error-handling blocks (`B_error`).
     pub error_nodes: HashSet<NodeId>,
     /// Path-feasibility constraints: infeasible branch edges derived
@@ -84,82 +86,61 @@ impl std::fmt::Display for GraphCapExceeded {
     }
 }
 
-impl FunctionGraph {
+impl<'a> FunctionGraph<'a> {
     /// Builds the full graph for one function.
-    pub fn build(func: &FunctionDef) -> FunctionGraph {
-        match Self::try_build(func, usize::MAX) {
-            Ok(g) => g,
-            Err(_) => unreachable!("usize::MAX cap cannot be exceeded"),
-        }
+    pub fn build(func: &'a FunctionDef) -> FunctionGraph<'a> {
+        let mut feas_time = Duration::ZERO;
+        Self::of_cfg(func, Cfg::build(func), &mut feas_time)
     }
 
-    /// Builds the graph only if the CFG stays under `max_nodes`; the
-    /// per-node analyses (facts, origins, error classification) never
-    /// run on an over-cap function, bounding both time and memory.
-    pub fn try_build(
-        func: &FunctionDef,
-        max_nodes: usize,
-    ) -> Result<FunctionGraph, GraphCapExceeded> {
-        let mut sink = Duration::ZERO;
-        Self::try_build_timed(func, max_nodes, &mut sink)
-    }
-
-    /// Like [`FunctionGraph::try_build`], additionally accumulating
-    /// the wall time the feasibility fixpoint took into `feas_time`.
-    /// Observability only: the timing never influences the graph.
-    pub fn try_build_timed(
-        func: &FunctionDef,
-        max_nodes: usize,
-        feas_time: &mut Duration,
-    ) -> Result<FunctionGraph, GraphCapExceeded> {
-        let cfg = Cfg::build_limited(func, max_nodes)?;
+    /// Runs the per-node analyses over a built CFG, adding the wall time
+    /// the feasibility fixpoint takes to `feas_time`.
+    fn of_cfg(func: &'a FunctionDef, cfg: Cfg<'a>, feas_time: &mut Duration) -> FunctionGraph<'a> {
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
-        let params: Vec<String> = func.params.iter().filter_map(|p| p.name.clone()).collect();
+        let params: Vec<&str> = func
+            .params
+            .iter()
+            .filter_map(|p| p.name.as_deref())
+            .collect();
         let origins = Origins::compute(&cfg, &facts, &params);
         let error_nodes = error_nodes(&cfg, &facts);
         let feas_start = Instant::now();
         let feas = FeasAnalysis::compute(&cfg, &facts);
         *feas_time += feas_start.elapsed();
-        Ok(FunctionGraph {
-            name: func.name.clone(),
-            params: func.params.clone(),
+        FunctionGraph {
+            name: &func.name,
+            params: &func.params,
             is_static: func.is_static,
             cfg,
             facts,
             origins,
             error_nodes,
             feas,
-        })
+        }
     }
 
     /// Builds graphs for every function in a translation unit.
-    pub fn build_all(tu: &TranslationUnit) -> Vec<FunctionGraph> {
+    pub fn build_all(tu: &'a TranslationUnit) -> Vec<FunctionGraph<'a>> {
         tu.functions().map(FunctionGraph::build).collect()
     }
 
-    /// Builds graphs for every function under a node cap, collecting
-    /// the functions that were skipped instead of analyzing them.
-    pub fn build_all_limited(
-        tu: &TranslationUnit,
-        max_nodes: usize,
-    ) -> (Vec<FunctionGraph>, Vec<GraphCapExceeded>) {
-        let (graphs, skipped, _) = Self::build_all_limited_timed(tu, max_nodes);
-        (graphs, skipped)
-    }
-
-    /// Like [`FunctionGraph::build_all_limited`], additionally
-    /// returning the unit's total feasibility-fixpoint wall time, for
-    /// the audit pipeline's `feasibility` trace spans.
+    /// Builds graphs for every function whose CFG stays within
+    /// `max_nodes`, collecting the functions over the cap instead of
+    /// analyzing them: the per-node analyses (facts, origins, error
+    /// classification, feasibility) never run on an over-cap function,
+    /// bounding both time and memory. Also returns the unit's total
+    /// feasibility-fixpoint wall time, for the audit pipeline's
+    /// `feasibility` trace spans; the timing never influences a graph.
     pub fn build_all_limited_timed(
-        tu: &TranslationUnit,
+        tu: &'a TranslationUnit,
         max_nodes: usize,
-    ) -> (Vec<FunctionGraph>, Vec<GraphCapExceeded>, Duration) {
+    ) -> (Vec<FunctionGraph<'a>>, Vec<GraphCapExceeded>, Duration) {
         let mut graphs = Vec::new();
         let mut skipped = Vec::new();
         let mut feas_time = Duration::ZERO;
         for f in tu.functions() {
-            match Self::try_build_timed(f, max_nodes, &mut feas_time) {
-                Ok(g) => graphs.push(g),
+            match Cfg::build_limited(f, max_nodes) {
+                Ok(cfg) => graphs.push(Self::of_cfg(f, cfg, &mut feas_time)),
                 Err(e) => skipped.push(e),
             }
         }
@@ -168,7 +149,7 @@ impl FunctionGraph {
 
     /// The function name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// Node ids whose facts contain a call to `name`.
@@ -190,7 +171,7 @@ impl FunctionGraph {
     }
 
     /// Names of the function's pointer parameters.
-    pub fn pointer_params(&self) -> Vec<&str> {
+    pub fn pointer_params(&self) -> Vec<&'a str> {
         self.params
             .iter()
             .filter(|p| p.ty.is_pointer())
@@ -249,7 +230,7 @@ int f(void)
         }
         body.push_str("        return 0;\n}\nint small(void) { return 0; }\n");
         let tu = parse_str("t.c", &body);
-        let (graphs, skipped) = FunctionGraph::build_all_limited(&tu, 50);
+        let (graphs, skipped, _) = FunctionGraph::build_all_limited_timed(&tu, 50);
         assert_eq!(graphs.len(), 1);
         assert_eq!(graphs[0].name(), "small");
         assert_eq!(skipped.len(), 1);

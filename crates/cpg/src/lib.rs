@@ -9,6 +9,14 @@
 //! [`PathQuery`] engine that the anti-pattern checkers use to search for
 //! bug-witnessing execution paths.
 //!
+//! Every graph is a view of the unit's AST, which stays the one owner of
+//! statement data: CFG node payloads, node facts, origins and a graph's
+//! header borrow the AST's expressions, declarations, parameters and
+//! names for the lifetime `'a` instead of copying them, and each node
+//! names its innermost loop head instead of copying the loop stack. A
+//! graph therefore lives inside the scope of the unit it was built
+//! from.
+//!
 //! The design follows §6.1 of the SOSP '23 refcounting study: the
 //! paper's JOERN-built CPGs with "line numbers embedded in the graph
 //! nodes to represent the execution orders" become explicit CFG edges

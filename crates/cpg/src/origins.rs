@@ -14,12 +14,12 @@ use crate::cfg::{Cfg, NodeId, NodeKind};
 use crate::facts::{NodeFacts, StoreTarget};
 
 /// Where a variable's current value may have come from.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Origin {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Origin<'a> {
     /// The return value of a direct call, with the originating node.
     Call {
         /// Callee name.
-        name: String,
+        name: &'a str,
         /// Node where the call was assigned.
         node: NodeId,
     },
@@ -31,21 +31,22 @@ pub enum Origin {
 
 /// One variable's origins, shared between the environments that agree
 /// on them.
-type Set = Arc<BTreeSet<Origin>>;
+type Set<'a> = Arc<BTreeSet<Origin<'a>>>;
 
-/// One program point's environment: each bound variable's origins.
-type Env = BTreeMap<Arc<str>, Set>;
+/// One program point's environment: each bound variable's origins,
+/// keyed by the variable's name in the AST.
+type Env<'a> = BTreeMap<&'a str, Set<'a>>;
 
 /// Per-node origin environments (the state *after* the node executes).
 /// A node that passes its one predecessor's state through unchanged
 /// shares that predecessor's environment instead of copying it, and a
 /// copy (`alias = np;`) or a join shares the origin sets it passes on.
 #[derive(Debug, Clone)]
-pub struct Origins {
-    out: Vec<Arc<Env>>,
+pub struct Origins<'a> {
+    out: Vec<Arc<Env<'a>>>,
 }
 
-impl Origins {
+impl<'a> Origins<'a> {
     /// Runs the analysis to a fixpoint.
     ///
     /// `facts` must be parallel to `cfg.nodes`. `params` seeds the entry
@@ -56,18 +57,15 @@ impl Origins {
     /// of a copy (`alias = np;`) is not monotone, and the loop stops
     /// after `max(64·n, 1024)` visits, so another order may settle
     /// elsewhere.
-    pub fn compute(cfg: &Cfg, facts: &[NodeFacts], params: &[String]) -> Origins {
+    pub fn compute(cfg: &Cfg<'a>, facts: &[NodeFacts<'a>], params: &[&'a str]) -> Origins<'a> {
         let n = cfg.nodes.len();
         // Every node starts from one shared empty environment.
         let empty = Arc::new(Env::new());
         let mut out: Vec<Arc<Env>> = vec![empty; n];
         // Seed entry with parameters.
         let mut seed = Env::new();
-        for p in params {
-            seed.insert(
-                Arc::from(p.as_str()),
-                Arc::new(BTreeSet::from([Origin::Param])),
-            );
+        for &p in params {
+            seed.insert(p, Arc::new(BTreeSet::from([Origin::Param])));
         }
         out[cfg.entry] = Arc::new(seed);
         let pass_from: Vec<Option<NodeId>> = cfg
@@ -107,12 +105,12 @@ impl Origins {
     /// its successors). For queries about the state at `n` itself, ask
     /// about a predecessor — or use [`Origins::at`], which unions the
     /// predecessors.
-    pub fn after(&self, n: NodeId, var: &str) -> impl Iterator<Item = &Origin> {
+    pub fn after(&self, n: NodeId, var: &str) -> impl Iterator<Item = &Origin<'a>> {
         self.out[n].get(var).into_iter().flat_map(|set| set.iter())
     }
 
     /// The origins of `var` as seen *by* node `n` (union over preds).
-    pub fn at<'a>(&'a self, cfg: &Cfg, n: NodeId, var: &str) -> BTreeSet<&'a Origin> {
+    pub fn at(&self, cfg: &Cfg, n: NodeId, var: &str) -> BTreeSet<&Origin<'a>> {
         let mut set = BTreeSet::new();
         for &(p, _) in cfg.preds(n) {
             if let Some(origins) = self.out[p].get(var) {
@@ -132,15 +130,15 @@ impl Origins {
     pub fn var_from_call(&self, cfg: &Cfg, n: NodeId, var: &str, callee: &str) -> bool {
         self.at(cfg, n, var)
             .iter()
-            .any(|o| matches!(o, Origin::Call { name, .. } if name == callee))
+            .any(|o| matches!(o, Origin::Call { name, .. } if *name == callee))
     }
 
     /// All call names `var` may originate from, as seen by node `n`.
-    pub fn call_origins(&self, cfg: &Cfg, n: NodeId, var: &str) -> Vec<String> {
+    pub fn call_origins(&self, cfg: &Cfg, n: NodeId, var: &str) -> Vec<&'a str> {
         self.at(cfg, n, var)
             .iter()
-            .filter_map(|o| match o {
-                Origin::Call { name, .. } => Some(name.clone()),
+            .filter_map(|o| match **o {
+                Origin::Call { name, .. } => Some(name),
                 _ => None,
             })
             .collect()
@@ -176,7 +174,12 @@ fn pass_through_pred(cfg: &Cfg, facts: &[NodeFacts], node: NodeId) -> Option<Nod
 /// predecessors' out-states, or its own seeded state at the entry —
 /// through its assignments and, at a smartloop head, the iterator
 /// binding.
-fn transfer(cfg: &Cfg, facts: &[NodeFacts], node: NodeId, out: &[Arc<Env>]) -> Env {
+fn transfer<'a>(
+    cfg: &Cfg<'a>,
+    facts: &[NodeFacts<'a>],
+    node: NodeId,
+    out: &[Arc<Env<'a>>],
+) -> Env<'a> {
     let mut env: Env = if node == cfg.entry {
         (*out[cfg.entry]).clone()
     } else {
@@ -186,10 +189,10 @@ fn transfer(cfg: &Cfg, facts: &[NodeFacts], node: NodeId, out: &[Arc<Env>]) -> E
             .map(|first| (**first).clone())
             .unwrap_or_default();
         for pred in preds {
-            for (var, origins) in pred.iter() {
+            for (&var, origins) in pred.iter() {
                 match e.get_mut(var) {
                     None => {
-                        e.insert(var.clone(), Arc::clone(origins));
+                        e.insert(var, Arc::clone(origins));
                     }
                     Some(set) => {
                         if !Arc::ptr_eq(set, origins) && !origins.is_subset(set) {
@@ -210,49 +213,32 @@ fn transfer(cfg: &Cfg, facts: &[NodeFacts], node: NodeId, out: &[Arc<Env>]) -> E
     // `for_each_child_of_node(parent, child)`), so bind every
     // bare-identifier argument; the checkers narrow with their
     // smartloop knowledge base.
-    if let NodeKind::MacroLoopHead { name, args } = &cfg.nodes[node].kind {
+    if let NodeKind::MacroLoopHead { name, args } = cfg.nodes[node].kind {
         for arg in args {
             if let Some(var) = arg.as_ident() {
-                let call = Origin::Call {
-                    name: name.clone(),
-                    node,
-                };
-                bind(&mut env, var, Arc::new(BTreeSet::from([call])));
+                let call = Origin::Call { name, node };
+                env.insert(var, Arc::new(BTreeSet::from([call])));
             }
         }
     }
     env
 }
 
-/// Binds `var` to `set`, replacing what it held (a strong update).
-fn bind(env: &mut Env, var: &str, set: Set) {
-    match env.get_mut(var) {
-        Some(old) => *old = set,
-        None => {
-            env.insert(Arc::from(var), set);
-        }
-    }
-}
-
-fn apply_transfer(facts: &NodeFacts, node: NodeId, env: &mut Env) {
+fn apply_transfer<'a>(facts: &NodeFacts<'a>, node: NodeId, env: &mut Env<'a>) {
     for a in &facts.assigns {
-        let StoreTarget::Var(dest) = &a.target else {
+        let StoreTarget::Var(dest) = a.target else {
             continue;
         };
-        let set = if let Some(call) = &a.rhs_call {
-            let call = Origin::Call {
-                name: call.clone(),
-                node,
-            };
-            Arc::new(BTreeSet::from([call]))
-        } else if let Some(origins) = a.rhs_root.as_ref().and_then(|src| env.get(src.as_str())) {
+        let set = if let Some(name) = a.rhs_call {
+            Arc::new(BTreeSet::from([Origin::Call { name, node }]))
+        } else if let Some(origins) = a.rhs_root.and_then(|src| env.get(src)) {
             // Copy propagation: inherit the source's origins.
             Arc::clone(origins)
         } else {
             Arc::new(BTreeSet::from([Origin::Other]))
         };
         // Strong update: assignment replaces previous origins.
-        bind(env, dest, set);
+        env.insert(dest, set);
     }
 }
 
@@ -260,24 +246,26 @@ fn apply_transfer(facts: &NodeFacts, node: NodeId, env: &mut Env) {
 mod tests {
     use super::*;
     use crate::facts::NodeFacts;
-    use refminer_cparse::parse_str;
+    use refminer_cparse::{parse_str, TranslationUnit};
 
-    fn setup(body: &str) -> (Cfg, Vec<NodeFacts>, Origins) {
+    fn unit(body: &str) -> TranslationUnit {
         let src = format!(
             "int f(struct device *pdev) {{ struct device_node *np; struct device_node *alias; int ret; {body} }}"
         );
-        let tu = parse_str("t.c", &src);
-        let func = tu.function("f").unwrap();
-        let cfg = Cfg::build(func);
+        parse_str("t.c", &src)
+    }
+
+    fn setup(tu: &TranslationUnit) -> (Cfg<'_>, Vec<NodeFacts<'_>>, Origins<'_>) {
+        let cfg = Cfg::build(tu.function("f").unwrap());
         let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
-        let origins = Origins::compute(&cfg, &facts, &["pdev".to_string()]);
+        let origins = Origins::compute(&cfg, &facts, &["pdev"]);
         (cfg, facts, origins)
     }
 
     #[test]
     fn call_origin_tracked() {
-        let (cfg, facts, origins) =
-            setup("np = of_find_node_by_name(NULL, \"x\"); of_node_put(np); return 0;");
+        let tu = unit("np = of_find_node_by_name(NULL, \"x\"); of_node_put(np); return 0;");
+        let (cfg, facts, origins) = setup(&tu);
         // Find the put node.
         let put = cfg
             .node_ids()
@@ -288,9 +276,10 @@ mod tests {
 
     #[test]
     fn copy_propagation() {
-        let (cfg, facts, origins) = setup(
+        let tu = unit(
             "np = of_find_node_by_name(NULL, \"x\"); alias = np; of_node_put(alias); return 0;",
         );
+        let (cfg, facts, origins) = setup(&tu);
         let put = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("of_node_put"))
@@ -300,8 +289,9 @@ mod tests {
 
     #[test]
     fn strong_update_kills_origin() {
-        let (cfg, facts, origins) =
-            setup("np = of_find_node_by_name(NULL, \"x\"); np = NULL; of_node_put(np); return 0;");
+        let tu =
+            unit("np = of_find_node_by_name(NULL, \"x\"); np = NULL; of_node_put(np); return 0;");
+        let (cfg, facts, origins) = setup(&tu);
         let put = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("of_node_put"))
@@ -311,9 +301,10 @@ mod tests {
 
     #[test]
     fn merge_over_branches() {
-        let (cfg, facts, origins) = setup(
+        let tu = unit(
             "if (ret) np = of_find_node_by_name(NULL, \"a\"); else np = of_get_parent(pdev); of_node_put(np); return 0;",
         );
+        let (cfg, facts, origins) = setup(&tu);
         let put = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("of_node_put"))
@@ -324,15 +315,16 @@ mod tests {
 
     #[test]
     fn params_are_params() {
-        let (cfg, _facts, origins) = setup("return 0;");
+        let tu = unit("return 0;");
+        let (cfg, _facts, origins) = setup(&tu);
         let at_exit = origins.at(&cfg, cfg.exit, "pdev");
         assert!(at_exit.iter().any(|o| matches!(o, Origin::Param)));
     }
 
     #[test]
     fn macro_loop_binds_iterator() {
-        let (cfg, facts, origins) =
-            setup("for_each_child_of_node(pdev, np) { of_node_put(np); } return 0;");
+        let tu = unit("for_each_child_of_node(pdev, np) { of_node_put(np); } return 0;");
+        let (cfg, facts, origins) = setup(&tu);
         let put = cfg
             .node_ids()
             .find(|&i| facts[i].calls_named("of_node_put"))

@@ -217,12 +217,16 @@ mod tests {
     use super::*;
     use crate::cfg::{Cfg, NodeKind, Payload};
     use crate::facts::NodeFacts;
-    use refminer_cparse::parse_str;
+    use refminer_cparse::{parse_str, TranslationUnit};
 
-    fn build(body: &str) -> (Cfg, Vec<NodeFacts>) {
-        let src =
-            format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}");
-        let tu = parse_str("t.c", &src);
+    fn unit(body: &str) -> TranslationUnit {
+        parse_str(
+            "t.c",
+            &format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}"),
+        )
+    }
+
+    fn build(tu: &TranslationUnit) -> (Cfg<'_>, Vec<NodeFacts<'_>>) {
         let cfg = Cfg::build(tu.function("f").unwrap());
         let facts = cfg.nodes.iter().map(NodeFacts::of).collect();
         (cfg, facts)
@@ -234,7 +238,8 @@ mod tests {
 
     #[test]
     fn finds_simple_sequence() {
-        let (cfg, facts) = build("get_thing(np); put_thing(np); return 0;");
+        let tu = unit("get_thing(np); put_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
             call_step(&facts, "put_thing"),
@@ -245,7 +250,8 @@ mod tests {
 
     #[test]
     fn order_matters() {
-        let (cfg, facts) = build("put_thing(np); get_thing(np); return 0;");
+        let tu = unit("put_thing(np); get_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
             call_step(&facts, "put_thing"),
@@ -258,7 +264,8 @@ mod tests {
     fn avoidance_prunes() {
         // get → put on every path to exit: the "reach exit avoiding put"
         // query must fail.
-        let (cfg, facts) = build("get_thing(np); put_thing(np); return 0;");
+        let tu = unit("get_thing(np); put_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let exit = cfg.exit;
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
@@ -270,7 +277,8 @@ mod tests {
     #[test]
     fn avoidance_finds_leaky_branch() {
         // One branch returns early without the put.
-        let (cfg, facts) = build("get_thing(np); if (ret) return ret; put_thing(np); return 0;");
+        let tu = unit("get_thing(np); if (ret) return ret; put_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let exit = cfg.exit;
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
@@ -282,8 +290,9 @@ mod tests {
 
     #[test]
     fn three_step_query() {
-        let (cfg, facts) =
-            build("get_thing(np); if (ret) goto out; use_thing(np); out: put_thing(np); return 0;");
+        let tu =
+            unit("get_thing(np); if (ret) goto out; use_thing(np); out: put_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
             call_step(&facts, "use_thing"),
@@ -296,7 +305,8 @@ mod tests {
     fn back_edges_allow_second_iteration() {
         // put before get, but inside a loop: a second iteration sees
         // get → (back) → put.
-        let (cfg, facts) = build("while (ret) { put_thing(np); get_thing(np); } return 0;");
+        let tu = unit("while (ret) { put_thing(np); get_thing(np); } return 0;");
+        let (cfg, facts) = build(&tu);
         let with_back = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
             call_step(&facts, "put_thing"),
@@ -312,7 +322,8 @@ mod tests {
 
     #[test]
     fn empty_query_matches_trivially() {
-        let (cfg, _facts) = build("return 0;");
+        let tu = unit("return 0;");
+        let (cfg, _facts) = build(&tu);
         let q = PathQuery::new(Vec::new());
         assert_eq!(q.search_from_entry(&cfg), Some(Vec::new()));
     }
@@ -321,7 +332,8 @@ mod tests {
     fn out_of_range_start_finds_nothing() {
         // Regression: this used to index out of bounds instead of
         // returning None.
-        let (cfg, _facts) = build("return 0;");
+        let tu = unit("return 0;");
+        let (cfg, _facts) = build(&tu);
         let q = PathQuery::new(vec![Step::new(|_| true)]);
         assert_eq!(q.search(&cfg, cfg.nodes.len()), None);
         assert_eq!(q.search(&cfg, usize::MAX), None);
@@ -331,7 +343,8 @@ mod tests {
 
     #[test]
     fn start_node_can_match_first_step() {
-        let (cfg, _facts) = build("return 0;");
+        let tu = unit("return 0;");
+        let (cfg, _facts) = build(&tu);
         let entry = cfg.entry;
         let q = PathQuery::new(vec![Step::new(move |n| n == entry)]);
         assert_eq!(q.search_from_entry(&cfg), Some(vec![cfg.entry]));
@@ -339,7 +352,8 @@ mod tests {
 
     #[test]
     fn witness_reports_matching_nodes() {
-        let (cfg, facts) = build("get_thing(np); mid_thing(np); put_thing(np); return 0;");
+        let tu = unit("get_thing(np); mid_thing(np); put_thing(np); return 0;");
+        let (cfg, facts) = build(&tu);
         let q = PathQuery::new(vec![
             call_step(&facts, "get_thing"),
             call_step(&facts, "put_thing"),

@@ -5,12 +5,15 @@
 //! focus on connective structure (`&&`/`||`) and write modeling that
 //! once wrongly suppressed real leaks.
 
-use refminer_cparse::parse_str;
+use refminer_cparse::{parse_str, TranslationUnit};
 use refminer_cpg::{Cfg, FeasAnalysis, Feasibility, NodeFacts, PathQuery, Step};
 
-fn build(body: &str) -> (Cfg, Vec<NodeFacts>, FeasAnalysis) {
+fn unit(body: &str) -> TranslationUnit {
     let src = format!("int f(struct device *dev) {{ struct device_node *np; int ret; {body} }}");
-    let tu = parse_str("t.c", &src);
+    parse_str("t.c", &src)
+}
+
+fn build(tu: &TranslationUnit) -> (Cfg<'_>, Vec<NodeFacts<'_>>, FeasAnalysis) {
     let cfg = Cfg::build(tu.function("f").unwrap());
     let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
     let feas = FeasAnalysis::compute(&cfg, &facts);
@@ -29,12 +32,13 @@ fn disjunction_true_edge_is_not_pruned() {
     // np is known non-NULL after the guard, but `!np || ret < 0` can
     // still be true via ret < 0 — the goto err edge is feasible and the
     // leak is real.
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "np = find_thing(dev); if (!np) return -ENODEV; \
          get_thing(np); ret = do_thing(dev); \
          if (!np || ret < 0) goto err; \
          put_thing(np); return 0; err: return ret;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "leaky path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);
@@ -46,12 +50,13 @@ fn fully_dead_disjunction_is_still_pruned() {
     // Both disjuncts are individually impossible (np non-NULL, ret ==
     // 0), so the structural fix must not stop pruning genuinely dead
     // disjunction edges.
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "np = find_thing(dev); if (!np) return -ENODEV; \
          get_thing(np); ret = 0; \
          if (!np || ret) goto err; \
          put_thing(np); return 0; err: return -EINVAL;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "syntactic path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);
@@ -62,12 +67,13 @@ fn fully_dead_disjunction_is_still_pruned() {
 fn conjunction_false_edge_is_not_pruned() {
     // `np && !ret` false with np known non-NULL only says `!ret` may
     // have failed; the else edge must not assert np == NULL or prune.
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "np = find_thing(dev); if (!np) return -ENODEV; \
          get_thing(np); ret = do_thing(dev); \
          if (np && !ret) { put_thing(np); return 0; } \
          return ret;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "leaky path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);
@@ -77,10 +83,11 @@ fn conjunction_false_edge_is_not_pruned() {
 #[test]
 fn postfix_increment_defeats_constancy() {
     // ret++ makes ret == 1 at the test; the error path is real.
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "get_thing(np); ret = 0; ret++; if (ret) goto err; \
          put_thing(np); return 0; err: return -EINVAL;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "leaky path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);
@@ -89,10 +96,11 @@ fn postfix_increment_defeats_constancy() {
 
 #[test]
 fn postfix_decrement_defeats_constancy() {
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "get_thing(np); ret = 1; ret--; if (!ret) goto err; \
          put_thing(np); return 0; err: return -EINVAL;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "leaky path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);
@@ -103,12 +111,13 @@ fn postfix_decrement_defeats_constancy() {
 fn negated_conjunction_distributes() {
     // `!(np && ret == 0)` is `!np || ret != 0`; with np non-NULL the
     // true edge can still fire via ret != 0.
-    let (cfg, facts, feas) = build(
+    let tu = unit(
         "np = find_thing(dev); if (!np) return -ENODEV; \
          get_thing(np); ret = do_thing(dev); \
          if (!(np && ret == 0)) goto err; \
          put_thing(np); return 0; err: return ret;",
     );
+    let (cfg, facts, feas) = build(&tu);
     let q = leak_query(&cfg, &facts);
     assert!(q.search_from_entry(&cfg).is_some(), "leaky path exists");
     let v = feas.classify(&q, &cfg, cfg.entry);

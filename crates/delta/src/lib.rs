@@ -116,7 +116,7 @@ impl AnalysisEngine for DeltaEngine {
 struct Seed<'a> {
     node: NodeId,
     api: &'a RcApi,
-    object: String,
+    object: &'a str,
 }
 
 fn seeds<'a>(ctx: &'a CheckCtx<'_>) -> Vec<Seed<'a>> {
@@ -144,7 +144,7 @@ fn seeds<'a>(ctx: &'a CheckCtx<'_>) -> Vec<Seed<'a>> {
                     return None;
                 }
                 let i = s.api.object_arg()?;
-                s.call.arg_root(i).map(str::to_string)
+                s.call.arg_root(i)
             })?;
             Some(Seed {
                 node: s.node,
@@ -159,7 +159,7 @@ fn seeds<'a>(ctx: &'a CheckCtx<'_>) -> Vec<Seed<'a>> {
 /// seed's own acquisition, which is seeded directly).
 fn node_effect(ctx: &CheckCtx<'_>, seed: &Seed<'_>, n: NodeId) -> i8 {
     let graph = ctx.graph;
-    let obj = seed.object.as_str();
+    let obj = seed.object;
     let mut e: i8 = 0;
     // Any paired decrement — direct, alias-resolved, or a helper whose
     // ProgramDb summary releases the argument.
@@ -170,7 +170,7 @@ fn node_effect(ctx: &CheckCtx<'_>, seed: &Seed<'_>, n: NodeId) -> i8 {
     let mut hidden_dec = false;
     let mut helper_acq = false;
     for call in &graph.facts[n].calls {
-        match ctx.kb.get(&call.name) {
+        match ctx.kb.get(call.name) {
             Some(api) if api.dir == RcDir::Inc => {
                 if n != seed.node
                     && api
@@ -197,10 +197,10 @@ fn node_effect(ctx: &CheckCtx<'_>, seed: &Seed<'_>, n: NodeId) -> i8 {
                 // Helper acquires resolve through the same program
                 // database as helper releases.
                 if call.args.iter().enumerate().any(|(i, a)| {
-                    a.root.as_deref() == Some(obj)
+                    a.root == Some(obj)
                         && ctx
                             .program
-                            .summary_of(ctx.file, &call.name)
+                            .summary_of(ctx.file, call.name)
                             .is_some_and(|s| s.acquires.contains(&i))
                 }) {
                     helper_acq = true;
@@ -237,7 +237,7 @@ fn transfers(ctx: &CheckCtx<'_>, obj: &str, n: NodeId) -> bool {
 fn exit_interval(ctx: &CheckCtx<'_>, seed: &Seed<'_>) -> Option<Interval> {
     let graph = ctx.graph;
     let cfg = &graph.cfg;
-    let null_edge = ctx.null_branch_of(&seed.object);
+    let null_edge = ctx.null_branch_of(seed.object);
     // out[n]: delta interval after n executes, on live paths.
     let mut out: Vec<Option<Interval>> = vec![None; cfg.nodes.len()];
     out[seed.node] = Some(Interval::exact(1));
@@ -249,7 +249,7 @@ fn exit_interval(ctx: &CheckCtx<'_>, seed: &Seed<'_>) -> Option<Interval> {
                 // The object is NULL on this branch: no reference held.
                 continue;
             }
-            if transfers(ctx, &seed.object, m) {
+            if transfers(ctx, seed.object, m) {
                 continue;
             }
             let next = cur.shift(node_effect(ctx, seed, m));
@@ -279,7 +279,7 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
         if iv.hi <= 0 {
             continue;
         }
-        let obj = seed.object.as_str();
+        let obj = seed.object;
         let api = seed.api;
         if api.inc_on_error {
             // P1's shape: the increment survives even the failure path.
@@ -370,32 +370,28 @@ fn leak_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
 /// restricted to the never-acquired (net-negative) case.
 fn overput_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
     let graph = ctx.graph;
-    let acquired: Vec<String> = inc_sites(ctx)
+    let acquired: Vec<&str> = inc_sites(ctx)
         .into_iter()
         .filter_map(|s| s.object)
         .collect();
     let mut out = Vec::new();
     for n in graph.cfg.node_ids() {
         for call in &graph.facts[n].calls {
-            let Some(api) = ctx.kb.get(&call.name) else {
+            let Some(api) = ctx.kb.get(call.name) else {
                 continue;
             };
             if api.dir != RcDir::Dec {
                 continue;
             }
-            let Some(obj) = api
-                .object_arg()
-                .and_then(|i| call.arg_root(i))
-                .map(str::to_string)
-            else {
+            let Some(obj) = api.object_arg().and_then(|i| call.arg_root(i)) else {
                 continue;
             };
-            if acquired.iter().any(|a| a == &obj) {
+            if acquired.contains(&obj) {
                 // The function owns a reference; the plain P8 checker
                 // covers the use-after-put there.
                 continue;
             }
-            let q = use_after_decrease_query(ctx, n, &obj);
+            let q = use_after_decrease_query(ctx, n, obj);
             if let Some(witness) = q.search(&graph.cfg, n) {
                 let deref_node = witness[0];
                 out.push(Finding {
@@ -404,8 +400,8 @@ fn overput_findings(ctx: &CheckCtx<'_>) -> Vec<Finding> {
                     file: ctx.file.to_string(),
                     function: graph.name().to_string(),
                     line: graph.line_of(deref_node),
-                    api: call.name.clone(),
-                    object: Some(obj.clone()),
+                    api: call.name.to_string(),
+                    object: Some(obj.to_string()),
                     message: format!(
                         "net refcount delta on {obj} goes negative at {}({obj}) \
                          and the object is used afterwards",
@@ -436,7 +432,7 @@ fn delta_finding(
         function: ctx.graph.name().to_string(),
         line,
         api: seed.api.name.clone(),
-        object: Some(seed.object.clone()),
+        object: Some(seed.object.to_string()),
         message,
         feasibility,
         checkers: vec![DELTA_CHECKER_NAME.to_string()],
@@ -457,6 +453,7 @@ mod tests {
         let kb = ApiKb::builtin();
         let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
         let db = ProgramDb::local(&tu.path, &graphs, &globals, &kb);
+        let global_names = globals.iter().map(String::as_str).collect();
         let mut out = Vec::new();
         for graph in &graphs {
             let ctx = CheckCtx {
@@ -464,6 +461,7 @@ mod tests {
                 graph,
                 kb: &kb,
                 unit: &tu,
+                globals: &global_names,
                 all_graphs: &graphs,
                 program: &db,
                 trace: refminer_trace::TraceHandle::disabled(),

@@ -136,16 +136,12 @@ impl FnExport {
         for n in cfg.node_ids() {
             for call in &facts[n].calls {
                 calls.push(CallSite {
-                    callee: call.name.clone(),
-                    args: call
-                        .args
-                        .iter()
-                        .map(|a| param_index(a.root.as_deref()))
-                        .collect(),
+                    callee: call.name.to_string(),
+                    args: call.args.iter().map(|a| param_index(a.root)).collect(),
                 });
             }
             for assign in &facts[n].assigns {
-                let Some(idx) = param_index(assign.rhs_root.as_deref()) else {
+                let Some(idx) = param_index(assign.rhs_root) else {
                     continue;
                 };
                 let escapes = match &assign.target {
@@ -171,9 +167,9 @@ impl FnExport {
 /// unless it is there already.
 fn add_loop_heads(cfg: &Cfg, heads: &mut Vec<String>) {
     for node in &cfg.nodes {
-        if let NodeKind::MacroLoopHead { name, .. } = &node.kind {
-            if !heads.contains(name) {
-                heads.push(name.clone());
+        if let NodeKind::MacroLoopHead { name, .. } = node.kind {
+            if !heads.iter().any(|h| h == name) {
+                heads.push(name.to_string());
             }
         }
     }
@@ -194,7 +190,7 @@ impl UnitExports {
             fns: graphs
                 .iter()
                 .map(|g| {
-                    FnExport::extract(&g.name, &g.params, g.is_static, &g.cfg, &g.facts, globals)
+                    FnExport::extract(g.name, g.params, g.is_static, &g.cfg, &g.facts, globals)
                 })
                 .collect(),
             loop_heads,

@@ -206,7 +206,7 @@ pub fn struct_sig(func: &FunctionDef, api: &str, object: Option<&str>, kb: &ApiK
         ..StructSig::default()
     };
     for (node, facts) in cfg.nodes.iter().zip(&facts) {
-        if facts.calls_named(api) && !node.loops.is_empty() {
+        if facts.calls_named(api) && node.loop_head.is_some() {
             sig.in_loop = true;
         }
         if facts.is_return && facts.returns_error {
@@ -216,7 +216,7 @@ pub fn struct_sig(func: &FunctionDef, api: &str, object: Option<&str>, kb: &ApiK
             sig.paired_dec = true;
         }
         let Some(obj) = object else { continue };
-        if facts.returns_var.as_deref() == Some(obj) {
+        if facts.returns_var == Some(obj) {
             sig.returns_object = true;
         }
         if facts.derefs_var(obj) {
@@ -225,12 +225,12 @@ pub fn struct_sig(func: &FunctionDef, api: &str, object: Option<&str>, kb: &ApiK
         if facts
             .checks
             .iter()
-            .any(|c| matches!(c, CheckFact::NullOnTrue(v) if v == obj))
+            .any(|c| matches!(c, CheckFact::NullOnTrue(v) if *v == obj))
         {
             sig.null_guard = true;
         }
         if facts.assigns.iter().any(|a| {
-            a.rhs_root.as_deref() == Some(obj)
+            a.rhs_root == Some(obj)
                 && matches!(
                     a.target,
                     StoreTarget::Field { .. } | StoreTarget::Indirect(_)
@@ -240,7 +240,7 @@ pub fn struct_sig(func: &FunctionDef, api: &str, object: Option<&str>, kb: &ApiK
         }
         if facts.calls.iter().any(|c| {
             c.name != api
-                && !decs.contains(&c.name)
+                && !decs.iter().any(|d| d == c.name)
                 && c.args.len() == 1
                 && c.arg_root(0) == Some(obj)
         }) {

@@ -151,7 +151,9 @@ impl<'kb> TemplateMatcher<'kb> {
                 let node = &graph.cfg.nodes[n];
                 match &node.kind {
                     NodeKind::Stmt(Payload::Break) => true,
-                    NodeKind::Stmt(Payload::Goto(_) | Payload::Return(_)) => !node.loops.is_empty(),
+                    NodeKind::Stmt(Payload::Goto(_) | Payload::Return(_)) => {
+                        node.loop_head.is_some()
+                    }
                     _ => false,
                 }
             }),
@@ -176,8 +178,8 @@ fn candidate_vars(graph: &FunctionGraph) -> Vec<String> {
     }
     for facts in &graph.facts {
         for a in &facts.assigns {
-            if let StoreTarget::Var(v) = &a.target {
-                set.insert(v.clone());
+            if let StoreTarget::Var(v) = a.target {
+                set.insert(v.to_string());
             }
         }
     }
@@ -209,7 +211,7 @@ fn single_op_matches(
     let facts = &graph.facts[n];
     let call_matches = |pred: &dyn Fn(&refminer_rcapi::RcApi) -> bool| -> bool {
         facts.calls.iter().any(|c| {
-            let Some(api) = kb.get(&c.name) else {
+            let Some(api) = kb.get(c.name) else {
                 return false;
             };
             if !pred(api) {
@@ -220,10 +222,10 @@ fn single_op_matches(
                 // Object flows via return value: accept if the node
                 // assigns the result to the bound variable (or no
                 // binding requested).
-                (Some(v), None) => facts.assigns.iter().any(|a| {
-                    a.rhs_call.as_deref() == Some(c.name.as_str())
-                        && a.target == StoreTarget::Var(v.to_string())
-                }),
+                (Some(v), None) => facts
+                    .assigns
+                    .iter()
+                    .any(|a| a.rhs_call == Some(c.name) && a.target == StoreTarget::Var(v)),
                 (None, _) => true,
             }
         })
@@ -248,7 +250,7 @@ fn single_op_matches(
         Operator::A => !facts.assigns.is_empty(),
         Operator::AEsc => facts.assigns.iter().any(|a| {
             let stored = match var {
-                Some(v) => a.rhs_root.as_deref() == Some(v),
+                Some(v) => a.rhs_root == Some(v),
                 None => true,
             };
             stored
@@ -273,9 +275,9 @@ fn single_op_matches(
                 None => !facts.derefs.is_empty(),
             }
         }
-        Operator::L => facts.calls.iter().any(|c| is_lock_name(&c.name, false)),
-        Operator::U => facts.calls.iter().any(|c| is_lock_name(&c.name, true)),
-        Operator::Free => facts.calls.iter().any(|c| is_kfree_family(&c.name)),
+        Operator::L => facts.calls.iter().any(|c| is_lock_name(c.name, false)),
+        Operator::U => facts.calls.iter().any(|c| is_lock_name(c.name, true)),
+        Operator::Free => facts.calls.iter().any(|c| is_kfree_family(c.name)),
     }
 }
 
@@ -306,17 +308,20 @@ fn is_lock_name(name: &str, unlock: bool) -> bool {
 mod tests {
     use super::*;
     use crate::parse::parse_template;
-    use refminer_cparse::parse_str;
+    use refminer_cparse::{parse_str, TranslationUnit};
 
-    fn graph(src: &str) -> FunctionGraph {
-        let tu = parse_str("t.c", src);
+    fn unit(src: &str) -> TranslationUnit {
+        parse_str("t.c", src)
+    }
+
+    fn graph(tu: &TranslationUnit) -> FunctionGraph<'_> {
         let f = tu.functions().next().expect("one function");
         FunctionGraph::build(f)
     }
 
     #[test]
     fn matches_inc_then_error_block() {
-        let g = graph(
+        let tu = unit(
             r#"
 int probe(struct device *dev)
 {
@@ -328,6 +333,7 @@ int probe(struct device *dev)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_{G_E} -> B_error -> F_end").unwrap();
         let matches = TemplateMatcher::new(&kb).find(&t, &g);
@@ -339,7 +345,7 @@ int probe(struct device *dev)
         // `ret` is constant 0 at the test, so the error block is
         // unreachable: the match survives structurally but carries an
         // Infeasible verdict.
-        let g = graph(
+        let tu = unit(
             r#"
 int probe(struct device *dev)
 {
@@ -352,6 +358,7 @@ int probe(struct device *dev)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_{G_E} -> B_error -> F_end").unwrap();
         let matches = TemplateMatcher::new(&kb).find(&t, &g);
@@ -361,7 +368,7 @@ int probe(struct device *dev)
 
     #[test]
     fn no_match_without_error_block() {
-        let g = graph(
+        let tu = unit(
             r#"
 int probe(struct device *dev)
 {
@@ -371,6 +378,7 @@ int probe(struct device *dev)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_{G_E} -> B_error -> F_end").unwrap();
         assert!(TemplateMatcher::new(&kb).find(&t, &g).is_empty());
@@ -378,7 +386,7 @@ int probe(struct device *dev)
 
     #[test]
     fn uad_template_binds_parameter() {
-        let g = graph(
+        let tu = unit(
             r#"
 void unhash(struct sock *sk)
 {
@@ -387,6 +395,7 @@ void unhash(struct sock *sk)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_P(p0) -> S_D(p0) -> F_end").unwrap();
         let matches = TemplateMatcher::new(&kb).find(&t, &g);
@@ -396,7 +405,7 @@ void unhash(struct sock *sk)
 
     #[test]
     fn uad_template_rejects_deref_before_put() {
-        let g = graph(
+        let tu = unit(
             r#"
 void unhash(struct sock *sk)
 {
@@ -405,6 +414,7 @@ void unhash(struct sock *sk)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_P(p0) -> S_D(p0) -> F_end").unwrap();
         assert!(TemplateMatcher::new(&kb).find(&t, &g).is_empty());
@@ -412,7 +422,7 @@ void unhash(struct sock *sk)
 
     #[test]
     fn smartloop_break_template() {
-        let g = graph(
+        let tu = unit(
             r#"
 int scan(void)
 {
@@ -425,12 +435,13 @@ int scan(void)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> M_SL -> S_break -> F_end").unwrap();
         assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);
 
         // A `return` inside the loop leaves it just as early.
-        let g = graph(
+        let tu = unit(
             r#"
 static int scan(struct device_node *parent)
 {
@@ -443,12 +454,13 @@ static int scan(struct device_node *parent)
 }
 "#,
         );
+        let g = graph(&tu);
         assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);
     }
 
     #[test]
     fn unlock_nested_deref_template() {
-        let g = graph(
+        let tu = unit(
             r#"
 int setup(struct usb_serial *serial)
 {
@@ -458,6 +470,7 @@ int setup(struct usb_serial *serial)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_P(p0) -> S_{U.D}(p0) -> F_end").unwrap();
         let matches = TemplateMatcher::new(&kb).find(&t, &g);
@@ -467,7 +480,7 @@ int setup(struct usb_serial *serial)
 
     #[test]
     fn escape_assignment_template() {
-        let g = graph(
+        let tu = unit(
             r#"
 void attach(struct priv *priv, struct device_node *np)
 {
@@ -475,6 +488,7 @@ void attach(struct priv *priv, struct device_node *np)
 }
 "#,
         );
+        let g = graph(&tu);
         let kb = ApiKb::builtin();
         let t = parse_template("F_start -> S_{A_GO} -> F_end").unwrap();
         assert_eq!(TemplateMatcher::new(&kb).find(&t, &g).len(), 1);

@@ -104,7 +104,7 @@ fn unit_exports_from_cfgs_equal_exports_from_graphs() {
         for cap in [default_cap, 24] {
             for (path, text) in &units {
                 let tu = parse(path, text);
-                let (graphs, _) = FunctionGraph::build_all_limited(&tu, cap);
+                let (graphs, _, _) = FunctionGraph::build_all_limited_timed(&tu, cap);
                 let globals: Vec<String> = tu.globals().map(|g| g.name.clone()).collect();
                 assert_eq!(
                     UnitExports::of_unit(path, &tu, cap),
@@ -116,17 +116,17 @@ fn unit_exports_from_cfgs_equal_exports_from_graphs() {
     }
 }
 
-type Env = BTreeMap<String, BTreeSet<Origin>>;
+type Env<'a> = BTreeMap<String, BTreeSet<Origin<'a>>>;
 
 /// The plain origin fixpoint: a full environment per node, worklist
 /// membership by linear search. Same visit order and transfer function
 /// as `Origins::compute`.
-fn reference_origins(cfg: &Cfg, facts: &[NodeFacts], params: &[String]) -> Vec<Env> {
+fn reference_origins<'a>(cfg: &Cfg<'a>, facts: &[NodeFacts<'a>], params: &[&str]) -> Vec<Env<'a>> {
     let n = cfg.nodes.len();
     let mut out: Vec<Env> = vec![Env::new(); n];
     for p in params {
         out[cfg.entry]
-            .entry(p.clone())
+            .entry(p.to_string())
             .or_default()
             .insert(Origin::Param);
     }
@@ -152,16 +152,13 @@ fn reference_origins(cfg: &Cfg, facts: &[NodeFacts], params: &[String]) -> Vec<E
             e
         };
         for a in &facts[node].assigns {
-            let StoreTarget::Var(dest) = &a.target else {
+            let StoreTarget::Var(dest) = a.target else {
                 continue;
             };
             let mut set = BTreeSet::new();
-            if let Some(call) = &a.rhs_call {
-                set.insert(Origin::Call {
-                    name: call.clone(),
-                    node,
-                });
-            } else if let Some(src) = &a.rhs_root {
+            if let Some(name) = a.rhs_call {
+                set.insert(Origin::Call { name, node });
+            } else if let Some(src) = a.rhs_root {
                 match env.get(src) {
                     Some(origins) => set.extend(origins.iter().cloned()),
                     None => {
@@ -171,15 +168,12 @@ fn reference_origins(cfg: &Cfg, facts: &[NodeFacts], params: &[String]) -> Vec<E
             } else {
                 set.insert(Origin::Other);
             }
-            env.insert(dest.clone(), set);
+            env.insert(dest.to_string(), set);
         }
-        if let NodeKind::MacroLoopHead { name, args } = &cfg.nodes[node].kind {
+        if let NodeKind::MacroLoopHead { name, args } = cfg.nodes[node].kind {
             for arg in args {
                 if let Some(var) = arg.as_ident() {
-                    let call = Origin::Call {
-                        name: name.clone(),
-                        node,
-                    };
+                    let call = Origin::Call { name, node };
                     env.insert(var.to_string(), BTreeSet::from([call]));
                 }
             }
@@ -208,8 +202,11 @@ fn origins_match_the_reference_fixpoint() {
                     continue;
                 };
                 let facts: Vec<NodeFacts> = cfg.nodes.iter().map(NodeFacts::of).collect();
-                let params: Vec<String> =
-                    func.params.iter().filter_map(|p| p.name.clone()).collect();
+                let params: Vec<&str> = func
+                    .params
+                    .iter()
+                    .filter_map(|p| p.name.as_deref())
+                    .collect();
                 let reference = reference_origins(&cfg, &facts, &params);
                 let origins = Origins::compute(&cfg, &facts, &params);
                 let vars: BTreeSet<&str> = reference

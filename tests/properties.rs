@@ -368,7 +368,7 @@ fn origins_params_stable() {
             let reassigned = g.facts.iter().any(|f| {
                 f.assigns
                     .iter()
-                    .any(|a| a.target == refminer::cpg::StoreTarget::Var("alpha".to_string()))
+                    .any(|a| a.target == refminer::cpg::StoreTarget::Var("alpha"))
             });
             if !reassigned {
                 let at_exit = g.origins.at(&g.cfg, g.cfg.exit, "alpha");
